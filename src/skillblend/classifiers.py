@@ -43,7 +43,8 @@ class NliJudge(Protocol):
 
 
 class SkillScorer(Protocol):
-    """Maps an utterance to a probability distribution over the roster."""
+    """Maps an utterance to a probability distribution over the roster.
+    Implementations must be deterministic for fixed inputs."""
 
     roster: tuple[SkillId, ...]
 

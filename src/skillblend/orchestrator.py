@@ -10,14 +10,12 @@ order stays equal to seed order, so parallelism never changes the bytes.
 
 from __future__ import annotations
 
-import hashlib
-import random
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .agents import BackendError, SkillAgent
-from .classifiers import NliJudge, SkillScorer
+from .classifiers import NliJudge, NliVerdict, SkillScorer
 from .core import (
     AnnotatedTurn,
     DialogueContext,
@@ -25,6 +23,7 @@ from .core import (
     Episode,
     Refusal,
     SkillContext,
+    SkillDistribution,
     SkillId,
     Utterance,
     config_digest,
@@ -68,13 +67,36 @@ class EpisodeState:
     turn_cursor: int
     side_to_speak: int
     annotated: list[AnnotatedTurn] = field(default_factory=list)
-    rng_stream: random.Random = field(default_factory=random.Random)
 
 
-def _episode_rng(rng_seed: int, episode_index: int) -> random.Random:
-    # Streams keyed by (seed, index) keep batches order-independent.
-    digest = hashlib.sha256(f"{rng_seed}:{episode_index}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+class _EpisodeMemo:
+    """The episode's NLI judge and skill scorer behind one memo: each
+    (premise, hypothesis) pair is judged and each text scored at most once.
+
+    Both backends are deterministic for fixed inputs, so the memo is exact.
+    It lives as long as one episode, which runs on one thread; exceptions
+    propagate uncached, so retries and backend errors behave as without it.
+    """
+
+    def __init__(self, judge: NliJudge, scorer: SkillScorer):
+        self._judge = judge
+        self._scorer = scorer
+        self.roster = scorer.roster
+        self._verdicts: dict[tuple[str, str], NliVerdict] = {}
+        self._dists: dict[str, SkillDistribution] = {}
+
+    def judge(self, premise: str, hypothesis: str) -> NliVerdict:
+        key = (premise, hypothesis)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._judge.judge(premise, hypothesis)
+        return verdict
+
+    def score(self, text: str) -> SkillDistribution:
+        dist = self._dists.get(text)
+        if dist is None:
+            dist = self._dists[text] = self._scorer.score(text)
+        return dist
 
 
 def _annotate(
@@ -96,7 +118,6 @@ def run_episode(
     scorer: SkillScorer,
     cfg: EngineConfig,
     episode_id: str = "ep-000000",
-    episode_index: int = 0,
 ) -> Episode:
     """Generate one fixed-length episode from a seed.
 
@@ -104,11 +125,13 @@ def run_episode(
     zero consistency attempts); each following turn alternates the speaking
     side, fans the simulation over every roster agent with the speaking
     side's contexts, and selects via the active agent plus the flow gate.
+    Backend verdicts and distributions are memoized for the episode.
     """
     by_id = {agent.skill.id: agent for agent in agents}
     roster_ids = sorted(s.id for s in cfg.skill_roster)
     if sorted(by_id) != roster_ids or len(list(agents)) != len(cfg.skill_roster):
         raise ValueError("agents must cover the skill roster exactly")
+    memo = _EpisodeMemo(judge, scorer)
 
     first = Utterance(0, 0, seed.pair[0].text)
     second = Utterance(1, 1, seed.pair[1].text)
@@ -118,10 +141,9 @@ def run_episode(
         turn_cursor=2,
         side_to_speak=0,
         annotated=[
-            _annotate(first, scorer, False, 0, ()),
-            _annotate(second, scorer, False, 0, ()),
+            _annotate(first, memo, False, 0, ()),
+            _annotate(second, memo, False, 0, ()),
         ],
-        rng_stream=_episode_rng(cfg.rng_seed, episode_index),
     )
 
     while state.turn_cursor < cfg.episode_length:
@@ -135,7 +157,7 @@ def run_episode(
             for skill in cfg.skill_roster:
                 agent = by_id[skill.id]
                 stx_own = stx_all.get(skill) or SkillContext(skill, ())
-                result = simulate_approved(agent, judge, stx_all, stx_own, state.dtx, cfg.max_attempts)
+                result = simulate_approved(agent, memo, stx_all, stx_own, state.dtx, cfg.max_attempts)
                 refusals.extend(result.refusals)
                 if result.candidate is not None:
                     candidates.append(result.candidate)
@@ -146,14 +168,14 @@ def run_episode(
             active_agent = by_id[state.active_skill.id]
             stx_active = stx_all.get(state.active_skill) or SkillContext(state.active_skill, ())
             outcome = select_final(
-                active_agent, scorer, stx_active, state.dtx, candidates, cfg.alpha, cfg.epsilon
+                active_agent, memo, stx_active, state.dtx, candidates, cfg.alpha, cfg.epsilon
             )
         except BackendError as exc:
             raise type(exc)(f"episode {episode_id} turn {turn}: {exc}") from exc
 
         utt = Utterance(side, turn, outcome.winner.text)
         state.annotated.append(
-            _annotate(utt, scorer, outcome.mic_passed, outcome.winner.attempts, refusals)
+            _annotate(utt, memo, outcome.mic_passed, outcome.winner.attempts, refusals)
         )
         state.dtx = state.dtx.extended(utt)
         if outcome.mic_passed:
@@ -191,9 +213,7 @@ def run_batch(
         raise ValueError("parallelism must be at least 1")
 
     def work(index: int, seed: SeedEpisode) -> Episode:
-        return run_episode(
-            seed, agents, judge, scorer, cfg, episode_id=f"ep-{index:06d}", episode_index=index
-        )
+        return run_episode(seed, agents, judge, scorer, cfg, episode_id=f"ep-{index:06d}")
 
     finished: dict[int, Episode] = {}
     abort_msgs: dict[int, str] = {}

@@ -59,22 +59,27 @@ class ContextDoc:
 @dataclass(frozen=True)
 class TfIdfIndex:
     """Immutable tf-idf index; doc_vectors are L2-normalized sparse maps
-    from term id to weight, aligned positionally with ``docs``."""
+    from term id to weight, aligned positionally with ``docs``. Every
+    document's id equals its position in ``docs``."""
 
     vocabulary: Mapping[str, int]
     idf: tuple[float, ...]
     doc_vectors: tuple[Mapping[int, float], ...]
     docs: tuple[ContextDoc, ...]
 
+    def __post_init__(self) -> None:
+        for pos, d in enumerate(self.docs):
+            if d.doc_id != pos:
+                raise ValueError(f"document id {d.doc_id} differs from its position {pos}")
+
     @property
     def doc_count(self) -> int:
         return len(self.docs)
 
     def doc(self, doc_id: int) -> ContextDoc:
-        for d in self.docs:
-            if d.doc_id == doc_id:
-                return d
-        raise KeyError(f"no document with id {doc_id}")
+        if not 0 <= doc_id < len(self.docs):
+            raise KeyError(f"no document with id {doc_id}")
+        return self.docs[doc_id]
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,10 @@ class SeedEpisode:
 
 def build_index(docs: Sequence[ContextDoc]) -> TfIdfIndex:
     """Index documents with tf = raw term count and
-    idf = max(0, ln(N / (1 + df)) + 1); vectors are L2-normalized."""
+    idf = max(0, ln(N / (1 + df)) + 1); vectors are L2-normalized. Document
+    ids must equal their positions, as ``docs_from_records`` assigns them."""
     if not docs:
         raise ValueError("cannot index an empty corpus")
-    ids = [d.doc_id for d in docs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("document ids must be unique")
     token_lists = [tokenize(d.text) for d in docs]
     df: Counter[str] = Counter()
     for tokens in token_lists:
@@ -287,7 +290,8 @@ def save_index(index: TfIdfIndex, path: str) -> None:
 
 
 def load_index(path: str) -> TfIdfIndex:
-    """Load a persisted index, validating the header and document count."""
+    """Load a persisted index, validating the header, the document count
+    and that every document id equals its position."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict) or obj.get("format") != INDEX_FORMAT:
@@ -306,4 +310,7 @@ def load_index(path: str) -> TfIdfIndex:
     vectors = tuple({int(tid): float(w) for tid, w in vec} for vec in obj["vectors"])
     if obj.get("doc_count") != len(docs) or len(vectors) != len(docs):
         raise ValueError(f"{path}: document count does not match header")
-    return TfIdfIndex(obj["vocabulary"], tuple(float(x) for x in obj["idf"]), vectors, docs)
+    try:
+        return TfIdfIndex(obj["vocabulary"], tuple(float(x) for x in obj["idf"]), vectors, docs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import threading
+from collections import Counter
+
 import pytest
 
-from skillblend.agents import default_scripted_agents
-from skillblend.classifiers import LexicalNliJudge, LexicalSkillScorer, LexiconSpec, default_lexicon
+from skillblend import orchestrator
+from skillblend.agents import RemoteSkillAgent, default_scripted_agents, serve_mock
+from skillblend.classifiers import (
+    LexicalNliJudge,
+    LexicalSkillScorer,
+    LexiconSpec,
+    RemoteNliJudge,
+    RemoteSkillScorer,
+    default_lexicon,
+)
 from skillblend.core import (
     DEFAULT_ROSTER,
     EngineConfig,
@@ -12,7 +23,7 @@ from skillblend.core import (
     Utterance,
     config_digest,
 )
-from skillblend.dataio import episode_line
+from skillblend.dataio import EpisodeWriter, episode_line
 from skillblend.moderator import consistency_gate
 from skillblend.orchestrator import (
     BatchError,
@@ -260,3 +271,103 @@ def test_run_batch_rejects_bad_parallelism(cfg):
     agents, judge, scorer = _stack(cfg)
     with pytest.raises(ValueError):
         run_batch([], agents, judge, scorer, cfg, parallelism=0)
+
+
+# --- per-episode memo of backend verdicts ----------------------------------------
+
+
+class _CountingBackends:
+    """Wraps a judge and a scorer; logs every call that reaches them as
+    (route, episode id, input). The episode id is whatever ``episode``
+    holds on the calling thread."""
+
+    def __init__(self, judge, scorer):
+        self._judge = judge
+        self._scorer = scorer
+        self.roster = scorer.roster
+        self.local = threading.local()
+        self.calls = []
+
+    def judge(self, premise, hypothesis):
+        self.calls.append(("nli", getattr(self.local, "episode", None), (premise, hypothesis)))
+        return self._judge.judge(premise, hypothesis)
+
+    def score(self, text):
+        self.calls.append(("classify", getattr(self.local, "episode", None), text))
+        return self._scorer.score(text)
+
+
+def _write_corpus(path, seeds, agents, judge, scorer, cfg, parallelism):
+    with EpisodeWriter(str(path)) as writer:
+        run_batch(seeds, agents, judge, scorer, cfg, parallelism=parallelism, write=writer.write)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_batch_sends_each_backend_input_once_per_episode(
+    tmp_path, corpus_files, monkeypatch, parallelism
+):
+    cfg = EngineConfig(rng_seed=31)
+    seeds = helpers.make_seeds(corpus_files, cfg, 12)
+    agents, judge, scorer = _stack(cfg)
+    plain = _write_corpus(tmp_path / "plain.jsonl", seeds, agents, judge, scorer, cfg, parallelism)
+
+    counting = _CountingBackends(judge, scorer)
+    run_episode_untagged = orchestrator.run_episode
+
+    def tagged(*args, **kwargs):
+        counting.local.episode = kwargs["episode_id"]
+        return run_episode_untagged(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_episode", tagged)
+    counted = _write_corpus(
+        tmp_path / "counted.jsonl", seeds, agents, counting, counting, cfg, parallelism
+    )
+
+    assert counted == plain
+    assert {episode for _, episode, _ in counting.calls} == {f"ep-{i:06d}" for i in range(12)}
+    repeated = [call for call, n in Counter(counting.calls).items() if n > 1]
+    assert repeated == []
+
+
+def test_remote_episode_sends_each_nli_and_classify_body_once(cfg):
+    tables = {
+        "generate": {
+            "by_skill": {
+                "P": [{"text": "i love skiing", "score": 0.9}, {"text": "me too, personally", "score": 0.8}],
+                "K": [{"text": "did you know skiing is old", "score": 0.7}],
+                "E": [{"text": "that sounds fun", "score": 0.6}],
+            }
+        },
+        "rank": {"by_text": {"that sounds fun": 0.9}, "default_score": 0.1},
+        "nli": {
+            "pairs": [
+                {"premise": "i like to ski in winter", "hypothesis": "i love skiing", "label": "contradict"}
+            ],
+            "default": {"label": "neutral", "confidence": 0.5},
+        },
+        "classify": {"by_text": {"i love skiing a lot": [0.8, 0.1, 0.1]}, "default": [0.2, 0.3, 0.5]},
+    }
+    with serve_mock(tables) as server:
+        endpoint = server.endpoint()
+        agents = [RemoteSkillAgent(endpoint, skill) for skill in cfg.skill_roster]
+        judge = RemoteNliJudge(endpoint)
+        scorer = RemoteSkillScorer(endpoint, cfg.skill_roster)
+        ep = run_episode(_plain_seed(), agents, judge, scorer, cfg)
+        requests = list(server.requests)
+    assert len(ep.turns) == cfg.episode_length
+    assert any(t.refusals for t in ep.turns)  # the consistency gate did refuse
+    for route in ("/nli", "/classify"):
+        bodies = Counter(body for r, body in requests if r == route)
+        assert bodies and max(bodies.values()) == 1, route
+
+
+def test_episode_memo_does_not_outlive_its_episode(cfg):
+    agents, judge, scorer = _stack(cfg)
+    counting = _CountingBackends(judge, scorer)
+    first = run_episode(_plain_seed(), agents, counting, counting, cfg)
+    calls_first = list(counting.calls)
+    second = run_episode(_plain_seed(), agents, counting, counting, cfg)
+    assert calls_first
+    assert counting.calls[len(calls_first):] == calls_first
+    assert episode_line(first) == episode_line(second)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -57,6 +58,20 @@ def test_build_index_rejects_empty_and_duplicate_ids():
         build_index([])
     with pytest.raises(ValueError):
         build_index([doc(0, P, "a"), doc(0, P, "b")])
+    # ids must equal positions, which is what makes doc() a direct lookup
+    with pytest.raises(ValueError):
+        build_index([doc(1, P, "a"), doc(0, P, "b")])
+    with pytest.raises(ValueError):
+        build_index([doc(0, P, "a"), doc(2, P, "b")])
+
+
+def test_doc_looks_up_by_position():
+    docs = [doc(0, P, "apple pie"), doc(1, K, "river stone"), doc(2, E, "quiet night")]
+    index = build_index(docs)
+    assert [index.doc(i) for i in range(3)] == docs
+    for bad in (-1, 3):
+        with pytest.raises(KeyError):
+            index.doc(bad)
 
 
 def _brute_force_cosines(docs, query_text):
@@ -214,6 +229,8 @@ def test_build_seeds_short_bucket_omits_entry():
     # keep only two empathy docs
     e_docs = [d for d in docs if d.skill.id == "E"][:2]
     docs = [d for d in docs if d.skill.id != "E"] + e_docs
+    # renumber: the index requires every doc id to equal its position
+    docs = [replace(d, doc_id=i) for i, d in enumerate(docs)]
     index = build_index(docs)
     seeds = build_seeds(_pair(), P, index, cfg)
     assert len(seeds) == 5
@@ -305,3 +322,16 @@ def test_index_load_validates_header(tmp_path):
     open(path, "w", encoding="utf-8").write("{}")
     with pytest.raises(ValueError):
         load_index(path)
+
+
+def test_index_load_rejects_ids_that_differ_from_positions(tmp_path):
+    import json
+
+    index = build_index([doc(0, P, "apple"), doc(1, K, "river")])
+    path = tmp_path / "ctx.idx"
+    save_index(index, str(path))
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["docs"][0]["doc_id"], obj["docs"][1]["doc_id"] = 1, 0
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match="position"):
+        load_index(str(path))
