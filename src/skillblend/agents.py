@@ -15,17 +15,20 @@ Wire protocol (all endpoints HTTP POST, UTF-8 JSON bodies):
                resp {"distribution": [number]}      (length M, validated client-side)
 
 Field names and casing are normative; unknown extra fields are ignored.
+Requests go over HTTP/1.1 keep-alive: each worker thread holds one
+persistent connection per backend host.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .core import DialogueContext, ResponseCandidate, SkillContext, SkillId
 from .seeds import tokenize
@@ -182,18 +185,61 @@ class BackendEndpoint:
             raise ValueError("timeout_ms must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint must be an http or https URL, got {self.base_url!r}")
+        # derived once, not dataclass fields: (scheme, host, port) keys the
+        # per-thread connection, the path prefixes every route
+        object.__setattr__(self, "_origin", (parts.scheme, parts.hostname, parts.port))
+        object.__setattr__(self, "_path", parts.path.rstrip("/"))
 
 
+_HEADERS = {"Content-Type": "application/json"}
 _thread_state = threading.local()
 
 
-def _session() -> requests.Session:
-    # one session per worker thread: connection reuse without shared state
-    session = getattr(_thread_state, "session", None)
-    if session is None:
-        session = requests.Session()
-        _thread_state.session = session
-    return session
+class _Connections(dict):
+    """One thread's connections by (scheme, host, port); they close when
+    the thread ends and its state is dropped."""
+
+    def __del__(self) -> None:
+        for conn in self.values():
+            conn.close()
+
+
+def _connection(endpoint: BackendEndpoint, timeout: float) -> http.client.HTTPConnection:
+    """This thread's persistent connection to the endpoint's host. It opens
+    on first use, and http.client reopens it after a close."""
+    conns = getattr(_thread_state, "conns", None)
+    if conns is None:
+        conns = _thread_state.conns = _Connections()
+    conn = conns.get(endpoint._origin)
+    if conn is None:
+        scheme, host, port = endpoint._origin
+        cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        conn = conns[endpoint._origin] = cls(host, port, timeout=timeout)
+    elif conn.timeout != timeout:
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+    return conn
+
+
+def _exchange(conn: http.client.HTTPConnection, path: str, payload: bytes) -> tuple[int, bytes]:
+    """One POST on ``conn``; returns (status, body). A reused connection
+    that the server has closed meanwhile fails before any response byte
+    arrives; that request is sent once more on a fresh connection."""
+    reused = conn.sock is not None
+    try:
+        conn.request("POST", path, payload, _HEADERS)
+        resp = conn.getresponse()
+    except (ConnectionResetError, BrokenPipeError):  # includes RemoteDisconnected
+        conn.close()
+        if not reused:
+            raise
+        conn.request("POST", path, payload, _HEADERS)
+        resp = conn.getresponse()
+    return resp.status, resp.read()
 
 
 def post_json(endpoint: BackendEndpoint, route: str, body: dict) -> tuple[dict, bytes]:
@@ -201,29 +247,29 @@ def post_json(endpoint: BackendEndpoint, route: str, body: dict) -> tuple[dict, 
     5xx responses until the budget runs out. Returns (parsed object, raw
     response bytes)."""
     payload = json.dumps(body, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    url = endpoint.base_url.rstrip("/") + route
+    path = endpoint._path + route
     timeout = endpoint.timeout_ms / 1000.0
     last_failure = "no attempt made"
     for _ in range(endpoint.max_retries + 1):
+        conn = _connection(endpoint, timeout)
         try:
-            resp = _session().post(
-                url, data=payload, headers={"Content-Type": "application/json"}, timeout=timeout
-            )
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            status, content = _exchange(conn, path, payload)
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             last_failure = str(exc) or type(exc).__name__
             continue
-        if resp.status_code >= 500:
-            last_failure = f"HTTP {resp.status_code}"
+        if status >= 500:
+            last_failure = f"HTTP {status}"
             continue
-        if resp.status_code != 200:
-            raise ProtocolError(f"{route}: unexpected HTTP {resp.status_code}", resp.content)
+        if status != 200:
+            raise ProtocolError(f"{route}: unexpected HTTP {status}", content)
         try:
-            obj = json.loads(resp.content.decode("utf-8"))
+            obj = json.loads(content.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
-            raise ProtocolError(f"{route}: response body is not valid JSON", resp.content)
+            raise ProtocolError(f"{route}: response body is not valid JSON", content)
         if not isinstance(obj, dict):
-            raise ProtocolError(f"{route}: response body is not a JSON object", resp.content)
-        return obj, resp.content
+            raise ProtocolError(f"{route}: response body is not a JSON object", content)
+        return obj, content
     raise BackendUnavailableError(
         f"{route}: backend unavailable after {endpoint.max_retries + 1} attempts ({last_failure})"
     )
@@ -325,6 +371,42 @@ def _validate_tables(tables: dict) -> None:
             raise ValueError(f"bad fail_first entry {route!r}")
 
 
+class _KeepAliveHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server whose ``server_close`` also ends the open
+    keep-alive connections and waits for their handler threads, which would
+    otherwise go on answering clients that still hold a connection."""
+
+    def __init__(self, address, handler) -> None:
+        self._handlers: dict[socket.socket, threading.Thread] = {}
+        self._handlers_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        worker = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._handlers_lock:
+            self._handlers[request] = worker
+        worker.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._handlers_lock:
+            self._handlers.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._handlers_lock:
+            handlers = list(self._handlers.items())
+        for sock, _worker in handlers:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler
+        for _sock, worker in handlers:
+            worker.join(timeout=5)
+
+
 class MockServer:
     """Serves the wire protocol from fixture tables, deterministically.
 
@@ -332,7 +414,8 @@ class MockServer:
     deliberately omit fields or mis-size score arrays to drive client-side
     protocol-error tests. Request bodies are recorded in ``requests`` for
     golden-file comparison. ``fail_first`` makes the first N calls to a
-    route answer 500, which exercises the client retry budget.
+    route answer 500, which exercises the client retry budget. It speaks
+    HTTP/1.1 keep-alive; ``close`` also ends the open connections.
     """
 
     def __init__(self, tables: dict, host: str = "127.0.0.1", port: int = 0):
@@ -344,6 +427,11 @@ class MockServer:
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            # keep-alive only with Nagle off: otherwise the response's
+            # headers and body, written apart, stall on the client's delayed ACK
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
             def do_POST(self) -> None:  # noqa: N802 (http.server API)
                 length = int(self.headers.get("Content-Length", 0))
                 body = self.rfile.read(length)
@@ -362,7 +450,7 @@ class MockServer:
             def log_message(self, *args) -> None:
                 pass
 
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
+        self._httpd = _KeepAliveHTTPServer((host, port), Handler)
         # short poll so close() returns promptly
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True

@@ -15,7 +15,7 @@ from typing import Mapping, Protocol, Sequence
 
 from .agents import BackendEndpoint, ProtocolError, post_json
 from .core import SkillDistribution, SkillId
-from .distmath import softmax, stable_argmax
+from .distmath import softmax
 
 
 class NliLabel(Enum):
@@ -131,12 +131,6 @@ class LexicalSkillScorer:
 
     def score(self, text: str) -> SkillDistribution:
         return lexical_skill_score(self.spec, text)
-
-
-def classify_label(scorer: SkillScorer, text: str) -> SkillId:
-    """Roster id at the stable argmax of the scorer's distribution."""
-    dist = scorer.score(text)
-    return scorer.roster[stable_argmax(dist.probs)]
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,10 @@ def _build_backends(args, cfg):
     url = args.endpoint or os.environ.get(ENV_ENDPOINT)
     if not url:
         raise ConfigError("remote backend requires --endpoint or " + ENV_ENDPOINT)
-    endpoint = BackendEndpoint(url)
+    try:
+        endpoint = BackendEndpoint(url)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     agents = [RemoteSkillAgent(endpoint, skill) for skill in cfg.skill_roster]
     return agents, RemoteNliJudge(endpoint), RemoteSkillScorer(endpoint, cfg.skill_roster)
 

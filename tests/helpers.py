@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 
 from skillblend.agents import default_scripted_agents
@@ -353,3 +355,20 @@ def hand_episode(cfg: EngineConfig, ep_id="ep-hand") -> Episode:
         digest=config_digest(cfg),
     )
     return ep
+
+
+# --- raw HTTP ------------------------------------------------------------------
+
+# no proxy from the environment: the suite talks to local mock servers only
+_opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+
+
+def post_raw(url: str, data: bytes) -> tuple[int, bytes]:
+    """POST raw bytes with the standard library; returns (status, body) for
+    every status, error statuses included."""
+    try:
+        with _opener.open(urllib.request.Request(url, data=data, method="POST"), timeout=5) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read()

@@ -11,7 +11,6 @@ import random
 import time
 
 import pytest
-import requests
 
 from skillblend.agents import (
     ProtocolError,
@@ -457,10 +456,8 @@ def test_acceptance_8_wire_protocol_conformance():
             ("/nli", "wire_nli_req.json", "wire_nli_resp.json"),
             ("/classify", "wire_classify_req.json", "wire_classify_resp.json"),
         ):
-            raw = requests.post(
-                server.base_url + route, data=(GOLDEN / req_name).read_bytes(), timeout=5
-            )
-            assert raw.content == (GOLDEN / resp_name).read_bytes()
+            _, raw = helpers.post_raw(server.base_url + route, (GOLDEN / req_name).read_bytes())
+            assert raw == (GOLDEN / resp_name).read_bytes()
 
     # arity and missing-field violations raise protocol errors
     with serve_mock({"rank": {"force_scores": [0.1, 0.2, 0.3]}}) as server:

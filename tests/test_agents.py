@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import json
 import socket
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-import requests
 
+from helpers import post_raw
 from skillblend.agents import (
     BackendEndpoint,
     BackendUnavailableError,
     ProtocolError,
     ScriptedAgentSpec,
     default_scripted_agents,
+    post_json,
     remote_generate,
     remote_rank,
     scripted_generate,
@@ -115,6 +118,10 @@ def test_backend_endpoint_validation():
         BackendEndpoint("http://x", timeout_ms=0)
     with pytest.raises(ValueError):
         BackendEndpoint("http://x", max_retries=-1)
+    for url in ("ftp://x", "file:///tmp/x", "localhost:8900", "127.0.0.1", "http://", ""):
+        with pytest.raises(ValueError):
+            BackendEndpoint(url)
+    BackendEndpoint("https://models.example:8443/api/")
 
 
 def test_remote_generate_echoes_configuration(dtx):
@@ -199,8 +206,8 @@ def test_remote_rank_empty_candidates_never_hits_network(dtx):
 
 def test_mock_server_unknown_route_is_404():
     with serve_mock({}) as server:
-        resp = requests.post(server.base_url + "/nothing", data=b"{}", timeout=5)
-    assert resp.status_code == 404
+        status, _ = post_raw(server.base_url + "/nothing", b"{}")
+    assert status == 404
 
 
 def test_mock_server_nli_default_and_classify_table():
@@ -209,15 +216,13 @@ def test_mock_server_nli_default_and_classify_table():
         "classify": {"by_text": {"hello": [0.2, 0.3, 0.5]}},
     }
     with serve_mock(tables) as server:
-        nli = requests.post(
-            server.base_url + "/nli",
-            data=json.dumps({"premise": "p", "hypothesis": "h"}),
-            timeout=5,
-        ).json()
+        _, body = post_raw(
+            server.base_url + "/nli", json.dumps({"premise": "p", "hypothesis": "h"}).encode()
+        )
+        nli = json.loads(body)
         assert nli == {"label": "entail", "confidence": 0.8}
-        dist = requests.post(
-            server.base_url + "/classify", data=json.dumps({"text": "hello"}), timeout=5
-        ).json()
+        _, body = post_raw(server.base_url + "/classify", json.dumps({"text": "hello"}).encode())
+        dist = json.loads(body)
         assert dist == {"distribution": [0.2, 0.3, 0.5]}
 
 
@@ -226,3 +231,62 @@ def test_mock_server_rejects_malformed_tables():
         serve_mock({"unexpected": {}})
     with pytest.raises(ValueError):
         serve_mock({"fail_first": {"/elsewhere": 1}})
+
+
+_NLI_TABLES = {"nli": {"default": {"label": "neutral", "confidence": 0.5}}}
+
+
+def _in_fresh_thread(fn):
+    """Run fn in a new thread, which holds no connection yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=30)
+
+
+def test_calls_from_one_thread_share_one_connection(connects):
+    with serve_mock(_NLI_TABLES) as server:
+        endpoint = server.endpoint()
+
+        def twenty_calls():
+            return [post_json(endpoint, "/nli", {"premise": "p", "hypothesis": str(i)})[1]
+                    for i in range(20)]
+
+        bodies = _in_fresh_thread(twenty_calls)
+        assert len(server.requests) == 20
+    assert set(bodies) == {b'{"label":"neutral","confidence":0.5}'}
+    assert len(connects) == 1
+
+
+def test_closed_server_ends_keepalive_connections():
+    server = serve_mock(_NLI_TABLES)
+    endpoint = server.endpoint(timeout_ms=2000, max_retries=0)
+    body = {"premise": "p", "hypothesis": "h"}
+
+    def call_close_call():
+        post_json(endpoint, "/nli", body)
+        server.close()
+        start = time.monotonic()
+        with pytest.raises(BackendUnavailableError):
+            post_json(endpoint, "/nli", body)
+        return time.monotonic() - start
+
+    elapsed = _in_fresh_thread(call_close_call)
+    assert elapsed < endpoint.timeout_ms / 1000
+    assert len(server.requests) == 1
+
+
+def test_stale_connection_reopens_without_spending_retries(connects):
+    first = serve_mock(_NLI_TABLES)
+    port = int(first.base_url.rsplit(":", 1)[1])
+    body = {"premise": "p", "hypothesis": "h"}
+
+    def call_restart_call():
+        post_json(first.endpoint(), "/nli", body)
+        first.close()
+        with serve_mock(_NLI_TABLES, port=port) as second:
+            obj, _ = post_json(second.endpoint(max_retries=0), "/nli", body)
+            return obj, list(second.requests)
+
+    obj, second_requests = _in_fresh_thread(call_restart_call)
+    assert obj == {"label": "neutral", "confidence": 0.5}
+    assert second_requests == [("/nli", b'{"premise":"p","hypothesis":"h"}')]
+    assert len(connects) == 2

@@ -12,12 +12,12 @@ from skillblend.classifiers import (
     NliLabel,
     RemoteNliJudge,
     RemoteSkillScorer,
-    classify_label,
     default_lexicon,
     lexical_nli,
     lexical_skill_score,
 )
-from skillblend.core import DEFAULT_ROSTER
+from skillblend.core import DEFAULT_ROSTER, Utterance
+from skillblend.orchestrator import _annotate
 
 
 @pytest.fixture
@@ -105,14 +105,19 @@ def test_lexical_scorer_is_pure_and_normalized(spec):
         assert abs(sum(first.probs) - 1.0) <= 1e-12
 
 
-def test_classify_label_argmax_and_tie_break(spec):
+def _label(scorer, text):
+    """The skill label the orchestrator annotates an utterance of ``text`` with."""
+    return _annotate(Utterance(0, 0, text), scorer, False, 0, ()).skill_label
+
+
+def test_annotate_label_argmax_and_tie_break(spec):
     scorer = LexicalSkillScorer(spec)
-    assert classify_label(scorer, "sneakers and tennis all day").id == "P"
+    assert _label(scorer, "sneakers and tennis all day").id == "P"
     # keyword-free text scores uniform; ties break to the lowest index
-    assert classify_label(scorer, "nothing matches").id == "P"
+    assert _label(scorer, "nothing matches").id == "P"
 
 
-def test_classify_label_matches_brute_force_oracle(spec):
+def test_annotate_label_matches_brute_force_oracle(spec):
     scorer = LexicalSkillScorer(spec)
     words = ["sneakers", "tennis", "fact", "sorry", "and", "blue", "sky"]
     texts = [
@@ -129,7 +134,7 @@ def test_classify_label_matches_brute_force_oracle(spec):
         for i, v in enumerate(raw):
             if v > raw[best]:
                 best = i
-        assert classify_label(scorer, text).id == spec.roster[best].id
+        assert _label(scorer, text).id == spec.roster[best].id
 
 
 def test_default_lexicon_covers_roster():
@@ -164,7 +169,7 @@ def test_remote_judge_and_scorer_roundtrip():
         scorer = RemoteSkillScorer(server.endpoint(), DEFAULT_ROSTER)
         assert scorer.score("hello").probs == (0.2, 0.3, 0.5)
         assert scorer.score("other").probs == (0.4, 0.3, 0.3)
-        assert classify_label(scorer, "hello").id == "E"
+        assert _label(scorer, "hello").id == "E"
 
 
 def test_remote_scorer_rejects_wrong_arity_and_bad_sum():

@@ -153,6 +153,12 @@ def test_remote_backend_requires_endpoint(workdir, monkeypatch):
         "--out", str(tmp_path / "x.jsonl"), "--backend", "remote",
     )
     assert rc == 2
+    rc = _run(
+        "generate", "--data", *data, "--index", index,
+        "--out", str(tmp_path / "x.jsonl"), "--backend", "remote", "--endpoint", "ftp://x",
+    )
+    assert rc == 2
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_env_seed_override_changes_output(workdir, monkeypatch):

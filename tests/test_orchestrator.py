@@ -330,29 +330,33 @@ def test_run_batch_sends_each_backend_input_once_per_episode(
     assert repeated == []
 
 
+_REMOTE_TABLES = {
+    "generate": {
+        "by_skill": {
+            "P": [{"text": "i love skiing", "score": 0.9}, {"text": "me too, personally", "score": 0.8}],
+            "K": [{"text": "did you know skiing is old", "score": 0.7}],
+            "E": [{"text": "that sounds fun", "score": 0.6}],
+        }
+    },
+    "rank": {"by_text": {"that sounds fun": 0.9}, "default_score": 0.1},
+    "nli": {
+        "pairs": [
+            {"premise": "i like to ski in winter", "hypothesis": "i love skiing", "label": "contradict"}
+        ],
+        "default": {"label": "neutral", "confidence": 0.5},
+    },
+    "classify": {"by_text": {"i love skiing a lot": [0.8, 0.1, 0.1]}, "default": [0.2, 0.3, 0.5]},
+}
+
+
+def _remote_stack(endpoint, cfg):
+    agents = [RemoteSkillAgent(endpoint, skill) for skill in cfg.skill_roster]
+    return agents, RemoteNliJudge(endpoint), RemoteSkillScorer(endpoint, cfg.skill_roster)
+
+
 def test_remote_episode_sends_each_nli_and_classify_body_once(cfg):
-    tables = {
-        "generate": {
-            "by_skill": {
-                "P": [{"text": "i love skiing", "score": 0.9}, {"text": "me too, personally", "score": 0.8}],
-                "K": [{"text": "did you know skiing is old", "score": 0.7}],
-                "E": [{"text": "that sounds fun", "score": 0.6}],
-            }
-        },
-        "rank": {"by_text": {"that sounds fun": 0.9}, "default_score": 0.1},
-        "nli": {
-            "pairs": [
-                {"premise": "i like to ski in winter", "hypothesis": "i love skiing", "label": "contradict"}
-            ],
-            "default": {"label": "neutral", "confidence": 0.5},
-        },
-        "classify": {"by_text": {"i love skiing a lot": [0.8, 0.1, 0.1]}, "default": [0.2, 0.3, 0.5]},
-    }
-    with serve_mock(tables) as server:
-        endpoint = server.endpoint()
-        agents = [RemoteSkillAgent(endpoint, skill) for skill in cfg.skill_roster]
-        judge = RemoteNliJudge(endpoint)
-        scorer = RemoteSkillScorer(endpoint, cfg.skill_roster)
+    with serve_mock(_REMOTE_TABLES) as server:
+        agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
         ep = run_episode(_plain_seed(), agents, judge, scorer, cfg)
         requests = list(server.requests)
     assert len(ep.turns) == cfg.episode_length
@@ -371,3 +375,17 @@ def test_episode_memo_does_not_outlive_its_episode(cfg):
     assert calls_first
     assert counting.calls[len(calls_first):] == calls_first
     assert episode_line(first) == episode_line(second)
+
+
+def test_remote_batch_holds_one_connection_per_worker(tmp_path, corpus_files, cfg, connects):
+    seeds = helpers.make_seeds(corpus_files, cfg, 8)
+    corpora = {}
+    with serve_mock(_REMOTE_TABLES) as server:
+        agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
+        for parallelism in (1, 2):
+            del connects[:]
+            path = tmp_path / f"p{parallelism}.jsonl"
+            corpora[parallelism] = _write_corpus(path, seeds, agents, judge, scorer, cfg, parallelism)
+            assert 1 <= len(connects) <= parallelism
+    assert corpora[1] == corpora[2]
+    assert corpora[1].count(b"\n") == 8
