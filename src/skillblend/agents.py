@@ -469,9 +469,11 @@ class MockServer:
         return self
 
     def close(self) -> None:
-        self._httpd.shutdown()
+        # an unstarted server has no serve_forever loop to wait for
+        if self._thread.ident is not None:
+            self._httpd.shutdown()
+            self._thread.join(timeout=5)
         self._httpd.server_close()
-        self._thread.join(timeout=5)
 
     def wait(self, timeout: float | None = None) -> None:
         """Block until the server thread exits (or the timeout elapses)."""

@@ -61,10 +61,6 @@ class SimulationResult:
     candidate: ResponseCandidate | None
     refusals: tuple[Refusal, ...]
 
-    @property
-    def exhausted(self) -> bool:
-        return self.candidate is None
-
 
 @dataclass(frozen=True)
 class SelectionOutcome:

@@ -1,8 +1,9 @@
 """TF-IDF retrieval over skill-context corpora and seed-episode construction.
 
 The index is a plain unigram tf-idf with smoothed natural-log idf and cosine
-similarity. It is built once, immutable afterwards, and safe to query from
-concurrent workers. Seed construction retrieves rank-aligned context
+similarity, stored as an inverted index: each term maps to the documents
+that contain it. It is built once, immutable afterwards, and safe to query
+from concurrent workers. Seed construction retrieves rank-aligned context
 variants for each skill and speaker side, following the shipped role
 templates (side 0 gets the speaker-side flavor of every skill, side 1 the
 counterpart flavor with no empathy grounding).
@@ -10,14 +11,17 @@ counterpart flavor with no empathy grounding).
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
 import re
+from array import array
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import EngineConfig, SkillContext, SkillContextSet, SkillId, Utterance
 
@@ -25,6 +29,9 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 INDEX_FORMAT = "skillblend-tfidf"
 INDEX_VERSION = 1
+
+# documents per json.dumps call when saving an index
+_SAVE_CHUNK = 1024
 
 
 def tokenize(text: str) -> list[str]:
@@ -58,19 +65,25 @@ class ContextDoc:
 
 @dataclass(frozen=True)
 class TfIdfIndex:
-    """Immutable tf-idf index; doc_vectors are L2-normalized sparse maps
-    from term id to weight, aligned positionally with ``docs``. Every
-    document's id equals its position in ``docs``."""
+    """Immutable tf-idf index. ``postings[term id]`` holds the positions of
+    the documents containing the term (ascending) and the term's weight in
+    each of their L2-normalized vectors. Every document's id equals its
+    position in ``docs``; ``buckets`` lists the positions of each
+    (skill id, side role) in ascending order."""
 
     vocabulary: Mapping[str, int]
     idf: tuple[float, ...]
-    doc_vectors: tuple[Mapping[int, float], ...]
+    postings: tuple[tuple[array, array], ...]
     docs: tuple[ContextDoc, ...]
+    buckets: Mapping[tuple[str, SideRole], array] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        buckets: dict[tuple[str, SideRole], array] = {}
         for pos, d in enumerate(self.docs):
             if d.doc_id != pos:
                 raise ValueError(f"document id {d.doc_id} differs from its position {pos}")
+            buckets.setdefault((d.skill.id, d.side_role), array("i")).append(pos)
+        object.__setattr__(self, "buckets", buckets)
 
     @property
     def doc_count(self) -> int:
@@ -100,6 +113,33 @@ class SeedEpisode:
             raise ValueError("variant index must be non-negative")
 
 
+def _postings(
+    vectors: Iterable[Iterable[tuple[int, float]]], vocab_size: int
+) -> tuple[tuple[array, array], ...]:
+    """Invert per-document (term id, weight) vectors, given in position
+    order, into postings, consuming one document at a time. Term ids must be
+    ints in [0, vocab_size) that strictly ascend within each vector, and
+    weights finite numbers; a repeated term id would add up its weights.
+    Raises ValueError (TypeError for a non-numeric weight) otherwise."""
+    positions = [array("i") for _ in range(vocab_size)]
+    weights = [array("d") for _ in range(vocab_size)]
+    for pos, vec in enumerate(vectors):
+        prev = -1
+        for tid, w in vec:
+            if type(tid) is not int or not prev < tid < vocab_size:
+                raise ValueError(
+                    f"document {pos}: term id {tid!r} is not an int in [0, {vocab_size})"
+                    f" above the previous term id {prev}"
+                )
+            prev = tid
+            positions[tid].append(pos)
+            weights[tid].append(w)
+    for tid, ws in enumerate(weights):
+        if not all(map(math.isfinite, ws)):
+            raise ValueError(f"term id {tid}: a weight is not finite")
+    return tuple(zip(positions, weights))
+
+
 def build_index(docs: Sequence[ContextDoc]) -> TfIdfIndex:
     """Index documents with tf = raw term count and
     idf = max(0, ln(N / (1 + df)) + 1); vectors are L2-normalized. Document
@@ -114,17 +154,44 @@ def build_index(docs: Sequence[ContextDoc]) -> TfIdfIndex:
     vocabulary = {t: i for i, t in enumerate(terms)}
     n = len(docs)
     idf = tuple(max(0.0, math.log(n / (1 + df[t])) + 1.0) for t in terms)
-    vectors = []
-    for tokens in token_lists:
-        weights = {
-            vocabulary[t]: count * idf[vocabulary[t]] for t, count in Counter(tokens).items()
-        }
-        norm = math.sqrt(sum(w * w for w in weights.values()))
+
+    def vector(tokens: list[str]) -> list[tuple[int, float]]:
+        weights = [(vocabulary[t], count * idf[vocabulary[t]]) for t, count in Counter(tokens).items()]
+        # the norm's float depends on summation order: first occurrence, then sort
+        norm = math.sqrt(sum(w * w for _, w in weights))
         if norm > 0.0:
-            vectors.append({tid: w / norm for tid, w in weights.items() if w != 0.0})
-        else:
-            vectors.append({})
-    return TfIdfIndex(vocabulary, idf, tuple(vectors), tuple(docs))
+            weights.sort()
+            return [(tid, w / norm) for tid, w in weights if w != 0.0]
+        return []
+
+    return TfIdfIndex(vocabulary, idf, _postings(map(vector, token_lists), len(terms)), tuple(docs))
+
+
+def _scores(index: TfIdfIndex, text: str) -> list[float]:
+    """Cosine similarity of ``text`` to every document, by position.
+
+    Each document's dot product adds its terms' products in query-term
+    order, as a dense left-to-right sum over the query terms would: the
+    terms a document lacks would only add +0.0."""
+    counts = Counter(t for t in tokenize(text) if t in index.vocabulary)
+    qvec = [(index.vocabulary[t], c * index.idf[index.vocabulary[t]]) for t, c in counts.items()]
+    qnorm = math.sqrt(sum(w * w for _, w in qvec))
+    dots = [0.0] * index.doc_count
+    if qnorm == 0.0:
+        return dots
+    for tid, qw in qvec:
+        for pos, w in zip(*index.postings[tid]):
+            dots[pos] += qw * w
+    return [dot / qnorm for dot in dots]
+
+
+def _top(scores: list[float], positions: Iterable[int], k: int) -> list[tuple[int, float]]:
+    """The k best of ``positions`` (which must ascend) with a positive score,
+    as (doc id, score): descending score, ties by ascending doc id.
+    ``nlargest`` equals a stable ``sorted(..., reverse=True)[:k]``, so tied
+    positions keep their ascending order."""
+    best = heapq.nlargest(k, positions, key=scores.__getitem__)
+    return [(pos, scores[pos]) for pos in best if scores[pos] > 0.0]
 
 
 def query(
@@ -139,24 +206,13 @@ def query(
     come back."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    counts = Counter(t for t in tokenize(text) if t in index.vocabulary)
-    qvec = {index.vocabulary[t]: c * index.idf[index.vocabulary[t]] for t, c in counts.items()}
-    qnorm = math.sqrt(sum(w * w for w in qvec.values()))
-    if qnorm == 0.0:
-        return []
-    results: list[tuple[int, float]] = []
-    for pos, doc in enumerate(index.docs):
-        if filter_skill is not None and doc.skill.id != filter_skill.id:
-            continue
-        if filter_role is not None and doc.side_role is not filter_role:
-            continue
-        vec = index.doc_vectors[pos]
-        dot = sum(qw * vec.get(tid, 0.0) for tid, qw in qvec.items())
-        score = dot / qnorm
-        if score > 0.0:
-            results.append((doc.doc_id, score))
-    results.sort(key=lambda r: (-r[1], r[0]))
-    return results[:k]
+    positions = (
+        pos
+        for pos, d in enumerate(index.docs)
+        if (filter_skill is None or d.skill.id == filter_skill.id)
+        and (filter_role is None or d.side_role is filter_role)
+    )
+    return _top(_scores(index, text), positions, k)
 
 
 RoleTemplate = tuple[dict[str, SideRole], dict[str, SideRole]]
@@ -182,10 +238,12 @@ def build_seeds(
     """Assemble up to ``cfg.seeds_per_pair`` seed variants for one utterance
     pair.
 
-    The query is the concatenation of both pair texts. Variant v pairs the
-    v-th ranked context of every (skill, role) bucket together; when a
-    bucket has fewer than v+1 hits, that skill's entry is simply omitted
-    for the variant. Variants with no context at all are dropped.
+    The query is the concatenation of both pair texts, scored once against
+    the index; each (skill, role) bucket keeps its top hits as ``query``
+    would rank them. Variant v pairs the v-th ranked context of every
+    bucket together; when a bucket has fewer than v+1 hits, that skill's
+    entry is simply omitted for the variant. Variants with no context at
+    all are dropped.
     """
     first, second = pair
     if not first.text.strip() or not second.text.strip():
@@ -193,13 +251,13 @@ def build_seeds(
     template = role_template if role_template is not None else default_role_template(cfg.skill_roster)
     query_text = first.text + " " + second.text
 
-    buckets: dict[tuple[str, SideRole], list[ContextDoc]] = {}
+    scores = _scores(index, query_text)
     needed = {(sid, role) for side in template for sid, role in side.items()}
-    for skill in cfg.skill_roster:
-        for role in (SideRole.PRIMARY, SideRole.COUNTERPART):
-            if (skill.id, role) in needed:
-                hits = query(index, query_text, cfg.seeds_per_pair, skill, role)
-                buckets[(skill.id, role)] = [index.doc(doc_id) for doc_id, _ in hits]
+    buckets = {
+        key: [index.docs[pos] for pos, _ in _top(scores, positions, cfg.seeds_per_pair)]
+        for key, positions in index.buckets.items()
+        if key in needed
+    }
 
     norm_pair = (Utterance(0, 0, first.text), Utterance(1, 1, second.text))
     seeds: list[SeedEpisode] = []
@@ -241,16 +299,6 @@ def iter_seed_pairs(
         yield pool[rng.randrange(len(pool))], skill
 
 
-def sample_seed_pairs(
-    pairs_by_skill: Mapping[str, Sequence[tuple[Utterance, Utterance]]],
-    roster: Sequence[SkillId],
-    count: int,
-    rng_seed: int,
-) -> list[tuple[tuple[Utterance, Utterance], SkillId]]:
-    stream = iter_seed_pairs(pairs_by_skill, roster, rng_seed)
-    return [next(stream) for _ in range(count)]
-
-
 def docs_from_records(records) -> list[ContextDoc]:
     """Turn dataset records into the retrieval corpus: each record side with
     any context lines becomes one document (side 0 primary, side 1
@@ -264,53 +312,95 @@ def docs_from_records(records) -> list[ContextDoc]:
     return docs
 
 
-def save_index(index: TfIdfIndex, path: str) -> None:
-    """Persist the index as a single versioned JSON file."""
-    obj = {
-        "format": INDEX_FORMAT,
-        "version": INDEX_VERSION,
-        "doc_count": index.doc_count,
-        "vocabulary": dict(index.vocabulary),
-        "idf": list(index.idf),
-        "docs": [
+def _doc_rows(index: TfIdfIndex) -> Iterator[list[dict]]:
+    """The stored form of the documents, in chunks of consecutive ones."""
+    for lo in range(0, index.doc_count, _SAVE_CHUNK):
+        yield [
             {
                 "doc_id": d.doc_id,
                 "skill": {"id": d.skill.id, "index": d.skill.index},
                 "role": d.side_role.value,
                 "lines": list(d.lines),
             }
-            for d in index.docs
-        ],
-        "vectors": [
-            [[tid, w] for tid, w in sorted(vec.items())] for vec in index.doc_vectors
-        ],
+            for d in index.docs[lo : lo + _SAVE_CHUNK]
+        ]
+
+
+def _vector_rows(index: TfIdfIndex) -> Iterator[list[list[list]]]:
+    """The per-document ``[[term id, weight], ...]`` rows, term ids
+    ascending, in chunks of consecutive documents rebuilt from the
+    postings."""
+    cursors = [0] * len(index.postings)
+    for lo in range(0, index.doc_count, _SAVE_CHUNK):
+        hi = min(lo + _SAVE_CHUNK, index.doc_count)
+        rows: list[list[list]] = [[] for _ in range(lo, hi)]
+        for tid, (positions, weights) in enumerate(index.postings):
+            start = cursors[tid]
+            end = cursors[tid] = bisect_left(positions, hi, start)
+            for pos, w in zip(positions[start:end], weights[start:end]):
+                rows[pos - lo].append([tid, w])
+        yield rows
+
+
+def _write_json_array(fh, chunks: Iterable[list]) -> None:
+    """Write the concatenation of ``chunks`` as one compact JSON array."""
+    fh.write("[")
+    sep = ""
+    for chunk in chunks:
+        fh.write(sep + _dumps(chunk)[1:-1])
+        sep = ","
+    fh.write("]")
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+
+
+def save_index(index: TfIdfIndex, path: str) -> None:
+    """Persist the index as a single versioned JSON file. The file holds
+    per-document vectors (``[[term id, weight], ...]``, term ids ascending);
+    it is written a chunk of documents at a time."""
+    header = {
+        "format": INDEX_FORMAT,
+        "version": INDEX_VERSION,
+        "doc_count": index.doc_count,
+        "vocabulary": dict(index.vocabulary),
+        "idf": list(index.idf),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, separators=(",", ":"), ensure_ascii=False)
+        fh.write(_dumps(header)[:-1] + ',"docs":')
+        _write_json_array(fh, _doc_rows(index))
+        fh.write(',"vectors":')
+        _write_json_array(fh, _vector_rows(index))
+        fh.write("}")
 
 
 def load_index(path: str) -> TfIdfIndex:
-    """Load a persisted index, validating the header, the document count
-    and that every document id equals its position."""
+    """Load a persisted index, validating the header, the document count,
+    every vector entry (see ``_postings``) and that every document id
+    equals its position. Documents of one skill share one ``SkillId``."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict) or obj.get("format") != INDEX_FORMAT:
         raise ValueError(f"{path}: not a {INDEX_FORMAT} file")
     if obj.get("version") != INDEX_VERSION:
         raise ValueError(f"{path}: unsupported index version {obj.get('version')!r}")
-    docs = tuple(
-        ContextDoc(
-            d["doc_id"],
-            SkillId(d["skill"]["id"], d["skill"]["index"]),
-            SideRole(d["role"]),
-            tuple(d["lines"]),
-        )
-        for d in obj["docs"]
-    )
-    vectors = tuple({int(tid): float(w) for tid, w in vec} for vec in obj["vectors"])
+    skills: dict[tuple[str, int], SkillId] = {}
+    roles = {r.value: r for r in SideRole}  # a dict lookup is cheaper than SideRole(value)
+    docs = []
+    for d in obj["docs"]:
+        key = (d["skill"]["id"], d["skill"]["index"])
+        skill = skills.get(key) or skills.setdefault(key, SkillId(*key))
+        role = roles.get(d["role"])
+        if role is None:
+            raise ValueError(f"{path}: unknown side role {d['role']!r}")
+        docs.append(ContextDoc(d["doc_id"], skill, role, tuple(d["lines"])))
+    vectors = obj["vectors"]
     if obj.get("doc_count") != len(docs) or len(vectors) != len(docs):
         raise ValueError(f"{path}: document count does not match header")
+    vocabulary = obj["vocabulary"]
     try:
-        return TfIdfIndex(obj["vocabulary"], tuple(float(x) for x in obj["idf"]), vectors, docs)
-    except ValueError as exc:
+        postings = _postings(vectors, len(vocabulary))
+        return TfIdfIndex(vocabulary, tuple(float(x) for x in obj["idf"]), postings, tuple(docs))
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +12,7 @@ from helpers import post_raw
 from skillblend.agents import (
     BackendEndpoint,
     BackendUnavailableError,
+    MockServer,
     ProtocolError,
     ScriptedAgentSpec,
     default_scripted_agents,
@@ -240,6 +242,19 @@ def _in_fresh_thread(fn):
     """Run fn in a new thread, which holds no connection yet."""
     with ThreadPoolExecutor(max_workers=1) as pool:
         return pool.submit(fn).result(timeout=30)
+
+
+def test_unstarted_mock_server_closes_promptly():
+    closed = threading.Event()
+
+    def open_and_close():
+        with MockServer(_NLI_TABLES):
+            pass
+        closed.set()
+
+    # a daemon thread, so that a close() that hangs cannot hang the suite
+    threading.Thread(target=open_and_close, daemon=True).start()
+    assert closed.wait(5)
 
 
 def test_calls_from_one_thread_share_one_connection(connects):

@@ -27,7 +27,8 @@ def test_index_then_generate_then_validate_then_stats(workdir, capsys):
         "generate", "--data", *data, "--index", index, "--out", episodes,
         "--episodes", "10",
     ) == 0
-    lines = open(episodes, encoding="utf-8").read().splitlines()
+    with open(episodes, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == 10
 
     assert _run("validate", "--in", episodes) == 0
@@ -51,7 +52,8 @@ def test_identical_generate_invocations_have_identical_digests(workdir):
             "generate", "--data", *data, "--index", index, "--out", out,
             "--episodes", "8", "--parallelism", "4",
         ) == 0
-        digests.append(hashlib.sha256(open(out, "rb").read()).hexdigest())
+        with open(out, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
     assert digests[0] == digests[1]
 
 
@@ -66,7 +68,8 @@ def test_generate_respects_config_file(workdir):
         "generate", "--config", str(cfg_path), "--data", *data,
         "--index", index, "--out", out, "--episodes", "3",
     ) == 0
-    first = json.loads(open(out, encoding="utf-8").readline())
+    with open(out, encoding="utf-8") as fh:
+        first = json.loads(fh.readline())
     assert len(first["turns"]) == 6
     # validation needs the same config to check the length invariant
     assert _run("validate", "--in", out, "--config", str(cfg_path)) == 0
@@ -136,7 +139,8 @@ def test_generate_with_remote_backend(workdir):
             "--episodes", "2", "--backend", "remote", "--endpoint", server.base_url,
         )
     assert rc == 0
-    lines = open(out, encoding="utf-8").read().splitlines()
+    with open(out, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
     assert first["turns"][2]["text"] == "a steady reply"
@@ -175,7 +179,8 @@ def test_env_seed_override_changes_output(workdir, monkeypatch):
         assert _run(
             "generate", "--data", *data, "--index", index, "--out", out, "--episodes", "6"
         ) == 0
-        return hashlib.sha256(open(out, "rb").read()).hexdigest()
+        with open(out, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
 
     base = digest_with_seed(None, "seed0.jsonl")
     other = digest_with_seed("4242", "seed4242.jsonl")

@@ -103,7 +103,7 @@ def test_simulate_approved_first_attempt(dtx):
     result = simulate_approved(agent, judge, SkillContextSet(()), SkillContext(K), dtx, 8)
     assert result.candidate.attempts == 1
     assert result.refusals == ()
-    assert not result.exhausted
+    assert result.candidate is not None
 
 
 def test_simulate_approved_retries_until_clean(dtx):
@@ -129,7 +129,6 @@ def test_simulate_approved_exhaustion(dtx):
     judge = LexicalNliJudge(spec)
     agent = ScriptedAgent(ScriptedAgentSpec(K, (("tainted forever", 0.9),)))
     result = simulate_approved(agent, judge, ctxset((P, ["premise line"])), SkillContext(K), dtx, 8)
-    assert result.exhausted
     assert result.candidate is None
     assert len(result.refusals) == 8
     with pytest.raises(ValueError):

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import io
+import json
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skillblend.core import DEFAULT_ROSTER, EngineConfig, Utterance
+from skillblend import seeds
+from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillContext, SkillContextSet, Utterance
 from skillblend.seeds import (
     ContextDoc,
+    SeedEpisode,
     SideRole,
     build_index,
     build_seeds,
@@ -18,7 +26,6 @@ from skillblend.seeds import (
     iter_seed_pairs,
     load_index,
     query,
-    sample_seed_pairs,
     save_index,
     tokenize,
 )
@@ -44,13 +51,15 @@ def test_tokenize_rules():
 
 def test_single_doc_is_one_hot_after_l2():
     index = build_index([doc(0, P, "apple apple")])
-    assert list(index.doc_vectors[0].values()) == [1.0]
+    assert index.postings == ((array("i", [0]), array("d", [1.0])),)
 
 
 def test_disjoint_docs_are_orthogonal():
     index = build_index([doc(0, P, "apple pie"), doc(1, P, "river stone")])
-    v0, v1 = index.doc_vectors
-    assert sum(v0.get(t, 0.0) * w for t, w in v1.items()) == 0.0
+    # no term's postings hold both documents, so their dot product is zero
+    assert sorted(tuple(positions) for positions, _ in index.postings) == [
+        (0,), (0,), (1,), (1,)
+    ]
 
 
 def test_build_index_rejects_empty_and_duplicate_ids():
@@ -178,6 +187,118 @@ def test_query_rankings_are_reproducible():
     assert query(index_a, "alpha beta 3", k=10) == query(index_b, "alpha beta 3", k=10)
 
 
+# --- exactness against the brute-force algorithm ------------------------------------
+
+
+def _old_index(docs):
+    """Vocabulary, idf and per-document {term id: weight} dicts, computed as
+    the index computed them before it kept postings."""
+    token_lists = [tokenize(d.text) for d in docs]
+    df = Counter()
+    for tokens in token_lists:
+        df.update(set(tokens))
+    terms = sorted(df)
+    vocabulary = {t: i for i, t in enumerate(terms)}
+    idf = tuple(max(0.0, math.log(len(docs) / (1 + df[t])) + 1.0) for t in terms)
+    vectors = []
+    for tokens in token_lists:
+        weights = {vocabulary[t]: c * idf[vocabulary[t]] for t, c in Counter(tokens).items()}
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        vectors.append({t: w / norm for t, w in weights.items() if w != 0.0} if norm > 0.0 else {})
+    return vocabulary, idf, vectors
+
+
+def _old_query(docs, old, text, k, skill=None, role=None):
+    """One filtered full scan over every document, then sorted(...)[:k]."""
+    vocabulary, idf, vectors = old
+    counts = Counter(t for t in tokenize(text) if t in vocabulary)
+    qvec = {vocabulary[t]: c * idf[vocabulary[t]] for t, c in counts.items()}
+    qnorm = math.sqrt(sum(w * w for w in qvec.values()))
+    if qnorm == 0.0:
+        return []
+    results = []
+    for d, vec in zip(docs, vectors):
+        if (skill is not None and d.skill.id != skill.id) or (role is not None and d.side_role is not role):
+            continue
+        # the scan's sum() added left to right (as sum() did up to Python
+        # 3.11); spelled out so that the oracle is the same on every version
+        dot = 0
+        for tid, qw in qvec.items():
+            dot += qw * vec.get(tid, 0.0)
+        score = dot / qnorm
+        if score > 0.0:
+            results.append((d.doc_id, score))
+    results.sort(key=lambda r: (-r[1], r[0]))
+    return results[:k]
+
+
+def _old_build_seeds(pair, seed_dataset, docs, old, cfg):
+    """build_seeds with one full scan per (skill, role) bucket."""
+    template = default_role_template(cfg.skill_roster)
+    text = pair[0].text + " " + pair[1].text
+    needed = {(sid, role) for side in template for sid, role in side.items()}
+    buckets = {
+        (skill.id, role): [docs[i] for i, _ in _old_query(docs, old, text, cfg.seeds_per_pair, skill, role)]
+        for skill in cfg.skill_roster
+        for role in SideRole
+        if (skill.id, role) in needed
+    }
+    norm_pair = (Utterance(0, 0, pair[0].text), Utterance(1, 1, pair[1].text))
+    seeds = []
+    for variant in range(cfg.seeds_per_pair):
+        sides = [
+            SkillContextSet(
+                tuple(
+                    SkillContext(skill, buckets[(skill.id, side[skill.id])][variant].lines)
+                    for skill in cfg.skill_roster
+                    if skill.id in side and variant < len(buckets[(skill.id, side[skill.id])])
+                )
+            )
+            for side in template
+        ]
+        if any(len(side) for side in sides):
+            seeds.append(SeedEpisode(seed_dataset, norm_pair, tuple(sides), seed_dataset, variant))
+    return seeds
+
+
+_WORDS = ["apple", "river", "stone", "cloud", "ember", "violet", "moss", "tide"]
+# "?!" tokenizes to nothing, so a document of such lines has a zero vector
+_LINES = st.lists(st.sampled_from(_WORDS + ["?!"]), min_size=1, max_size=6).map(" ".join)
+_TEXTS = st.lists(st.sampled_from(_WORDS + ["unseen"]), min_size=1, max_size=6).map(" ".join)
+
+
+@st.composite
+def _corpora(draw):
+    """Random corpora with a document in every roster bucket, some exact
+    duplicates (tied scores) and some zero-vector documents."""
+    buckets = [(s, r) for s in DEFAULT_ROSTER for r in SideRole]
+    buckets += draw(st.lists(st.sampled_from(buckets), max_size=30))
+    docs = [
+        ContextDoc(0, skill, role, tuple(draw(st.lists(_LINES, min_size=1, max_size=3))))
+        for skill, role in buckets
+    ]
+    docs += [docs[i] for i in draw(st.lists(st.integers(0, len(docs) - 1), max_size=10))]
+    docs += [ContextDoc(0, skill, role, ("?!",)) for skill, role in draw(st.lists(st.sampled_from(buckets), max_size=3))]
+    return [replace(d, doc_id=i) for i, d in enumerate(draw(st.permutations(docs)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpora(), _TEXTS, _TEXTS, st.integers(1, 6))
+def test_build_seeds_and_query_equal_the_full_scan(docs, first, second, k):
+    index = build_index(docs)
+    old = _old_index(docs)
+    assert (index.vocabulary, index.idf) == old[:2]
+    pair = (Utterance(0, 4, first), Utterance(1, 5, second))
+    text = first + " " + second
+    assert query(index, text, k) == _old_query(docs, old, text, k)
+    for skill in DEFAULT_ROSTER:
+        for role in SideRole:
+            assert query(index, text, k, skill, role) == _old_query(docs, old, text, k, skill, role)
+    cfg = EngineConfig(seeds_per_pair=k)
+    for seed_dataset in DEFAULT_ROSTER:
+        assert build_seeds(pair, seed_dataset, index, cfg) == _old_build_seeds(pair, seed_dataset, docs, old, cfg)
+
+
 # --- build_seeds -------------------------------------------------------------------
 
 
@@ -261,14 +382,14 @@ def test_default_role_template_shape():
 # --- seed pair sampling --------------------------------------------------------------
 
 
-def test_sample_seed_pairs_deterministic_and_uniform_over_roster():
+def test_iter_seed_pairs_deterministic_and_uniform_over_roster():
     pools = {
         "P": [_pair("p a", "p b")],
         "K": [_pair("k a", "k b"), _pair("k c", "k d")],
         "E": [_pair("e a", "e b")],
     }
-    first = sample_seed_pairs(pools, DEFAULT_ROSTER, 30, rng_seed=42)
-    second = sample_seed_pairs(pools, DEFAULT_ROSTER, 30, rng_seed=42)
+    first = list(islice(iter_seed_pairs(pools, DEFAULT_ROSTER, rng_seed=42), 30))
+    second = list(islice(iter_seed_pairs(pools, DEFAULT_ROSTER, rng_seed=42), 30))
     assert first == second
     skills = {skill.id for _, skill in first}
     assert skills == {"P", "K", "E"}
@@ -299,7 +420,7 @@ def test_index_save_load_roundtrip(tmp_path):
     assert loaded.vocabulary == dict(index.vocabulary)
     assert loaded.idf == index.idf
     assert loaded.docs == index.docs
-    assert loaded.doc_vectors == index.doc_vectors
+    assert loaded.postings == index.postings
     assert query(loaded, "topic persona 3", k=4) == query(index, "topic persona 3", k=4)
 
 
@@ -307,26 +428,33 @@ def test_index_load_validates_header(tmp_path):
     index = build_index([doc(0, P, "apple")])
     path = str(tmp_path / "ctx.idx")
     save_index(index, path)
-    import json
 
-    obj = json.loads(open(path, encoding="utf-8").read())
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
     obj["version"] = 99
-    open(path, "w", encoding="utf-8").write(json.dumps(obj))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
     with pytest.raises(ValueError):
         load_index(path)
     obj["version"] = 1
     obj["doc_count"] = 5
-    open(path, "w", encoding="utf-8").write(json.dumps(obj))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
     with pytest.raises(ValueError):
         load_index(path)
-    open(path, "w", encoding="utf-8").write("{}")
+    obj["doc_count"] = 1
+    obj["docs"][0]["role"] = "listener"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    with pytest.raises(ValueError, match="side role"):
+        load_index(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{}")
     with pytest.raises(ValueError):
         load_index(path)
 
 
 def test_index_load_rejects_ids_that_differ_from_positions(tmp_path):
-    import json
-
     index = build_index([doc(0, P, "apple"), doc(1, K, "river")])
     path = tmp_path / "ctx.idx"
     save_index(index, str(path))
@@ -334,4 +462,95 @@ def test_index_load_rejects_ids_that_differ_from_positions(tmp_path):
     obj["docs"][0]["doc_id"], obj["docs"][1]["doc_id"] = 1, 0
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ValueError, match="position"):
+        load_index(str(path))
+
+
+def _old_save_bytes(docs):
+    """The index file as one json.dump of the whole object wrote it."""
+    vocabulary, idf, vectors = _old_index(docs)
+    obj = {
+        "format": "skillblend-tfidf",
+        "version": 1,
+        "doc_count": len(docs),
+        "vocabulary": vocabulary,
+        "idf": list(idf),
+        "docs": [
+            {
+                "doc_id": d.doc_id,
+                "skill": {"id": d.skill.id, "index": d.skill.index},
+                "role": d.side_role.value,
+                "lines": list(d.lines),
+            }
+            for d in docs
+        ],
+        "vectors": [[[tid, w] for tid, w in sorted(vec.items())] for vec in vectors],
+    }
+    buf = io.StringIO()
+    json.dump(obj, buf, separators=(",", ":"), ensure_ascii=False)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7, seeds._SAVE_CHUNK])
+def test_save_index_writes_the_bytes_of_one_json_dump(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(seeds, "_SAVE_CHUNK", chunk)
+    docs = [
+        doc(0, P, "café crème; naïve façade"),
+        doc(1, K, "日本語 text; ünïcode \"quoted\" line", role=SideRole.COUNTERPART),
+        doc(2, E, "?!; —"),  # zero vector
+        doc(3, P, "plain ascii; café again"),
+        doc(4, K, "emoji 😀 and tab\tand newline\n"),
+        doc(5, E, "plain ascii; café again"),
+    ]
+    path = tmp_path / "ctx.idx"
+    save_index(build_index(docs), str(path))
+    expected = _old_save_bytes(docs)
+    assert path.read_bytes() == expected
+    # a loaded index saves to the same bytes again
+    save_index(load_index(str(path)), str(path))
+    assert path.read_bytes() == expected
+
+
+def _saved_vectors(tmp_path):
+    index = build_index([doc(0, P, "apple pie"), doc(1, K, "river apple stone")])
+    path = tmp_path / "ctx.idx"
+    save_index(index, str(path))
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert obj["vectors"][1][0][0] == 0  # "apple" is term id 0 of 4
+    return path, obj
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[1.0, 0.5], ["1", 0.5], [True, 0.5], [-1, 0.5], [4, 0.5], [1, "0.5"], [1, None], [1, 0.5, 0.5]],
+    ids=[
+        "float-id", "string-id", "bool-id", "negative-id", "id-past-vocabulary",
+        "string-weight", "null-weight", "three-items",
+    ],
+)
+def test_index_load_rejects_bad_vector_entries(tmp_path, entry):
+    path, obj = _saved_vectors(tmp_path)
+    obj["vectors"][0] = [entry]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match="ctx.idx"):
+        load_index(str(path))
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+def test_index_load_rejects_non_finite_weights(tmp_path, weight):
+    path, obj = _saved_vectors(tmp_path)
+    obj["vectors"][1][1][1] = float(weight)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert weight in path.read_text(encoding="utf-8")
+    with pytest.raises(ValueError, match="ctx.idx"):
+        load_index(str(path))
+
+
+@pytest.mark.parametrize("order", ["repeated", "descending"])
+def test_index_load_rejects_term_ids_that_do_not_ascend(tmp_path, order):
+    path, obj = _saved_vectors(tmp_path)
+    first, second = obj["vectors"][1][:2]
+    # a repeated term id would add both weights into the postings
+    obj["vectors"][1][:2] = [first, [first[0], 0.25]] if order == "repeated" else [second, first]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match="ctx.idx"):
         load_index(str(path))
