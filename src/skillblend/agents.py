@@ -476,8 +476,10 @@ class MockServer:
         self._httpd.server_close()
 
     def wait(self, timeout: float | None = None) -> None:
-        """Block until the server thread exits (or the timeout elapses)."""
-        self._thread.join(timeout)
+        """Block until the server thread exits (or the timeout elapses);
+        return at once when the server was never started."""
+        if self._thread.ident is not None:
+            self._thread.join(timeout)
 
     def __enter__(self) -> "MockServer":
         return self

@@ -11,7 +11,7 @@ order stays equal to seed order, so parallelism never changes the bytes.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .agents import BackendError, SkillAgent
@@ -24,7 +24,6 @@ from .core import (
     Refusal,
     SkillContext,
     SkillDistribution,
-    SkillId,
     Utterance,
     config_digest,
 )
@@ -56,17 +55,6 @@ class BatchError(RuntimeError):
     def __init__(self, message: str, partial: BatchReport):
         super().__init__(message)
         self.partial = partial
-
-
-@dataclass
-class EpisodeState:
-    """Mutable per-episode state while the turn loop runs."""
-
-    dtx: DialogueContext
-    active_skill: SkillId
-    turn_cursor: int
-    side_to_speak: int
-    annotated: list[AnnotatedTurn] = field(default_factory=list)
 
 
 class _EpisodeMemo:
@@ -135,20 +123,12 @@ def run_episode(
 
     first = Utterance(0, 0, seed.pair[0].text)
     second = Utterance(1, 1, seed.pair[1].text)
-    state = EpisodeState(
-        dtx=DialogueContext((first, second)),
-        active_skill=seed.initial_active,
-        turn_cursor=2,
-        side_to_speak=0,
-        annotated=[
-            _annotate(first, memo, False, 0, ()),
-            _annotate(second, memo, False, 0, ()),
-        ],
-    )
+    dtx = DialogueContext((first, second))
+    active_skill = seed.initial_active
+    annotated = [_annotate(first, memo, False, 0, ()), _annotate(second, memo, False, 0, ())]
 
-    while state.turn_cursor < cfg.episode_length:
-        turn = state.turn_cursor
-        side = state.side_to_speak
+    for turn in range(2, cfg.episode_length):
+        side = turn % 2  # the sides alternate from the seed pair on
         stx_all = seed.contexts[side]
 
         refusals: list[Refusal] = []
@@ -157,7 +137,7 @@ def run_episode(
             for skill in cfg.skill_roster:
                 agent = by_id[skill.id]
                 stx_own = stx_all.get(skill) or SkillContext(skill, ())
-                result = simulate_approved(agent, memo, stx_all, stx_own, state.dtx, cfg.max_attempts)
+                result = simulate_approved(agent, memo, stx_all, stx_own, dtx, cfg.max_attempts)
                 refusals.extend(result.refusals)
                 if result.candidate is not None:
                     candidates.append(result.candidate)
@@ -165,30 +145,28 @@ def run_episode(
                 raise EpisodeAbortError(
                     episode_id, turn, "every agent exhausted its consistency attempts"
                 )
-            active_agent = by_id[state.active_skill.id]
-            stx_active = stx_all.get(state.active_skill) or SkillContext(state.active_skill, ())
+            active_agent = by_id[active_skill.id]
+            stx_active = stx_all.get(active_skill) or SkillContext(active_skill, ())
             outcome = select_final(
-                active_agent, memo, stx_active, state.dtx, candidates, cfg.alpha, cfg.epsilon
+                active_agent, memo, stx_active, dtx, candidates, cfg.alpha, cfg.epsilon
             )
         except BackendError as exc:
             raise type(exc)(f"episode {episode_id} turn {turn}: {exc}") from exc
 
         utt = Utterance(side, turn, outcome.winner.text)
-        state.annotated.append(
+        annotated.append(
             _annotate(utt, memo, outcome.mic_passed, outcome.winner.attempts, refusals)
         )
-        state.dtx = state.dtx.extended(utt)
+        dtx = dtx.extended(utt)
         if outcome.mic_passed:
-            state.active_skill = outcome.winner.origin
-        state.turn_cursor += 1
-        state.side_to_speak = 1 - side
+            active_skill = outcome.winner.origin
 
     return Episode(
         id=episode_id,
         seed_dataset=seed.seed_dataset,
         seed_pair=(first, second),
         contexts=seed.contexts,
-        turns=tuple(state.annotated),
+        turns=tuple(annotated),
         config_digest=config_digest(cfg),
     )
 

@@ -11,16 +11,20 @@ counterpart flavor with no empathy grounding).
 
 from __future__ import annotations
 
+import base64
 import heapq
 import json
 import math
+import os
 import random
 import re
+import sys
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import EngineConfig, SkillContext, SkillContextSet, SkillId, Utterance
@@ -28,7 +32,7 @@ from .core import EngineConfig, SkillContext, SkillContextSet, SkillId, Utteranc
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 INDEX_FORMAT = "skillblend-tfidf"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 # documents per json.dumps call when saving an index
 _SAVE_CHUNK = 1024
@@ -117,26 +121,14 @@ def _postings(
     vectors: Iterable[Iterable[tuple[int, float]]], vocab_size: int
 ) -> tuple[tuple[array, array], ...]:
     """Invert per-document (term id, weight) vectors, given in position
-    order, into postings, consuming one document at a time. Term ids must be
-    ints in [0, vocab_size) that strictly ascend within each vector, and
-    weights finite numbers; a repeated term id would add up its weights.
-    Raises ValueError (TypeError for a non-numeric weight) otherwise."""
+    order, into postings. Term ids must be in [0, vocab_size) and ascend
+    within each vector."""
     positions = [array("i") for _ in range(vocab_size)]
     weights = [array("d") for _ in range(vocab_size)]
     for pos, vec in enumerate(vectors):
-        prev = -1
         for tid, w in vec:
-            if type(tid) is not int or not prev < tid < vocab_size:
-                raise ValueError(
-                    f"document {pos}: term id {tid!r} is not an int in [0, {vocab_size})"
-                    f" above the previous term id {prev}"
-                )
-            prev = tid
             positions[tid].append(pos)
             weights[tid].append(w)
-    for tid, ws in enumerate(weights):
-        if not all(map(math.isfinite, ws)):
-            raise ValueError(f"term id {tid}: a weight is not finite")
     return tuple(zip(positions, weights))
 
 
@@ -326,22 +318,6 @@ def _doc_rows(index: TfIdfIndex) -> Iterator[list[dict]]:
         ]
 
 
-def _vector_rows(index: TfIdfIndex) -> Iterator[list[list[list]]]:
-    """The per-document ``[[term id, weight], ...]`` rows, term ids
-    ascending, in chunks of consecutive documents rebuilt from the
-    postings."""
-    cursors = [0] * len(index.postings)
-    for lo in range(0, index.doc_count, _SAVE_CHUNK):
-        hi = min(lo + _SAVE_CHUNK, index.doc_count)
-        rows: list[list[list]] = [[] for _ in range(lo, hi)]
-        for tid, (positions, weights) in enumerate(index.postings):
-            start = cursors[tid]
-            end = cursors[tid] = bisect_left(positions, hi, start)
-            for pos, w in zip(positions[start:end], weights[start:end]):
-                rows[pos - lo].append([tid, w])
-        yield rows
-
-
 def _write_json_array(fh, chunks: Iterable[list]) -> None:
     """Write the concatenation of ``chunks`` as one compact JSON array."""
     fh.write("[")
@@ -356,10 +332,41 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
+def _blob(values: array) -> str:
+    """``values`` as little-endian bytes, base64-encoded. Byte-swaps
+    ``values`` in place on a big-endian host."""
+    if sys.byteorder == "big":
+        values.byteswap()
+    return base64.b64encode(values).decode("ascii")
+
+
+def _unblob(postings: Mapping, key: str, typecode: str) -> array:
+    """Decode the little-endian base64 blob ``postings[key]``."""
+    raw = postings.get(key)
+    if not isinstance(raw, str):
+        raise ValueError(f"postings {key!r} is not a base64 string")
+    try:
+        data = base64.b64decode(raw, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"postings {key!r} is not valid base64 ({exc})") from None
+    values = array(typecode)
+    if len(data) % values.itemsize:
+        raise ValueError(f"postings {key!r} holds {len(data)} bytes, not a multiple of {values.itemsize}")
+    values.frombytes(data)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
 def save_index(index: TfIdfIndex, path: str) -> None:
-    """Persist the index as a single versioned JSON file. The file holds
-    per-document vectors (``[[term id, weight], ...]``, term ids ascending);
-    it is written a chunk of documents at a time."""
+    """Persist the index as a single versioned JSON file: a header, the
+    documents (written a chunk at a time) and the postings as three
+    little-endian base64 blobs (int32 ``lengths`` per term id, int32
+    ``positions`` and float64 ``weights`` of every term in term-id order).
+
+    The file is written under a temporary name next to ``path`` and renamed
+    over it once complete, so a failed save leaves any previous file intact.
+    """
     header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -367,40 +374,125 @@ def save_index(index: TfIdfIndex, path: str) -> None:
         "vocabulary": dict(index.vocabulary),
         "idf": list(index.idf),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header)[:-1] + ',"docs":')
-        _write_json_array(fh, _doc_rows(index))
-        fh.write(',"vectors":')
-        _write_json_array(fh, _vector_rows(index))
-        fh.write("}")
+    lengths, positions, weights = array("i"), array("i"), array("d")
+    for term_positions, term_weights in index.postings:
+        lengths.append(len(term_positions))
+        positions.extend(term_positions)
+        weights.extend(term_weights)
+    postings = {"lengths": _blob(lengths), "positions": _blob(positions), "weights": _blob(weights)}
+    # named per process: concurrent saves of one path must come from different processes
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(_dumps(header)[:-1] + ',"docs":')
+            _write_json_array(fh, _doc_rows(index))
+            fh.write(',"postings":' + _dumps(postings) + "}")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_index(path: str) -> TfIdfIndex:
-    """Load a persisted index, validating the header, the document count,
-    every vector entry (see ``_postings``) and that every document id
-    equals its position. Documents of one skill share one ``SkillId``."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Load a persisted index. Raises ValueError naming the file when it is
+    not JSON, not a version-2 index, or fails a check of ``_decode_index``.
+    Documents of one skill share one ``SkillId``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON file ({exc})") from None
+    try:
+        return _decode_index(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _decode_index(obj) -> TfIdfIndex:
+    """Build the index from a parsed file, checking the header, every
+    document field, that the vocabulary ids are exactly 0..V-1, that ``idf``
+    holds V finite numbers, and that the postings hold one non-negative
+    length per term, agree in size, and give each term finite weights and
+    strictly ascending positions inside [0, doc_count)."""
     if not isinstance(obj, dict) or obj.get("format") != INDEX_FORMAT:
-        raise ValueError(f"{path}: not a {INDEX_FORMAT} file")
+        raise ValueError(f"not a {INDEX_FORMAT} file")
     if obj.get("version") != INDEX_VERSION:
-        raise ValueError(f"{path}: unsupported index version {obj.get('version')!r}")
+        raise ValueError(
+            f"unsupported index version {obj.get('version')!r}; re-run `skillblend index` to rebuild it"
+        )
+    vocabulary = obj.get("vocabulary")
+    if (
+        not isinstance(vocabulary, dict)
+        or not set(map(type, vocabulary.values())) <= {int}
+        or sorted(vocabulary.values()) != list(range(len(vocabulary)))
+    ):
+        raise ValueError("vocabulary is not an object mapping terms to the ids 0..V-1")
+    idf = obj.get("idf")
+    if (
+        not isinstance(idf, list)
+        or len(idf) != len(vocabulary)
+        or not set(map(type, idf)) <= {int, float}
+        or not all(map(math.isfinite, idf))
+    ):
+        raise ValueError(f"idf is not a list of {len(vocabulary)} finite numbers")
+    rows = obj.get("docs")
+    if not isinstance(rows, list):
+        raise ValueError("docs is not a list")
+    if type(obj.get("doc_count")) is not int or obj["doc_count"] != len(rows):
+        raise ValueError("document count does not match header")
+
     skills: dict[tuple[str, int], SkillId] = {}
     roles = {r.value: r for r in SideRole}  # a dict lookup is cheaper than SideRole(value)
-    docs = []
-    for d in obj["docs"]:
-        key = (d["skill"]["id"], d["skill"]["index"])
-        skill = skills.get(key) or skills.setdefault(key, SkillId(*key))
-        role = roles.get(d["role"])
-        if role is None:
-            raise ValueError(f"{path}: unknown side role {d['role']!r}")
-        docs.append(ContextDoc(d["doc_id"], skill, role, tuple(d["lines"])))
-    vectors = obj["vectors"]
-    if obj.get("doc_count") != len(docs) or len(vectors) != len(docs):
-        raise ValueError(f"{path}: document count does not match header")
-    vocabulary = obj["vocabulary"]
+    docs: list[ContextDoc] = []
     try:
-        postings = _postings(vectors, len(vocabulary))
-        return TfIdfIndex(vocabulary, tuple(float(x) for x in obj["idf"]), postings, tuple(docs))
+        for d in rows:
+            skill = d["skill"]
+            key = (skill["id"], skill["index"])
+            sid = skills.get(key)
+            if sid is None:
+                if type(key[0]) is not str or type(key[1]) is not int:
+                    raise ValueError(f"skill {skill!r} is not an id string and an index int")
+                sid = skills[key] = SkillId(*key)
+            role = roles.get(d["role"])
+            if role is None:
+                raise ValueError(f"unknown side role {d['role']!r}")
+            doc_id, lines = d["doc_id"], d["lines"]
+            if type(doc_id) is not int:
+                raise ValueError(f"doc_id {doc_id!r} is not an int")
+            if type(lines) is not list or not all(map(isinstance, lines, repeat(str))):
+                raise ValueError("lines is not a list of strings")
+            docs.append(ContextDoc(doc_id, sid, role, tuple(lines)))
+    except KeyError as exc:
+        raise ValueError(f"document {len(docs)}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"document {len(docs)}: {exc}") from None
+
+    blobs = obj.get("postings")
+    if not isinstance(blobs, dict):
+        raise ValueError("postings is not an object")
+    lengths = _unblob(blobs, "lengths", "i")
+    positions = _unblob(blobs, "positions", "i")
+    weights = _unblob(blobs, "weights", "d")
+    if len(lengths) != len(vocabulary) or (lengths and min(lengths) < 0):
+        raise ValueError(f"postings lengths are not {len(vocabulary)} non-negative counts, one per term")
+    if sum(lengths) != len(positions) or len(positions) != len(weights):
+        raise ValueError(
+            f"postings sizes disagree: lengths sum to {sum(lengths)},"
+            f" {len(positions)} positions, {len(weights)} weights"
+        )
+    if positions and (min(positions) < 0 or max(positions) >= len(docs)):
+        raise ValueError(f"a postings position lies outside [0, {len(docs)})")
+    if not all(map(math.isfinite, weights)):
+        raise ValueError("a postings weight is not finite")
+    postings = []
+    start = 0
+    for tid, n in enumerate(lengths):
+        end = start + n
+        term_positions = positions[start:end]
+        # strictly ascending: no (term, document) pair appears twice
+        if not all(map(lt, term_positions, term_positions[1:])):
+            raise ValueError(f"term id {tid}: positions do not strictly ascend")
+        postings.append((term_positions, weights[start:end]))
+        start = end
+    return TfIdfIndex(vocabulary, tuple(map(float, idf)), tuple(postings), tuple(docs))

@@ -257,6 +257,13 @@ def test_unstarted_mock_server_closes_promptly():
     assert closed.wait(5)
 
 
+def test_unstarted_mock_server_wait_returns_at_once():
+    with MockServer(_NLI_TABLES) as server:
+        start = time.monotonic()
+        server.wait(0.5)
+        assert time.monotonic() - start < 0.5
+
+
 def test_calls_from_one_thread_share_one_connection(connects):
     with serve_mock(_NLI_TABLES) as server:
         endpoint = server.endpoint()

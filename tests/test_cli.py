@@ -122,6 +122,47 @@ def test_corrupt_episode_file_is_reported(workdir, capsys):
     assert "seed_dataset" in capsys.readouterr().err
 
 
+def _edited(change):
+    """Apply ``change`` to the parsed index file and serialize it again."""
+
+    def apply(text):
+        obj = json.loads(text)
+        change(obj)
+        return json.dumps(obj)
+
+    return apply
+
+
+_BAD_INDEXES = {
+    "missing-role": _edited(lambda obj: obj["docs"][0].pop("role")),
+    "missing-postings": _edited(lambda obj: obj.pop("postings")),
+    "lines-not-a-list": _edited(lambda obj: obj["docs"][0].update(lines=5)),
+    "skill-id-not-a-string": _edited(lambda obj: obj["docs"][0]["skill"].update(id=7)),
+    "vocabulary-id-past-size": _edited(
+        lambda obj: obj["vocabulary"].update({min(obj["vocabulary"]): len(obj["vocabulary"])})
+    ),
+    "idf-too-short": _edited(lambda obj: obj["idf"].pop()),
+    "version-1": _edited(lambda obj: obj.update(version=1)),
+    "truncated": lambda text: text[: len(text) // 2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INDEXES))
+def test_malformed_index_fails_cleanly(workdir, capsys, case):
+    tmp_path, data = workdir
+    index = tmp_path / "ctx.idx"
+    assert _run("index", "--data", *data, "--out", str(index)) == 0
+    index.write_text(_BAD_INDEXES[case](index.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "never.jsonl"
+    rc = _run("generate", "--data", *data, "--index", str(index), "--out", str(out), "--episodes", "2")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"skillblend: {index}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_with_remote_backend(workdir):
     tmp_path, data = workdir
     index = str(tmp_path / "ctx.idx")

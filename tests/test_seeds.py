@@ -1,9 +1,12 @@
 from __future__ import annotations
 
-import io
+import base64
 import json
 import math
+import os
 import random
+import struct
+import tempfile
 from array import array
 from collections import Counter
 from dataclasses import replace
@@ -436,7 +439,7 @@ def test_index_load_validates_header(tmp_path):
         json.dump(obj, fh)
     with pytest.raises(ValueError):
         load_index(path)
-    obj["version"] = 1
+    obj["version"] = seeds.INDEX_VERSION
     obj["doc_count"] = 5
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
@@ -465,12 +468,29 @@ def test_index_load_rejects_ids_that_differ_from_positions(tmp_path):
         load_index(str(path))
 
 
-def _old_save_bytes(docs):
-    """The index file as one json.dump of the whole object wrote it."""
+def _pack(fmt, values):
+    """Little-endian ``values`` of struct format ``fmt``, base64-encoded."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{fmt}", *values)).decode("ascii")
+
+
+def _unpack(fmt, blob):
+    data = base64.b64decode(blob)
+    return list(struct.unpack(f"<{len(data) // struct.calcsize(fmt)}{fmt}", data))
+
+
+def _v2_save_bytes(docs):
+    """The index file as one json.dumps of the whole version-2 object,
+    with postings inverted from the per-document vectors of ``_old_index``."""
     vocabulary, idf, vectors = _old_index(docs)
+    lengths, positions, weights = [], [], []
+    for tid in range(len(vocabulary)):
+        hits = [(pos, vec[tid]) for pos, vec in enumerate(vectors) if tid in vec]
+        lengths.append(len(hits))
+        positions += [pos for pos, _ in hits]
+        weights += [w for _, w in hits]
     obj = {
         "format": "skillblend-tfidf",
-        "version": 1,
+        "version": 2,
         "doc_count": len(docs),
         "vocabulary": vocabulary,
         "idf": list(idf),
@@ -483,11 +503,13 @@ def _old_save_bytes(docs):
             }
             for d in docs
         ],
-        "vectors": [[[tid, w] for tid, w in sorted(vec.items())] for vec in vectors],
+        "postings": {
+            "lengths": _pack("i", lengths),
+            "positions": _pack("i", positions),
+            "weights": _pack("d", weights),
+        },
     }
-    buf = io.StringIO()
-    json.dump(obj, buf, separators=(",", ":"), ensure_ascii=False)
-    return buf.getvalue().encode("utf-8")
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7, seeds._SAVE_CHUNK])
@@ -503,54 +525,191 @@ def test_save_index_writes_the_bytes_of_one_json_dump(tmp_path, monkeypatch, chu
     ]
     path = tmp_path / "ctx.idx"
     save_index(build_index(docs), str(path))
-    expected = _old_save_bytes(docs)
+    expected = _v2_save_bytes(docs)
     assert path.read_bytes() == expected
     # a loaded index saves to the same bytes again
     save_index(load_index(str(path)), str(path))
     assert path.read_bytes() == expected
 
 
-def _saved_vectors(tmp_path):
+_GOLDEN_INDEX = (
+    '{"format":"skillblend-tfidf","version":2,"doc_count":3,'
+    '"vocabulary":{"apple":0,"pie":1,"river":2,"stone":3},'
+    '"idf":[1.0,1.4054651081081644,1.4054651081081644,1.4054651081081644],'
+    '"docs":[{"doc_id":0,"skill":{"id":"P","index":0},"role":"primary","lines":["apple pie"]},'
+    '{"doc_id":1,"skill":{"id":"K","index":1},"role":"counterpart","lines":["river apple stone"]},'
+    '{"doc_id":2,"skill":{"id":"E","index":2},"role":"primary","lines":["?!"]}],'
+    '"postings":{"lengths":"AgAAAAEAAAABAAAAAQAAAA==",'
+    '"positions":"AAAAAAEAAAAAAAAAAQAAAAEAAAA=",'
+    '"weights":"Y2JPHTiN4j8jhqb1kMPcP8imrKPcEuo/42etIp425D/jZ60injbkPw=="}}'
+)
+
+
+def test_saved_index_matches_the_golden_bytes(tmp_path):
+    docs = [
+        doc(0, P, "apple pie"),
+        doc(1, K, "river apple stone", role=SideRole.COUNTERPART),
+        doc(2, E, "?!"),
+    ]
+    path = tmp_path / "ctx.idx"
+    save_index(build_index(docs), str(path))
+    assert path.read_bytes() == _GOLDEN_INDEX.encode("utf-8")
+    blobs = json.loads(_GOLDEN_INDEX)["postings"]
+    # int32 lengths per term id, then every term's positions and float64 weights
+    assert _unpack("i", blobs["lengths"]) == [2, 1, 1, 1]
+    assert _unpack("i", blobs["positions"]) == [0, 1, 0, 1, 1]
+    a, r = 1.0, 1.4054651081081644
+    assert _unpack("d", blobs["weights"]) == [
+        a / math.sqrt(a * a + r * r),
+        a / math.sqrt(a * a + 2 * r * r),
+        r / math.sqrt(a * a + r * r),
+        r / math.sqrt(a * a + 2 * r * r),
+        r / math.sqrt(a * a + 2 * r * r),
+    ]
+    assert load_index(str(path)).postings == build_index(docs).postings
+
+
+def test_index_load_rejects_version_1_files_with_a_rebuild_hint(tmp_path):
+    path = tmp_path / "ctx.idx"
+    obj = json.loads(_GOLDEN_INDEX)
+    obj["version"] = 1
+    del obj["postings"]
+    obj["vectors"] = [[[0, 0.58], [1, 0.82]], [[0, 0.45], [2, 0.63], [3, 0.63]], []]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"ctx\.idx: unsupported index version 1; re-run `skillblend index`"):
+        load_index(str(path))
+
+
+def test_index_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "ctx.idx"
+    save_index(build_index([doc(0, P, "apple pie")]), str(path))
+    before = path.read_bytes()
+    doc_rows = seeds._doc_rows
+
+    def fail_after_one_chunk(index):
+        chunks = doc_rows(index)
+        yield next(chunks)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(seeds, "_SAVE_CHUNK", 1)
+    monkeypatch.setattr(seeds, "_doc_rows", fail_after_one_chunk)
+    other = build_index([doc(0, K, "river stone"), doc(1, E, "moss")])
+    with pytest.raises(OSError, match="disk full"):
+        save_index(other, str(path))
+    assert path.read_bytes() == before
+    with pytest.raises(OSError, match="disk full"):
+        save_index(other, str(tmp_path / "new.idx"))
+    assert [p.name for p in tmp_path.iterdir()] == ["ctx.idx"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpora(), _TEXTS, _TEXTS)
+def test_saved_index_loads_bit_for_bit(docs, first, second):
+    index = build_index(docs)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ctx.idx")
+        save_index(index, path)
+        loaded = load_index(path)
+    assert [(p.tobytes(), w.tobytes()) for p, w in loaded.postings] == [
+        (p.tobytes(), w.tobytes()) for p, w in index.postings
+    ]
+    assert [x.hex() for x in loaded.idf] == [x.hex() for x in index.idf]
+    assert loaded.vocabulary == index.vocabulary
+    assert loaded.docs == index.docs
+    pair = (Utterance(0, 4, first), Utterance(1, 5, second))
+    cfg = EngineConfig(seeds_per_pair=3)
+    for seed_dataset in DEFAULT_ROSTER:
+        assert build_seeds(pair, seed_dataset, loaded, cfg) == build_seeds(pair, seed_dataset, index, cfg)
+
+
+def _saved_postings(tmp_path):
+    """A two-document index file and its parsed object. Terms: apple 0,
+    pie 1, river 2, stone 3; postings positions [0, 1], [0], [1], [1]."""
     index = build_index([doc(0, P, "apple pie"), doc(1, K, "river apple stone")])
     path = tmp_path / "ctx.idx"
     save_index(index, str(path))
     obj = json.loads(path.read_text(encoding="utf-8"))
-    assert obj["vectors"][1][0][0] == 0  # "apple" is term id 0 of 4
+    assert _unpack("i", obj["postings"]["lengths"]) == [2, 1, 1, 1]
+    assert _unpack("i", obj["postings"]["positions"]) == [0, 1, 0, 1, 1]
     return path, obj
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [[1.0, 0.5], ["1", 0.5], [True, 0.5], [-1, 0.5], [4, 0.5], [1, "0.5"], [1, None], [1, 0.5, 0.5]],
-    ids=[
-        "float-id", "string-id", "bool-id", "negative-id", "id-past-vocabulary",
-        "string-weight", "null-weight", "three-items",
-    ],
-)
-def test_index_load_rejects_bad_vector_entries(tmp_path, entry):
-    path, obj = _saved_vectors(tmp_path)
-    obj["vectors"][0] = [entry]
+def _rejected(path, obj, reason):
     path.write_text(json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ValueError, match="ctx.idx"):
+    with pytest.raises(ValueError, match=r"ctx\.idx: .*" + reason):
         load_index(str(path))
+
+
+_BAD_ENTRIES = {
+    # positions written as float64: twice as many int32 items as lengths sum to
+    "float-id": ("positions", lambda blob: _pack("d", _unpack("i", blob)), "sizes disagree"),
+    "string-id": ("positions", lambda blob: "not base64!", "not valid base64"),
+    "bool-id": ("positions", lambda blob: True, "not a base64 string"),
+    "negative-id": ("positions", lambda blob: _pack("i", [-1] + _unpack("i", blob)[1:]), "outside"),
+    # a length for a term id past the vocabulary
+    "id-past-vocabulary": ("lengths", lambda blob: _pack("i", _unpack("i", blob) + [0]), "lengths are not"),
+    # line-wrapped base64 is not strict base64
+    "string-weight": ("weights", lambda blob: blob[:8] + "\n" + blob[8:], "not valid base64"),
+    "null-weight": ("weights", lambda blob: None, "not a base64 string"),
+    # three bytes past the last float64
+    "three-items": (
+        "weights",
+        lambda blob: base64.b64encode(base64.b64decode(blob) + b"\0\0\0").decode(),
+        "not a multiple of 8",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES), ids=sorted(_BAD_ENTRIES))
+def test_index_load_rejects_bad_vector_entries(tmp_path, entry):
+    path, obj = _saved_postings(tmp_path)
+    key, corrupt, reason = _BAD_ENTRIES[entry]
+    obj["postings"][key] = corrupt(obj["postings"][key])
+    _rejected(path, obj, reason)
+
+
+_BAD_POSTINGS = {
+    "position-past-doc-count": ("positions", [0, 1, 0, 1, 2], "outside"),
+    "negative-length": ("lengths", [2, 1, 1, -1], "lengths are not"),
+    "lengths-sum-too-small": ("lengths", [1, 1, 1, 1], "sizes disagree"),
+    "lengths-sum-too-large": ("lengths", [2, 1, 1, 2], "sizes disagree"),
+    "too-few-lengths": ("lengths", [2, 1, 1], "lengths are not"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_POSTINGS))
+def test_index_load_rejects_bad_postings(tmp_path, case):
+    path, obj = _saved_postings(tmp_path)
+    key, values, reason = _BAD_POSTINGS[case]
+    obj["postings"][key] = _pack("i", values)
+    _rejected(path, obj, reason)
+
+
+@pytest.mark.parametrize("postings", [None, [], "AAAA"], ids=["missing", "list", "string"])
+def test_index_load_rejects_postings_that_are_not_an_object(tmp_path, postings):
+    path, obj = _saved_postings(tmp_path)
+    if postings is None:
+        del obj["postings"]
+    else:
+        obj["postings"] = postings
+    _rejected(path, obj, "postings is not an object")
 
 
 @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
 def test_index_load_rejects_non_finite_weights(tmp_path, weight):
-    path, obj = _saved_vectors(tmp_path)
-    obj["vectors"][1][1][1] = float(weight)
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    assert weight in path.read_text(encoding="utf-8")
-    with pytest.raises(ValueError, match="ctx.idx"):
-        load_index(str(path))
+    path, obj = _saved_postings(tmp_path)
+    weights = _unpack("d", obj["postings"]["weights"])
+    weights[3] = float(weight)
+    obj["postings"]["weights"] = _pack("d", weights)
+    _rejected(path, obj, "not finite")
 
 
 @pytest.mark.parametrize("order", ["repeated", "descending"])
 def test_index_load_rejects_term_ids_that_do_not_ascend(tmp_path, order):
-    path, obj = _saved_vectors(tmp_path)
-    first, second = obj["vectors"][1][:2]
-    # a repeated term id would add both weights into the postings
-    obj["vectors"][1][:2] = [first, [first[0], 0.25]] if order == "repeated" else [second, first]
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ValueError, match="ctx.idx"):
-        load_index(str(path))
+    path, obj = _saved_postings(tmp_path)
+    # term 0 ("apple") holds documents [0, 1]; a repeated position would add
+    # both weights into that document's score
+    positions = _unpack("i", obj["postings"]["positions"])
+    positions[:2] = [1, 1] if order == "repeated" else [1, 0]
+    obj["postings"]["positions"] = _pack("i", positions)
+    _rejected(path, obj, "strictly ascend")
