@@ -67,7 +67,7 @@ class SkillAgent(Protocol):
 
 
 @dataclass(frozen=True)
-class ScriptedAgentSpec:
+class ScriptedAgent:
     """Deterministic generator/ranker stand-in.
 
     ``templates`` holds (text, base score) pairs; templates may reference
@@ -86,56 +86,36 @@ class ScriptedAgentSpec:
             if not text.format(context="", last="").strip():
                 raise ValueError("templates must render non-blank even with empty fills")
 
-
-def scripted_generate(
-    spec: ScriptedAgentSpec, stx: SkillContext, dtx: DialogueContext, attempt: int
-) -> ResponseCandidate:
-    """Deterministic response: template index (attempt - 1) mod len(templates),
-    placeholders filled from the first context line and the last utterance."""
-    if attempt < 1:
-        raise ValueError("attempt must be at least 1")
-    template, base_score = spec.templates[(attempt - 1) % len(spec.templates)]
-    last = dtx.last.text if dtx.last is not None else ""
-    text = template.format(context=stx.first_line, last=last)
-    return ResponseCandidate(text=text, origin=spec.skill, gen_score=base_score, attempts=attempt)
-
-
-def scripted_rank(
-    spec: ScriptedAgentSpec,
-    stx: SkillContext,
-    dtx: DialogueContext,
-    candidates: Sequence[ResponseCandidate],
-) -> list[float]:
-    """Score = distinct-token overlap between the candidate and the union of
-    own-context lines (case-insensitive), plus 0.5 for own-skill origin."""
-    if not candidates:
-        raise ValueError("rank requires at least one candidate")
-    context_tokens: set[str] = set()
-    for line in stx.lines:
-        context_tokens.update(tokenize(line))
-    scores = []
-    for cand in candidates:
-        overlap = len(set(tokenize(cand.text)) & context_tokens)
-        bonus = 0.5 if cand.origin.id == spec.skill.id else 0.0
-        scores.append(overlap + bonus)
-    return scores
-
-
-@dataclass(frozen=True)
-class ScriptedAgent:
-    spec: ScriptedAgentSpec
-
-    @property
-    def skill(self) -> SkillId:
-        return self.spec.skill
-
     def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> ResponseCandidate:
-        return scripted_generate(self.spec, stx, dtx, attempt)
+        """Deterministic response: template index (attempt - 1) mod
+        len(templates), placeholders filled from the first context line and
+        the last utterance."""
+        if attempt < 1:
+            raise ValueError("attempt must be at least 1")
+        template, base_score = self.templates[(attempt - 1) % len(self.templates)]
+        last = dtx.last.text if dtx.last is not None else ""
+        text = template.format(context=stx.first_line, last=last)
+        return ResponseCandidate(
+            text=text, origin=self.skill, gen_score=base_score, attempts=attempt
+        )
 
     def rank(
         self, stx: SkillContext, dtx: DialogueContext, candidates: Sequence[ResponseCandidate]
     ) -> list[float]:
-        return scripted_rank(self.spec, stx, dtx, candidates)
+        """Score = distinct-token overlap between the candidate and the union
+        of own-context lines (case-insensitive), plus 0.5 for own-skill
+        origin."""
+        if not candidates:
+            raise ValueError("rank requires at least one candidate")
+        context_tokens: set[str] = set()
+        for line in stx.lines:
+            context_tokens.update(tokenize(line))
+        scores = []
+        for cand in candidates:
+            overlap = len(set(tokenize(cand.text)) & context_tokens)
+            bonus = 0.5 if cand.origin.id == self.skill.id else 0.0
+            scores.append(overlap + bonus)
+        return scores
 
 
 _DEFAULT_TEMPLATES: dict[str, tuple[tuple[str, float], ...]] = {
@@ -169,7 +149,7 @@ _GENERIC_TEMPLATES: tuple[tuple[str, float], ...] = (
 def default_scripted_agents(roster: Sequence[SkillId]) -> list[ScriptedAgent]:
     """Shipped scripted backends, one per roster skill."""
     return [
-        ScriptedAgent(ScriptedAgentSpec(skill, _DEFAULT_TEMPLATES.get(skill.id, _GENERIC_TEMPLATES)))
+        ScriptedAgent(skill, _DEFAULT_TEMPLATES.get(skill.id, _GENERIC_TEMPLATES))
         for skill in roster
     ]
 
@@ -283,74 +263,54 @@ def _require_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def remote_generate(
-    endpoint: BackendEndpoint,
-    skill: SkillId,
-    stx: SkillContext,
-    dtx: DialogueContext,
-    attempt: int,
-) -> ResponseCandidate:
-    """Ask a remote generator for one candidate; the origin is forced to the
-    requesting skill regardless of the server payload."""
-    if attempt < 1:
-        raise ValueError("attempt must be at least 1")
-    body = {
-        "skill": skill.id,
-        "context": list(stx.lines),
-        "dialogue": _dialogue_payload(dtx),
-        "attempt": attempt,
-    }
-    obj, raw = post_json(endpoint, "/generate", body)
-    text = obj.get("text")
-    score = obj.get("score")
-    if not isinstance(text, str) or not text.strip():
-        raise ProtocolError("/generate: missing or blank 'text' field", raw)
-    if not _require_number(score):
-        raise ProtocolError("/generate: missing or non-numeric 'score' field", raw)
-    return ResponseCandidate(text=text, origin=skill, gen_score=float(score), attempts=attempt)
-
-
-def remote_rank(
-    endpoint: BackendEndpoint,
-    skill: SkillId,
-    stx: SkillContext,
-    dtx: DialogueContext,
-    candidates: Sequence[ResponseCandidate],
-) -> list[float]:
-    """Ask a remote ranker to score candidates; the response must contain
-    exactly one finite score per candidate."""
-    if not candidates:
-        raise ValueError("rank requires at least one candidate")
-    body = {
-        "skill": skill.id,
-        "context": list(stx.lines),
-        "dialogue": _dialogue_payload(dtx),
-        "candidates": [c.text for c in candidates],
-    }
-    obj, raw = post_json(endpoint, "/rank", body)
-    scores = obj.get("scores")
-    if not isinstance(scores, list) or len(scores) != len(candidates):
-        got = len(scores) if isinstance(scores, list) else "no"
-        raise ProtocolError(
-            f"/rank: expected {len(candidates)} scores, got {got}", raw
-        )
-    if any(not _require_number(s) for s in scores):
-        raise ProtocolError("/rank: non-numeric score in response", raw)
-    return [float(s) for s in scores]
-
-
 @dataclass(frozen=True)
 class RemoteSkillAgent:
     endpoint: BackendEndpoint
     skill: SkillId
 
     def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> ResponseCandidate:
-        return remote_generate(self.endpoint, self.skill, stx, dtx, attempt)
+        """Ask the remote generator for one candidate; the origin is forced
+        to this agent's skill regardless of the server payload."""
+        if attempt < 1:
+            raise ValueError("attempt must be at least 1")
+        body = {
+            "skill": self.skill.id,
+            "context": list(stx.lines),
+            "dialogue": _dialogue_payload(dtx),
+            "attempt": attempt,
+        }
+        obj, raw = post_json(self.endpoint, "/generate", body)
+        text = obj.get("text")
+        score = obj.get("score")
+        if not isinstance(text, str) or not text.strip():
+            raise ProtocolError("/generate: missing or blank 'text' field", raw)
+        if not _require_number(score):
+            raise ProtocolError("/generate: missing or non-numeric 'score' field", raw)
+        return ResponseCandidate(
+            text=text, origin=self.skill, gen_score=float(score), attempts=attempt
+        )
 
     def rank(
         self, stx: SkillContext, dtx: DialogueContext, candidates: Sequence[ResponseCandidate]
     ) -> list[float]:
-        return remote_rank(self.endpoint, self.skill, stx, dtx, candidates)
+        """Ask the remote ranker to score candidates; the response must
+        contain exactly one numeric score per candidate."""
+        if not candidates:
+            raise ValueError("rank requires at least one candidate")
+        body = {
+            "skill": self.skill.id,
+            "context": list(stx.lines),
+            "dialogue": _dialogue_payload(dtx),
+            "candidates": [c.text for c in candidates],
+        }
+        obj, raw = post_json(self.endpoint, "/rank", body)
+        scores = obj.get("scores")
+        if not isinstance(scores, list) or len(scores) != len(candidates):
+            got = len(scores) if isinstance(scores, list) else "no"
+            raise ProtocolError(f"/rank: expected {len(candidates)} scores, got {got}", raw)
+        if any(not _require_number(s) for s in scores):
+            raise ProtocolError("/rank: non-numeric score in response", raw)
+        return [float(s) for s in scores]
 
 
 # --- mock model server -----------------------------------------------------
@@ -499,6 +459,8 @@ class MockServer:
             req = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return 400, {"error": "request body is not valid JSON"}
+        if not isinstance(req, dict):
+            return 400, {"error": "request body is not a JSON object"}
         if route == "/generate":
             return self._generate(req)
         if route == "/rank":
@@ -508,11 +470,13 @@ class MockServer:
         return self._classify(req)
 
     def _generate(self, req: dict) -> tuple[int, dict | None]:
+        attempt = req.get("attempt", 1)
+        if not isinstance(attempt, int) or isinstance(attempt, bool):
+            return 400, {"error": "'attempt' must be an integer"}
         table = self._tables.get("generate", {})
         by_skill = table.get("by_skill", {})
         entries = by_skill.get(req.get("skill"))
         if entries:
-            attempt = req.get("attempt", 1)
             return 200, entries[(attempt - 1) % len(entries)]
         if "default" in table:
             return 200, table["default"]

@@ -86,39 +86,23 @@ class LexiconSpec:
                 raise ValueError("NLI patterns must be non-blank")
 
 
-def lexical_nli(spec: LexiconSpec, premise: str, hypothesis: str) -> NliVerdict:
-    """First matching contradiction pair wins, then the first entail pair;
-    otherwise Neutral. Patterned verdicts carry confidence 1.0, the default
-    Neutral 0.5 (downstream gates use only the label)."""
-    premise_l = premise.lower()
-    hypothesis_l = hypothesis.lower()
-    for prem_pat, hyp_pat in spec.contradiction_pairs:
-        if prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l:
-            return NliVerdict(NliLabel.CONTRADICT, 1.0)
-    for prem_pat, hyp_pat in spec.entail_pairs:
-        if prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l:
-            return NliVerdict(NliLabel.ENTAIL, 1.0)
-    return NliVerdict(NliLabel.NEUTRAL, 0.5)
-
-
-def lexical_skill_score(spec: LexiconSpec, text: str) -> SkillDistribution:
-    """Raw score per skill = sum of weights of its keywords found in the
-    text (case-insensitive substring); the result is the softmax of the raw
-    scores, so keyword-free text comes out uniform."""
-    text_l = text.lower()
-    raw = [
-        sum(weight for keyword, weight in spec.keywords[skill.id] if keyword.lower() in text_l)
-        for skill in spec.roster
-    ]
-    return softmax(raw)
-
-
 @dataclass(frozen=True)
 class LexicalNliJudge:
     spec: LexiconSpec
 
     def judge(self, premise: str, hypothesis: str) -> NliVerdict:
-        return lexical_nli(self.spec, premise, hypothesis)
+        """First matching contradiction pair wins, then the first entail
+        pair; otherwise Neutral. Patterned verdicts carry confidence 1.0, the
+        default Neutral 0.5 (downstream gates use only the label)."""
+        premise_l = premise.lower()
+        hypothesis_l = hypothesis.lower()
+        for prem_pat, hyp_pat in self.spec.contradiction_pairs:
+            if prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l:
+                return NliVerdict(NliLabel.CONTRADICT, 1.0)
+        for prem_pat, hyp_pat in self.spec.entail_pairs:
+            if prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l:
+                return NliVerdict(NliLabel.ENTAIL, 1.0)
+        return NliVerdict(NliLabel.NEUTRAL, 0.5)
 
 
 @dataclass(frozen=True)
@@ -130,7 +114,16 @@ class LexicalSkillScorer:
         return self.spec.roster
 
     def score(self, text: str) -> SkillDistribution:
-        return lexical_skill_score(self.spec, text)
+        """Raw score per skill = sum of weights of its keywords found in the
+        text (case-insensitive substring); the result is the softmax of the
+        raw scores, so keyword-free text comes out uniform."""
+        spec = self.spec
+        text_l = text.lower()
+        raw = [
+            sum(weight for keyword, weight in spec.keywords[skill.id] if keyword.lower() in text_l)
+            for skill in spec.roster
+        ]
+        return softmax(raw)
 
 
 @dataclass(frozen=True)

@@ -211,12 +211,10 @@ class EpisodeWriter:
 
     def __init__(self, path: str):
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
-        self.written = 0
 
     def write(self, ep: Episode) -> None:
         self._fh.write(episode_line(ep))
         self._fh.write("\n")
-        self.written += 1
 
     def close(self) -> None:
         self._fh.close()
@@ -226,13 +224,6 @@ class EpisodeWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def write_episodes(path: str, episodes: Iterable[Episode]) -> int:
-    with EpisodeWriter(path) as writer:
-        for ep in episodes:
-            writer.write(ep)
-        return writer.written
 
 
 def _skill_from_id(skill_id: str, by_id: dict, line_no: int, path: str) -> SkillId:

@@ -65,9 +65,7 @@ class SimulationResult:
 @dataclass(frozen=True)
 class SelectionOutcome:
     winner: ResponseCandidate
-    winner_index: int
     mic_passed: bool
-    gate_log: tuple[GateDecision, ...]
     used_fallback: bool
 
 
@@ -159,8 +157,6 @@ def select_final(
     winner = candidates[winner_index]
     return SelectionOutcome(
         winner=winner,
-        winner_index=winner_index,
         mic_passed=winner.origin.id != active.skill.id,
-        gate_log=gate_log,
         used_fallback=used_fallback,
     )

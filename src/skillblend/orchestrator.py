@@ -10,7 +10,7 @@ order stays equal to seed order, so parallelism never changes the bytes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -124,7 +124,7 @@ def run_episode(
     first = Utterance(0, 0, seed.pair[0].text)
     second = Utterance(1, 1, seed.pair[1].text)
     dtx = DialogueContext((first, second))
-    active_skill = seed.initial_active
+    active_skill = seed.seed_dataset
     annotated = [_annotate(first, memo, False, 0, ()), _annotate(second, memo, False, 0, ())]
 
     for turn in range(2, cfg.episode_length):
@@ -186,49 +186,43 @@ def run_batch(
     Output order equals seed order regardless of completion order; aborted
     episodes are recorded in the report, not written. Refusal totals count
     the written episodes, so recounting the output file reproduces them.
+    A backend error or a failed write ends the batch at that episode; the
+    episodes not yet started are not run.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
 
-    def work(index: int, seed: SeedEpisode) -> Episode:
-        return run_episode(seed, agents, judge, scorer, cfg, episode_id=f"ep-{index:06d}")
+    def work(index: int, seed: SeedEpisode) -> Episode | EpisodeAbortError:
+        try:
+            return run_episode(seed, agents, judge, scorer, cfg, episode_id=f"ep-{index:06d}")
+        except EpisodeAbortError as exc:
+            return exc
 
-    finished: dict[int, Episode] = {}
-    abort_msgs: dict[int, str] = {}
     aborts: list[tuple[int, str]] = []
     written = 0
     refusal_total = 0
-    next_index = 0
-
-    def flush() -> None:
-        nonlocal next_index, written, refusal_total
-        while next_index in finished or next_index in abort_msgs:
-            if next_index in finished:
-                episode = finished.pop(next_index)
-                if write is not None:
-                    try:
-                        write(episode)
-                    except OSError as exc:
-                        raise BatchError(
-                            f"writer failed on episode {episode.id}: {exc}",
-                            BatchReport(written, tuple(aborts), refusal_total),
-                        ) from exc
-                written += 1
-                refusal_total += sum(len(t.refusals) for t in episode.turns)
-            else:
-                aborts.append((next_index, abort_msgs.pop(next_index)))
-            next_index += 1
-            if on_progress is not None:
-                on_progress(written, len(aborts))
-
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = {pool.submit(work, i, seed): i for i, seed in enumerate(seeds)}
-        for future in as_completed(futures):
-            index = futures[future]
-            try:
-                finished[index] = future.result()
-            except EpisodeAbortError as exc:
-                abort_msgs[index] = str(exc)
-            flush()
+        # map yields in seed order and drops each future once consumed;
+        # closing it cancels the episodes not yet started
+        results = pool.map(work, range(len(seeds)), seeds)
+        try:
+            for index, result in enumerate(results):
+                if isinstance(result, EpisodeAbortError):
+                    aborts.append((index, str(result)))
+                else:
+                    if write is not None:
+                        try:
+                            write(result)
+                        except OSError as exc:
+                            raise BatchError(
+                                f"writer failed on episode {result.id}: {exc}",
+                                BatchReport(written, tuple(aborts), refusal_total),
+                            ) from exc
+                    written += 1
+                    refusal_total += sum(len(t.refusals) for t in result.turns)
+                if on_progress is not None:
+                    on_progress(written, len(aborts))
+        finally:
+            results.close()
 
     return BatchReport(written, tuple(aborts), refusal_total)

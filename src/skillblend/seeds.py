@@ -101,18 +101,16 @@ class TfIdfIndex:
 
 @dataclass(frozen=True)
 class SeedEpisode:
-    """Seed for one episode: the utterance pair, per-side contexts, and the
-    initially active skill (always the pair's provenance skill)."""
+    """Seed for one episode: the utterance pair and per-side contexts. The
+    pair's provenance skill ``seed_dataset`` is also the initially active
+    skill."""
 
     seed_dataset: SkillId
     pair: tuple[Utterance, Utterance]
     contexts: tuple[SkillContextSet, SkillContextSet]
-    initial_active: SkillId
     variant_index: int
 
     def __post_init__(self) -> None:
-        if self.initial_active.id != self.seed_dataset.id:
-            raise ValueError("initial active skill must match the seed dataset")
         if self.variant_index < 0:
             raise ValueError("variant index must be non-negative")
 
@@ -225,7 +223,6 @@ def build_seeds(
     seed_dataset: SkillId,
     index: TfIdfIndex,
     cfg: EngineConfig,
-    role_template: RoleTemplate | None = None,
 ) -> list[SeedEpisode]:
     """Assemble up to ``cfg.seeds_per_pair`` seed variants for one utterance
     pair.
@@ -240,7 +237,7 @@ def build_seeds(
     first, second = pair
     if not first.text.strip() or not second.text.strip():
         raise ValueError("seed pair texts must be non-blank")
-    template = role_template if role_template is not None else default_role_template(cfg.skill_roster)
+    template = default_role_template(cfg.skill_roster)
     query_text = first.text + " " + second.text
 
     scores = _scores(index, query_text)
@@ -268,9 +265,7 @@ def build_seeds(
                     any_context = True
             sides.append(SkillContextSet(tuple(entries)))
         if any_context:
-            seeds.append(
-                SeedEpisode(seed_dataset, norm_pair, (sides[0], sides[1]), seed_dataset, variant)
-            )
+            seeds.append(SeedEpisode(seed_dataset, norm_pair, (sides[0], sides[1]), variant))
     return seeds
 
 

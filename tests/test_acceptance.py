@@ -14,10 +14,8 @@ import pytest
 
 from skillblend.agents import (
     ProtocolError,
+    RemoteSkillAgent,
     ScriptedAgent,
-    ScriptedAgentSpec,
-    remote_generate,
-    remote_rank,
     serve_mock,
 )
 from skillblend.classifiers import (
@@ -43,6 +41,7 @@ from skillblend.distmath import entropy, kl_divergence
 from skillblend.moderator import (
     REASON_KL_EXCEEDED,
     consistency_gate,
+    flow_gate,
     select_final,
     simulate_approved,
 )
@@ -188,7 +187,7 @@ def test_acceptance_3_selection_oracle():
                     FixedRankAgent(P, scores), scorer, SkillContext(P), dtx, candidates, 0.5, 0.0
                 )
                 want_index, want_fallback = _oracle_select(scores, mask, [o.id for o in origins], "P")
-                assert outcome.winner_index == want_index
+                assert outcome.winner is candidates[want_index]
                 assert outcome.used_fallback == want_fallback
                 assert outcome.mic_passed == (origins[want_index].id != "P")
 
@@ -198,7 +197,7 @@ def test_acceptance_3_selection_oracle():
                     FixedRankAgent(P, [s * scale for s in scores]),
                     scorer, SkillContext(P), dtx, candidates, 0.5, 0.0,
                 )
-                assert scaled.winner_index == want_index
+                assert scaled.winner is candidates[want_index]
 
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -305,13 +304,12 @@ def _scenario():
         P,
         (Utterance(0, 0, "hello there"), Utterance(1, 1, "hi pal")),
         contexts,
-        P,
         0,
     )
     agents = [
-        ScriptedAgent(ScriptedAgentSpec(P, (("personally {context}", 0.9),))),
-        ScriptedAgent(ScriptedAgentSpec(K, (("consider {context}", 0.8),))),
-        ScriptedAgent(ScriptedAgentSpec(E, (("soothing {context}", 0.7),))),
+        ScriptedAgent(P, (("personally {context}", 0.9),)),
+        ScriptedAgent(K, (("consider {context}", 0.8),)),
+        ScriptedAgent(E, (("soothing {context}", 0.7),)),
     ]
     lexicon = LexiconSpec(
         DEFAULT_ROSTER,
@@ -347,7 +345,7 @@ def test_acceptance_6_protocol_driven_mic_passing():
     assert all(t.phase2_attempts == 1 for t in ep.turns[2:])
 
     # replay the active skill from the turn log
-    active = seed.initial_active
+    active = seed.seed_dataset
     actives = []
     for turn in ep.turns[2:]:
         if turn.mic_passed:
@@ -370,7 +368,7 @@ def test_acceptance_6_protocol_driven_mic_passing():
     outcome = select_final(k_agent, scorer, stx_all.get(K), dtx, candidates, cfg.alpha, cfg.epsilon)
     assert outcome.winner.origin == K
     assert not outcome.used_fallback
-    e_gate = outcome.gate_log[2]
+    e_gate = flow_gate(scorer, dtx.turns[-1].text, candidates[2].text, cfg.alpha, cfg.epsilon)
     assert not e_gate.approved
     assert e_gate.reason == REASON_KL_EXCEEDED
     assert e_gate.kl_value == pytest.approx(1.146788, abs=1e-3)
@@ -430,13 +428,14 @@ def test_acceptance_8_wire_protocol_conformance():
 
     with serve_mock(tables) as server:
         endpoint = server.endpoint()
+        agent = RemoteSkillAgent(endpoint, K)
 
-        cand = remote_generate(endpoint, K, stx, dtx, 2)
+        cand = agent.generate(stx, dtx, 2)
         assert (cand.text, cand.gen_score, cand.origin) == ("a steady reply", 0.75, K)
         assert server.requests[-1] == ("/generate", (GOLDEN / "wire_generate_req.json").read_bytes())
 
         candidates = [ResponseCandidate("alpha reply", P, 0.1), ResponseCandidate("beta reply", E, 0.2)]
-        scores = remote_rank(endpoint, K, stx, dtx, candidates)
+        scores = agent.rank(stx, dtx, candidates)
         assert scores == [0.1, 0.9]
         assert server.requests[-1] == ("/rank", (GOLDEN / "wire_rank_req.json").read_bytes())
 
@@ -462,10 +461,10 @@ def test_acceptance_8_wire_protocol_conformance():
     # arity and missing-field violations raise protocol errors
     with serve_mock({"rank": {"force_scores": [0.1, 0.2, 0.3]}}) as server:
         with pytest.raises(ProtocolError):
-            remote_rank(server.endpoint(), K, stx, dtx, candidates)
+            RemoteSkillAgent(server.endpoint(), K).rank(stx, dtx, candidates)
     with serve_mock({"generate": {"default": {"score": 0.9}}}) as server:
         with pytest.raises(ProtocolError):
-            remote_generate(server.endpoint(), K, stx, dtx, 1)
+            RemoteSkillAgent(server.endpoint(), K).generate(stx, dtx, 1)
     with serve_mock({"classify": {"default": [0.5, 0.5]}}) as server:
         with pytest.raises(ProtocolError):
             RemoteSkillScorer(server.endpoint(), DEFAULT_ROSTER).score("hello")

@@ -14,13 +14,10 @@ from skillblend.agents import (
     BackendUnavailableError,
     MockServer,
     ProtocolError,
-    ScriptedAgentSpec,
+    RemoteSkillAgent,
+    ScriptedAgent,
     default_scripted_agents,
     post_json,
-    remote_generate,
-    remote_rank,
-    scripted_generate,
-    scripted_rank,
     serve_mock,
 )
 from skillblend.core import DEFAULT_ROSTER, DialogueContext, ResponseCandidate, SkillContext, Utterance
@@ -34,8 +31,8 @@ def dtx():
 
 
 @pytest.fixture
-def spec():
-    return ScriptedAgentSpec(
+def agent():
+    return ScriptedAgent(
         K,
         (
             ("first take on {last}", 0.9),
@@ -47,63 +44,63 @@ def spec():
 
 def test_spec_rejects_empty_or_blank_templates():
     with pytest.raises(ValueError):
-        ScriptedAgentSpec(K, ())
+        ScriptedAgent(K, ())
     with pytest.raises(ValueError):
-        ScriptedAgentSpec(K, (("{context}", 0.5),))
+        ScriptedAgent(K, (("{context}", 0.5),))
 
 
-def test_scripted_generate_walks_templates(spec, dtx):
+def test_scripted_generate_walks_templates(agent, dtx):
     stx = SkillContext(K, ("the topic",))
-    first = scripted_generate(spec, stx, dtx, 1)
-    second = scripted_generate(spec, stx, dtx, 2)
+    first = agent.generate(stx, dtx, 1)
+    second = agent.generate(stx, dtx, 2)
     assert first.text == "first take on hi friend"
     assert second.text == "second take with the topic"
     assert (first.gen_score, second.gen_score) == (0.9, 0.8)
     assert first.attempts == 1 and second.attempts == 2
     # cyclic reuse past the template count
-    assert scripted_generate(spec, stx, dtx, 4).text == first.text
+    assert agent.generate(stx, dtx, 4).text == first.text
     with pytest.raises(ValueError):
-        scripted_generate(spec, stx, dtx, 0)
+        agent.generate(stx, dtx, 0)
 
 
-def test_scripted_generate_handles_empty_context(spec, dtx):
-    got = scripted_generate(spec, SkillContext(K), dtx, 2)
+def test_scripted_generate_handles_empty_context(agent, dtx):
+    got = agent.generate(SkillContext(K), dtx, 2)
     assert got.text == "second take with "
     assert got.text.strip()
 
 
-def test_scripted_generate_is_deterministic(spec, dtx):
+def test_scripted_generate_is_deterministic(agent, dtx):
     stx = SkillContext(K, ("the topic",))
-    outputs = {scripted_generate(spec, stx, dtx, 3).text for _ in range(100)}
+    outputs = {agent.generate(stx, dtx, 3).text for _ in range(100)}
     assert len(outputs) == 1
 
 
-def test_scripted_generate_origin_matches_agent(spec, dtx):
-    assert scripted_generate(spec, SkillContext(K), dtx, 1).origin == K
+def test_scripted_generate_origin_matches_agent(agent, dtx):
+    assert agent.generate(SkillContext(K), dtx, 1).origin == K
 
 
-def test_scripted_rank_counts_token_overlap(spec, dtx):
+def test_scripted_rank_counts_token_overlap(agent, dtx):
     stx = SkillContext(K, ("alpine snow travel", "rubber soles"))
     sharing = ResponseCandidate("i like alpine snow travel", P, 0.5)
     disjoint = ResponseCandidate("nothing in common here", P, 0.5)
-    scores = scripted_rank(spec, stx, dtx, [sharing, disjoint])
+    scores = agent.rank(stx, dtx, [sharing, disjoint])
     # counted by hand on the fixture: 3 shared tokens vs 0
     assert scores[0] - scores[1] >= 3
     assert scores == [3.0, 0.0]
 
 
-def test_scripted_rank_own_skill_bonus(spec, dtx):
+def test_scripted_rank_own_skill_bonus(agent, dtx):
     stx = SkillContext(K, ("alpine snow",))
     own = ResponseCandidate("same words", K, 0.5)
     other = ResponseCandidate("same words", P, 0.5)
-    scores = scripted_rank(spec, stx, dtx, [own, other])
+    scores = agent.rank(stx, dtx, [own, other])
     assert scores[0] == scores[1] + 0.5
 
 
-def test_scripted_rank_single_and_empty(spec, dtx):
-    assert scripted_rank(spec, SkillContext(K), dtx, [ResponseCandidate("x", K, 0.1)]) == [0.5]
+def test_scripted_rank_single_and_empty(agent, dtx):
+    assert agent.rank(SkillContext(K), dtx, [ResponseCandidate("x", K, 0.1)]) == [0.5]
     with pytest.raises(ValueError):
-        scripted_rank(spec, SkillContext(K), dtx, [])
+        agent.rank(SkillContext(K), dtx, [])
 
 
 def test_default_scripted_agents_cover_roster(dtx):
@@ -129,7 +126,7 @@ def test_backend_endpoint_validation():
 def test_remote_generate_echoes_configuration(dtx):
     tables = {"generate": {"default": {"text": "hello", "score": 0.9}}}
     with serve_mock(tables) as server:
-        cand = remote_generate(server.endpoint(), K, SkillContext(K, ("topic",)), dtx, 1)
+        cand = RemoteSkillAgent(server.endpoint(), K).generate(SkillContext(K, ("topic",)), dtx, 1)
     assert cand.text == "hello"
     assert cand.gen_score == 0.9
     assert cand.origin == K  # forced to the requesting skill
@@ -143,10 +140,10 @@ def test_remote_generate_attempt_selects_table_row(dtx):
         }
     }
     with serve_mock(tables) as server:
-        ep = server.endpoint()
-        assert remote_generate(ep, K, SkillContext(K), dtx, 1).text == "row zero"
-        assert remote_generate(ep, K, SkillContext(K), dtx, 2).text == "row one"
-        assert remote_generate(ep, K, SkillContext(K), dtx, 3).text == "row zero"
+        agent = RemoteSkillAgent(server.endpoint(), K)
+        assert agent.generate(SkillContext(K), dtx, 1).text == "row zero"
+        assert agent.generate(SkillContext(K), dtx, 2).text == "row one"
+        assert agent.generate(SkillContext(K), dtx, 3).text == "row zero"
 
 
 def test_remote_generate_retry_budget_exhausted(dtx):
@@ -156,7 +153,7 @@ def test_remote_generate_retry_budget_exhausted(dtx):
     }
     with serve_mock(tables) as server:
         with pytest.raises(BackendUnavailableError):
-            remote_generate(server.endpoint(max_retries=1), K, SkillContext(K), dtx, 1)
+            RemoteSkillAgent(server.endpoint(max_retries=1), K).generate(SkillContext(K), dtx, 1)
 
 
 def test_remote_generate_recovers_within_budget(dtx):
@@ -165,18 +162,18 @@ def test_remote_generate_recovers_within_budget(dtx):
         "fail_first": {"/generate": 1},
     }
     with serve_mock(tables) as server:
-        cand = remote_generate(server.endpoint(max_retries=1), K, SkillContext(K), dtx, 1)
+        cand = RemoteSkillAgent(server.endpoint(max_retries=1), K).generate(SkillContext(K), dtx, 1)
     assert cand.text == "late"
 
 
 def test_remote_generate_missing_fields_are_protocol_errors(dtx):
     with serve_mock({"generate": {"default": {"score": 0.9}}}) as server:
         with pytest.raises(ProtocolError) as excinfo:
-            remote_generate(server.endpoint(), K, SkillContext(K), dtx, 1)
+            RemoteSkillAgent(server.endpoint(), K).generate(SkillContext(K), dtx, 1)
         assert b"score" in excinfo.value.body
     with serve_mock({"generate": {"default": {"text": "no score"}}}) as server:
         with pytest.raises(ProtocolError):
-            remote_generate(server.endpoint(), K, SkillContext(K), dtx, 1)
+            RemoteSkillAgent(server.endpoint(), K).generate(SkillContext(K), dtx, 1)
 
 
 def test_remote_generate_connection_refused(dtx):
@@ -186,23 +183,23 @@ def test_remote_generate_connection_refused(dtx):
         port = sock.getsockname()[1]
     endpoint = BackendEndpoint(f"http://127.0.0.1:{port}", timeout_ms=200, max_retries=0)
     with pytest.raises(BackendUnavailableError):
-        remote_generate(endpoint, K, SkillContext(K), dtx, 1)
+        RemoteSkillAgent(endpoint, K).generate(SkillContext(K), dtx, 1)
 
 
 def test_remote_rank_echo_and_arity(dtx):
     candidates = [ResponseCandidate("a", P, 0.1), ResponseCandidate("b", K, 0.2)]
     with serve_mock({"rank": {"by_text": {"a": 0.1, "b": 0.9}}}) as server:
-        scores = remote_rank(server.endpoint(), K, SkillContext(K), dtx, candidates)
+        scores = RemoteSkillAgent(server.endpoint(), K).rank(SkillContext(K), dtx, candidates)
     assert scores == [0.1, 0.9]
     with serve_mock({"rank": {"force_scores": [0.1, 0.2, 0.3]}}) as server:
         with pytest.raises(ProtocolError):
-            remote_rank(server.endpoint(), K, SkillContext(K), dtx, candidates)
+            RemoteSkillAgent(server.endpoint(), K).rank(SkillContext(K), dtx, candidates)
 
 
 def test_remote_rank_empty_candidates_never_hits_network(dtx):
     with serve_mock({"rank": {}}) as server:
         with pytest.raises(ValueError):
-            remote_rank(server.endpoint(), K, SkillContext(K), dtx, [])
+            RemoteSkillAgent(server.endpoint(), K).rank(SkillContext(K), dtx, [])
         assert server.requests == []
 
 
@@ -210,6 +207,19 @@ def test_mock_server_unknown_route_is_404():
     with serve_mock({}) as server:
         status, _ = post_raw(server.base_url + "/nothing", b"{}")
     assert status == 404
+
+
+def test_mock_server_answers_400_to_malformed_request_fields():
+    tables = {"generate": {"by_skill": {"K": [{"text": "row zero", "score": 0.1}]}}}
+    with serve_mock(tables) as server:
+        url = server.base_url
+        assert post_raw(url + "/rank", b"[1, 2]")[0] == 400
+        assert post_raw(url + "/nli", b'"premise"')[0] == 400
+        for attempt in ('"2"', "1.5", "true", "null"):
+            body = ('{"skill": "K", "attempt": %s}' % attempt).encode()
+            assert post_raw(url + "/generate", body)[0] == 400, attempt
+        # the server still answers well-formed requests
+        assert post_raw(url + "/generate", b'{"skill": "K", "attempt": 1}')[0] == 200
 
 
 def test_mock_server_nli_default_and_classify_table():

@@ -13,8 +13,6 @@ from skillblend.classifiers import (
     RemoteNliJudge,
     RemoteSkillScorer,
     default_lexicon,
-    lexical_nli,
-    lexical_skill_score,
 )
 from skillblend.core import DEFAULT_ROSTER, Utterance
 from skillblend.orchestrator import _annotate
@@ -47,20 +45,21 @@ def test_lexicon_requires_roster_coverage_and_clean_patterns():
 
 
 def test_lexical_nli_sneaker_sandal_conflict(spec):
-    verdict = lexical_nli(spec, "I wear sneakers everyday", "my sandals were torn yesterday")
+    judge = LexicalNliJudge(spec)
+    verdict = judge.judge("I wear sneakers everyday", "my sandals were torn yesterday")
     assert verdict.label is NliLabel.CONTRADICT
     assert verdict.confidence == 1.0
 
 
 def test_lexical_nli_defaults_to_neutral():
     empty = LexiconSpec(DEFAULT_ROSTER, {})
-    verdict = lexical_nli(empty, "anything at all", "whatever else")
+    verdict = LexicalNliJudge(empty).judge("anything at all", "whatever else")
     assert verdict.label is NliLabel.NEUTRAL
     assert verdict.confidence == 0.5
 
 
 def test_lexical_nli_entailment_fixture(spec):
-    verdict = lexical_nli(spec, "I like tennis", "I enjoy tennis")
+    verdict = LexicalNliJudge(spec).judge("I like tennis", "I enjoy tennis")
     assert verdict.label is NliLabel.ENTAIL
 
 
@@ -71,17 +70,17 @@ def test_lexical_nli_contradiction_outranks_entailment():
         contradiction_pairs=(("alpha", "beta"),),
         entail_pairs=(("alpha", "beta"),),
     )
-    assert lexical_nli(spec, "alpha", "beta").label is NliLabel.CONTRADICT
+    assert LexicalNliJudge(spec).judge("alpha", "beta").label is NliLabel.CONTRADICT
 
 
 def test_lexical_skill_score_uniform_without_keywords(spec):
-    got = lexical_skill_score(spec, "plain text with nothing in it")
+    got = LexicalSkillScorer(spec).score("plain text with nothing in it")
     assert got.probs == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
 
 
 def test_lexical_skill_score_single_weighted_keyword(spec):
     # one skill-P keyword of weight ln 2 -> exp-normalize by hand: (2,1,1)/4
-    got = lexical_skill_score(spec, "my SNEAKERS are new")
+    got = LexicalSkillScorer(spec).score("my SNEAKERS are new")
     assert got.probs == pytest.approx((0.5, 0.25, 0.25), abs=1e-12)
 
 
@@ -90,7 +89,7 @@ def test_lexical_skill_score_symmetry():
         DEFAULT_ROSTER,
         {"P": (("alpha", 1.0),), "K": (("beta", 1.0),), "E": ()},
     )
-    got = lexical_skill_score(spec, "alpha beta together").probs
+    got = LexicalSkillScorer(spec).score("alpha beta together").probs
     assert got[0] == got[1]
     assert got[0] > got[2]
 

@@ -7,6 +7,7 @@ import pytest
 from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillDistribution
 from skillblend.dataio import (
     ConfigError,
+    EpisodeWriter,
     ParseError,
     RosterError,
     episode_line,
@@ -14,7 +15,6 @@ from skillblend.dataio import (
     load_config_file,
     read_dataset,
     read_episodes,
-    write_episodes,
 )
 
 import helpers
@@ -109,7 +109,9 @@ def test_episode_roundtrip_structural_equality(tmp_path, corpus_files):
     episodes = read_episodes(str(out), cfg.skill_roster)
     assert len(episodes) == 20
     path2 = tmp_path / "rewritten.jsonl"
-    write_episodes(str(path2), episodes)
+    with EpisodeWriter(str(path2)) as writer:
+        for ep in episodes:
+            writer.write(ep)
     assert (tmp_path / "rewritten.jsonl").read_bytes() == out.read_bytes()
     assert read_episodes(str(path2), cfg.skill_roster) == episodes
 
@@ -134,7 +136,8 @@ def test_distributions_survive_roundtrip_to_17_digits(tmp_path, cfg):
         ],
     )
     path = str(tmp_path / "one.jsonl")
-    write_episodes(path, [ep])
+    with EpisodeWriter(path) as writer:
+        writer.write(ep)
     back = read_episodes(path, cfg.skill_roster)[0]
     for original, reread in zip(ep.turns, back.turns):
         for x, y in zip(original.distribution.probs, reread.distribution.probs):
@@ -144,7 +147,8 @@ def test_distributions_survive_roundtrip_to_17_digits(tmp_path, cfg):
 def test_read_episodes_names_missing_field_path(tmp_path, cfg):
     ep = helpers.hand_episode(cfg)
     path = tmp_path / "eps.jsonl"
-    write_episodes(str(path), [ep])
+    with EpisodeWriter(str(path)) as writer:
+        writer.write(ep)
     obj = json.loads(path.read_text(encoding="utf-8"))
     del obj["turns"][1]["skill"]
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
@@ -157,7 +161,8 @@ def test_read_episodes_names_missing_field_path(tmp_path, cfg):
 def test_read_episodes_rejects_bad_distribution(tmp_path, cfg):
     ep = helpers.hand_episode(cfg)
     path = tmp_path / "eps.jsonl"
-    write_episodes(str(path), [ep])
+    with EpisodeWriter(str(path)) as writer:
+        writer.write(ep)
     obj = json.loads(path.read_text(encoding="utf-8"))
     obj["turns"][0]["dist"] = [0.9, 0.9, 0.9]
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
@@ -169,7 +174,8 @@ def test_read_episodes_rejects_bad_distribution(tmp_path, cfg):
 def test_read_episodes_unknown_skill_is_roster_error(tmp_path, cfg):
     ep = helpers.hand_episode(cfg)
     path = tmp_path / "eps.jsonl"
-    write_episodes(str(path), [ep])
+    with EpisodeWriter(str(path)) as writer:
+        writer.write(ep)
     obj = json.loads(path.read_text(encoding="utf-8"))
     obj["seed_dataset"] = "Z"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from skillblend.agents import ProtocolError, ScriptedAgent, ScriptedAgentSpec
+from skillblend.agents import ProtocolError, ScriptedAgent
 from skillblend.classifiers import LexicalNliJudge, LexiconSpec, NliLabel
 from skillblend.core import (
     DEFAULT_ROSTER,
@@ -99,7 +99,7 @@ def test_consistency_gate_randomized_against_oracle():
 
 def test_simulate_approved_first_attempt(dtx):
     judge = TableJudge()
-    agent = ScriptedAgent(ScriptedAgentSpec(K, (("clean response", 0.5),)))
+    agent = ScriptedAgent(K, (("clean response", 0.5),))
     result = simulate_approved(agent, judge, SkillContextSet(()), SkillContext(K), dtx, 8)
     assert result.candidate.attempts == 1
     assert result.refusals == ()
@@ -111,10 +111,7 @@ def test_simulate_approved_retries_until_clean(dtx):
     spec = LexiconSpec(DEFAULT_ROSTER, {}, contradiction_pairs=(("premise line", "tainted"),))
     judge = LexicalNliJudge(spec)
     agent = ScriptedAgent(
-        ScriptedAgentSpec(
-            K,
-            (("tainted one", 0.9), ("tainted two", 0.8), ("fresh and clean", 0.7)),
-        )
+        K, (("tainted one", 0.9), ("tainted two", 0.8), ("fresh and clean", 0.7))
     )
     stx_all = ctxset((P, ["premise line"]))
     result = simulate_approved(agent, judge, stx_all, SkillContext(K), dtx, 8)
@@ -127,7 +124,7 @@ def test_simulate_approved_retries_until_clean(dtx):
 def test_simulate_approved_exhaustion(dtx):
     spec = LexiconSpec(DEFAULT_ROSTER, {}, contradiction_pairs=(("premise line", "tainted"),))
     judge = LexicalNliJudge(spec)
-    agent = ScriptedAgent(ScriptedAgentSpec(K, (("tainted forever", 0.9),)))
+    agent = ScriptedAgent(K, (("tainted forever", 0.9),))
     result = simulate_approved(agent, judge, ctxset((P, ["premise line"])), SkillContext(K), dtx, 8)
     assert result.candidate is None
     assert len(result.refusals) == 8
@@ -192,18 +189,20 @@ def test_select_final_restricted_argmax(dtx):
     # ranker scores [0.9, 0.5, 0.7], gates [0, 1, 1]: max over {0, 0.5, 0.7} -> 2
     agent = FixedRankAgent(P, [0.9, 0.5, 0.7])
     cands = _candidates([("block", P), ("ok a", K), ("ok b", E)])
-    outcome = select_final(agent, _gate_scorer(), SkillContext(P), dtx, cands, 0.5, 0.0)
-    assert outcome.winner_index == 2
+    scorer = _gate_scorer()
+    outcome = select_final(agent, scorer, SkillContext(P), dtx, cands, 0.5, 0.0)
+    assert outcome.winner is cands[2]
     assert outcome.mic_passed
     assert not outcome.used_fallback
-    assert [g.approved for g in outcome.gate_log] == [False, True, True]
+    gates = [flow_gate(scorer, dtx.turns[-1].text, c.text, 0.5, 0.0) for c in cands]
+    assert [g.approved for g in gates] == [False, True, True]
 
 
 def test_select_final_all_approved_plain_argmax(dtx):
     agent = FixedRankAgent(P, [0.9, 0.5, 0.7])
     cands = _candidates([("ok a", P), ("ok b", K), ("ok c", E)])
     outcome = select_final(agent, _gate_scorer(), SkillContext(P), dtx, cands, 0.5, 0.0)
-    assert outcome.winner_index == 0
+    assert outcome.winner is cands[0]
     assert not outcome.mic_passed  # candidate 0 belongs to the active skill
 
 
@@ -212,7 +211,7 @@ def test_select_final_fallback_prefers_active_candidate(dtx):
     cands = _candidates([("block", P), ("block", K), ("block", E)])
     outcome = select_final(agent, _gate_scorer(), SkillContext(P), dtx, cands, 0.5, 0.0)
     assert outcome.used_fallback
-    assert outcome.winner_index == 0
+    assert outcome.winner is cands[0]
     assert not outcome.mic_passed
 
 
@@ -221,7 +220,7 @@ def test_select_final_fallback_without_active_candidate(dtx):
     cands = _candidates([("block", K), ("block", E), ("block", K)])
     outcome = select_final(agent, _gate_scorer(), SkillContext(P), dtx, cands, 0.5, 0.0)
     assert outcome.used_fallback
-    assert outcome.winner_index == 1  # highest ranker score
+    assert outcome.winner is cands[1]  # highest ranker score
     assert outcome.mic_passed
 
 
@@ -230,13 +229,13 @@ def test_select_final_scaling_invariance(dtx):
     scorer = _gate_scorer()
     for _ in range(50):
         scores = [rng.uniform(0.0, 5.0) for _ in range(3)]
-        texts = [("ok", P), ("block", K), ("ok", E)]
+        cands = _candidates([("ok", P), ("block", K), ("ok", E)])
         base = select_final(FixedRankAgent(P, scores), scorer, SkillContext(P), dtx,
-                            _candidates(texts), 0.5, 0.0)
+                            cands, 0.5, 0.0)
         scale = rng.uniform(0.1, 25.0)
         scaled = select_final(FixedRankAgent(P, [s * scale for s in scores]), scorer,
-                              SkillContext(P), dtx, _candidates(texts), 0.5, 0.0)
-        assert base.winner_index == scaled.winner_index
+                              SkillContext(P), dtx, cands, 0.5, 0.0)
+        assert base.winner is scaled.winner
 
 
 def test_select_final_mic_flag_matches_winner_origin(dtx):

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import threading
+import time
 from collections import Counter
 
 import pytest
 
 from skillblend import orchestrator
-from skillblend.agents import RemoteSkillAgent, default_scripted_agents, serve_mock
+from skillblend.agents import (
+    BackendUnavailableError,
+    RemoteSkillAgent,
+    default_scripted_agents,
+    serve_mock,
+)
 from skillblend.classifiers import (
     LexicalNliJudge,
     LexicalSkillScorer,
@@ -55,7 +61,7 @@ def _plain_seed(seed_skill=P):
         ),
     )
     pair = (Utterance(0, 0, "do you enjoy skiing"), Utterance(1, 1, "i love skiing a lot"))
-    return SeedEpisode(seed_skill, pair, contexts, seed_skill, 0)
+    return SeedEpisode(seed_skill, pair, contexts, 0)
 
 
 def _stack(cfg):
@@ -114,7 +120,7 @@ def test_run_episode_matches_reference_replay(cfg):
     dtx = DialogueContext(
         (Utterance(0, 0, seed.pair[0].text), Utterance(1, 1, seed.pair[1].text))
     )
-    active = seed.initial_active
+    active = seed.seed_dataset
     for t in range(2, cfg.episode_length):
         side = t % 2
         stx_all = seed.contexts[side]
@@ -152,7 +158,6 @@ def test_run_episode_aborts_when_everything_contradicts(cfg):
         P,
         (Utterance(0, 0, "hello"), Utterance(1, 1, "hi")),
         contexts,
-        P,
         0,
     )
     with pytest.raises(EpisodeAbortError) as excinfo:
@@ -195,7 +200,6 @@ def test_default_stack_can_pass_the_mic(cfg):
         P,
         (Utterance(0, 0, "hello there"), Utterance(1, 1, "hi pal")),
         (contexts, contexts),
-        P,
         0,
     )
     ep = run_episode(seed, agents, judge, scorer, cfg)
@@ -228,7 +232,6 @@ def test_run_batch_records_aborts_without_writing(cfg):
             SkillContextSet((SkillContext(P, ("poison line",)),)),
             SkillContextSet((SkillContext(P, ("poison line",)),)),
         ),
-        P,
         0,
     )
     collected = []
@@ -249,11 +252,19 @@ def test_run_batch_progress_callback(corpus_files):
     assert [w for w, _ in ticks] == [1, 2, 3, 4, 5]
 
 
-def test_run_batch_writer_failure_carries_partial_report(corpus_files):
+def test_run_batch_writer_failure_carries_partial_report(corpus_files, monkeypatch):
     cfg = EngineConfig(rng_seed=3)
-    seeds = helpers.make_seeds(corpus_files, cfg, 6)
+    seeds = helpers.make_seeds(corpus_files, cfg, 100)
     agents, judge, scorer = _stack(cfg)
+    started = []
+    run_episode_uncounted = orchestrator.run_episode
 
+    def counted(*args, **kwargs):
+        started.append(kwargs["episode_id"])
+        time.sleep(0.002)  # hands the writing thread the GIL
+        return run_episode_uncounted(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_episode", counted)
     written = []
 
     def flaky(ep):
@@ -265,6 +276,37 @@ def test_run_batch_writer_failure_carries_partial_report(corpus_files):
         run_batch(seeds, agents, judge, scorer, cfg, write=flaky)
     assert excinfo.value.partial.episodes_written == 3
     assert len(written) == 3
+    # the batch stops after the failed write: 5 episodes start on a quiet
+    # machine (the worker is one ahead of the writer), far fewer than 100
+    assert len(started) < 50
+
+
+class _DeadJudge:
+    """A judge whose backend is down: each call fails after a short wait,
+    as a remote judge does once its retries run out. Every episode dies at
+    its first verdict, so ``calls`` counts the episodes started."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def judge(self, premise, hypothesis):
+        with self._lock:
+            self.calls += 1
+        time.sleep(0.005)
+        raise BackendUnavailableError("/nli: backend unavailable")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_batch_stops_at_first_backend_error(cfg, parallelism):
+    agents, _, scorer = _stack(cfg)
+    judge = _DeadJudge()
+    seeds = [_plain_seed()] * 200
+    with pytest.raises(BackendUnavailableError, match="episode ep-000000 "):
+        run_batch(seeds, agents, judge, scorer, cfg, parallelism=parallelism)
+    # about parallelism + 1 episodes start; the bound leaves the main thread
+    # over 100 ms to cancel the rest, since each episode sleeps 5 ms
+    assert judge.calls < 50
 
 
 def test_run_batch_rejects_bad_parallelism(cfg):

@@ -260,7 +260,7 @@ def _old_build_seeds(pair, seed_dataset, docs, old, cfg):
             for side in template
         ]
         if any(len(side) for side in sides):
-            seeds.append(SeedEpisode(seed_dataset, norm_pair, tuple(sides), seed_dataset, variant))
+            seeds.append(SeedEpisode(seed_dataset, norm_pair, tuple(sides), variant))
     return seeds
 
 
@@ -329,7 +329,6 @@ def test_build_seeds_full_buckets_yield_all_variants():
     assert len(seeds) == 5
     assert [s.variant_index for s in seeds] == [0, 1, 2, 3, 4]
     for seed in seeds:
-        assert seed.initial_active == P
         assert seed.seed_dataset == P
         # pair re-indexed to turns 0/1, speakers 0/1
         assert [u.turn for u in seed.pair] == [0, 1]

@@ -1,0 +1,63 @@
+"""The benchmark's tracer (``perfbench/tracer.py``) patches named functions,
+classes and methods of the program. Every name it patches must stay where
+it looks, and every result field it reads must stay on the result, or
+every traced benchmark run fails."""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+import sys
+
+from skillblend import cli
+from skillblend.core import EngineConfig
+from skillblend.dataio import EpisodeWriter
+
+import helpers
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer(monkeypatch):
+    # import the benchmark file as it is, leaving no bytecode next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_runs_and_uninstalls(tmp_path, corpus_files, monkeypatch):
+    tracer_module = _load_tracer(monkeypatch)
+    targets = [(owner, attr) for owner, attr, _name, _value in tracer_module._TARGETS]
+    originals = [owner.__dict__.get(attr) for owner, attr in targets]
+    assert None not in originals
+
+    cfg = EngineConfig(rng_seed=3)
+    seeds = helpers.make_seeds(corpus_files, cfg, 4)
+    agents, judge, scorer = helpers.scripted_stack(cfg)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        with EpisodeWriter(str(tmp_path / "out.jsonl")) as writer:
+            report = cli.run_batch(seeds, agents, judge, scorer, cfg, write=writer.write)
+    finally:
+        tracer.uninstall()
+
+    assert [owner.__dict__.get(attr) for owner, attr in targets] == originals
+    assert report.episodes_written == 4
+    spans = {name: value for _id, _parent, name, _start, _end, _episode, value in tracer.spans}
+    assert spans["orchestrator.run_batch"] == 4
+    for name in (
+        "orchestrator.run_episode",
+        "moderator.simulate_approved",
+        "moderator.select_final",
+        "moderator.flow_gate",
+        "agents.generate",
+        "agents.rank",
+        "classifiers.nli",
+        "classifiers.classify",
+        "dataio.write",
+        "dataio.episode_line",
+    ):
+        assert name in spans, name
