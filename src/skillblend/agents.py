@@ -473,9 +473,11 @@ class MockServer:
         attempt = req.get("attempt", 1)
         if not isinstance(attempt, int) or isinstance(attempt, bool):
             return 400, {"error": "'attempt' must be an integer"}
+        skill = req.get("skill", "")
+        if not isinstance(skill, str):
+            return 400, {"error": "'skill' must be a string"}
         table = self._tables.get("generate", {})
-        by_skill = table.get("by_skill", {})
-        entries = by_skill.get(req.get("skill"))
+        entries = table.get("by_skill", {}).get(skill)
         if entries:
             return 200, entries[(attempt - 1) % len(entries)]
         if "default" in table:
@@ -483,12 +485,15 @@ class MockServer:
         return 500, {"error": "no generate table entry"}
 
     def _rank(self, req: dict) -> tuple[int, dict | None]:
+        candidates = req.get("candidates", [])
+        if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
+            return 400, {"error": "'candidates' must be an array of strings"}
         table = self._tables.get("rank", {})
         if "force_scores" in table:
             return 200, {"scores": table["force_scores"]}
         by_text = table.get("by_text", {})
         default = table.get("default_score", 0.0)
-        return 200, {"scores": [by_text.get(text, default) for text in req.get("candidates", [])]}
+        return 200, {"scores": [by_text.get(text, default) for text in candidates]}
 
     def _nli(self, req: dict) -> tuple[int, dict | None]:
         table = self._tables.get("nli", {})
@@ -505,7 +510,9 @@ class MockServer:
     def _classify(self, req: dict) -> tuple[int, dict | None]:
         table = self._tables.get("classify", {})
         by_text = table.get("by_text", {})
-        text = req.get("text")
+        text = req.get("text", "")
+        if not isinstance(text, str):
+            return 400, {"error": "'text' must be a string"}
         if text in by_text:
             return 200, {"distribution": by_text[text]}
         if "default" in table:

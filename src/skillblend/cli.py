@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .agents import (
     BackendEndpoint,
@@ -57,17 +58,18 @@ def _err(message: str) -> None:
     print(f"skillblend: {message}", file=sys.stderr)
 
 
+# the configuration keys are EngineConfig's fields; a value parses as the
+# type of its field's default, except the comma-separated roster
+_DEFAULTS = {f.name: f.default for f in fields(EngineConfig)}
+
+
 def _parse_value(key: str, raw: str):
     try:
-        if key in ("episode_length", "max_attempts", "rng_seed", "seeds_per_pair"):
-            return int(raw)
-        if key in ("alpha", "epsilon"):
-            return float(raw)
         if key == "skill_roster":
             return make_roster([part.strip() for part in raw.split(",") if part.strip()])
+        return type(_DEFAULTS[key])(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}")
-    raise ConfigError(f"unknown configuration key {key!r}")
 
 
 def _resolve_config(args) -> EngineConfig:

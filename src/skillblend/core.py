@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 
@@ -300,15 +300,8 @@ def _emit(value, out: list[str]) -> None:
 def config_digest(cfg: EngineConfig) -> str:
     """Stable hash of the canonical serialized config, embedded in every
     episode for provenance."""
-    obj = {
-        "alpha": cfg.alpha,
-        "episode_length": cfg.episode_length,
-        "max_attempts": cfg.max_attempts,
-        "epsilon": cfg.epsilon,
-        "rng_seed": cfg.rng_seed,
-        "seeds_per_pair": cfg.seeds_per_pair,
-        "skill_roster": [s.id for s in cfg.skill_roster],
-    }
+    obj = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    obj["skill_roster"] = [s.id for s in cfg.skill_roster]
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 

@@ -16,16 +16,24 @@ Episode schema (normative key order):
     contexts (two objects keyed by skill id -> array of strings),
     turns (array of {speaker, text, skill, dist, mic_passed,
                      phase2_attempts, refusals})
+
+Error contract of both readers: every malformed record raises
+:class:`ParseError` (:class:`RosterError` for a skill id outside the
+roster) naming the 1-based line and the field path, e.g.
+``line 4: turns[3].refusals[0][1]: unknown skill id 'Z'``. The path is
+empty only when the fault is the line as a whole: not JSON, not an object,
+or an episode-level invariant.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
     AnnotatedTurn,
+    EngineConfig,
     Episode,
     Refusal,
     SkillContext,
@@ -72,40 +80,58 @@ class SingleSkillRecord:
                 raise ValueError(f"turns must alternate speakers (turn {i})")
 
 
-def _require(obj: dict, key: str, line_no: int, path: str = ""):
+_NUMBER = (int, float)
+_EXPECTED = {
+    str: "a string",
+    int: "an integer",
+    bool: "a boolean",
+    list: "an array",
+    dict: "an object",
+    _NUMBER: "a number",
+}
+
+
+def _as(value, kind, line_no: int, path: str):
+    """Return ``value`` when it has the JSON kind ``kind``: str, int, bool,
+    list, dict or ``_NUMBER``, where an int is never a bool. ``kind`` may
+    instead be a roster mapping skill ids to ``SkillId``; then the value
+    must be a string naming a roster skill, and that ``SkillId`` is
+    returned."""
+    if type(value) is kind:  # the common case, and never a bool for int
+        return value
+    if isinstance(kind, dict):
+        skill = kind.get(_as(value, str, line_no, path))
+        if skill is None:
+            raise RosterError(line_no, path, f"unknown skill id {value!r}")
+        return skill
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ParseError(line_no, path, f"expected {_EXPECTED[kind]}")
+
+
+def _field(obj: dict, key: str, kind, line_no: int, path: str = ""):
+    """``obj[key]`` checked by :func:`_as`; the field path is ``path.key``."""
+    field_path = f"{path}.{key}" if path else key
     if key not in obj:
-        raise ParseError(line_no, f"{path}.{key}" if path else key, "missing field")
-    return obj[key]
+        raise ParseError(line_no, field_path, "missing field")
+    return _as(obj[key], kind, line_no, field_path)
 
 
-def _as_str(value, line_no: int, path: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(line_no, path, "expected a string")
-    return value
+def _strings(value, line_no: int, path: str) -> tuple[str, ...]:
+    """A JSON array of strings, as a tuple."""
+    lines = _as(value, list, line_no, path)
+    return tuple(_as(x, str, line_no, f"{path}[{j}]") for j, x in enumerate(lines))
 
 
-def _as_int(value, line_no: int, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(line_no, path, "expected an integer")
-    return value
-
-
-def _as_bool(value, line_no: int, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ParseError(line_no, path, "expected a boolean")
-    return value
-
-
-def _as_list(value, line_no: int, path: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(line_no, path, "expected an array")
-    return value
-
-
-def _as_obj(value, line_no: int, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(line_no, path, "expected an object")
-    return value
+def _utterance(value, turn: int, line_no: int, path: str) -> Utterance:
+    """A ``{speaker, text}`` object as the utterance of turn ``turn``."""
+    obj = _as(value, dict, line_no, path)
+    speaker = _field(obj, "speaker", int, line_no, path)
+    text = _field(obj, "text", str, line_no, path)
+    try:
+        return Utterance(speaker, turn, text)
+    except ValueError as exc:
+        raise ParseError(line_no, path, str(exc))
 
 
 def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
@@ -127,31 +153,16 @@ def read_dataset(path: str, roster: Sequence[SkillId]) -> Iterator[SingleSkillRe
     every record; errors carry the line number."""
     by_id = {s.id: s for s in roster}
     for line_no, obj in _iter_json_lines(path):
-        skill_id = _as_str(_require(obj, "skill", line_no), line_no, "skill")
-        if skill_id not in by_id:
-            raise RosterError(line_no, "skill", f"unknown skill id {skill_id!r}")
-        episode_id = _as_str(_require(obj, "episode_id", line_no), line_no, "episode_id")
-        raw_contexts = _as_list(_require(obj, "contexts", line_no), line_no, "contexts")
+        skill = _field(obj, "skill", by_id, line_no)
+        episode_id = _field(obj, "episode_id", str, line_no)
+        raw_contexts = _field(obj, "contexts", list, line_no)
         if len(raw_contexts) != 2:
             raise ParseError(line_no, "contexts", "expected exactly two context arrays")
-        sides = []
-        for s, raw in enumerate(raw_contexts):
-            lines = _as_list(raw, line_no, f"contexts[{s}]")
-            sides.append(
-                tuple(_as_str(x, line_no, f"contexts[{s}][{j}]") for j, x in enumerate(lines))
-            )
-        raw_turns = _as_list(_require(obj, "turns", line_no), line_no, "turns")
-        turns = []
-        for i, raw in enumerate(raw_turns):
-            turn_obj = _as_obj(raw, line_no, f"turns[{i}]")
-            speaker = _as_int(_require(turn_obj, "speaker", line_no, f"turns[{i}]"), line_no, f"turns[{i}].speaker")
-            text = _as_str(_require(turn_obj, "text", line_no, f"turns[{i}]"), line_no, f"turns[{i}].text")
-            try:
-                turns.append(Utterance(speaker, i, text))
-            except ValueError as exc:
-                raise ParseError(line_no, f"turns[{i}]", str(exc))
+        sides = [_strings(raw, line_no, f"contexts[{s}]") for s, raw in enumerate(raw_contexts)]
+        raw_turns = _field(obj, "turns", list, line_no)
+        turns = tuple(_utterance(raw, i, line_no, f"turns[{i}]") for i, raw in enumerate(raw_turns))
         try:
-            yield SingleSkillRecord(by_id[skill_id], episode_id, (sides[0], sides[1]), tuple(turns))
+            yield SingleSkillRecord(skill, episode_id, (sides[0], sides[1]), turns)
         except ValueError as exc:
             raise ParseError(line_no, "turns", str(exc))
 
@@ -226,104 +237,60 @@ class EpisodeWriter:
         self.close()
 
 
-def _skill_from_id(skill_id: str, by_id: dict, line_no: int, path: str) -> SkillId:
-    if skill_id not in by_id:
-        raise RosterError(line_no, path, f"unknown skill id {skill_id!r}")
-    return by_id[skill_id]
-
-
 def _episode_from_obj(obj: dict, by_id: dict, line_no: int) -> Episode:
-    ep_id = _as_str(_require(obj, "id", line_no), line_no, "id")
-    seed_id = _as_str(_require(obj, "seed_dataset", line_no), line_no, "seed_dataset")
-    seed_skill = _skill_from_id(seed_id, by_id, line_no, "seed_dataset")
+    ep_id = _field(obj, "id", str, line_no)
+    seed_skill = _field(obj, "seed_dataset", by_id, line_no)
 
-    raw_pair = _as_list(_require(obj, "seed_pair", line_no), line_no, "seed_pair")
+    raw_pair = _field(obj, "seed_pair", list, line_no)
     if len(raw_pair) != 2:
         raise ParseError(line_no, "seed_pair", "expected exactly two utterances")
-    pair = []
-    for i, raw in enumerate(raw_pair):
-        utt_obj = _as_obj(raw, line_no, f"seed_pair[{i}]")
-        speaker = _as_int(_require(utt_obj, "speaker", line_no, f"seed_pair[{i}]"), line_no, f"seed_pair[{i}].speaker")
-        text = _as_str(_require(utt_obj, "text", line_no, f"seed_pair[{i}]"), line_no, f"seed_pair[{i}].text")
-        try:
-            pair.append(Utterance(speaker, i, text))
-        except ValueError as exc:
-            raise ParseError(line_no, f"seed_pair[{i}]", str(exc))
+    pair = [_utterance(raw, i, line_no, f"seed_pair[{i}]") for i, raw in enumerate(raw_pair)]
 
-    digest = _as_str(_require(obj, "config_digest", line_no), line_no, "config_digest")
+    digest = _field(obj, "config_digest", str, line_no)
 
-    raw_contexts = _as_list(_require(obj, "contexts", line_no), line_no, "contexts")
+    raw_contexts = _field(obj, "contexts", list, line_no)
     if len(raw_contexts) != 2:
         raise ParseError(line_no, "contexts", "expected exactly two context sets")
     context_sets = []
     for s, raw in enumerate(raw_contexts):
-        ctx_obj = _as_obj(raw, line_no, f"contexts[{s}]")
         entries = []
-        for skill_id, raw_lines in ctx_obj.items():
-            skill = _skill_from_id(skill_id, by_id, line_no, f"contexts[{s}].{skill_id}")
-            lines = _as_list(raw_lines, line_no, f"contexts[{s}].{skill_id}")
-            str_lines = tuple(
-                _as_str(x, line_no, f"contexts[{s}].{skill_id}[{j}]") for j, x in enumerate(lines)
-            )
+        for skill_id, raw_lines in _as(raw, dict, line_no, f"contexts[{s}]").items():
+            path = f"contexts[{s}].{skill_id}"
+            skill = _as(skill_id, by_id, line_no, path)
+            lines = _strings(raw_lines, line_no, path)
             try:
-                entries.append(SkillContext(skill, str_lines))
+                entries.append(SkillContext(skill, lines))
             except ValueError as exc:
-                raise ParseError(line_no, f"contexts[{s}].{skill_id}", str(exc))
-        try:
-            context_sets.append(SkillContextSet(tuple(entries)))
-        except ValueError as exc:
-            raise ParseError(line_no, f"contexts[{s}]", str(exc))
+                raise ParseError(line_no, path, str(exc))
+        # object keys are unique, so the set never holds one skill twice
+        context_sets.append(SkillContextSet(tuple(entries)))
 
-    raw_turns = _as_list(_require(obj, "turns", line_no), line_no, "turns")
     turns = []
-    for i, raw in enumerate(raw_turns):
-        turn_obj = _as_obj(raw, line_no, f"turns[{i}]")
-        speaker = _as_int(_require(turn_obj, "speaker", line_no, f"turns[{i}]"), line_no, f"turns[{i}].speaker")
-        text = _as_str(_require(turn_obj, "text", line_no, f"turns[{i}]"), line_no, f"turns[{i}].text")
-        label_id = _as_str(_require(turn_obj, "skill", line_no, f"turns[{i}]"), line_no, f"turns[{i}].skill")
-        label = _skill_from_id(label_id, by_id, line_no, f"turns[{i}].skill")
-        raw_dist = _as_list(_require(turn_obj, "dist", line_no, f"turns[{i}]"), line_no, f"turns[{i}].dist")
-        for j, p in enumerate(raw_dist):
-            if not isinstance(p, (int, float)) or isinstance(p, bool):
-                raise ParseError(line_no, f"turns[{i}].dist[{j}]", "expected a number")
-        mic = _as_bool(_require(turn_obj, "mic_passed", line_no, f"turns[{i}]"), line_no, f"turns[{i}].mic_passed")
-        attempts = _as_int(
-            _require(turn_obj, "phase2_attempts", line_no, f"turns[{i}]"),
-            line_no,
-            f"turns[{i}].phase2_attempts",
-        )
-        raw_refusals = _as_list(
-            _require(turn_obj, "refusals", line_no, f"turns[{i}]"), line_no, f"turns[{i}].refusals"
-        )
+    for i, raw in enumerate(_field(obj, "turns", list, line_no)):
+        path = f"turns[{i}]"
+        utterance = _utterance(raw, i, line_no, path)
+        label = _field(raw, "skill", by_id, line_no, path)
+        dist = [
+            float(_as(p, _NUMBER, line_no, f"{path}.dist[{j}]"))
+            for j, p in enumerate(_field(raw, "dist", list, line_no, path))
+        ]
+        mic = _field(raw, "mic_passed", bool, line_no, path)
+        attempts = _field(raw, "phase2_attempts", int, line_no, path)
         refusals = []
-        for j, raw_ref in enumerate(raw_refusals):
-            ref = _as_list(raw_ref, line_no, f"turns[{i}].refusals[{j}]")
+        for j, raw_ref in enumerate(_field(raw, "refusals", list, line_no, path)):
+            ref_path = f"{path}.refusals[{j}]"
+            ref = _as(raw_ref, list, line_no, ref_path)
             if len(ref) != 2:
-                raise ParseError(
-                    line_no, f"turns[{i}].refusals[{j}]", "expected a [candidate, context] pair"
-                )
-            cand = _skill_from_id(
-                _as_str(ref[0], line_no, f"turns[{i}].refusals[{j}][0]"),
-                by_id, line_no, f"turns[{i}].refusals[{j}][0]",
-            )
-            ctx = _skill_from_id(
-                _as_str(ref[1], line_no, f"turns[{i}].refusals[{j}][1]"),
-                by_id, line_no, f"turns[{i}].refusals[{j}][1]",
-            )
-            refusals.append(Refusal(cand, ctx))
+                raise ParseError(line_no, ref_path, "expected a [candidate, context] pair")
+            candidate = _as(ref[0], by_id, line_no, f"{ref_path}[0]")
+            refusals.append(Refusal(candidate, _as(ref[1], by_id, line_no, f"{ref_path}[1]")))
         try:
+            distribution = SkillDistribution(tuple(dist))
             turns.append(
-                AnnotatedTurn(
-                    Utterance(speaker, i, text),
-                    label,
-                    SkillDistribution(tuple(float(p) for p in raw_dist)),
-                    mic,
-                    attempts,
-                    tuple(refusals),
-                )
+                AnnotatedTurn(utterance, label, distribution, mic, attempts, tuple(refusals))
             )
         except ValueError as exc:
-            raise ParseError(line_no, f"turns[{i}]", str(exc))
+            raise ParseError(line_no, path, str(exc))
 
     try:
         return Episode(ep_id, seed_skill, (pair[0], pair[1]), (context_sets[0], context_sets[1]), tuple(turns), digest)
@@ -340,20 +307,11 @@ def read_episodes(path: str, roster: Sequence[SkillId]) -> list[Episode]:
 
 # --- configuration files ------------------------------------------------------
 
-CONFIG_KEYS = (
-    "alpha",
-    "episode_length",
-    "max_attempts",
-    "epsilon",
-    "rng_seed",
-    "seeds_per_pair",
-    "skill_roster",
-)
-
-
 def load_config_file(path: str) -> dict[str, str]:
     """Parse a key = value configuration file (one pair per line, # comments).
-    Returns raw string values; unknown keys are configuration errors."""
+    Returns raw string values; the keys are the fields of
+    :class:`EngineConfig`, and any other key is a configuration error."""
+    keys = {f.name for f in fields(EngineConfig)}
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -364,7 +322,7 @@ def load_config_file(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in keys:
                 raise ConfigError(f"{path}:{line_no}: unknown configuration key {key!r}")
             values[key] = value.strip()
     return values

@@ -108,11 +108,6 @@ class SeedEpisode:
     seed_dataset: SkillId
     pair: tuple[Utterance, Utterance]
     contexts: tuple[SkillContextSet, SkillContextSet]
-    variant_index: int
-
-    def __post_init__(self) -> None:
-        if self.variant_index < 0:
-            raise ValueError("variant index must be non-negative")
 
 
 def _postings(
@@ -232,7 +227,9 @@ def build_seeds(
     would rank them. Variant v pairs the v-th ranked context of every
     bucket together; when a bucket has fewer than v+1 hits, that skill's
     entry is simply omitted for the variant. Variants with no context at
-    all are dropped.
+    all are dropped; a variant is empty only when every bucket has at most
+    v hits, so only a suffix is dropped and the seed at position v of the
+    list is variant v.
     """
     first, second = pair
     if not first.text.strip() or not second.text.strip():
@@ -265,7 +262,7 @@ def build_seeds(
                     any_context = True
             sides.append(SkillContextSet(tuple(entries)))
         if any_context:
-            seeds.append(SeedEpisode(seed_dataset, norm_pair, (sides[0], sides[1]), variant))
+            seeds.append(SeedEpisode(seed_dataset, norm_pair, (sides[0], sides[1])))
     return seeds
 
 

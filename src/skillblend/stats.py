@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .classifiers import SkillScorer
 from .core import Episode, SkillId, canonical_json
 from .distmath import Histogram, entropy, histogram, kl_divergence
 
@@ -77,36 +76,28 @@ def cross_type_share(matrix: Sequence[Sequence[int]]) -> float | None:
 def kld_histogram(
     episodes: Sequence[Episode],
     edges: Sequence[float] | None = None,
-    scorer: SkillScorer | None = None,
     epsilon: float = 0.0,
 ) -> Histogram:
     """KL divergence over consecutive annotated-turn distribution pairs
-    within each episode. Uses the stored distributions unless a scorer is
-    given, in which case texts are re-scored."""
+    within each episode."""
     values = []
     for ep in episodes:
-        dists = [
-            scorer.score(t.utterance.text) if scorer is not None else t.distribution
-            for t in ep.turns
-        ]
+        dists = [t.distribution for t in ep.turns]
         for prev, cur in zip(dists, dists[1:]):
             values.append(kl_divergence(prev, cur, epsilon))
     return histogram(values, edges if edges is not None else DEFAULT_KLD_EDGES)
 
 
 def entropy_histogram(
-    episodes: Sequence[Episode],
-    edges: Sequence[float] | None = None,
-    scorer: SkillScorer | None = None,
+    episodes: Sequence[Episode], edges: Sequence[float] | None = None
 ) -> Histogram:
     """Entropy of every turn's skill distribution across the corpus."""
     values = []
     m = None
     for ep in episodes:
         for turn in ep.turns:
-            dist = scorer.score(turn.utterance.text) if scorer is not None else turn.distribution
-            m = len(dist.probs)
-            values.append(entropy(dist))
+            m = len(turn.distribution.probs)
+            values.append(entropy(turn.distribution))
     if edges is None:
         if m is None:
             raise ValueError("explicit edges are required for an empty corpus")
@@ -174,16 +165,9 @@ def _histogram_obj(h: Histogram) -> dict:
 
 
 def build_report(
-    episodes: Sequence[Episode],
-    roster: Sequence[SkillId],
-    kld_edges: Sequence[float] | None = None,
-    entropy_edges: Sequence[float] | None = None,
-    epsilon: float = 0.0,
-    continuity_window: int = 1,
+    episodes: Sequence[Episode], roster: Sequence[SkillId], epsilon: float = 0.0
 ) -> CorpusReport:
     matrix = contradiction_breakdown(episodes, roster)
-    if entropy_edges is None:
-        entropy_edges = default_entropy_edges(len(roster))
     return CorpusReport(
         roster_ids=tuple(s.id for s in roster),
         episode_count=len(episodes),
@@ -193,9 +177,9 @@ def build_report(
         dialogue_buckets=skills_per_dialogue(episodes, roster),
         contradiction_matrix=tuple(tuple(row) for row in matrix),
         cross_type=cross_type_share(matrix),
-        kld=kld_histogram(episodes, kld_edges, epsilon=epsilon),
-        turn_entropy=entropy_histogram(episodes, entropy_edges),
-        continuity=continuity_after_seed(episodes, roster, continuity_window),
+        kld=kld_histogram(episodes, epsilon=epsilon),
+        turn_entropy=entropy_histogram(episodes, default_entropy_edges(len(roster))),
+        continuity=continuity_after_seed(episodes, roster),
     )
 
 

@@ -304,7 +304,6 @@ def _scenario():
         P,
         (Utterance(0, 0, "hello there"), Utterance(1, 1, "hi pal")),
         contexts,
-        0,
     )
     agents = [
         ScriptedAgent(P, (("personally {context}", 0.9),)),

@@ -218,6 +218,13 @@ def test_mock_server_answers_400_to_malformed_request_fields():
         for attempt in ('"2"', "1.5", "true", "null"):
             body = ('{"skill": "K", "attempt": %s}' % attempt).encode()
             assert post_raw(url + "/generate", body)[0] == 400, attempt
+        for route, body in (
+            ("/generate", b'{"skill": []}'),
+            ("/classify", b'{"text": []}'),
+            ("/rank", b'{"candidates": 5}'),
+            ("/rank", b'{"candidates": [[1]]}'),
+        ):
+            assert post_raw(url + route, body)[0] == 400, (route, body)
         # the server still answers well-formed requests
         assert post_raw(url + "/generate", b'{"skill": "K", "attempt": 1}')[0] == 200
 

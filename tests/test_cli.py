@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
 from skillblend.agents import serve_mock
-from skillblend.cli import main
+from skillblend.cli import ENV_RNG_SEED, _resolve_config, main
+from skillblend.core import EngineConfig, make_roster
+from skillblend.dataio import ConfigError, load_config_file
 
 @pytest.fixture
 def workdir(tmp_path, corpus_files):
@@ -74,6 +78,39 @@ def test_generate_respects_config_file(workdir):
     # validation needs the same config to check the length invariant
     assert _run("validate", "--in", out, "--config", str(cfg_path)) == 0
     assert _run("validate", "--in", out) == 1
+
+
+def test_config_file_sets_every_engine_config_key(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_RNG_SEED, raising=False)
+    path = tmp_path / "all.cfg"
+    path.write_text(
+        "alpha = 1\n"
+        "episode_length = 12\n"
+        "max_attempts = 3\n"
+        "epsilon = 1e-6\n"
+        "rng_seed = 4\n"
+        "seeds_per_pair = 2\n"
+        "skill_roster = A, B\n",
+        encoding="utf-8",
+    )
+    cfg = _resolve_config(SimpleNamespace(config=str(path)))
+    assert cfg == EngineConfig(
+        alpha=1.0,
+        episode_length=12,
+        max_attempts=3,
+        epsilon=1e-6,
+        rng_seed=4,
+        seeds_per_pair=2,
+        skill_roster=make_roster(["A", "B"]),
+    )
+    assert type(cfg.alpha) is float and type(cfg.rng_seed) is int
+    # the file above names every key there is
+    assert len(load_config_file(str(path))) == len(fields(EngineConfig))
+
+    for bad in ("mystery = 1\n", "rng_seed = 1.5\n", "skill_roster = P\n"):
+        path.write_text(bad, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            _resolve_config(SimpleNamespace(config=str(path)))
 
 
 def test_config_errors_never_touch_the_output(workdir, capsys):

@@ -103,6 +103,8 @@ def test_engine_config_bounds():
 
 def test_config_digest_is_stable_and_sensitive():
     cfg = EngineConfig()
+    # pinned: every episode line embeds this digest
+    assert config_digest(cfg) == "6d65ade2c44cdead4c2fceb97407caf8624fe5da22959b5d9613022716c33f90"
     assert config_digest(cfg) == config_digest(EngineConfig())
     assert config_digest(cfg) != config_digest(EngineConfig(alpha=2.0))
     assert len(config_digest(cfg)) == 64

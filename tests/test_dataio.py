@@ -11,6 +11,7 @@ from skillblend.dataio import (
     ParseError,
     RosterError,
     episode_line,
+    episode_to_obj,
     extract_pairs,
     load_config_file,
     read_dataset,
@@ -181,6 +182,186 @@ def test_read_episodes_unknown_skill_is_roster_error(tmp_path, cfg):
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(RosterError):
         read_episodes(str(path), cfg.skill_roster)
+
+
+_DEL = object()  # marks a case that deletes the key instead of replacing it
+
+# (key path, new value or _DEL, error class, error path, full message); the
+# faulty record is line 2 of its file, after one good record
+_DATASET_FAULTS = [
+    (("skill",), _DEL, ParseError, "skill", "line 2: skill: missing field"),
+    (("skill",), 5, ParseError, "skill", "line 2: skill: expected a string"),
+    (("skill",), " ", RosterError, "skill", "line 2: skill: unknown skill id ' '"),
+    (("skill",), "Z", RosterError, "skill", "line 2: skill: unknown skill id 'Z'"),
+    (("episode_id",), _DEL, ParseError, "episode_id", "line 2: episode_id: missing field"),
+    (("episode_id",), None, ParseError, "episode_id", "line 2: episode_id: expected a string"),
+    (("contexts",), _DEL, ParseError, "contexts", "line 2: contexts: missing field"),
+    (("contexts",), {}, ParseError, "contexts", "line 2: contexts: expected an array"),
+    (("contexts",), [["a"]], ParseError, "contexts",
+     "line 2: contexts: expected exactly two context arrays"),
+    (("contexts", 1), "i paint", ParseError, "contexts[1]", "line 2: contexts[1]: expected an array"),
+    (("contexts", 0, 0), 3, ParseError, "contexts[0][0]", "line 2: contexts[0][0]: expected a string"),
+    (("turns",), _DEL, ParseError, "turns", "line 2: turns: missing field"),
+    (("turns",), {}, ParseError, "turns", "line 2: turns: expected an array"),
+    (("turns", 1), "hi", ParseError, "turns[1]", "line 2: turns[1]: expected an object"),
+    (("turns", 1, "speaker"), _DEL, ParseError, "turns[1].speaker",
+     "line 2: turns[1].speaker: missing field"),
+    (("turns", 1, "speaker"), "1", ParseError, "turns[1].speaker",
+     "line 2: turns[1].speaker: expected an integer"),
+    (("turns", 1, "speaker"), True, ParseError, "turns[1].speaker",
+     "line 2: turns[1].speaker: expected an integer"),
+    (("turns", 1, "speaker"), 2, ParseError, "turns[1]", "line 2: turns[1]: speaker must be 0 or 1"),
+    (("turns", 1, "speaker"), 0, ParseError, "turns",
+     "line 2: turns: turns must alternate speakers (turn 1)"),
+    (("turns", 1, "text"), _DEL, ParseError, "turns[1].text", "line 2: turns[1].text: missing field"),
+    (("turns", 1, "text"), 1, ParseError, "turns[1].text", "line 2: turns[1].text: expected a string"),
+    (("turns", 1, "text"), " ", ParseError, "turns[1]",
+     "line 2: turns[1]: utterance text must be non-blank"),
+]
+
+_EPISODE_FAULTS = [
+    (("id",), _DEL, ParseError, "id", "line 2: id: missing field"),
+    (("id",), 1, ParseError, "id", "line 2: id: expected a string"),
+    (("id",), "", ParseError, "", "line 2: episode id must be non-empty"),
+    (("seed_dataset",), _DEL, ParseError, "seed_dataset", "line 2: seed_dataset: missing field"),
+    (("seed_dataset",), [], ParseError, "seed_dataset", "line 2: seed_dataset: expected a string"),
+    (("seed_dataset",), "Z", RosterError, "seed_dataset",
+     "line 2: seed_dataset: unknown skill id 'Z'"),
+    (("seed_pair",), _DEL, ParseError, "seed_pair", "line 2: seed_pair: missing field"),
+    (("seed_pair",), {}, ParseError, "seed_pair", "line 2: seed_pair: expected an array"),
+    (("seed_pair", 1), _DEL, ParseError, "seed_pair",
+     "line 2: seed_pair: expected exactly two utterances"),
+    (("seed_pair", 0), "hello", ParseError, "seed_pair[0]", "line 2: seed_pair[0]: expected an object"),
+    (("seed_pair", 0, "speaker"), _DEL, ParseError, "seed_pair[0].speaker",
+     "line 2: seed_pair[0].speaker: missing field"),
+    (("seed_pair", 0, "speaker"), 0.0, ParseError, "seed_pair[0].speaker",
+     "line 2: seed_pair[0].speaker: expected an integer"),
+    (("seed_pair", 0, "speaker"), -1, ParseError, "seed_pair[0]",
+     "line 2: seed_pair[0]: speaker must be 0 or 1"),
+    (("seed_pair", 1, "text"), _DEL, ParseError, "seed_pair[1].text",
+     "line 2: seed_pair[1].text: missing field"),
+    (("seed_pair", 1, "text"), None, ParseError, "seed_pair[1].text",
+     "line 2: seed_pair[1].text: expected a string"),
+    (("seed_pair", 1, "text"), "", ParseError, "seed_pair[1]",
+     "line 2: seed_pair[1]: utterance text must be non-blank"),
+    (("config_digest",), _DEL, ParseError, "config_digest", "line 2: config_digest: missing field"),
+    (("config_digest",), 0, ParseError, "config_digest", "line 2: config_digest: expected a string"),
+    (("contexts",), _DEL, ParseError, "contexts", "line 2: contexts: missing field"),
+    (("contexts",), {}, ParseError, "contexts", "line 2: contexts: expected an array"),
+    (("contexts", 1), _DEL, ParseError, "contexts",
+     "line 2: contexts: expected exactly two context sets"),
+    (("contexts", 1), [], ParseError, "contexts[1]", "line 2: contexts[1]: expected an object"),
+    (("contexts", 1, "Z"), [], RosterError, "contexts[1].Z", "line 2: contexts[1].Z: unknown skill id 'Z'"),
+    (("contexts", 0, "P"), "i like to ski", ParseError, "contexts[0].P",
+     "line 2: contexts[0].P: expected an array"),
+    (("contexts", 0, "P", 0), 7, ParseError, "contexts[0].P[0]",
+     "line 2: contexts[0].P[0]: expected a string"),
+    (("contexts", 0, "P", 0), " ", ParseError, "contexts[0].P",
+     "line 2: contexts[0].P: context lines must be non-blank"),
+    (("turns",), _DEL, ParseError, "turns", "line 2: turns: missing field"),
+    (("turns",), "", ParseError, "turns", "line 2: turns: expected an array"),
+    (("turns", 1), 5, ParseError, "turns[1]", "line 2: turns[1]: expected an object"),
+    (("turns", 1, "speaker"), _DEL, ParseError, "turns[1].speaker",
+     "line 2: turns[1].speaker: missing field"),
+    (("turns", 1, "speaker"), False, ParseError, "turns[1].speaker",
+     "line 2: turns[1].speaker: expected an integer"),
+    (("turns", 1, "speaker"), 5, ParseError, "turns[1]", "line 2: turns[1]: speaker must be 0 or 1"),
+    (("turns", 1, "text"), _DEL, ParseError, "turns[1].text", "line 2: turns[1].text: missing field"),
+    (("turns", 1, "text"), ["hi"], ParseError, "turns[1].text",
+     "line 2: turns[1].text: expected a string"),
+    (("turns", 1, "text"), "\t", ParseError, "turns[1]",
+     "line 2: turns[1]: utterance text must be non-blank"),
+    (("turns", 1, "skill"), _DEL, ParseError, "turns[1].skill", "line 2: turns[1].skill: missing field"),
+    (("turns", 1, "skill"), 1, ParseError, "turns[1].skill", "line 2: turns[1].skill: expected a string"),
+    (("turns", 1, "skill"), "Z", RosterError, "turns[1].skill",
+     "line 2: turns[1].skill: unknown skill id 'Z'"),
+    (("turns", 1, "dist"), _DEL, ParseError, "turns[1].dist", "line 2: turns[1].dist: missing field"),
+    (("turns", 1, "dist"), {}, ParseError, "turns[1].dist", "line 2: turns[1].dist: expected an array"),
+    (("turns", 1, "dist"), [], ParseError, "turns[1]",
+     "line 2: turns[1]: distribution must be non-empty"),
+    (("turns", 1, "dist"), [0.5, 0.5, 0.5], ParseError, "turns[1]",
+     "line 2: turns[1]: probabilities must sum to 1 within 1e-6"),
+    (("turns", 1, "dist", 0), True, ParseError, "turns[1].dist[0]",
+     "line 2: turns[1].dist[0]: expected a number"),
+    (("turns", 1, "dist", 2), -1, ParseError, "turns[1]",
+     "line 2: turns[1]: probabilities must be finite and non-negative"),
+    (("turns", 1, "mic_passed"), _DEL, ParseError, "turns[1].mic_passed",
+     "line 2: turns[1].mic_passed: missing field"),
+    (("turns", 1, "mic_passed"), 0, ParseError, "turns[1].mic_passed",
+     "line 2: turns[1].mic_passed: expected a boolean"),
+    (("turns", 1, "phase2_attempts"), _DEL, ParseError, "turns[1].phase2_attempts",
+     "line 2: turns[1].phase2_attempts: missing field"),
+    (("turns", 1, "phase2_attempts"), 1.5, ParseError, "turns[1].phase2_attempts",
+     "line 2: turns[1].phase2_attempts: expected an integer"),
+    (("turns", 1, "phase2_attempts"), -1, ParseError, "turns[1]",
+     "line 2: turns[1]: phase2_attempts must be non-negative"),
+    (("turns", 1, "refusals"), _DEL, ParseError, "turns[1].refusals",
+     "line 2: turns[1].refusals: missing field"),
+    (("turns", 1, "refusals"), None, ParseError, "turns[1].refusals",
+     "line 2: turns[1].refusals: expected an array"),
+    (("turns", 3, "refusals", 0), "PK", ParseError, "turns[3].refusals[0]",
+     "line 2: turns[3].refusals[0]: expected an array"),
+    (("turns", 3, "refusals", 0), ["P"], ParseError, "turns[3].refusals[0]",
+     "line 2: turns[3].refusals[0]: expected a [candidate, context] pair"),
+    (("turns", 3, "refusals", 0, 0), 0, ParseError, "turns[3].refusals[0][0]",
+     "line 2: turns[3].refusals[0][0]: expected a string"),
+    (("turns", 3, "refusals", 0, 0), "Z", RosterError, "turns[3].refusals[0][0]",
+     "line 2: turns[3].refusals[0][0]: unknown skill id 'Z'"),
+    (("turns", 3, "refusals", 0, 1), {}, ParseError, "turns[3].refusals[0][1]",
+     "line 2: turns[3].refusals[0][1]: expected a string"),
+    (("turns", 3, "refusals", 0, 1), "", RosterError, "turns[3].refusals[0][1]",
+     "line 2: turns[3].refusals[0][1]: unknown skill id ''"),
+]
+
+
+def _with_fault(base: dict, keys: tuple, value) -> dict:
+    obj = json.loads(json.dumps(base))
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    if value is _DEL:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return obj
+
+
+def _read_fault(tmp_path, kind, keys, value):
+    """Read a file of one good record and the same record with the fault."""
+    if kind == "dataset":
+        base = json.loads(_record_line())
+    else:
+        ep = helpers.mini_episode(DEFAULT_ROSTER, ["P", "K", "E", "P"], "P", refusal_pairs=[("P", "K")])
+        base = episode_to_obj(ep)
+    lines = [json.dumps(base), json.dumps(_with_fault(base, keys, value))]
+    path = _write(tmp_path, "fault.jsonl", lines)
+    if kind == "dataset":
+        list(read_dataset(path, DEFAULT_ROSTER))
+    else:
+        read_episodes(path, DEFAULT_ROSTER)
+
+
+def _fault_id(kind: str, keys: tuple, value) -> str:
+    return f"{kind}-{'/'.join(map(str, keys))}-{'del' if value is _DEL else json.dumps(value)}"
+
+
+@pytest.mark.parametrize(
+    "kind, keys, value, error, path, message",
+    [
+        pytest.param(kind, *case, id=_fault_id(kind, *case[:2]))
+        for kind, cases in (("dataset", _DATASET_FAULTS), ("episode", _EPISODE_FAULTS))
+        for case in cases
+    ],
+)
+def test_single_fault_records_name_line_and_field(
+    tmp_path, kind, keys, value, error, path, message
+):
+    with pytest.raises(ParseError) as excinfo:
+        _read_fault(tmp_path, kind, keys, value)
+    assert type(excinfo.value) is error
+    assert excinfo.value.line_no == 2
+    assert excinfo.value.path == path
+    assert str(excinfo.value) == message
 
 
 def test_load_config_file(tmp_path):

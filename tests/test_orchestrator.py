@@ -61,7 +61,7 @@ def _plain_seed(seed_skill=P):
         ),
     )
     pair = (Utterance(0, 0, "do you enjoy skiing"), Utterance(1, 1, "i love skiing a lot"))
-    return SeedEpisode(seed_skill, pair, contexts, 0)
+    return SeedEpisode(seed_skill, pair, contexts)
 
 
 def _stack(cfg):
@@ -158,7 +158,6 @@ def test_run_episode_aborts_when_everything_contradicts(cfg):
         P,
         (Utterance(0, 0, "hello"), Utterance(1, 1, "hi")),
         contexts,
-        0,
     )
     with pytest.raises(EpisodeAbortError) as excinfo:
         run_episode(seed, agents, judge, scorer, cfg, episode_id="ep-dead")
@@ -200,7 +199,6 @@ def test_default_stack_can_pass_the_mic(cfg):
         P,
         (Utterance(0, 0, "hello there"), Utterance(1, 1, "hi pal")),
         (contexts, contexts),
-        0,
     )
     ep = run_episode(seed, agents, judge, scorer, cfg)
     # turn 2: P echoes "zzz" (overlap 1 + 0.5) vs K echoing "qqq www" (overlap 2)
@@ -232,7 +230,6 @@ def test_run_batch_records_aborts_without_writing(cfg):
             SkillContextSet((SkillContext(P, ("poison line",)),)),
             SkillContextSet((SkillContext(P, ("poison line",)),)),
         ),
-        0,
     )
     collected = []
     report = run_batch([doomed], agents, judge, scorer, cfg, write=collected.append)

@@ -260,7 +260,7 @@ def _old_build_seeds(pair, seed_dataset, docs, old, cfg):
             for side in template
         ]
         if any(len(side) for side in sides):
-            seeds.append(SeedEpisode(seed_dataset, norm_pair, tuple(sides), variant))
+            seeds.append(SeedEpisode(seed_dataset, norm_pair, tuple(sides)))
     return seeds
 
 
@@ -324,10 +324,13 @@ def _pair(a="tell me about the topic", b="the topic is lovely"):
 
 def test_build_seeds_full_buckets_yield_all_variants():
     cfg = EngineConfig(seeds_per_pair=5)
-    index = build_index(_seed_corpus())
-    seeds = build_seeds(_pair(), P, index, cfg)
+    docs = _seed_corpus()
+    seeds = build_seeds(_pair(), P, build_index(docs), cfg)
     assert len(seeds) == 5
-    assert [s.variant_index for s in seeds] == [0, 1, 2, 3, 4]
+    # the seed at position v carries the v-th ranked context of each bucket
+    text = "tell me about the topic the topic is lovely"
+    ranked = _old_query(docs, _old_index(docs), text, 5, P, SideRole.PRIMARY)
+    assert [s.contexts[0].get(P).lines for s in seeds] == [docs[d].lines for d, _ in ranked]
     for seed in seeds:
         assert seed.seed_dataset == P
         # pair re-indexed to turns 0/1, speakers 0/1
@@ -357,9 +360,9 @@ def test_build_seeds_short_bucket_omits_entry():
     index = build_index(docs)
     seeds = build_seeds(_pair(), P, index, cfg)
     assert len(seeds) == 5
-    for seed in seeds:
+    for position, seed in enumerate(seeds):
         has_e = seed.contexts[0].get(E) is not None
-        assert has_e == (seed.variant_index < 2)
+        assert has_e == (position < 2)
 
 
 def test_build_seeds_drops_fully_empty_variants():
