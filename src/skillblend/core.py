@@ -10,9 +10,9 @@ reports violations as data instead of raising.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring
 from typing import Iterator, Sequence
 
 
@@ -233,14 +233,14 @@ class EngineConfig:
     skill_roster: tuple[SkillId, ...] = DEFAULT_ROSTER
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and > 0")
         if self.episode_length < 4:
             raise ValueError("episode_length must be at least 4")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and > 0")
         if self.seeds_per_pair < 1:
             raise ValueError("seeds_per_pair must be at least 1")
         if len(self.skill_roster) < 2:
@@ -274,7 +274,7 @@ def _emit(value, out: list[str]) -> None:
             raise ValueError("non-finite float in canonical serialization")
         out.append(format(value, ".17g"))
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+        out.append(encode_basestring(value))
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
@@ -289,7 +289,7 @@ def _emit(value, out: list[str]) -> None:
                 raise TypeError("canonical JSON object keys must be strings")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(":")
             _emit(item, out)
         out.append("}")

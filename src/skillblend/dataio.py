@@ -3,6 +3,10 @@
 Both formats are UTF-8 JSON, one record per line. Episode serialization is
 canonical (fixed key order, no insignificant whitespace, floats at 17
 significant digits), so structurally equal episodes produce equal bytes.
+:func:`episode_line` writes that form directly from a fixed template, with
+the C JSON encoder for strings; :func:`skillblend.core.canonical_json` of
+the episode's object form remains its reference, and the test suite checks
+the two agree.
 
 Dataset record schema (converter target for external corpora):
 
@@ -28,7 +32,9 @@ or an episode-level invariant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -41,7 +47,6 @@ from .core import (
     SkillDistribution,
     SkillId,
     Utterance,
-    canonical_json,
 )
 
 
@@ -123,6 +128,15 @@ def _strings(value, line_no: int, path: str) -> tuple[str, ...]:
     return tuple(_as(x, str, line_no, f"{path}[{j}]") for j, x in enumerate(lines))
 
 
+def _context_lines(value, line_no: int, path: str) -> tuple[str, ...]:
+    """A dataset side's context: a JSON array of non-blank strings."""
+    lines = _strings(value, line_no, path)
+    for j, line in enumerate(lines):
+        if not line.strip():
+            raise ParseError(line_no, f"{path}[{j}]", "context lines must be non-blank")
+    return lines
+
+
 def _utterance(value, turn: int, line_no: int, path: str) -> Utterance:
     """A ``{speaker, text}`` object as the utterance of turn ``turn``."""
     obj = _as(value, dict, line_no, path)
@@ -158,7 +172,9 @@ def read_dataset(path: str, roster: Sequence[SkillId]) -> Iterator[SingleSkillRe
         raw_contexts = _field(obj, "contexts", list, line_no)
         if len(raw_contexts) != 2:
             raise ParseError(line_no, "contexts", "expected exactly two context arrays")
-        sides = [_strings(raw, line_no, f"contexts[{s}]") for s, raw in enumerate(raw_contexts)]
+        sides = [
+            _context_lines(raw, line_no, f"contexts[{s}]") for s, raw in enumerate(raw_contexts)
+        ]
         raw_turns = _field(obj, "turns", list, line_no)
         turns = tuple(_utterance(raw, i, line_no, f"turns[{i}]") for i, raw in enumerate(raw_turns))
         try:
@@ -181,40 +197,60 @@ def extract_pairs(
 
 # --- episode serialization ---------------------------------------------------
 
-
-def _utterance_obj(utt: Utterance) -> dict:
-    return {"speaker": utt.speaker, "text": utt.text}
-
-
-def _context_set_obj(ctxset: SkillContextSet) -> dict:
-    return {entry.skill.id: list(entry.lines) for entry in ctxset}
-
-
-def _turn_obj(turn: AnnotatedTurn) -> dict:
-    return {
-        "speaker": turn.utterance.speaker,
-        "text": turn.utterance.text,
-        "skill": turn.skill_label.id,
-        "dist": [float(p) for p in turn.distribution.probs],
-        "mic_passed": turn.mic_passed,
-        "phase2_attempts": turn.phase2_attempts,
-        "refusals": [[r.candidate_skill.id, r.context_skill.id] for r in turn.refusals],
-    }
+# episode_line writes canonical_json's bytes without building the object:
+# strings, string arrays and objects go through the C encoder, whose output
+# for them equals canonical_json's; only the dist floats need the 17-digit
+# format, which differs from the encoder's ``repr`` for about 40% of them.
+_ENCODE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_TURN = (
+    '{"speaker":%s,"text":%s,"skill":%s,"dist":[%s],'
+    '"mic_passed":%s,"phase2_attempts":%s,"refusals":%s}'
+)
+_EPISODE = (
+    '{"id":%s,"seed_dataset":%s,"seed_pair":%s,"config_digest":%s,'
+    '"contexts":%s,"turns":[%s]}'
+)
 
 
-def episode_to_obj(ep: Episode) -> dict:
-    return {
-        "id": ep.id,
-        "seed_dataset": ep.seed_dataset.id,
-        "seed_pair": [_utterance_obj(u) for u in ep.seed_pair],
-        "config_digest": ep.config_digest,
-        "contexts": [_context_set_obj(cs) for cs in ep.contexts],
-        "turns": [_turn_obj(t) for t in ep.turns],
-    }
+def _literal(value) -> str:
+    """An int or bool field: a bool, which is also an int, writes true/false."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value)
+
+
+def _turn_line(turn: AnnotatedTurn) -> str:
+    utt = turn.utterance
+    probs = turn.distribution.probs
+    if not all(map(math.isfinite, probs)):
+        raise ValueError("non-finite float in canonical serialization")
+    refusals = "[]"
+    if turn.refusals:
+        refusals = _ENCODE([[r.candidate_skill.id, r.context_skill.id] for r in turn.refusals])
+    return _TURN % (
+        _literal(utt.speaker),
+        encode_basestring(utt.text),
+        encode_basestring(turn.skill_label.id),
+        ",".join([format(p, ".17g") for p in probs]),
+        _literal(turn.mic_passed),
+        _literal(turn.phase2_attempts),
+        refusals,
+    )
 
 
 def episode_line(ep: Episode) -> str:
-    return canonical_json(episode_to_obj(ep))
+    """The episode's canonical line, equal to ``canonical_json`` of its
+    object form (key order as in the module docstring)."""
+    return _EPISODE % (
+        encode_basestring(ep.id),
+        encode_basestring(ep.seed_dataset.id),
+        _ENCODE([{"speaker": u.speaker, "text": u.text} for u in ep.seed_pair]),
+        encode_basestring(ep.config_digest),
+        _ENCODE([{e.skill.id: e.lines for e in cs} for cs in ep.contexts]),
+        ",".join([_turn_line(t) for t in ep.turns]),
+    )
 
 
 class EpisodeWriter:

@@ -106,8 +106,11 @@ def run_episode(
     scorer: SkillScorer,
     cfg: EngineConfig,
     episode_id: str = "ep-000000",
+    *,
+    digest: str,
 ) -> Episode:
-    """Generate one fixed-length episode from a seed.
+    """Generate one fixed-length episode from a seed; ``digest`` is
+    ``config_digest(cfg)``, which the episode records.
 
     Seed turns are annotated exactly like generated turns (mic never passed,
     zero consistency attempts); each following turn alternates the speaking
@@ -167,7 +170,7 @@ def run_episode(
         seed_pair=(first, second),
         contexts=seed.contexts,
         turns=tuple(annotated),
-        config_digest=config_digest(cfg),
+        config_digest=digest,
     )
 
 
@@ -191,10 +194,13 @@ def run_batch(
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
+    digest = config_digest(cfg)
 
     def work(index: int, seed: SeedEpisode) -> Episode | EpisodeAbortError:
         try:
-            return run_episode(seed, agents, judge, scorer, cfg, episode_id=f"ep-{index:06d}")
+            return run_episode(
+                seed, agents, judge, scorer, cfg, episode_id=f"ep-{index:06d}", digest=digest
+            )
         except EpisodeAbortError as exc:
             return exc
 

@@ -7,6 +7,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 
+from skillblend import orchestrator
 from skillblend.agents import default_scripted_agents
 from skillblend.classifiers import (
     LexicalNliJudge,
@@ -203,6 +204,50 @@ def generate_file(files, cfg: EngineConfig, count: int, out_path, parallelism: i
         return run_batch(
             seeds, agents, judge, scorer, cfg, parallelism=parallelism, write=writer.write
         )
+
+
+def run_episode(seed, agents, judge, scorer, cfg: EngineConfig, **kwargs) -> Episode:
+    """``orchestrator.run_episode`` with the config digest ``run_batch``
+    passes it."""
+    return orchestrator.run_episode(
+        seed, agents, judge, scorer, cfg, digest=config_digest(cfg), **kwargs
+    )
+
+
+# --- serialization oracle -------------------------------------------------------
+
+
+def _utterance_obj(utt: Utterance) -> dict:
+    return {"speaker": utt.speaker, "text": utt.text}
+
+
+def _context_set_obj(ctxset: SkillContextSet) -> dict:
+    return {entry.skill.id: list(entry.lines) for entry in ctxset}
+
+
+def _turn_obj(turn: AnnotatedTurn) -> dict:
+    return {
+        "speaker": turn.utterance.speaker,
+        "text": turn.utterance.text,
+        "skill": turn.skill_label.id,
+        "dist": [float(p) for p in turn.distribution.probs],
+        "mic_passed": turn.mic_passed,
+        "phase2_attempts": turn.phase2_attempts,
+        "refusals": [[r.candidate_skill.id, r.context_skill.id] for r in turn.refusals],
+    }
+
+
+def episode_obj(ep: Episode) -> dict:
+    """The episode as a JSON object in the normative key order;
+    ``canonical_json`` of it is the reference for ``episode_line``."""
+    return {
+        "id": ep.id,
+        "seed_dataset": ep.seed_dataset.id,
+        "seed_pair": [_utterance_obj(u) for u in ep.seed_pair],
+        "config_digest": ep.config_digest,
+        "contexts": [_context_set_obj(cs) for cs in ep.contexts],
+        "turns": [_turn_obj(t) for t in ep.turns],
+    }
 
 
 # --- retrieval oracle -----------------------------------------------------------

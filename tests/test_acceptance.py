@@ -45,7 +45,7 @@ from skillblend.moderator import (
     select_final,
     simulate_approved,
 )
-from skillblend.orchestrator import run_batch, run_episode
+from skillblend.orchestrator import run_batch
 from skillblend.seeds import ContextDoc, SeedEpisode, SideRole, build_index, query
 from skillblend.stats import build_report
 
@@ -325,7 +325,7 @@ def _scenario():
 def test_acceptance_6_protocol_driven_mic_passing():
     start = time.monotonic()
     seed, agents, judge, scorer, cfg = _scenario()
-    ep = run_episode(seed, agents, judge, scorer, cfg, episode_id="ep-trace")
+    ep = helpers.run_episode(seed, agents, judge, scorer, cfg, episode_id="ep-trace")
 
     assert [t.mic_passed for t in ep.turns] == [
         False, False, False, True, False, False, False, False, False, False

@@ -129,6 +129,23 @@ def test_config_errors_never_touch_the_output(workdir, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["alpha", "epsilon"])
+def test_non_finite_config_value_is_a_config_error(workdir, capsys, key):
+    tmp_path, data = workdir
+    index = str(tmp_path / "ctx.idx")
+    assert _run("index", "--data", *data, "--out", index) == 0
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text(f"{key} = inf\n", encoding="utf-8")
+    out = tmp_path / "never.jsonl"
+    rc = _run(
+        "generate", "--config", str(bad_cfg), "--data", *data,
+        "--index", index, "--out", str(out), "--episodes", "2",
+    )
+    assert rc == 2
+    assert not out.exists()
+    assert f"{key} must be finite and > 0" in capsys.readouterr().err
+
+
 def test_missing_input_file_is_a_config_error(workdir):
     tmp_path, data = workdir
     rc = _run("index", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "x.idx"))

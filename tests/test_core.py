@@ -99,6 +99,11 @@ def test_engine_config_bounds():
         EngineConfig(seeds_per_pair=0)
     with pytest.raises(ValueError):
         EngineConfig(skill_roster=(SkillId("P", 1), SkillId("K", 0)))
+    for key in ("alpha", "epsilon"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError) as excinfo:
+                EngineConfig(**{key: bad})
+            assert str(excinfo.value) == f"{key} must be finite and > 0"
 
 
 def test_config_digest_is_stable_and_sensitive():
@@ -108,6 +113,10 @@ def test_config_digest_is_stable_and_sensitive():
     assert config_digest(cfg) == config_digest(EngineConfig())
     assert config_digest(cfg) != config_digest(EngineConfig(alpha=2.0))
     assert len(config_digest(cfg)) == 64
+    # equal configs can differ in their digest (a bool alpha writes true),
+    # so a digest cached by config equality would stamp the wrong one
+    assert EngineConfig(alpha=True) == EngineConfig(alpha=1.0)
+    assert config_digest(EngineConfig(alpha=True)) != config_digest(EngineConfig(alpha=1.0))
 
 
 def test_canonical_json_shape():

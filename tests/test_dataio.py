@@ -1,17 +1,31 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillDistribution
+from skillblend.core import (
+    DEFAULT_ROSTER,
+    AnnotatedTurn,
+    EngineConfig,
+    Episode,
+    Refusal,
+    SkillContext,
+    SkillContextSet,
+    SkillDistribution,
+    Utterance,
+    canonical_json,
+    make_roster,
+)
 from skillblend.dataio import (
     ConfigError,
     EpisodeWriter,
     ParseError,
     RosterError,
     episode_line,
-    episode_to_obj,
     extract_pairs,
     load_config_file,
     read_dataset,
@@ -124,6 +138,79 @@ def test_equal_episodes_produce_equal_bytes(cfg):
     assert episode_line(a) == episode_line(b)
 
 
+# text with the characters JSON escapes or passes through: quotes,
+# backslashes, control characters, non-ASCII and astral code points
+_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é☃😀'), st.characters()),
+    min_size=1,
+    max_size=12,
+).filter(str.strip)
+_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.1, 1e16, 5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308]),
+)
+# a bool is an int, and Utterance and AnnotatedTurn accept one
+_SPEAKER = st.sampled_from([0, 1, False, True])
+
+
+@st.composite
+def _episodes(draw):
+    roster = make_roster(draw(st.lists(_TEXT, min_size=2, max_size=4, unique=True)))
+    skill = st.sampled_from(roster)
+
+    def utterance(turn):
+        return Utterance(draw(_SPEAKER), turn, draw(_TEXT))
+
+    def context_set():
+        chosen = draw(st.lists(skill, max_size=len(roster), unique=True))
+        return SkillContextSet(
+            tuple(SkillContext(s, tuple(draw(st.lists(_TEXT, max_size=3)))) for s in chosen)
+        )
+
+    turns = []
+    for i in range(draw(st.integers(0, 5))):
+        dist = SkillDistribution((1.0,))
+        # serialization writes any finite value; the sum rule is not its concern
+        object.__setattr__(dist, "probs", tuple(draw(st.lists(_FLOAT, min_size=1, max_size=4))))
+        pairs = draw(st.lists(st.tuples(skill, skill), max_size=3))
+        refusals = tuple(Refusal(a, b) for a, b in pairs)
+        turns.append(
+            AnnotatedTurn(
+                utterance(i),
+                draw(skill),
+                dist,
+                draw(st.booleans()),
+                draw(st.one_of(st.integers(0, 10**20), st.booleans())),
+                refusals,
+            )
+        )
+    return Episode(
+        draw(_TEXT),
+        draw(skill),
+        (utterance(0), utterance(1)),
+        (context_set(), context_set()),
+        tuple(turns),
+        draw(st.sampled_from(["0" * 64, "digest", "é\\\""])),
+    )
+
+
+@settings(deadline=None)
+@given(_episodes())
+def test_episode_line_equals_canonical_json_of_the_object_form(ep):
+    assert episode_line(ep) == canonical_json(helpers.episode_obj(ep))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_episode_line_rejects_non_finite_dist(cfg, bad):
+    ep = helpers.hand_episode(cfg)
+    object.__setattr__(ep.turns[3].distribution, "probs", (0.5, bad, 0.5))
+    for serialize in (episode_line, lambda e: canonical_json(helpers.episode_obj(e))):
+        with pytest.raises(ValueError) as excinfo:
+            serialize(ep)
+        assert str(excinfo.value) == "non-finite float in canonical serialization"
+
+
 def test_distributions_survive_roundtrip_to_17_digits(tmp_path, cfg):
     ep = helpers.mini_episode(
         cfg.skill_roster,
@@ -201,6 +288,8 @@ _DATASET_FAULTS = [
      "line 2: contexts: expected exactly two context arrays"),
     (("contexts", 1), "i paint", ParseError, "contexts[1]", "line 2: contexts[1]: expected an array"),
     (("contexts", 0, 0), 3, ParseError, "contexts[0][0]", "line 2: contexts[0][0]: expected a string"),
+    (("contexts", 0, 0), "   ", ParseError, "contexts[0][0]",
+     "line 2: contexts[0][0]: context lines must be non-blank"),
     (("turns",), _DEL, ParseError, "turns", "line 2: turns: missing field"),
     (("turns",), {}, ParseError, "turns", "line 2: turns: expected an array"),
     (("turns", 1), "hi", ParseError, "turns[1]", "line 2: turns[1]: expected an object"),
@@ -332,7 +421,7 @@ def _read_fault(tmp_path, kind, keys, value):
         base = json.loads(_record_line())
     else:
         ep = helpers.mini_episode(DEFAULT_ROSTER, ["P", "K", "E", "P"], "P", refusal_pairs=[("P", "K")])
-        base = episode_to_obj(ep)
+        base = json.loads(episode_line(ep))
     lines = [json.dumps(base), json.dumps(_with_fault(base, keys, value))]
     path = _write(tmp_path, "fault.jsonl", lines)
     if kind == "dataset":

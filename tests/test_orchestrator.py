@@ -31,12 +31,7 @@ from skillblend.core import (
 )
 from skillblend.dataio import EpisodeWriter, episode_line
 from skillblend.moderator import consistency_gate
-from skillblend.orchestrator import (
-    BatchError,
-    EpisodeAbortError,
-    run_batch,
-    run_episode,
-)
+from skillblend.orchestrator import BatchError, EpisodeAbortError, run_batch
 from skillblend.seeds import SeedEpisode
 
 import helpers
@@ -70,7 +65,7 @@ def _stack(cfg):
 
 def test_run_episode_shape_and_annotation(cfg):
     agents, judge, scorer = _stack(cfg)
-    ep = run_episode(_plain_seed(), agents, judge, scorer, cfg, episode_id="ep-x")
+    ep = helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg, episode_id="ep-x")
     assert len(ep.turns) == 10  # 2-turn seed + 8 generated
     assert ep.turns[0].utterance.text == "do you enjoy skiing"
     assert ep.turns[1].utterance.text == "i love skiing a lot"
@@ -85,22 +80,22 @@ def test_run_episode_shape_and_annotation(cfg):
 
 def test_run_episode_is_deterministic(cfg):
     agents, judge, scorer = _stack(cfg)
-    a = run_episode(_plain_seed(), agents, judge, scorer, cfg, episode_id="ep-x")
-    b = run_episode(_plain_seed(), agents, judge, scorer, cfg, episode_id="ep-x")
+    a = helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg, episode_id="ep-x")
+    b = helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg, episode_id="ep-x")
     assert episode_line(a) == episode_line(b)
 
 
 def test_run_episode_requires_exact_roster_coverage(cfg):
     agents, judge, scorer = _stack(cfg)
     with pytest.raises(ValueError):
-        run_episode(_plain_seed(), agents[:2], judge, scorer, cfg)
+        helpers.run_episode(_plain_seed(), agents[:2], judge, scorer, cfg)
     with pytest.raises(ValueError):
-        run_episode(_plain_seed(), agents + agents[:1], judge, scorer, cfg)
+        helpers.run_episode(_plain_seed(), agents + agents[:1], judge, scorer, cfg)
 
 
 def test_run_episode_generated_turns_reapprove(cfg):
     agents, judge, scorer = _stack(cfg)
-    ep = run_episode(_plain_seed(), agents, judge, scorer, cfg)
+    ep = helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg)
     for turn in ep.turns[2:]:
         side = turn.utterance.speaker
         decision = consistency_gate(judge, ep.contexts[side], turn.utterance.text)
@@ -114,7 +109,7 @@ def test_run_episode_matches_reference_replay(cfg):
 
     seed = _plain_seed()
     agents, judge, scorer = _stack(cfg)
-    ep = run_episode(seed, agents, judge, scorer, cfg)
+    ep = helpers.run_episode(seed, agents, judge, scorer, cfg)
 
     by_id = {a.skill.id: a for a in agents}
     dtx = DialogueContext(
@@ -160,7 +155,7 @@ def test_run_episode_aborts_when_everything_contradicts(cfg):
         contexts,
     )
     with pytest.raises(EpisodeAbortError) as excinfo:
-        run_episode(seed, agents, judge, scorer, cfg, episode_id="ep-dead")
+        helpers.run_episode(seed, agents, judge, scorer, cfg, episode_id="ep-dead")
     assert excinfo.value.turn == 2
     assert excinfo.value.episode_id == "ep-dead"
 
@@ -200,7 +195,7 @@ def test_default_stack_can_pass_the_mic(cfg):
         (Utterance(0, 0, "hello there"), Utterance(1, 1, "hi pal")),
         (contexts, contexts),
     )
-    ep = run_episode(seed, agents, judge, scorer, cfg)
+    ep = helpers.run_episode(seed, agents, judge, scorer, cfg)
     # turn 2: P echoes "zzz" (overlap 1 + 0.5) vs K echoing "qqq www" (overlap 2)
     assert ep.turns[2].mic_passed
     assert ep.turns[2].utterance.text == "Did you know? qqq www"
@@ -214,6 +209,24 @@ def test_run_batch_refusal_total_matches_recount(corpus_files):
     report = run_batch(seeds, agents, judge, scorer, cfg, write=collected.append)
     recount = sum(len(t.refusals) for ep in collected for t in ep.turns)
     assert report.refusal_total == recount
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_batch_stamps_one_config_digest_per_batch(corpus_files, monkeypatch, parallelism):
+    cfg = EngineConfig(rng_seed=5)
+    seeds = helpers.make_seeds(corpus_files, cfg, 6)
+    agents, judge, scorer = _stack(cfg)
+    digests = []
+
+    def counted(c):
+        digests.append(config_digest(c))
+        return digests[-1]
+
+    monkeypatch.setattr(orchestrator, "config_digest", counted)
+    collected = []
+    run_batch(seeds, agents, judge, scorer, cfg, parallelism=parallelism, write=collected.append)
+    assert digests == [config_digest(cfg)]
+    assert [ep.config_digest for ep in collected] == digests * 6
 
 
 def test_run_batch_records_aborts_without_writing(cfg):
@@ -396,7 +409,7 @@ def _remote_stack(endpoint, cfg):
 def test_remote_episode_sends_each_nli_and_classify_body_once(cfg):
     with serve_mock(_REMOTE_TABLES) as server:
         agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
-        ep = run_episode(_plain_seed(), agents, judge, scorer, cfg)
+        ep = helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg)
         requests = list(server.requests)
     assert len(ep.turns) == cfg.episode_length
     assert any(t.refusals for t in ep.turns)  # the consistency gate did refuse
@@ -408,9 +421,9 @@ def test_remote_episode_sends_each_nli_and_classify_body_once(cfg):
 def test_episode_memo_does_not_outlive_its_episode(cfg):
     agents, judge, scorer = _stack(cfg)
     counting = _CountingBackends(judge, scorer)
-    first = run_episode(_plain_seed(), agents, counting, counting, cfg)
+    first = helpers.run_episode(_plain_seed(), agents, counting, counting, cfg)
     calls_first = list(counting.calls)
-    second = run_episode(_plain_seed(), agents, counting, counting, cfg)
+    second = helpers.run_episode(_plain_seed(), agents, counting, counting, cfg)
     assert calls_first
     assert counting.calls[len(calls_first):] == calls_first
     assert episode_line(first) == episode_line(second)
