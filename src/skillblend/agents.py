@@ -30,7 +30,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .core import DialogueContext, ResponseCandidate, SkillContext, SkillId
+from .core import DialogueContext, ResponseCandidate, SkillContext, SkillId, compact_json
 from .seeds import tokenize
 
 
@@ -226,7 +226,7 @@ def post_json(endpoint: BackendEndpoint, route: str, body: dict) -> tuple[dict, 
     """POST a compact JSON body; retry on timeouts, connection failures and
     5xx responses until the budget runs out. Returns (parsed object, raw
     response bytes)."""
-    payload = json.dumps(body, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    payload = compact_json(body).encode("utf-8")
     path = endpoint._path + route
     timeout = endpoint.timeout_ms / 1000.0
     last_failure = "no attempt made"
@@ -259,7 +259,8 @@ def _dialogue_payload(dtx: DialogueContext) -> list[dict]:
     return [{"speaker": u.speaker, "text": u.text} for u in dtx.turns]
 
 
-def _require_number(value) -> bool:
+def is_number(value) -> bool:
+    """A JSON number: an int or float, never a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -284,7 +285,7 @@ class RemoteSkillAgent:
         score = obj.get("score")
         if not isinstance(text, str) or not text.strip():
             raise ProtocolError("/generate: missing or blank 'text' field", raw)
-        if not _require_number(score):
+        if not is_number(score):
             raise ProtocolError("/generate: missing or non-numeric 'score' field", raw)
         return ResponseCandidate(
             text=text, origin=self.skill, gen_score=float(score), attempts=attempt
@@ -308,7 +309,7 @@ class RemoteSkillAgent:
         if not isinstance(scores, list) or len(scores) != len(candidates):
             got = len(scores) if isinstance(scores, list) else "no"
             raise ProtocolError(f"/rank: expected {len(candidates)} scores, got {got}", raw)
-        if any(not _require_number(s) for s in scores):
+        if not all(map(is_number, scores)):
             raise ProtocolError("/rank: non-numeric score in response", raw)
         return [float(s) for s in scores]
 
@@ -396,11 +397,7 @@ class MockServer:
                 length = int(self.headers.get("Content-Length", 0))
                 body = self.rfile.read(length)
                 status, obj = server._handle(self.path, body)
-                data = b""
-                if obj is not None:
-                    data = json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode(
-                        "utf-8"
-                    )
+                data = b"" if obj is None else compact_json(obj).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol, Sequence
 
-from .agents import BackendEndpoint, ProtocolError, post_json
+from .agents import BackendEndpoint, ProtocolError, is_number, post_json
 from .core import SkillDistribution, SkillId
 from .distmath import softmax
 
@@ -136,7 +136,7 @@ class RemoteNliJudge:
         confidence = obj.get("confidence")
         if label not in ("entail", "neutral", "contradict"):
             raise ProtocolError(f"/nli: missing or unknown 'label' {label!r}", raw)
-        if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+        if not is_number(confidence):
             raise ProtocolError("/nli: missing or non-numeric 'confidence'", raw)
         try:
             return NliVerdict(NliLabel(label), float(confidence))
@@ -157,7 +157,7 @@ class RemoteSkillScorer:
             raise ProtocolError(
                 f"/classify: expected {len(self.roster)} probabilities, got {got}", raw
             )
-        if any(not isinstance(p, (int, float)) or isinstance(p, bool) for p in dist):
+        if not all(map(is_number, dist)):
             raise ProtocolError("/classify: non-numeric probability in response", raw)
         try:
             return SkillDistribution(tuple(float(p) for p in dist))

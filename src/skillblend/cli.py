@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from itertools import islice
 
 from .agents import (
     BackendEndpoint,
@@ -34,13 +35,14 @@ from .dataio import (
     ConfigError,
     EpisodeWriter,
     ParseError,
-    extract_pairs,
     load_config_file,
     read_dataset,
     read_episodes,
 )
 from .orchestrator import BatchError, run_batch
 from .seeds import (
+    SeedEpisode,
+    TfIdfIndex,
     build_index,
     build_seeds,
     docs_from_records,
@@ -87,16 +89,22 @@ def _resolve_config(args) -> EngineConfig:
         raise ConfigError(str(exc))
 
 
-def _read_records(paths, roster):
+def _read(reader, paths, roster) -> list:
+    """Every record ``reader`` yields for the files at ``paths``, in order;
+    a parse error names its file."""
     records = []
     for path in paths:
-        records.extend(read_dataset(path, roster))
+        try:
+            records.extend(reader(path, roster))
+        except ParseError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
     return records
 
 
 def _cmd_index(args) -> int:
     cfg = _resolve_config(args)
-    records = _read_records(args.data, cfg.skill_roster)
+    records = _read(read_dataset, args.data, cfg.skill_roster)
     docs = docs_from_records(records)
     if not docs:
         raise ConfigError("input datasets carry no context lines to index")
@@ -124,6 +132,24 @@ def _build_backends(args, cfg):
     return agents, RemoteNliJudge(endpoint), RemoteSkillScorer(endpoint, cfg.skill_roster)
 
 
+def draw_seeds(records, index: TfIdfIndex, cfg: EngineConfig, count: int) -> list[SeedEpisode]:
+    """The first ``count`` seeds of the seeded pair stream over ``records``,
+    built from at most max(100, 50 * count) pairs. A roster skill without
+    pairs, or too few seeds within that budget, is a ConfigError."""
+    try:
+        pairs = iter_seed_pairs(records, cfg.skill_roster, cfg.rng_seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    seeds: list[SeedEpisode] = []
+    for pair, skill in islice(pairs, max(100, 50 * count)):
+        seeds.extend(build_seeds(pair, skill, index, cfg))
+        if len(seeds) >= count:
+            return seeds[:count]
+    raise ConfigError(
+        "seed construction produced too few episodes; the index may not match the data"
+    )
+
+
 def _cmd_generate(args) -> int:
     cfg = _resolve_config(args)
     if args.episodes < 1:
@@ -132,27 +158,8 @@ def _cmd_generate(args) -> int:
         raise ConfigError("--parallelism must be at least 1")
     agents, judge, scorer = _build_backends(args, cfg)
 
-    records = _read_records(args.data, cfg.skill_roster)
-    pairs_by_skill: dict[str, list] = {s.id: [] for s in cfg.skill_roster}
-    for pair, skill in extract_pairs(records):
-        pairs_by_skill[skill.id].append(pair)
-    index = load_index(args.index)
-
-    try:
-        pair_stream = iter_seed_pairs(pairs_by_skill, cfg.skill_roster, cfg.rng_seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    seeds = []
-    budget = max(100, 50 * args.episodes)
-    while len(seeds) < args.episodes:
-        if budget == 0:
-            raise ConfigError(
-                "seed construction produced too few episodes; the index may not match the data"
-            )
-        budget -= 1
-        pair, skill = next(pair_stream)
-        seeds.extend(build_seeds(pair, skill, index, cfg))
-    seeds = seeds[: args.episodes]
+    records = _read(read_dataset, args.data, cfg.skill_roster)
+    seeds = draw_seeds(records, load_index(args.index), cfg, args.episodes)
 
     # All configuration and inputs validated; only now touch the output.
     with EpisodeWriter(args.out) as writer:
@@ -170,7 +177,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_stats(args) -> int:
     cfg = _resolve_config(args)
-    episodes = read_episodes(args.in_path, cfg.skill_roster)
+    episodes = _read(read_episodes, [args.in_path], cfg.skill_roster)
     report = build_report(episodes, cfg.skill_roster, epsilon=cfg.epsilon)
     paths = write_report(report, args.out)
     print(format_report(report))
@@ -180,7 +187,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _resolve_config(args)
-    episodes = read_episodes(args.in_path, cfg.skill_roster)
+    episodes = _read(read_episodes, [args.in_path], cfg.skill_roster)
     failures = 0
     for ep in episodes:
         for violation in validate_episode(ep, cfg):
@@ -257,9 +264,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _err(f"{exc.filename}: file not found")
         return 2
-    except ParseError as exc:
-        _err(str(exc))
-        return 1
     except (BackendError, BatchError, OSError, ValueError) as exc:
         _err(str(exc))
         return 1

@@ -10,6 +10,7 @@ reports violations as data instead of raising.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring
@@ -251,6 +252,11 @@ class EngineConfig:
         ids = [s.id for s in self.skill_roster]
         if len(set(ids)) != len(ids):
             raise ValueError("skill ids must be unique")
+
+
+# JSON without whitespace, non-ASCII kept, through the C encoder. Floats are
+# ``repr``, so only for values without floats does it equal canonical_json.
+compact_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def canonical_json(value) -> str:

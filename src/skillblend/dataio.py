@@ -35,7 +35,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     AnnotatedTurn,
@@ -47,6 +47,7 @@ from .core import (
     SkillDistribution,
     SkillId,
     Utterance,
+    compact_json,
 )
 
 
@@ -183,25 +184,12 @@ def read_dataset(path: str, roster: Sequence[SkillId]) -> Iterator[SingleSkillRe
             raise ParseError(line_no, "turns", str(exc))
 
 
-def extract_pairs(
-    records: Iterable[SingleSkillRecord],
-) -> list[tuple[tuple[Utterance, Utterance], SkillId]]:
-    """Every consecutive utterance pair of every record, tagged with the
-    record's skill."""
-    pairs = []
-    for rec in records:
-        for i in range(len(rec.turns) - 1):
-            pairs.append(((rec.turns[i], rec.turns[i + 1]), rec.skill))
-    return pairs
-
-
 # --- episode serialization ---------------------------------------------------
 
 # episode_line writes canonical_json's bytes without building the object:
-# strings, string arrays and objects go through the C encoder, whose output
+# strings, string arrays and objects go through compact_json, whose output
 # for them equals canonical_json's; only the dist floats need the 17-digit
 # format, which differs from the encoder's ``repr`` for about 40% of them.
-_ENCODE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 _TURN = (
     '{"speaker":%s,"text":%s,"skill":%s,"dist":[%s],'
     '"mic_passed":%s,"phase2_attempts":%s,"refusals":%s}'
@@ -228,7 +216,7 @@ def _turn_line(turn: AnnotatedTurn) -> str:
         raise ValueError("non-finite float in canonical serialization")
     refusals = "[]"
     if turn.refusals:
-        refusals = _ENCODE([[r.candidate_skill.id, r.context_skill.id] for r in turn.refusals])
+        refusals = compact_json([[r.candidate_skill.id, r.context_skill.id] for r in turn.refusals])
     return _TURN % (
         _literal(utt.speaker),
         encode_basestring(utt.text),
@@ -246,9 +234,9 @@ def episode_line(ep: Episode) -> str:
     return _EPISODE % (
         encode_basestring(ep.id),
         encode_basestring(ep.seed_dataset.id),
-        _ENCODE([{"speaker": u.speaker, "text": u.text} for u in ep.seed_pair]),
+        compact_json([{"speaker": u.speaker, "text": u.text} for u in ep.seed_pair]),
         encode_basestring(ep.config_digest),
-        _ENCODE([{e.skill.id: e.lines for e in cs} for cs in ep.contexts]),
+        compact_json([{e.skill.id: e.lines for e in cs} for cs in ep.contexts]),
         ",".join([_turn_line(t) for t in ep.turns]),
     )
 

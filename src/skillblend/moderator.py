@@ -23,33 +23,19 @@ from .core import (
 )
 from .distmath import kl_divergence, stable_argmax
 
-REASON_OK = "ok"
-REASON_NLI_CONTRADICTION = "nli_contradiction"
-REASON_KL_EXCEEDED = "kl_exceeded"
-
 
 @dataclass(frozen=True)
 class GateDecision:
+    """A gate's verdict. A refusal records what caused it: the first
+    contradicting context's skill (consistency gate) or the KL value
+    (flow gate)."""
+
     approved: bool
-    reason: str
     context_skill: SkillId | None = None
     kl_value: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.approved != (self.reason == REASON_OK):
-            raise ValueError("approved must hold exactly when the reason is 'ok'")
 
-    @classmethod
-    def ok(cls) -> "GateDecision":
-        return cls(True, REASON_OK)
-
-    @classmethod
-    def nli_contradiction(cls, context_skill: SkillId) -> "GateDecision":
-        return cls(False, REASON_NLI_CONTRADICTION, context_skill=context_skill)
-
-    @classmethod
-    def kl_exceeded(cls, kl_value: float) -> "GateDecision":
-        return cls(False, REASON_KL_EXCEEDED, kl_value=kl_value)
+_APPROVED = GateDecision(True)
 
 
 @dataclass(frozen=True)
@@ -76,8 +62,8 @@ def consistency_gate(judge: NliJudge, stx_all: SkillContextSet, res: str) -> Gat
     for ctx in stx_all:
         for line in ctx.lines:
             if judge.judge(line, res).label is NliLabel.CONTRADICT:
-                return GateDecision.nli_contradiction(ctx.skill)
-    return GateDecision.ok()
+                return GateDecision(False, context_skill=ctx.skill)
+    return _APPROVED
 
 
 def simulate_approved(
@@ -112,8 +98,8 @@ def flow_gate(
         raise ValueError("alpha must be > 0")
     kl = kl_divergence(scorer.score(prev_text), scorer.score(cand_text), epsilon)
     if kl < alpha:
-        return GateDecision.ok()
-    return GateDecision.kl_exceeded(kl)
+        return _APPROVED
+    return GateDecision(False, kl_value=kl)
 
 
 def select_final(

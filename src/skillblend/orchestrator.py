@@ -154,7 +154,10 @@ def run_episode(
                 active_agent, memo, stx_active, dtx, candidates, cfg.alpha, cfg.epsilon
             )
         except BackendError as exc:
-            raise type(exc)(f"episode {episode_id} turn {turn}: {exc}") from exc
+            # the same error, so its class and fields (a ProtocolError's
+            # raw body) survive, with the episode and turn named first
+            exc.args = (f"episode {episode_id} turn {turn}: {exc}",)
+            raise
 
         utt = Utterance(side, turn, outcome.winner.text)
         annotated.append(

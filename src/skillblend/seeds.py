@@ -27,14 +27,14 @@ from itertools import repeat
 from operator import lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import EngineConfig, SkillContext, SkillContextSet, SkillId, Utterance
+from .core import EngineConfig, SkillContext, SkillContextSet, SkillId, Utterance, compact_json
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 INDEX_FORMAT = "skillblend-tfidf"
 INDEX_VERSION = 2
 
-# documents per json.dumps call when saving an index
+# documents per compact_json call when saving an index
 _SAVE_CHUNK = 1024
 
 
@@ -267,20 +267,27 @@ def build_seeds(
 
 
 def iter_seed_pairs(
-    pairs_by_skill: Mapping[str, Sequence[tuple[Utterance, Utterance]]],
-    roster: Sequence[SkillId],
-    rng_seed: int,
+    records: Iterable, roster: Sequence[SkillId], rng_seed: int
 ) -> Iterator[tuple[tuple[Utterance, Utterance], SkillId]]:
-    """Seeded stream of (pair, provenance skill): dataset chosen uniformly
-    over the roster, then a pair uniformly within that dataset."""
+    """Seeded endless stream of (pair, provenance skill) over dataset
+    records: the skill chosen uniformly over the roster, then uniformly one
+    consecutive turn pair of that skill's records (pairs in record order).
+    Raises ValueError at once when a roster skill has no pair."""
+    pools: dict[str, list[tuple[Utterance, Utterance]]] = {s.id: [] for s in roster}
+    for rec in records:
+        pools[rec.skill.id].extend(zip(rec.turns, rec.turns[1:]))
     for skill in roster:
-        if not pairs_by_skill.get(skill.id):
+        if not pools[skill.id]:
             raise ValueError(f"no seed pairs available for skill {skill.id!r}")
     rng = random.Random(rng_seed)
-    while True:
-        skill = roster[rng.randrange(len(roster))]
-        pool = pairs_by_skill[skill.id]
-        yield pool[rng.randrange(len(pool))], skill
+
+    def draw() -> Iterator[tuple[tuple[Utterance, Utterance], SkillId]]:
+        while True:
+            skill = roster[rng.randrange(len(roster))]
+            pool = pools[skill.id]
+            yield pool[rng.randrange(len(pool))], skill
+
+    return draw()
 
 
 def docs_from_records(records) -> list[ContextDoc]:
@@ -315,13 +322,9 @@ def _write_json_array(fh, chunks: Iterable[list]) -> None:
     fh.write("[")
     sep = ""
     for chunk in chunks:
-        fh.write(sep + _dumps(chunk)[1:-1])
+        fh.write(sep + compact_json(chunk)[1:-1])
         sep = ","
     fh.write("]")
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
 def _blob(values: array) -> str:
@@ -376,9 +379,9 @@ def save_index(index: TfIdfIndex, path: str) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(header)[:-1] + ',"docs":')
+            fh.write(compact_json(header)[:-1] + ',"docs":')
             _write_json_array(fh, _doc_rows(index))
-            fh.write(',"postings":' + _dumps(postings) + "}")
+            fh.write(',"postings":' + compact_json(postings) + "}")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

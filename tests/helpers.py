@@ -28,9 +28,10 @@ from skillblend.core import (
     Utterance,
     config_digest,
 )
-from skillblend.dataio import EpisodeWriter, extract_pairs, read_dataset
+from skillblend.cli import draw_seeds
+from skillblend.dataio import EpisodeWriter, read_dataset
 from skillblend.orchestrator import run_batch
-from skillblend.seeds import build_index, build_seeds, docs_from_records, iter_seed_pairs
+from skillblend.seeds import build_index, docs_from_records
 
 # --- deterministic synthetic corpus -----------------------------------------
 
@@ -180,20 +181,10 @@ def scripted_stack(cfg: EngineConfig):
 
 
 def make_seeds(files, cfg: EngineConfig, count: int):
+    """``count`` seeds drawn as ``generate`` draws them, over an index of
+    the same files."""
     records = [rec for path in files for rec in read_dataset(path, cfg.skill_roster)]
-    pairs_by_skill = {s.id: [] for s in cfg.skill_roster}
-    for pair, skill in extract_pairs(records):
-        pairs_by_skill[skill.id].append(pair)
-    index = build_index(docs_from_records(records))
-    stream = iter_seed_pairs(pairs_by_skill, cfg.skill_roster, cfg.rng_seed)
-    seeds = []
-    budget = 100 * count
-    while len(seeds) < count:
-        assert budget > 0, "fixture corpus failed to produce seeds"
-        budget -= 1
-        pair, skill = next(stream)
-        seeds.extend(build_seeds(pair, skill, index, cfg))
-    return seeds[:count]
+    return draw_seeds(records, build_index(docs_from_records(records)), cfg, count)
 
 
 def generate_file(files, cfg: EngineConfig, count: int, out_path, parallelism: int = 1):

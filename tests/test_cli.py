@@ -173,7 +173,71 @@ def test_corrupt_episode_file_is_reported(workdir, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "x"}\n', encoding="utf-8")
     assert _run("validate", "--in", str(bad)) == 1
-    assert "seed_dataset" in capsys.readouterr().err
+    assert f"skillblend: {bad}: line 1: seed_dataset: missing field" in capsys.readouterr().err
+    assert _run("stats", "--in", str(bad), "--out", str(tmp_path / "report")) == 1
+    assert f"skillblend: {bad}: line 1: seed_dataset" in capsys.readouterr().err
+
+
+def test_dataset_errors_name_the_file(workdir, capsys):
+    tmp_path, data = workdir
+    index = str(tmp_path / "ctx.idx")
+    assert _run("index", "--data", *data, "--out", index) == 0
+    with open(data[1], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    record = json.loads(lines[2])
+    record["contexts"][0].append(7)
+    lines[2] = json.dumps(record)
+    bad = tmp_path / "second.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    files = [data[0], str(bad), data[2]]
+    capsys.readouterr()
+
+    expected = f"skillblend: {bad}: line 3: contexts[0][1]: expected a string"
+    out = tmp_path / "never"
+    assert _run("index", "--data", *files, "--out", str(out)) == 1
+    assert expected in capsys.readouterr().err
+    rc = _run("generate", "--data", *files, "--index", index, "--out", str(out), "--episodes", "2")
+    assert rc == 1
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dataset_without_a_roster_skill_is_a_config_error(workdir, capsys):
+    tmp_path, data = workdir
+    index = str(tmp_path / "ctx.idx")
+    assert _run("index", "--data", *data, "--out", index) == 0
+    out = tmp_path / "never.jsonl"
+    rc = _run(
+        "generate", "--data", data[0], data[2], "--index", index,
+        "--out", str(out), "--episodes", "2",
+    )
+    assert rc == 2
+    assert not out.exists()
+    assert "no seed pairs available for skill 'K'" in capsys.readouterr().err
+
+
+def test_index_sharing_no_term_with_the_data_is_a_config_error(workdir, capsys):
+    tmp_path, data = workdir
+    unrelated = tmp_path / "unrelated.jsonl"
+    unrelated.write_text(
+        json.dumps(
+            {
+                "skill": "P",
+                "episode_id": "z-1",
+                "contexts": [["zebra quartz"], ["xylophone vortex"]],
+                "turns": [{"speaker": 0, "text": "zebra"}, {"speaker": 1, "text": "quartz"}],
+            }
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    index = str(tmp_path / "unrelated.idx")
+    assert _run("index", "--data", str(unrelated), "--out", index) == 0
+    out = tmp_path / "never.jsonl"
+    rc = _run("generate", "--data", *data, "--index", index, "--out", str(out), "--episodes", "1")
+    assert rc == 2
+    assert not out.exists()
+    assert "seed construction produced too few episodes" in capsys.readouterr().err
 
 
 def _edited(change):

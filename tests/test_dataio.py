@@ -26,7 +26,6 @@ from skillblend.dataio import (
     ParseError,
     RosterError,
     episode_line,
-    extract_pairs,
     load_config_file,
     read_dataset,
     read_episodes,
@@ -93,28 +92,6 @@ def test_read_dataset_roster_error(tmp_path):
     path = _write(tmp_path, "bad.jsonl", [_record_line(skill="Z")])
     with pytest.raises(RosterError):
         list(read_dataset(path, DEFAULT_ROSTER))
-
-
-def test_extract_pairs_sliding_window(tmp_path):
-    path = _write(
-        tmp_path,
-        "ds.jsonl",
-        [
-            _record_line(),  # 3 turns -> 2 pairs
-            _record_line(
-                skill="K",
-                episode_id="k-1",
-                turns=[{"speaker": 0, "text": "q"}, {"speaker": 1, "text": "a"}],
-            ),
-        ],
-    )
-    records = list(read_dataset(path, DEFAULT_ROSTER))
-    pairs = extract_pairs(records)
-    assert len(pairs) == 3
-    # tags match source record skills, verified by recount
-    assert sum(1 for _, s in pairs if s.id == "P") == 2
-    assert sum(1 for _, s in pairs if s.id == "K") == 1
-    assert pairs[0][0][0].text == "hello" and pairs[0][0][1].text == "hi"
 
 
 def test_episode_roundtrip_structural_equality(tmp_path, corpus_files):

@@ -9,6 +9,7 @@ import pytest
 from skillblend import orchestrator
 from skillblend.agents import (
     BackendUnavailableError,
+    ProtocolError,
     RemoteSkillAgent,
     default_scripted_agents,
     serve_mock,
@@ -416,6 +417,15 @@ def test_remote_episode_sends_each_nli_and_classify_body_once(cfg):
     for route in ("/nli", "/classify"):
         bodies = Counter(body for r, body in requests if r == route)
         assert bodies and max(bodies.values()) == 1, route
+
+
+def test_wrapped_protocol_error_keeps_its_raw_body(cfg):
+    tables = dict(_REMOTE_TABLES, generate={"default": {"text": "x"}})  # no score
+    with serve_mock(tables) as server:
+        agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
+        with pytest.raises(ProtocolError, match=r"^episode ep-000000 turn 2: /generate: ") as err:
+            helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg)
+    assert err.value.body == b'{"text":"x"}'
 
 
 def test_episode_memo_does_not_outlive_its_episode(cfg):

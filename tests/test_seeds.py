@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from skillblend import seeds
 from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillContext, SkillContextSet, Utterance
+from skillblend.dataio import SingleSkillRecord
 from skillblend.seeds import (
     ContextDoc,
     SeedEpisode,
@@ -387,19 +388,30 @@ def test_default_role_template_shape():
 # --- seed pair sampling --------------------------------------------------------------
 
 
+def _record(skill, *texts):
+    turns = tuple(Utterance(i % 2, i, text) for i, text in enumerate(texts))
+    return SingleSkillRecord(skill, f"{skill.id}-{len(texts)}", ((), ()), turns)
+
+
 def test_iter_seed_pairs_deterministic_and_uniform_over_roster():
-    pools = {
-        "P": [_pair("p a", "p b")],
-        "K": [_pair("k a", "k b"), _pair("k c", "k d")],
-        "E": [_pair("e a", "e b")],
-    }
-    first = list(islice(iter_seed_pairs(pools, DEFAULT_ROSTER, rng_seed=42), 30))
-    second = list(islice(iter_seed_pairs(pools, DEFAULT_ROSTER, rng_seed=42), 30))
+    records = [
+        _record(P, "p a", "p b", "p c"),  # 3 turns -> 2 pairs
+        _record(K, "k a", "k b"),
+        _record(E, "e a", "e b"),
+        _record(K, "k c", "k d"),
+    ]
+    first = list(islice(iter_seed_pairs(records, DEFAULT_ROSTER, rng_seed=42), 60))
+    second = list(islice(iter_seed_pairs(records, DEFAULT_ROSTER, rng_seed=42), 60))
     assert first == second
-    skills = {skill.id for _, skill in first}
-    assert skills == {"P", "K", "E"}
-    with pytest.raises(ValueError):
-        next(iter_seed_pairs({"P": pools["P"], "K": [], "E": pools["E"]}, DEFAULT_ROSTER, 1))
+    # exactly the consecutive turn pairs, each tagged with its record's skill
+    expected = {
+        (pair, rec.skill) for rec in records for pair in zip(rec.turns, rec.turns[1:])
+    }
+    assert len(expected) == 5
+    assert set(first) == expected
+    # a skill without pairs fails at the call, before any draw
+    with pytest.raises(ValueError, match="no seed pairs available for skill 'K'"):
+        iter_seed_pairs([records[0], records[2]], DEFAULT_ROSTER, 1)
 
 
 # --- records -> docs and persistence ---------------------------------------------------

@@ -15,20 +15,20 @@ from skillblend.dataio import EpisodeWriter
 
 import helpers
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer(monkeypatch):
+def _load(monkeypatch, name):
     # import the benchmark file as it is, leaving no bytecode next to it
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_runs_and_uninstalls(tmp_path, corpus_files, monkeypatch):
-    tracer_module = _load_tracer(monkeypatch)
+    tracer_module = _load(monkeypatch, "tracer")
     targets = [(owner, attr) for owner, attr, _name, _value in tracer_module._TARGETS]
     originals = [owner.__dict__.get(attr) for owner, attr in targets]
     assert None not in originals
@@ -61,3 +61,28 @@ def test_tracer_installs_runs_and_uninstalls(tmp_path, corpus_files, monkeypatch
         "dataio.episode_line",
     ):
         assert name in spans, name
+
+
+def test_traced_generate_yields_the_benchmark_metrics(tmp_path, corpus_files, monkeypatch):
+    # as the benchmark's child process runs a traced generate command
+    tracer_module = _load(monkeypatch, "tracer")
+    metrics = _load(monkeypatch, "metrics")
+    index = str(tmp_path / "ctx.idx")
+    assert cli.main(["index", "--data", *corpus_files, "--out", index]) == 0
+    argv = ["generate", "--data", *corpus_files, "--index", index,
+            "--out", str(tmp_path / "out.jsonl"), "--episodes", "6", "--parallelism", "2"]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        rc = tracer.span("cli.generate", cli.main, argv)
+    finally:
+        tracer.uninstall()
+        tracer.dump(str(tmp_path / "spans.json"))
+    assert rc == 0
+
+    spans = metrics.load_spans(str(tmp_path / "spans.json"))
+    per_layer = metrics.generate_metrics(spans, 6, 2)
+    calls = metrics.backend_calls(spans)
+    assert per_layer["seeds.seeds_per_pair"] > 0
+    assert per_layer["cli.generate.self_s"] > 0
+    assert min(calls.values()) > 0
