@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from skillblend.dataio import (
     read_dataset,
     read_episodes,
 )
+from skillblend.seeds import iter_seed_pairs
 
 import helpers
 
@@ -92,6 +94,29 @@ def test_read_dataset_roster_error(tmp_path):
     path = _write(tmp_path, "bad.jsonl", [_record_line(skill="Z")])
     with pytest.raises(RosterError):
         list(read_dataset(path, DEFAULT_ROSTER))
+
+
+def test_extract_pairs_sliding_window(tmp_path):
+    path = _write(
+        tmp_path,
+        "ds.jsonl",
+        [
+            _record_line(),  # 3 turns -> 2 pairs
+            _record_line(
+                skill="K",
+                episode_id="k-1",
+                turns=[{"speaker": 0, "text": "q"}, {"speaker": 1, "text": "a"}],
+            ),
+        ],
+    )
+    records = list(read_dataset(path, DEFAULT_ROSTER))
+    roster = [s for s in DEFAULT_ROSTER if s.id in ("P", "K")]
+    drawn = set(islice(iter_seed_pairs(records, roster, rng_seed=3), 200))
+    pairs = sorted(((a.text, b.text), s.id) for (a, b), s in drawn)
+    # every consecutive turn pair, tagged with its source record's skill
+    assert pairs == sorted(
+        [(("hello", "hi"), "P"), (("hi", "again"), "P"), (("q", "a"), "K")]
+    )
 
 
 def test_episode_roundtrip_structural_equality(tmp_path, corpus_files):
