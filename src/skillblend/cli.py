@@ -4,7 +4,9 @@ Configuration precedence per key: command-line flag > environment variable
 (SKILLBLEND_ENDPOINT, SKILLBLEND_RNG_SEED) > config file > built-in default.
 Exit codes: 0 success, 1 validation or runtime failure, 2 configuration
 error. Diagnostics go to stderr; no subcommand touches its output path
-before configuration and inputs have been validated.
+before configuration and inputs have been validated. ``index`` and
+``generate`` stream their datasets; ``generate`` loads the index first, so
+when the index and the data are both bad, the index error is reported.
 """
 
 from __future__ import annotations
@@ -89,23 +91,20 @@ def _resolve_config(args) -> EngineConfig:
         raise ConfigError(str(exc))
 
 
-def _read(reader, paths, roster) -> list:
-    """Every record ``reader`` yields for the files at ``paths``, in order;
-    a parse error names its file."""
-    records = []
+def _read(reader, paths, roster):
+    """Stream every record ``reader`` yields for the files at ``paths``, in
+    order; a parse error names its file."""
     for path in paths:
         try:
-            records.extend(reader(path, roster))
+            yield from reader(path, roster)
         except ParseError as exc:
             exc.args = (f"{path}: {exc}",)
             raise
-    return records
 
 
 def _cmd_index(args) -> int:
     cfg = _resolve_config(args)
-    records = _read(read_dataset, args.data, cfg.skill_roster)
-    docs = docs_from_records(records)
+    docs = docs_from_records(_read(read_dataset, args.data, cfg.skill_roster))
     if not docs:
         raise ConfigError("input datasets carry no context lines to index")
     save_index(build_index(docs), args.out)
@@ -133,13 +132,11 @@ def _build_backends(args, cfg):
 
 
 def draw_seeds(records, index: TfIdfIndex, cfg: EngineConfig, count: int) -> list[SeedEpisode]:
-    """The first ``count`` seeds of the seeded pair stream over ``records``,
-    built from at most max(100, 50 * count) pairs. A roster skill without
-    pairs, or too few seeds within that budget, is a ConfigError."""
-    try:
-        pairs = iter_seed_pairs(records, cfg.skill_roster, cfg.rng_seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    """The first ``count`` seeds of the seeded pair stream over ``records``
+    (any iterable, read once), built from at most max(100, 50 * count)
+    pairs. A roster skill without pairs, or too few seeds within that
+    budget, is a ConfigError; an error the records raise propagates."""
+    pairs = iter_seed_pairs(records, cfg.skill_roster, cfg.rng_seed)
     seeds: list[SeedEpisode] = []
     for pair, skill in islice(pairs, max(100, 50 * count)):
         seeds.extend(build_seeds(pair, skill, index, cfg))
@@ -158,8 +155,10 @@ def _cmd_generate(args) -> int:
         raise ConfigError("--parallelism must be at least 1")
     agents, judge, scorer = _build_backends(args, cfg)
 
-    records = _read(read_dataset, args.data, cfg.skill_roster)
-    seeds = draw_seeds(records, load_index(args.index), cfg, args.episodes)
+    # the index first, so that its load peak does not stack on the pair
+    # pools the data stream leaves; a bad index is reported before bad data
+    index = load_index(args.index)
+    seeds = draw_seeds(_read(read_dataset, args.data, cfg.skill_roster), index, cfg, args.episodes)
 
     # All configuration and inputs validated; only now touch the output.
     with EpisodeWriter(args.out) as writer:
@@ -177,7 +176,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_stats(args) -> int:
     cfg = _resolve_config(args)
-    episodes = _read(read_episodes, [args.in_path], cfg.skill_roster)
+    episodes = list(_read(read_episodes, [args.in_path], cfg.skill_roster))
     report = build_report(episodes, cfg.skill_roster, epsilon=cfg.epsilon)
     paths = write_report(report, args.out)
     print(format_report(report))
@@ -187,7 +186,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _resolve_config(args)
-    episodes = _read(read_episodes, [args.in_path], cfg.skill_roster)
+    episodes = list(_read(read_episodes, [args.in_path], cfg.skill_roster))
     failures = 0
     for ep in episodes:
         for violation in validate_episode(ep, cfg):

@@ -216,6 +216,10 @@ class Episode:
             raise ValueError("episodes carry one context set per side")
 
 
+class ConfigError(ValueError):
+    """A malformed or inconsistent engine configuration."""
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine-wide knobs.

@@ -39,6 +39,7 @@ from typing import Iterator, Sequence
 
 from .core import (
     AnnotatedTurn,
+    ConfigError,
     EngineConfig,
     Episode,
     Refusal,
@@ -65,10 +66,6 @@ class ParseError(ValueError):
 
 class RosterError(ParseError):
     """A record references a skill id outside the configured roster."""
-
-
-class ConfigError(ValueError):
-    """A malformed or inconsistent engine configuration."""
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ order stays equal to seed order, so parallelism never changes the bytes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .agents import BackendError, SkillAgent
 from .classifiers import NliJudge, NliVerdict, SkillScorer
@@ -178,7 +179,7 @@ def run_episode(
 
 
 def run_batch(
-    seeds: Sequence[SeedEpisode],
+    seeds: Iterable[SeedEpisode],
     agents: Sequence[SkillAgent],
     judge: NliJudge,
     scorer: SkillScorer,
@@ -192,8 +193,9 @@ def run_batch(
     Output order equals seed order regardless of completion order; aborted
     episodes are recorded in the report, not written. Refusal totals count
     the written episodes, so recounting the output file reproduces them.
-    A backend error or a failed write ends the batch at that episode; the
-    episodes not yet started are not run.
+    At most 2 * ``parallelism`` episodes are in flight at once, so ``seeds``
+    may be a lazy iterable. A backend error or a failed write ends the
+    batch at that episode; the episodes not yet started are not run.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
@@ -210,28 +212,40 @@ def run_batch(
     aborts: list[tuple[int, str]] = []
     written = 0
     refusal_total = 0
+
+    def consume(index: int, future: Future) -> None:
+        nonlocal written, refusal_total
+        result = future.result()
+        if isinstance(result, EpisodeAbortError):
+            aborts.append((index, str(result)))
+        else:
+            if write is not None:
+                try:
+                    write(result)
+                except OSError as exc:
+                    raise BatchError(
+                        f"writer failed on episode {result.id}: {exc}",
+                        BatchReport(written, tuple(aborts), refusal_total),
+                    ) from exc
+            written += 1
+            refusal_total += sum(len(t.refusals) for t in result.turns)
+        if on_progress is not None:
+            on_progress(written, len(aborts))
+
+    # at most 2 * parallelism episodes in flight, consumed in seed order;
+    # each is dropped once consumed, and when the batch ends early the
+    # ones not yet started are cancelled
+    window: deque[tuple[int, Future]] = deque()
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        # map yields in seed order and drops each future once consumed;
-        # closing it cancels the episodes not yet started
-        results = pool.map(work, range(len(seeds)), seeds)
         try:
-            for index, result in enumerate(results):
-                if isinstance(result, EpisodeAbortError):
-                    aborts.append((index, str(result)))
-                else:
-                    if write is not None:
-                        try:
-                            write(result)
-                        except OSError as exc:
-                            raise BatchError(
-                                f"writer failed on episode {result.id}: {exc}",
-                                BatchReport(written, tuple(aborts), refusal_total),
-                            ) from exc
-                    written += 1
-                    refusal_total += sum(len(t.refusals) for t in result.turns)
-                if on_progress is not None:
-                    on_progress(written, len(aborts))
+            for index, seed in enumerate(seeds):
+                if len(window) == 2 * parallelism:
+                    consume(*window.popleft())
+                window.append((index, pool.submit(work, index, seed)))
+            while window:
+                consume(*window.popleft())
         finally:
-            results.close()
+            for _, future in window:
+                future.cancel()
 
     return BatchReport(written, tuple(aborts), refusal_total)

@@ -24,10 +24,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from operator import lt
+from operator import lt, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import EngineConfig, SkillContext, SkillContextSet, SkillId, Utterance, compact_json
+from .core import ConfigError, EngineConfig, SkillContext, SkillContextSet, SkillId, Utterance, compact_json
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -110,46 +110,54 @@ class SeedEpisode:
     contexts: tuple[SkillContextSet, SkillContextSet]
 
 
-def _postings(
-    vectors: Iterable[Iterable[tuple[int, float]]], vocab_size: int
-) -> tuple[tuple[array, array], ...]:
-    """Invert per-document (term id, weight) vectors, given in position
-    order, into postings. Term ids must be in [0, vocab_size) and ascend
-    within each vector."""
-    positions = [array("i") for _ in range(vocab_size)]
-    weights = [array("d") for _ in range(vocab_size)]
-    for pos, vec in enumerate(vectors):
-        for tid, w in vec:
-            positions[tid].append(pos)
-            weights[tid].append(w)
-    return tuple(zip(positions, weights))
-
-
 def build_index(docs: Sequence[ContextDoc]) -> TfIdfIndex:
     """Index documents with tf = raw term count and
     idf = max(0, ln(N / (1 + df)) + 1); vectors are L2-normalized. Document
-    ids must equal their positions, as ``docs_from_records`` assigns them."""
+    ids must equal their positions, as ``docs_from_records`` assigns them.
+
+    Each document is tokenized once into term ids and counts; the ids are
+    numbered in order of first appearance until the vocabulary is sorted at
+    the end. The postings are then built term by term: df is a term's
+    postings length and each weight is count * idf / norm, where a
+    document's norm sums its squared weights in the order its terms first
+    occur (the float depends on that order). Since df <= N, idf > 0, so
+    every weight is positive and a document without tokens has no entry."""
     if not docs:
         raise ValueError("cannot index an empty corpus")
-    token_lists = [tokenize(d.text) for d in docs]
-    df: Counter[str] = Counter()
-    for tokens in token_lists:
-        df.update(set(tokens))
-    terms = sorted(df)
-    vocabulary = {t: i for i, t in enumerate(terms)}
+    ids: dict[str, int] = {}
+    positions: list[array] = []  # per term id: the documents holding it, ascending
+    counts: list[array] = []  # per term id: its count in each of those documents
+    doc_terms, doc_counts, ends = array("i"), array("i"), array("i")  # per document, concatenated
+    for pos, d in enumerate(docs):
+        for term, count in Counter(tokenize(d.text)).items():
+            tid = ids.get(term)
+            if tid is None:
+                tid = ids[term] = len(positions)
+                positions.append(array("i"))
+                counts.append(array("i"))
+            positions[tid].append(pos)
+            counts[tid].append(count)
+            doc_terms.append(tid)
+            doc_counts.append(count)
+        ends.append(len(doc_terms))
     n = len(docs)
-    idf = tuple(max(0.0, math.log(n / (1 + df[t])) + 1.0) for t in terms)
+    idf = [max(0.0, math.log(n / (1 + len(p))) + 1.0) for p in positions]
+    norms = array("d")
+    start = 0
+    for end in ends:
+        weights = map(mul, doc_counts[start:end], map(idf.__getitem__, doc_terms[start:end]))
+        norms.append(math.sqrt(sum(w * w for w in weights)))
+        start = end
 
-    def vector(tokens: list[str]) -> list[tuple[int, float]]:
-        weights = [(vocabulary[t], count * idf[vocabulary[t]]) for t, count in Counter(tokens).items()]
-        # the norm's float depends on summation order: first occurrence, then sort
-        norm = math.sqrt(sum(w * w for _, w in weights))
-        if norm > 0.0:
-            weights.sort()
-            return [(tid, w / norm) for tid, w in weights if w != 0.0]
-        return []
-
-    return TfIdfIndex(vocabulary, idf, _postings(map(vector, token_lists), len(terms)), tuple(docs))
+    terms = sorted(ids)
+    postings = []
+    for term in terms:
+        tid = ids[term]
+        term_idf = idf[tid]
+        term_weights = [c * term_idf / norms[p] for p, c in zip(positions[tid], counts[tid])]
+        postings.append((positions[tid], array("d", term_weights)))
+    vocabulary = {t: i for i, t in enumerate(terms)}
+    return TfIdfIndex(vocabulary, tuple(idf[ids[t]] for t in terms), tuple(postings), tuple(docs))
 
 
 def _scores(index: TfIdfIndex, text: str) -> list[float]:
@@ -272,13 +280,14 @@ def iter_seed_pairs(
     """Seeded endless stream of (pair, provenance skill) over dataset
     records: the skill chosen uniformly over the roster, then uniformly one
     consecutive turn pair of that skill's records (pairs in record order).
-    Raises ValueError at once when a roster skill has no pair."""
+    Reads ``records`` once, at once, keeping only the turn pairs; raises
+    ConfigError when a roster skill has no pair."""
     pools: dict[str, list[tuple[Utterance, Utterance]]] = {s.id: [] for s in roster}
     for rec in records:
         pools[rec.skill.id].extend(zip(rec.turns, rec.turns[1:]))
     for skill in roster:
         if not pools[skill.id]:
-            raise ValueError(f"no seed pairs available for skill {skill.id!r}")
+            raise ConfigError(f"no seed pairs available for skill {skill.id!r}")
     rng = random.Random(rng_seed)
 
     def draw() -> Iterator[tuple[tuple[Utterance, Utterance], SkillId]]:

@@ -152,13 +152,14 @@ def empathy_records(count: int = 8) -> list[dict]:
     return records
 
 
-def write_corpus(dirpath) -> list[str]:
-    """Write the three single-skill dataset files; returns their paths."""
+def write_corpus(dirpath, count: int = 8) -> list[str]:
+    """Write the three single-skill dataset files of ``count`` records each;
+    returns their paths."""
     paths = []
     for name, records in (
-        ("personas.jsonl", persona_records()),
-        ("knowledge.jsonl", knowledge_records()),
-        ("empathy.jsonl", empathy_records()),
+        ("personas.jsonl", persona_records(count)),
+        ("knowledge.jsonl", knowledge_records(count)),
+        ("empathy.jsonl", empathy_records(count)),
     ):
         path = str(dirpath / name)
         with open(path, "w", encoding="utf-8") as fh:
@@ -242,6 +243,47 @@ def episode_obj(ep: Episode) -> dict:
 
 
 # --- retrieval oracle -----------------------------------------------------------
+
+
+def build_index_oracle(docs):
+    """``build_index`` as it was written before it built postings term by
+    term: one token list per document, a per-document (term id, weight)
+    vector normalized in first-occurrence order, sorted, then inverted.
+    ``build_index`` must equal it bit for bit."""
+    import math
+    from array import array
+    from collections import Counter
+
+    from skillblend.seeds import TfIdfIndex, tokenize
+
+    if not docs:
+        raise ValueError("cannot index an empty corpus")
+    token_lists = [tokenize(d.text) for d in docs]
+    df = Counter()
+    for tokens in token_lists:
+        df.update(set(tokens))
+    terms = sorted(df)
+    vocabulary = {t: i for i, t in enumerate(terms)}
+    n = len(docs)
+    idf = tuple(max(0.0, math.log(n / (1 + df[t])) + 1.0) for t in terms)
+
+    def vector(tokens):
+        weights = [(vocabulary[t], count * idf[vocabulary[t]]) for t, count in Counter(tokens).items()]
+        # the norm's float depends on summation order: first occurrence, then sort
+        norm = math.sqrt(sum(w * w for _, w in weights))
+        if norm > 0.0:
+            weights.sort()
+            return [(tid, w / norm) for tid, w in weights if w != 0.0]
+        return []
+
+    positions = [array("i") for _ in terms]
+    weights = [array("d") for _ in terms]
+    for pos, vec in enumerate(map(vector, token_lists)):
+        for tid, w in vec:
+            positions[tid].append(pos)
+            weights[tid].append(w)
+    return TfIdfIndex(vocabulary, idf, tuple(zip(positions, weights)), tuple(docs))
+
 
 
 def brute_force_cosines(docs, query_text):

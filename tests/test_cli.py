@@ -2,15 +2,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
 
+from skillblend import cli
 from skillblend.agents import serve_mock
-from skillblend.cli import ENV_RNG_SEED, _resolve_config, main
+from skillblend.cli import ENV_RNG_SEED, _resolve_config, draw_seeds, main
 from skillblend.core import EngineConfig, make_roster
-from skillblend.dataio import ConfigError, load_config_file
+from skillblend.dataio import ConfigError, ParseError, load_config_file, read_dataset
+from skillblend.seeds import load_index
+
+import helpers
 
 @pytest.fixture
 def workdir(tmp_path, corpus_files):
@@ -214,6 +219,76 @@ def test_dataset_without_a_roster_skill_is_a_config_error(workdir, capsys):
     assert rc == 2
     assert not out.exists()
     assert "no seed pairs available for skill 'K'" in capsys.readouterr().err
+
+
+def test_index_and_generate_hold_few_records_at_once(tmp_path, monkeypatch):
+    data = helpers.write_corpus(tmp_path, count=20)
+    live = weakref.WeakSet()
+    held = []
+    read = cli.read_dataset
+
+    def tracked(path, roster):
+        for rec in read(path, roster):
+            live.add(rec)
+            held.append(len(live))
+            yield rec
+
+    monkeypatch.setattr(cli, "read_dataset", tracked)
+    index = str(tmp_path / "ctx.idx")
+    assert _run("index", "--data", *data, "--out", index) == 0
+    assert len(held) == 60
+    assert max(held) <= 3
+    held.clear()
+    out = str(tmp_path / "out.jsonl")
+    assert _run("generate", "--data", *data, "--index", index, "--out", out, "--episodes", "4") == 0
+    assert len(held) == 60
+    assert max(held) <= 3
+
+
+def test_parse_error_in_the_records_stream_exits_1(workdir, capsys, monkeypatch):
+    tmp_path, data = workdir
+    index = str(tmp_path / "ctx.idx")
+    assert _run("index", "--data", *data, "--out", index) == 0
+    read = cli.read_dataset
+
+    def failing(path, roster):
+        yield from read(path, roster)
+        if path == data[1]:
+            raise ParseError(9, "turns", "cut short")
+
+    monkeypatch.setattr(cli, "read_dataset", failing)
+    capsys.readouterr()
+    out = tmp_path / "never.jsonl"
+    rc = _run("generate", "--data", *data, "--index", index, "--out", str(out), "--episodes", "2")
+    assert rc == 1
+    assert f"skillblend: {data[1]}: line 9: turns: cut short" in capsys.readouterr().err
+    assert not out.exists()
+
+    # draw_seeds lets the records' error through; only a roster skill
+    # without pairs is a ConfigError
+    cfg = EngineConfig()
+    with pytest.raises(ParseError, match="cut short"):
+        draw_seeds(failing(data[1], cfg.skill_roster), load_index(index), cfg, 2)
+    with pytest.raises(ConfigError, match="no seed pairs available for skill 'P'"):
+        draw_seeds(read_dataset(data[1], cfg.skill_roster), load_index(index), cfg, 2)
+
+
+def test_generate_reports_a_bad_index_before_bad_data(workdir, capsys):
+    tmp_path, data = workdir
+    bad_data = tmp_path / "bad.jsonl"
+    bad_data.write_text("not json\n", encoding="utf-8")
+    bad_index = tmp_path / "ctx.idx"
+    bad_index.write_text("{", encoding="utf-8")
+    out = tmp_path / "never.jsonl"
+    rc = _run(
+        "generate", "--data", *data, str(bad_data), "--index", str(bad_index),
+        "--out", str(out), "--episodes", "2",
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"skillblend: {bad_index}: not a JSON file" in err
+    assert str(bad_data) not in err
+    assert not out.exists()
 
 
 def test_index_sharing_no_term_with_the_data_is_a_config_error(workdir, capsys):

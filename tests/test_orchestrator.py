@@ -320,6 +320,32 @@ def test_run_batch_stops_at_first_backend_error(cfg, parallelism):
     assert judge.calls < 50
 
 
+@pytest.mark.parametrize("parallelism", [1, 2, 3])
+def test_run_batch_keeps_a_bounded_window_in_flight(cfg, monkeypatch, parallelism):
+    agents, judge, scorer = _stack(cfg)
+    started = []
+    run_episode_uncounted = orchestrator.run_episode
+
+    def counted(*args, **kwargs):
+        started.append(kwargs["episode_id"])
+        if kwargs["episode_id"] == "ep-000000":
+            time.sleep(0.05)  # the other workers would run far ahead meanwhile
+        return run_episode_uncounted(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_episode", counted)
+    started_at_write = []
+
+    def write(ep):
+        started_at_write.append(len(started))
+
+    report = run_batch(
+        iter([_plain_seed()] * 40), agents, judge, scorer, cfg, parallelism=parallelism, write=write
+    )
+    assert report.episodes_written == 40
+    assert started_at_write[0] <= 2 * parallelism + 1
+    assert sorted(started) == [f"ep-{i:06d}" for i in range(40)]
+
+
 def test_run_batch_rejects_bad_parallelism(cfg):
     agents, judge, scorer = _stack(cfg)
     with pytest.raises(ValueError):

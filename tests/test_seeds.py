@@ -13,7 +13,7 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillblend import seeds
@@ -33,6 +33,8 @@ from skillblend.seeds import (
     save_index,
     tokenize,
 )
+
+import helpers
 
 P, K, E = DEFAULT_ROSTER
 
@@ -85,6 +87,33 @@ def test_doc_looks_up_by_position():
     for bad in (-1, 3):
         with pytest.raises(KeyError):
             index.doc(bad)
+
+
+def _bits(index):
+    """Vocabulary, idf and postings of an index, floats as their bits."""
+    postings = [(p.typecode, p.tobytes(), w.typecode, w.tobytes()) for p, w in index.postings]
+    return index.vocabulary, [x.hex() for x in index.idf], postings
+
+
+# words with repeats, a token-less line, upper case, digits and non-ASCII
+# letters, which separate tokens ("café" -> "caf", "İ" lowercases to "i"
+# plus a combining dot)
+_ORACLE_WORDS = ["apple", "river", "stone", "Apple", "x2", "?!", "café", "naïve", "東京", "İstanbul"]
+_ORACLE_LINES = st.lists(st.sampled_from(_ORACLE_WORDS), min_size=1, max_size=8).map(" ".join) | st.text(
+    min_size=1, max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_ORACLE_LINES, min_size=1, max_size=3), min_size=1, max_size=12))
+@example([["?!"]])
+@example([["?!"], ["?! ?!"]])
+@example([["apple apple apple pie"]])
+@example([["apple river"], ["stone apple"], ["apple apple"]])
+@example([["café naïve"], ["東京 İstanbul", "?!"], ["caf na ve"]])
+def test_build_index_equals_the_oracle_bit_for_bit(corpus):
+    docs = [ContextDoc(i, DEFAULT_ROSTER[i % 3], SideRole.PRIMARY, tuple(lines)) for i, lines in enumerate(corpus)]
+    assert _bits(build_index(docs)) == _bits(helpers.build_index_oracle(docs))
 
 
 def _brute_force_cosines(docs, query_text):
