@@ -9,14 +9,17 @@ Wire protocol (all endpoints HTTP POST, UTF-8 JSON bodies):
     /rank      req  {"skill": str, "context": [str], "dialogue": [...],
                      "candidates": [str]}
                resp {"scores": [number]}            (arity must match)
-    /nli       req  {"premise": str, "hypothesis": str}
-               resp {"label": "entail"|"neutral"|"contradict", "confidence": number}
+    /nli       req  {"premises": [str], "hypothesis": str}
+               resp {"verdicts": [{"label": "entail"|"neutral"|"contradict",
+                                   "confidence": number}]}  (arity must match)
     /classify  req  {"text": str}
                resp {"distribution": [number]}      (length M, validated client-side)
 
 Field names and casing are normative; unknown extra fields are ignored.
-Requests go over HTTP/1.1 keep-alive: each worker thread holds one
-persistent connection per backend host.
+One ``/nli`` request judges a hypothesis against a batch of premises, one
+verdict per premise in premise order. Requests go over HTTP/1.1
+keep-alive: each worker thread holds one persistent connection per backend
+host. Failed attempts are retried after a capped exponential backoff.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import socket
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from time import sleep
 from typing import Protocol, Sequence
 from urllib.parse import urlsplit
 
@@ -175,6 +179,9 @@ class BackendEndpoint:
 
 
 _HEADERS = {"Content-Type": "application/json"}
+# the wait before retry i (0-based) is min(_BACKOFF_CAP_S, _BACKOFF_FIRST_S * 2**i)
+_BACKOFF_FIRST_S = 0.05
+_BACKOFF_CAP_S = 1.0
 _thread_state = threading.local()
 
 
@@ -224,13 +231,16 @@ def _exchange(conn: http.client.HTTPConnection, path: str, payload: bytes) -> tu
 
 def post_json(endpoint: BackendEndpoint, route: str, body: dict) -> tuple[dict, bytes]:
     """POST a compact JSON body; retry on timeouts, connection failures and
-    5xx responses until the budget runs out. Returns (parsed object, raw
-    response bytes)."""
+    5xx responses until the budget runs out, waiting a capped, doubling
+    backoff before each retry. Returns (parsed object, raw response
+    bytes)."""
     payload = compact_json(body).encode("utf-8")
     path = endpoint._path + route
     timeout = endpoint.timeout_ms / 1000.0
     last_failure = "no attempt made"
-    for _ in range(endpoint.max_retries + 1):
+    for attempt in range(endpoint.max_retries + 1):
+        if attempt:
+            sleep(min(_BACKOFF_CAP_S, _BACKOFF_FIRST_S * 2 ** (attempt - 1)))
         conn = _connection(endpoint, timeout)
         try:
             status, content = _exchange(conn, path, payload)
@@ -394,9 +404,17 @@ class MockServer:
             disable_nagle_algorithm = True
 
             def do_POST(self) -> None:  # noqa: N802 (http.server API)
-                length = int(self.headers.get("Content-Length", 0))
-                body = self.rfile.read(length)
-                status, obj = server._handle(self.path, body)
+                try:
+                    length = int(self.headers.get("Content-Length", 0))
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    # the body's end is unknown, so the connection cannot
+                    # carry another request
+                    self.close_connection = True
+                    status, obj = 400, {"error": "bad Content-Length"}
+                else:
+                    status, obj = server._handle(self.path, self.rfile.read(length))
                 data = b"" if obj is None else compact_json(obj).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -493,16 +511,24 @@ class MockServer:
         return 200, {"scores": [by_text.get(text, default) for text in candidates]}
 
     def _nli(self, req: dict) -> tuple[int, dict | None]:
+        premises = req.get("premises")
+        hypothesis = req.get("hypothesis")
+        if not isinstance(premises, list) or not all(isinstance(p, str) for p in premises):
+            return 400, {"error": "'premises' must be an array of strings"}
+        if not isinstance(hypothesis, str):
+            return 400, {"error": "'hypothesis' must be a string"}
         table = self._tables.get("nli", {})
-        for pair in table.get("pairs", []):
-            if pair.get("premise") == req.get("premise") and pair.get("hypothesis") == req.get(
-                "hypothesis"
-            ):
-                return 200, {
-                    "label": pair.get("label"),
-                    "confidence": pair.get("confidence", 1.0),
-                }
-        return 200, table.get("default", {"label": "neutral", "confidence": 0.5})
+        default = table.get("default", {"label": "neutral", "confidence": 0.5})
+        # the first table row matching a (premise, hypothesis) pair decides
+        rows = [pair for pair in table.get("pairs", []) if pair.get("hypothesis") == hypothesis]
+
+        def verdict(premise: str) -> dict:
+            for pair in rows:
+                if pair.get("premise") == premise:
+                    return {"label": pair.get("label"), "confidence": pair.get("confidence", 1.0)}
+            return default
+
+        return 200, {"verdicts": [verdict(premise) for premise in premises]}
 
     def _classify(self, req: dict) -> tuple[int, dict | None]:
         table = self._tables.get("classify", {})

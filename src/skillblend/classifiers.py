@@ -4,6 +4,8 @@ classification.
 Both come as interfaces with two implementations each: deterministic
 lexical stand-ins (substring pattern tables and weighted keyword counts)
 and remote clients speaking the wire protocol from :mod:`skillblend.agents`.
+The NLI judge is batch-shaped: one call judges a hypothesis against every
+premise it is given.
 The engine never embeds model weights.
 """
 
@@ -35,10 +37,12 @@ class NliVerdict:
 
 
 class NliJudge(Protocol):
-    """Judges whether a hypothesis can be inferred from a premise.
-    Implementations must be deterministic for fixed inputs."""
+    """Judges whether a hypothesis can be inferred from each of a batch of
+    premises, returning one verdict per premise in premise order.
+    Implementations must be deterministic for fixed inputs, and a premise's
+    verdict must not depend on the other premises in the batch."""
 
-    def judge(self, premise: str, hypothesis: str) -> NliVerdict:
+    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[NliVerdict, ...]:
         ...
 
 
@@ -86,23 +90,35 @@ class LexiconSpec:
                 raise ValueError("NLI patterns must be non-blank")
 
 
+_CONTRADICT = NliVerdict(NliLabel.CONTRADICT, 1.0)
+_ENTAIL = NliVerdict(NliLabel.ENTAIL, 1.0)
+_NEUTRAL = NliVerdict(NliLabel.NEUTRAL, 0.5)
+
+
 @dataclass(frozen=True)
 class LexicalNliJudge:
     spec: LexiconSpec
 
-    def judge(self, premise: str, hypothesis: str) -> NliVerdict:
-        """First matching contradiction pair wins, then the first entail
+    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[NliVerdict, ...]:
+        """Per premise: a matching contradiction pair wins, then an entail
         pair; otherwise Neutral. Patterned verdicts carry confidence 1.0, the
-        default Neutral 0.5 (downstream gates use only the label)."""
-        premise_l = premise.lower()
+        default Neutral 0.5 (downstream gates use only the label). Only the
+        pairs whose hypothesis pattern the hypothesis contains can match, so
+        they are picked once per batch."""
+        spec = self.spec
         hypothesis_l = hypothesis.lower()
-        for prem_pat, hyp_pat in self.spec.contradiction_pairs:
-            if prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l:
-                return NliVerdict(NliLabel.CONTRADICT, 1.0)
-        for prem_pat, hyp_pat in self.spec.entail_pairs:
-            if prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l:
-                return NliVerdict(NliLabel.ENTAIL, 1.0)
-        return NliVerdict(NliLabel.NEUTRAL, 0.5)
+        contradict = [p.lower() for p, h in spec.contradiction_pairs if h.lower() in hypothesis_l]
+        entail = [p.lower() for p, h in spec.entail_pairs if h.lower() in hypothesis_l]
+        verdicts = []
+        for premise in premises:
+            premise_l = premise.lower()
+            if any(pat in premise_l for pat in contradict):
+                verdicts.append(_CONTRADICT)
+            elif any(pat in premise_l for pat in entail):
+                verdicts.append(_ENTAIL)
+            else:
+                verdicts.append(_NEUTRAL)
+        return tuple(verdicts)
 
 
 @dataclass(frozen=True)
@@ -126,22 +142,37 @@ class LexicalSkillScorer:
         return softmax(raw)
 
 
+def _wire_verdict(item: object, raw: bytes) -> NliVerdict:
+    """One ``{"label", "confidence"}`` object of an ``/nli`` response."""
+    if not isinstance(item, dict):
+        raise ProtocolError("/nli: verdict is not a JSON object", raw)
+    label = item.get("label")
+    confidence = item.get("confidence")
+    if label not in ("entail", "neutral", "contradict"):
+        raise ProtocolError(f"/nli: missing or unknown 'label' {label!r}", raw)
+    if not is_number(confidence):
+        raise ProtocolError("/nli: missing or non-numeric 'confidence'", raw)
+    try:
+        return NliVerdict(NliLabel(label), float(confidence))
+    except ValueError as exc:
+        raise ProtocolError(f"/nli: {exc}", raw)
+
+
 @dataclass(frozen=True)
 class RemoteNliJudge:
     endpoint: BackendEndpoint
 
-    def judge(self, premise: str, hypothesis: str) -> NliVerdict:
-        obj, raw = post_json(self.endpoint, "/nli", {"premise": premise, "hypothesis": hypothesis})
-        label = obj.get("label")
-        confidence = obj.get("confidence")
-        if label not in ("entail", "neutral", "contradict"):
-            raise ProtocolError(f"/nli: missing or unknown 'label' {label!r}", raw)
-        if not is_number(confidence):
-            raise ProtocolError("/nli: missing or non-numeric 'confidence'", raw)
-        try:
-            return NliVerdict(NliLabel(label), float(confidence))
-        except ValueError as exc:
-            raise ProtocolError(f"/nli: {exc}", raw)
+    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[NliVerdict, ...]:
+        """One ``/nli`` request for the whole batch; the response must hold
+        exactly one verdict per premise."""
+        obj, raw = post_json(
+            self.endpoint, "/nli", {"premises": list(premises), "hypothesis": hypothesis}
+        )
+        verdicts = obj.get("verdicts")
+        if not isinstance(verdicts, list) or len(verdicts) != len(premises):
+            got = len(verdicts) if isinstance(verdicts, list) else "no"
+            raise ProtocolError(f"/nli: expected {len(premises)} verdicts, got {got}", raw)
+        return tuple(_wire_verdict(item, raw) for item in verdicts)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,13 @@ class SkillContextSet:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def flat_lines(self) -> tuple[tuple[str, ...], tuple[SkillId, ...]]:
+        """Every context line in iteration order (roster, then line order),
+        and each line's skill."""
+        lines = [line for e in self.entries for line in e.lines]
+        skills = [e.skill for e in self.entries for _line in e.lines]
+        return tuple(lines), tuple(skills)
+
 
 @dataclass(frozen=True)
 class Utterance:

@@ -1,7 +1,8 @@
 """Moderator decision gates and the per-turn workflow around them.
 
 Two binary gates realize the moderator's approval/refusal action space:
-the consistency gate (NLI against every context line) and the flow gate
+the consistency gate (NLI against every context line of the speaking side,
+in one batched judge call) and the flow gate
 (KL divergence between consecutive skill distributions against a
 threshold). Everything here is stateless given its inputs.
 """
@@ -18,7 +19,6 @@ from .core import (
     Refusal,
     ResponseCandidate,
     SkillContext,
-    SkillContextSet,
     SkillId,
 )
 from .distmath import kl_divergence, stable_argmax
@@ -55,21 +55,26 @@ class SelectionOutcome:
     used_fallback: bool
 
 
-def consistency_gate(judge: NliJudge, stx_all: SkillContextSet, res: str) -> GateDecision:
-    """Refuse iff any (context line, res) pair judges Contradict; lines are
-    checked in roster order then line order, and the first contradicting
-    context's skill is recorded."""
-    for ctx in stx_all:
-        for line in ctx.lines:
-            if judge.judge(line, res).label is NliLabel.CONTRADICT:
-                return GateDecision(False, context_skill=ctx.skill)
+def consistency_gate(
+    judge: NliJudge, side_lines: tuple[tuple[str, ...], tuple[SkillId, ...]], res: str
+) -> GateDecision:
+    """Refuse iff any (context line, res) pair judges Contradict.
+    ``side_lines`` is the speaking side's ``SkillContextSet.flat_lines()``.
+    Every line goes to the judge in one batch; the first contradicting line
+    in roster order, then line order, decides, and its skill is recorded."""
+    lines, skills = side_lines
+    if not lines:
+        return _APPROVED
+    for verdict, skill in zip(judge.judge(lines, res), skills, strict=True):
+        if verdict.label is NliLabel.CONTRADICT:
+            return GateDecision(False, context_skill=skill)
     return _APPROVED
 
 
 def simulate_approved(
     agent: SkillAgent,
     judge: NliJudge,
-    stx_all: SkillContextSet,
+    side_lines: tuple[tuple[str, ...], tuple[SkillId, ...]],
     stx_own: SkillContext,
     dtx: DialogueContext,
     max_attempts: int,
@@ -83,7 +88,7 @@ def simulate_approved(
     for attempt in range(1, max_attempts + 1):
         candidate = agent.generate(stx_own, dtx, attempt)
         assert candidate.origin.id == agent.skill.id, "candidate origin must match the agent"
-        decision = consistency_gate(judge, stx_all, candidate.text)
+        decision = consistency_gate(judge, side_lines, candidate.text)
         if decision.approved:
             return SimulationResult(replace(candidate, attempts=attempt), tuple(refusals))
         refusals.append(Refusal(candidate_skill=agent.skill, context_skill=decision.context_skill))

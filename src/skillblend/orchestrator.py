@@ -62,24 +62,38 @@ class _EpisodeMemo:
     """The episode's NLI judge and skill scorer behind one memo: each
     (premise, hypothesis) pair is judged and each text scored at most once.
 
-    Both backends are deterministic for fixed inputs, so the memo is exact.
-    It lives as long as one episode, which runs on one thread; exceptions
-    propagate uncached, so retries and backend errors behave as without it.
+    A judge call forwards, in one batch, only the distinct premises not yet
+    judged against that hypothesis, and nothing when none are left. Whole
+    verdict tuples are memoized by (premises, hypothesis) in front of the
+    per-pair memo, so a side's gate call for a text seen before costs one
+    lookup. Both backends are deterministic for fixed inputs, so the memo
+    is exact. It lives as long as one episode, which runs on one thread;
+    exceptions propagate uncached, so retries and backend errors behave as
+    without it.
     """
 
     def __init__(self, judge: NliJudge, scorer: SkillScorer):
         self._judge = judge
         self._scorer = scorer
         self.roster = scorer.roster
+        self._batches: dict[tuple[tuple[str, ...], str], tuple[NliVerdict, ...]] = {}
         self._verdicts: dict[tuple[str, str], NliVerdict] = {}
         self._dists: dict[str, SkillDistribution] = {}
 
-    def judge(self, premise: str, hypothesis: str) -> NliVerdict:
-        key = (premise, hypothesis)
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = self._verdicts[key] = self._judge.judge(premise, hypothesis)
-        return verdict
+    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[NliVerdict, ...]:
+        key = (premises, hypothesis)
+        verdicts = self._batches.get(key)
+        if verdicts is None:
+            pairs = self._verdicts
+            # lists, not generators, so that tuple() allocates the exact size
+            pending = tuple(dict.fromkeys([p for p in premises if (p, hypothesis) not in pairs]))
+            if pending:
+                for premise, verdict in zip(
+                    pending, self._judge.judge(pending, hypothesis), strict=True
+                ):
+                    pairs[premise, hypothesis] = verdict
+            verdicts = self._batches[key] = tuple([pairs[p, hypothesis] for p in premises])
+        return verdicts
 
     def score(self, text: str) -> SkillDistribution:
         dist = self._dists.get(text)
@@ -130,6 +144,8 @@ def run_episode(
     dtx = DialogueContext((first, second))
     active_skill = seed.seed_dataset
     annotated = [_annotate(first, memo, False, 0, ()), _annotate(second, memo, False, 0, ())]
+    # flattened once per episode; the consistency gate sends a side's lines in one batch
+    side_lines = [stx.flat_lines() for stx in seed.contexts]
 
     for turn in range(2, cfg.episode_length):
         side = turn % 2  # the sides alternate from the seed pair on
@@ -141,7 +157,9 @@ def run_episode(
             for skill in cfg.skill_roster:
                 agent = by_id[skill.id]
                 stx_own = stx_all.get(skill) or SkillContext(skill, ())
-                result = simulate_approved(agent, memo, stx_all, stx_own, dtx, cfg.max_attempts)
+                result = simulate_approved(
+                    agent, memo, side_lines[side], stx_own, dtx, cfg.max_attempts
+                )
                 refusals.extend(result.refusals)
                 if result.candidate is not None:
                     candidates.append(result.candidate)

@@ -30,6 +30,7 @@ from skillblend.core import (
 )
 from skillblend.cli import draw_seeds
 from skillblend.dataio import EpisodeWriter, read_dataset
+from skillblend.moderator import GateDecision
 from skillblend.orchestrator import run_batch
 from skillblend.seeds import build_index, docs_from_records
 
@@ -328,9 +329,24 @@ class TableJudge:
     labels: dict = field(default_factory=dict)
     default: NliLabel = NliLabel.NEUTRAL
 
-    def judge(self, premise: str, hypothesis: str) -> NliVerdict:
-        label = self.labels.get(premise, self.default)
-        return NliVerdict(label, 1.0 if label is not NliLabel.NEUTRAL else 0.5)
+    def judge(self, premises: tuple, hypothesis: str) -> tuple:
+        verdicts = []
+        for premise in premises:
+            label = self.labels.get(premise, self.default)
+            verdicts.append(NliVerdict(label, 1.0 if label is not NliLabel.NEUTRAL else 0.5))
+        return tuple(verdicts)
+
+
+def consistency_gate_oracle(judge, stx_all: SkillContextSet, res: str) -> GateDecision:
+    """The consistency gate as a per-pair loop: each context line goes to
+    the judge alone, in roster order then line order, and the first
+    Contradict refuses with that context's skill."""
+    for ctx in stx_all:
+        for line in ctx.lines:
+            (verdict,) = judge.judge((line,), res)
+            if verdict.label is NliLabel.CONTRADICT:
+                return GateDecision(False, context_skill=ctx.skill)
+    return GateDecision(True)
 
 
 @dataclass

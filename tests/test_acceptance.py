@@ -107,7 +107,7 @@ def test_acceptance_2_gate_semantics():
     stx = SkillContextSet(tuple(SkillContext(s, (line,)) for s, line in zip(DEFAULT_ROSTER, lines)))
     for assignment in itertools.product(labels, repeat=3):
         judge = TableJudge(dict(zip(lines, assignment)))
-        decision = consistency_gate(judge, stx, "the response")
+        decision = consistency_gate(judge, stx.flat_lines(), "the response")
         assert decision.approved == (NliLabel.CONTRADICT not in assignment)
 
     # 500 randomized context sets with up to 6 lines
@@ -126,7 +126,7 @@ def test_acceptance_2_gate_semantics():
                 if per_skill[s.id]
             )
         )
-        decision = consistency_gate(TableJudge(assigned), stx, "res")
+        decision = consistency_gate(TableJudge(assigned), stx.flat_lines(), "res")
         refuse = any(assigned[line] is NliLabel.CONTRADICT for line in all_lines)
         assert decision.approved == (not refuse)
 
@@ -259,7 +259,9 @@ def test_acceptance_5_end_to_end_determinism(tmp_path, corpus_files):
         assert len(ep.turns) == 10
         for turn in ep.turns[2:]:
             side = turn.utterance.speaker
-            assert consistency_gate(judge, ep.contexts[side], turn.utterance.text).approved
+            assert consistency_gate(
+                judge, ep.contexts[side].flat_lines(), turn.utterance.text
+            ).approved
 
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -353,7 +355,9 @@ def test_acceptance_6_protocol_driven_mic_passing():
     for skill, agent in zip(DEFAULT_ROSTER, agents):
         stx_own = stx_all.get(skill) or SkillContext(skill, ())
         candidates.append(
-            simulate_approved(agent, judge, stx_all, stx_own, dtx, cfg.max_attempts).candidate
+            simulate_approved(
+                agent, judge, stx_all.flat_lines(), stx_own, dtx, cfg.max_attempts
+            ).candidate
         )
     k_agent = agents[1]
     scores = k_agent.rank(stx_all.get(K), dtx, candidates)
@@ -432,8 +436,11 @@ def test_acceptance_8_wire_protocol_conformance():
         assert server.requests[-1] == ("/rank", (GOLDEN / "wire_rank_req.json").read_bytes())
 
         judge = RemoteNliJudge(endpoint)
-        verdict = judge.judge("i wear sneakers everyday", "my sandals were torn yesterday")
-        assert verdict.label is NliLabel.CONTRADICT and verdict.confidence == 1.0
+        neutral, contradict = judge.judge(
+            ("i like tennis", "i wear sneakers everyday"), "my sandals were torn yesterday"
+        )
+        assert (neutral.label, neutral.confidence) == (NliLabel.NEUTRAL, 0.5)
+        assert (contradict.label, contradict.confidence) == (NliLabel.CONTRADICT, 1.0)
         assert server.requests[-1] == ("/nli", (GOLDEN / "wire_nli_req.json").read_bytes())
 
         scorer = RemoteSkillScorer(endpoint, DEFAULT_ROSTER)

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from helpers import post_raw
+from skillblend import agents
 from skillblend.agents import (
     BackendEndpoint,
     BackendUnavailableError,
@@ -146,7 +147,19 @@ def test_remote_generate_attempt_selects_table_row(dtx):
         assert agent.generate(SkillContext(K), dtx, 3).text == "row zero"
 
 
-def test_remote_generate_retry_budget_exhausted(dtx):
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff waits post_json asks for, recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr(agents, "sleep", waits.append)
+    return waits
+
+
+def _backoff(n):
+    return [min(agents._BACKOFF_CAP_S, agents._BACKOFF_FIRST_S * 2**i) for i in range(n)]
+
+
+def test_remote_generate_retry_budget_exhausted(dtx, sleeps):
     tables = {
         "generate": {"default": {"text": "late", "score": 0.5}},
         "fail_first": {"/generate": 2},
@@ -154,9 +167,11 @@ def test_remote_generate_retry_budget_exhausted(dtx):
     with serve_mock(tables) as server:
         with pytest.raises(BackendUnavailableError):
             RemoteSkillAgent(server.endpoint(max_retries=1), K).generate(SkillContext(K), dtx, 1)
+        assert len(server.requests) == 2
+    assert sleeps == [0.05]  # one wait between the two attempts, none after the last
 
 
-def test_remote_generate_recovers_within_budget(dtx):
+def test_remote_generate_recovers_within_budget(dtx, sleeps):
     tables = {
         "generate": {"default": {"text": "late", "score": 0.5}},
         "fail_first": {"/generate": 1},
@@ -164,6 +179,24 @@ def test_remote_generate_recovers_within_budget(dtx):
     with serve_mock(tables) as server:
         cand = RemoteSkillAgent(server.endpoint(max_retries=1), K).generate(SkillContext(K), dtx, 1)
     assert cand.text == "late"
+    assert sleeps == [0.05]
+
+
+@pytest.mark.parametrize("failures, max_retries", [(0, 2), (3, 3), (4, 3), (7, 7), (8, 7)])
+def test_retries_back_off_exponentially_up_to_a_cap(dtx, sleeps, failures, max_retries):
+    tables = {
+        "generate": {"default": {"text": "late", "score": 0.5}},
+        "fail_first": {"/generate": failures},
+    }
+    with serve_mock(tables) as server:
+        agent = RemoteSkillAgent(server.endpoint(max_retries=max_retries), K)
+        if failures > max_retries:
+            with pytest.raises(BackendUnavailableError):
+                agent.generate(SkillContext(K), dtx, 1)
+        else:
+            assert agent.generate(SkillContext(K), dtx, 1).text == "late"
+    assert sleeps == _backoff(min(failures, max_retries))
+    assert _backoff(8)[-1] == agents._BACKOFF_CAP_S  # the cap is reached within 8 retries
 
 
 def test_remote_generate_missing_fields_are_protocol_errors(dtx):
@@ -176,7 +209,7 @@ def test_remote_generate_missing_fields_are_protocol_errors(dtx):
             RemoteSkillAgent(server.endpoint(), K).generate(SkillContext(K), dtx, 1)
 
 
-def test_remote_generate_connection_refused(dtx):
+def test_remote_generate_connection_refused(dtx, sleeps):
     # grab a port nothing listens on
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -184,6 +217,11 @@ def test_remote_generate_connection_refused(dtx):
     endpoint = BackendEndpoint(f"http://127.0.0.1:{port}", timeout_ms=200, max_retries=0)
     with pytest.raises(BackendUnavailableError):
         RemoteSkillAgent(endpoint, K).generate(SkillContext(K), dtx, 1)
+    assert sleeps == []
+    endpoint = BackendEndpoint(f"http://127.0.0.1:{port}", timeout_ms=200, max_retries=2)
+    with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
+        RemoteSkillAgent(endpoint, K).generate(SkillContext(K), dtx, 1)
+    assert sleeps == _backoff(2)
 
 
 def test_remote_rank_echo_and_arity(dtx):
@@ -215,6 +253,14 @@ def test_mock_server_answers_400_to_malformed_request_fields():
         url = server.base_url
         assert post_raw(url + "/rank", b"[1, 2]")[0] == 400
         assert post_raw(url + "/nli", b'"premise"')[0] == 400
+        for body in (
+            b'{"premises": "p", "hypothesis": "h"}',
+            b'{"premises": ["p", 1], "hypothesis": "h"}',
+            b'{"premises": ["p"], "hypothesis": ["h"]}',
+            b'{"premises": ["p"]}',
+            b'{"premise": "p", "hypothesis": "h"}',
+        ):
+            assert post_raw(url + "/nli", body)[0] == 400, body
         for attempt in ('"2"', "1.5", "true", "null"):
             body = ('{"skill": "K", "attempt": %s}' % attempt).encode()
             assert post_raw(url + "/generate", body)[0] == 400, attempt
@@ -236,10 +282,13 @@ def test_mock_server_nli_default_and_classify_table():
     }
     with serve_mock(tables) as server:
         _, body = post_raw(
-            server.base_url + "/nli", json.dumps({"premise": "p", "hypothesis": "h"}).encode()
+            server.base_url + "/nli",
+            json.dumps({"premises": ["p", "q"], "hypothesis": "h"}).encode(),
         )
         nli = json.loads(body)
-        assert nli == {"label": "entail", "confidence": 0.8}
+        assert nli == {"verdicts": [{"label": "entail", "confidence": 0.8}] * 2}
+        _, body = post_raw(server.base_url + "/nli", b'{"premises": [], "hypothesis": "h"}')
+        assert json.loads(body) == {"verdicts": []}
         _, body = post_raw(server.base_url + "/classify", json.dumps({"text": "hello"}).encode())
         dist = json.loads(body)
         assert dist == {"distribution": [0.2, 0.3, 0.5]}
@@ -286,19 +335,19 @@ def test_calls_from_one_thread_share_one_connection(connects):
         endpoint = server.endpoint()
 
         def twenty_calls():
-            return [post_json(endpoint, "/nli", {"premise": "p", "hypothesis": str(i)})[1]
+            return [post_json(endpoint, "/nli", {"premises": ["p"], "hypothesis": str(i)})[1]
                     for i in range(20)]
 
         bodies = _in_fresh_thread(twenty_calls)
         assert len(server.requests) == 20
-    assert set(bodies) == {b'{"label":"neutral","confidence":0.5}'}
+    assert set(bodies) == {b'{"verdicts":[{"label":"neutral","confidence":0.5}]}'}
     assert len(connects) == 1
 
 
 def test_closed_server_ends_keepalive_connections():
     server = serve_mock(_NLI_TABLES)
     endpoint = server.endpoint(timeout_ms=2000, max_retries=0)
-    body = {"premise": "p", "hypothesis": "h"}
+    body = {"premises": ["p"], "hypothesis": "h"}
 
     def call_close_call():
         post_json(endpoint, "/nli", body)
@@ -316,7 +365,7 @@ def test_closed_server_ends_keepalive_connections():
 def test_stale_connection_reopens_without_spending_retries(connects):
     first = serve_mock(_NLI_TABLES)
     port = int(first.base_url.rsplit(":", 1)[1])
-    body = {"premise": "p", "hypothesis": "h"}
+    body = {"premises": ["p"], "hypothesis": "h"}
 
     def call_restart_call():
         post_json(first.endpoint(), "/nli", body)
@@ -326,6 +375,24 @@ def test_stale_connection_reopens_without_spending_retries(connects):
             return obj, list(second.requests)
 
     obj, second_requests = _in_fresh_thread(call_restart_call)
-    assert obj == {"label": "neutral", "confidence": 0.5}
-    assert second_requests == [("/nli", b'{"premise":"p","hypothesis":"h"}')]
+    assert obj == {"verdicts": [{"label": "neutral", "confidence": 0.5}]}
+    assert second_requests == [("/nli", b'{"premises":["p"],"hypothesis":"h"}')]
     assert len(connects) == 2
+
+
+@pytest.mark.parametrize("length", [b"abc", b"-5", b"1.5"])
+def test_mock_server_answers_400_to_a_bad_content_length(length):
+    with serve_mock(_NLI_TABLES) as server:
+        host, port = server.base_url.rsplit("/", 1)[1].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                b"POST /nli HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes the connection after it
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.endswith(b'{"error":"bad Content-Length"}')
+        assert server.requests == []
+        # the server goes on answering well-formed requests
+        assert post_raw(server.base_url + "/nli", b'{"premises":[],"hypothesis":"h"}')[0] == 200

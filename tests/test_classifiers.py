@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skillblend.agents import ProtocolError, serve_mock
+from skillblend import classifiers
+from skillblend.agents import BackendEndpoint, ProtocolError, serve_mock
 from skillblend.classifiers import (
     LexicalNliJudge,
     LexicalSkillScorer,
     LexiconSpec,
     NliLabel,
+    NliVerdict,
     RemoteNliJudge,
     RemoteSkillScorer,
     default_lexicon,
@@ -46,21 +51,67 @@ def test_lexicon_requires_roster_coverage_and_clean_patterns():
 
 def test_lexical_nli_sneaker_sandal_conflict(spec):
     judge = LexicalNliJudge(spec)
-    verdict = judge.judge("I wear sneakers everyday", "my sandals were torn yesterday")
+    (verdict,) = judge.judge(("I wear sneakers everyday",), "my sandals were torn yesterday")
     assert verdict.label is NliLabel.CONTRADICT
     assert verdict.confidence == 1.0
 
 
 def test_lexical_nli_defaults_to_neutral():
     empty = LexiconSpec(DEFAULT_ROSTER, {})
-    verdict = LexicalNliJudge(empty).judge("anything at all", "whatever else")
+    (verdict,) = LexicalNliJudge(empty).judge(("anything at all",), "whatever else")
     assert verdict.label is NliLabel.NEUTRAL
     assert verdict.confidence == 0.5
+    assert LexicalNliJudge(empty).judge((), "whatever else") == ()
 
 
 def test_lexical_nli_entailment_fixture(spec):
-    verdict = LexicalNliJudge(spec).judge("I like tennis", "I enjoy tennis")
+    (verdict,) = LexicalNliJudge(spec).judge(("I like tennis",), "I enjoy tennis")
     assert verdict.label is NliLabel.ENTAIL
+
+
+def test_lexical_nli_batch_keeps_premise_order(spec):
+    premises = ("I like tennis", "I wear sneakers everyday", "nothing here", "I like tennis")
+    verdicts = LexicalNliJudge(spec).judge(premises, "sandals, and I enjoy tennis")
+    assert [v.label for v in verdicts] == [
+        NliLabel.ENTAIL, NliLabel.CONTRADICT, NliLabel.NEUTRAL, NliLabel.ENTAIL
+    ]
+
+
+def _lexical_nli_oracle(spec, premise, hypothesis):
+    """The lexical judge as a per-pair scan of the pattern tables."""
+    premise_l = premise.lower()
+    hypothesis_l = hypothesis.lower()
+    for prem_pat, hyp_pat in spec.contradiction_pairs:
+        if prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l:
+            return NliVerdict(NliLabel.CONTRADICT, 1.0)
+    for prem_pat, hyp_pat in spec.entail_pairs:
+        if prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l:
+            return NliVerdict(NliLabel.ENTAIL, 1.0)
+    return NliVerdict(NliLabel.NEUTRAL, 0.5)
+
+
+_WORDS = ("Alpha", "beta", "GAMMA", "delta")
+_phrases = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    contradictions=st.lists(st.tuples(_phrases, _phrases), max_size=3),
+    entailments=st.lists(st.tuples(_phrases, _phrases), max_size=3),
+    premises=st.lists(_phrases, max_size=5),
+    hypothesis=_phrases,
+)
+def test_lexical_nli_batch_matches_per_pair_oracle(
+    contradictions, entailments, premises, hypothesis
+):
+    spec = LexiconSpec(
+        DEFAULT_ROSTER,
+        {},
+        contradiction_pairs=tuple(contradictions),
+        entail_pairs=tuple(entailments),
+    )
+    verdicts = LexicalNliJudge(spec).judge(tuple(premises), hypothesis)
+    assert verdicts == tuple(_lexical_nli_oracle(spec, p, hypothesis) for p in premises)
 
 
 def test_lexical_nli_contradiction_outranks_entailment():
@@ -70,7 +121,7 @@ def test_lexical_nli_contradiction_outranks_entailment():
         contradiction_pairs=(("alpha", "beta"),),
         entail_pairs=(("alpha", "beta"),),
     )
-    assert LexicalNliJudge(spec).judge("alpha", "beta").label is NliLabel.CONTRADICT
+    assert LexicalNliJudge(spec).judge(("alpha",), "beta")[0].label is NliLabel.CONTRADICT
 
 
 def test_lexical_skill_score_uniform_without_keywords(spec):
@@ -140,7 +191,7 @@ def test_default_lexicon_covers_roster():
     lex = default_lexicon(DEFAULT_ROSTER)
     assert set(lex.keywords) == {"P", "K", "E"}
     judge = LexicalNliJudge(lex)
-    verdict = judge.judge("i wear sneakers everyday", "my sandals were torn yesterday")
+    (verdict,) = judge.judge(("i wear sneakers everyday",), "my sandals were torn yesterday")
     assert verdict.label is NliLabel.CONTRADICT
 
 
@@ -161,9 +212,12 @@ def test_remote_judge_and_scorer_roundtrip():
     }
     with serve_mock(tables) as server:
         judge = RemoteNliJudge(server.endpoint())
-        hit = judge.judge("i wear sneakers everyday", "my sandals were torn")
-        assert hit.label is NliLabel.CONTRADICT
-        assert judge.judge("a", "b").label is NliLabel.NEUTRAL
+        verdicts = judge.judge(("a", "i wear sneakers everyday"), "my sandals were torn")
+        assert verdicts == (
+            NliVerdict(NliLabel.NEUTRAL, 0.5), NliVerdict(NliLabel.CONTRADICT, 1.0)
+        )
+        assert judge.judge(("i wear sneakers everyday",), "b")[0].label is NliLabel.NEUTRAL
+        assert [r for r, _ in server.requests] == ["/nli", "/nli"]
 
         scorer = RemoteSkillScorer(server.endpoint(), DEFAULT_ROSTER)
         assert scorer.score("hello").probs == (0.2, 0.3, 0.5)
@@ -186,4 +240,37 @@ def test_remote_judge_rejects_unknown_label():
     with serve_mock(tables) as server:
         judge = RemoteNliJudge(server.endpoint())
         with pytest.raises(ProtocolError):
-            judge.judge("a", "b")
+            judge.judge(("a",), "b")
+
+
+def test_remote_judge_rejects_a_bad_label_inside_one_verdict():
+    tables = {
+        "nli": {
+            "pairs": [{"premise": "b", "hypothesis": "h", "label": "maybe"}],
+            "default": {"label": "neutral", "confidence": 0.5},
+        }
+    }
+    with serve_mock(tables) as server:
+        with pytest.raises(ProtocolError, match="unknown 'label' 'maybe'") as err:
+            RemoteNliJudge(server.endpoint()).judge(("a", "b", "c"), "h")
+    assert err.value.body == (
+        b'{"verdicts":[{"label":"neutral","confidence":0.5},'
+        b'{"label":"maybe","confidence":1.0},{"label":"neutral","confidence":0.5}]}'
+    )
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5}]}', "expected 2 verdicts, got 1"),
+        (b'{"verdicts":{"label":"neutral","confidence":0.5}}', "expected 2 verdicts, got no"),
+        (b'{"label":"neutral","confidence":0.5}', "expected 2 verdicts, got no"),
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5},"neutral"]}', "not a JSON object"),
+    ],
+)
+def test_remote_judge_rejects_malformed_verdicts(monkeypatch, raw, message):
+    monkeypatch.setattr(classifiers, "post_json", lambda *args: (json.loads(raw), raw))
+    judge = RemoteNliJudge(BackendEndpoint("http://127.0.0.1:9"))
+    with pytest.raises(ProtocolError, match=message) as err:
+        judge.judge(("a", "b"), "h")
+    assert err.value.body == raw

@@ -5,9 +5,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillblend.agents import ProtocolError, ScriptedAgent
-from skillblend.classifiers import LexicalNliJudge, LexiconSpec, NliLabel
+from skillblend.classifiers import LexicalNliJudge, LexiconSpec, NliLabel, NliVerdict
 from skillblend.core import (
     DEFAULT_ROSTER,
     DialogueContext,
@@ -25,7 +27,9 @@ from skillblend.moderator import (
     simulate_approved,
 )
 
-from helpers import FixedRankAgent, TableJudge, TableScorer, uniform
+from skillblend.orchestrator import _EpisodeMemo
+
+from helpers import FixedRankAgent, TableJudge, TableScorer, consistency_gate_oracle, uniform
 
 P, K, E = DEFAULT_ROSTER
 
@@ -45,13 +49,13 @@ def test_consistency_gate_sneaker_sandal_conflict():
     )
     judge = LexicalNliJudge(spec)
     stx = ctxset((P, ["I wear sneakers everyday"]), (K, ["shoes are footwear"]))
-    decision = consistency_gate(judge, stx, "my sandals were torn yesterday")
+    decision = consistency_gate(judge, stx.flat_lines(), "my sandals were torn yesterday")
     assert decision == GateDecision(False, context_skill=P)
 
 
 def test_consistency_gate_vacuous_on_empty_contexts():
     judge = TableJudge()
-    assert consistency_gate(judge, SkillContextSet(()), "anything") == GateDecision(True)
+    assert consistency_gate(judge, SkillContextSet(()).flat_lines(), "anything") == GateDecision(True)
 
 
 def test_consistency_gate_all_27_label_assignments():
@@ -61,12 +65,15 @@ def test_consistency_gate_all_27_label_assignments():
     stx = ctxset((P, [lines[0]]), (K, [lines[1]]), (E, [lines[2]]))
     for assignment in itertools.product(labels, repeat=3):
         judge = TableJudge(dict(zip(lines, assignment)))
-        decision = consistency_gate(judge, stx, "candidate text")
+        decision = consistency_gate(judge, stx.flat_lines(), "candidate text")
+        assert decision == consistency_gate_oracle(judge, stx, "candidate text")
         expected_refuse = NliLabel.CONTRADICT in assignment
         assert decision.approved == (not expected_refuse)
         if expected_refuse:
             first = assignment.index(NliLabel.CONTRADICT)
             assert decision.context_skill == (P, K, E)[first]
+        else:
+            assert decision.context_skill is None
 
 
 def test_consistency_gate_randomized_against_oracle():
@@ -80,16 +87,65 @@ def test_consistency_gate_randomized_against_oracle():
         for line in lines:
             per_skill[rng.choice("PKE")].append(line)
         stx = ctxset(*((s, per_skill[s.id]) for s in DEFAULT_ROSTER if per_skill[s.id]))
-        decision = consistency_gate(TableJudge(assigned), stx, "res")
+        judge = TableJudge(assigned)
+        decision = consistency_gate(judge, stx.flat_lines(), "res")
+        assert decision == consistency_gate_oracle(judge, stx, "res")
         assert decision.approved == all(
             assigned[line] is not NliLabel.CONTRADICT for line in lines
         )
 
 
+class _PairJudge:
+    """NLI stub with a label per (premise, hypothesis); logs each batch."""
+
+    def __init__(self, labels):
+        self.labels = labels
+        self.batches = []
+
+    def judge(self, premises, hypothesis):
+        self.batches.append((premises, hypothesis))
+        return tuple(
+            NliVerdict(self.labels.get((p, hypothesis), NliLabel.NEUTRAL), 0.5) for p in premises
+        )
+
+
+# a small pool, so lines repeat within a context, across skills and across sides
+_LINES = ("line a", "line b", "line c", "line d")
+_TEXTS = ("text x", "text y", "text z")
+_context_sets = st.fixed_dictionaries(
+    {s.id: st.none() | st.lists(st.sampled_from(_LINES), max_size=4) for s in DEFAULT_ROSTER}
+).map(lambda d: ctxset(*((s, d[s.id]) for s in DEFAULT_ROSTER if d[s.id] is not None)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sides=st.tuples(_context_sets, _context_sets),
+    labels=st.dictionaries(
+        st.tuples(st.sampled_from(_LINES), st.sampled_from(_TEXTS)), st.sampled_from(NliLabel)
+    ),
+    calls=st.lists(st.tuples(st.integers(0, 1), st.sampled_from(_TEXTS)), max_size=10),
+)
+def test_consistency_gate_matches_oracle_directly_and_through_the_memo(sides, labels, calls):
+    direct = _PairJudge(labels)
+    behind = _PairJudge(labels)
+    memo = _EpisodeMemo(behind, TableScorer(DEFAULT_ROSTER))
+    for side, text in calls:
+        expected = consistency_gate_oracle(direct, sides[side], text)
+        assert consistency_gate(direct, sides[side].flat_lines(), text) == expected
+        assert consistency_gate(memo, sides[side].flat_lines(), text) == expected
+    # behind the memo: no empty batch, and each pair judged at most once
+    assert all(premises for premises, _ in behind.batches)
+    pairs = [(p, h) for premises, h in behind.batches for p in premises]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == {
+        (line, text) for side, text in calls for line in sides[side].flat_lines()[0]
+    }
+
+
 def test_simulate_approved_first_attempt(dtx):
     judge = TableJudge()
     agent = ScriptedAgent(K, (("clean response", 0.5),))
-    result = simulate_approved(agent, judge, SkillContextSet(()), SkillContext(K), dtx, 8)
+    result = simulate_approved(agent, judge, ((), ()), SkillContext(K), dtx, 8)
     assert result.candidate.attempts == 1
     assert result.refusals == ()
     assert result.candidate is not None
@@ -103,7 +159,7 @@ def test_simulate_approved_retries_until_clean(dtx):
         K, (("tainted one", 0.9), ("tainted two", 0.8), ("fresh and clean", 0.7))
     )
     stx_all = ctxset((P, ["premise line"]))
-    result = simulate_approved(agent, judge, stx_all, SkillContext(K), dtx, 8)
+    result = simulate_approved(agent, judge, stx_all.flat_lines(), SkillContext(K), dtx, 8)
     assert result.candidate.text == "fresh and clean"
     assert result.candidate.attempts == 3
     assert [r.candidate_skill.id for r in result.refusals] == ["K", "K"]
@@ -114,11 +170,13 @@ def test_simulate_approved_exhaustion(dtx):
     spec = LexiconSpec(DEFAULT_ROSTER, {}, contradiction_pairs=(("premise line", "tainted"),))
     judge = LexicalNliJudge(spec)
     agent = ScriptedAgent(K, (("tainted forever", 0.9),))
-    result = simulate_approved(agent, judge, ctxset((P, ["premise line"])), SkillContext(K), dtx, 8)
+    result = simulate_approved(
+        agent, judge, ctxset((P, ["premise line"])).flat_lines(), SkillContext(K), dtx, 8
+    )
     assert result.candidate is None
     assert len(result.refusals) == 8
     with pytest.raises(ValueError):
-        simulate_approved(agent, judge, SkillContextSet(()), SkillContext(K), dtx, 0)
+        simulate_approved(agent, judge, ((), ()), SkillContext(K), dtx, 0)
 
 
 def _scorer():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import Counter
@@ -99,7 +100,7 @@ def test_run_episode_generated_turns_reapprove(cfg):
     ep = helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg)
     for turn in ep.turns[2:]:
         side = turn.utterance.speaker
-        decision = consistency_gate(judge, ep.contexts[side], turn.utterance.text)
+        decision = consistency_gate(judge, ep.contexts[side].flat_lines(), turn.utterance.text)
         assert decision.approved
 
 
@@ -123,7 +124,9 @@ def test_run_episode_matches_reference_replay(cfg):
         candidates = []
         for skill in cfg.skill_roster:
             stx_own = stx_all.get(skill) or SkillContext(skill, ())
-            result = simulate_approved(by_id[skill.id], judge, stx_all, stx_own, dtx, cfg.max_attempts)
+            result = simulate_approved(
+                by_id[skill.id], judge, stx_all.flat_lines(), stx_own, dtx, cfg.max_attempts
+            )
             if result.candidate is not None:
                 candidates.append(result.candidate)
         stx_active = stx_all.get(active) or SkillContext(active, ())
@@ -301,7 +304,7 @@ class _DeadJudge:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def judge(self, premise, hypothesis):
+    def judge(self, premises, hypothesis):
         with self._lock:
             self.calls += 1
         time.sleep(0.005)
@@ -356,9 +359,10 @@ def test_run_batch_rejects_bad_parallelism(cfg):
 
 
 class _CountingBackends:
-    """Wraps a judge and a scorer; logs every call that reaches them as
-    (route, episode id, input). The episode id is whatever ``episode``
-    holds on the calling thread."""
+    """Wraps a judge and a scorer; logs every input that reaches them as
+    (route, episode id, input): one entry per (premise, hypothesis) pair of
+    each judge batch, and the size of every batch. The episode id is
+    whatever ``episode`` holds on the calling thread."""
 
     def __init__(self, judge, scorer):
         self._judge = judge
@@ -366,10 +370,13 @@ class _CountingBackends:
         self.roster = scorer.roster
         self.local = threading.local()
         self.calls = []
+        self.batch_sizes = []
 
-    def judge(self, premise, hypothesis):
-        self.calls.append(("nli", getattr(self.local, "episode", None), (premise, hypothesis)))
-        return self._judge.judge(premise, hypothesis)
+    def judge(self, premises, hypothesis):
+        episode = getattr(self.local, "episode", None)
+        self.batch_sizes.append(len(premises))
+        self.calls.extend(("nli", episode, (premise, hypothesis)) for premise in premises)
+        return self._judge.judge(premises, hypothesis)
 
     def score(self, text):
         self.calls.append(("classify", getattr(self.local, "episode", None), text))
@@ -405,6 +412,10 @@ def test_run_batch_sends_each_backend_input_once_per_episode(
 
     assert counted == plain
     assert {episode for _, episode, _ in counting.calls} == {f"ep-{i:06d}" for i in range(12)}
+    assert {route for route, _, _ in counting.calls} == {"nli", "classify"}
+    assert counting.batch_sizes and min(counting.batch_sizes) > 0
+    # batching did happen: some gate call judged several lines at once
+    assert max(counting.batch_sizes) > 1
     repeated = [call for call, n in Counter(counting.calls).items() if n > 1]
     assert repeated == []
 
@@ -434,15 +445,32 @@ def _remote_stack(endpoint, cfg):
 
 
 def test_remote_episode_sends_each_nli_and_classify_body_once(cfg):
+    seed = _plain_seed()
     with serve_mock(_REMOTE_TABLES) as server:
         agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
-        ep = helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg)
+        ep = helpers.run_episode(seed, agents, judge, scorer, cfg)
         requests = list(server.requests)
     assert len(ep.turns) == cfg.episode_length
     assert any(t.refusals for t in ep.turns)  # the consistency gate did refuse
     for route in ("/nli", "/classify"):
         bodies = Counter(body for r, body in requests if r == route)
         assert bodies and max(bodies.values()) == 1, route
+    # at most one /nli request per (side, candidate text), never an empty
+    # one, and each (premise, hypothesis) pair in at most one request
+    side_lines = [set(side.flat_lines()[0]) for side in seed.contexts]
+    per_side_text = Counter()
+    pairs = []
+    for route, body in requests:
+        if route != "/nli":
+            continue
+        req = json.loads(body)
+        premises, hypothesis = req["premises"], req["hypothesis"]
+        assert premises
+        (side,) = [i for i, lines in enumerate(side_lines) if set(premises) <= lines]
+        per_side_text[side, hypothesis] += 1
+        pairs.extend((premise, hypothesis) for premise in premises)
+    assert max(per_side_text.values()) == 1
+    assert len(pairs) == len(set(pairs))
 
 
 def test_wrapped_protocol_error_keeps_its_raw_body(cfg):
