@@ -91,6 +91,17 @@ def stable_argmax(values: Sequence[float]) -> int:
     return best
 
 
+def bin_index(value: float, edges: tuple[float, ...]) -> int:
+    """The bin of ``value`` among the half-open bins [edges[i], edges[i+1]),
+    the last also right-closed; ``len(edges) - 1``, one past the last bin,
+    for NaN or a value outside the edges."""
+    if math.isnan(value) or value < edges[0] or value > edges[-1]:
+        return len(edges) - 1
+    if value == edges[-1]:
+        return len(edges) - 2
+    return bisect_right(edges, value) - 1
+
+
 def histogram(values: Iterable[float], edges: Sequence[float]) -> Histogram:
     """Bin ``values`` into half-open bins [edges[i], edges[i+1]); the last
     bin also includes its right edge."""
@@ -100,13 +111,7 @@ def histogram(values: Iterable[float], edges: Sequence[float]) -> Histogram:
     for lo, hi in zip(edge_tuple, edge_tuple[1:]):
         if not hi > lo:
             raise ValueError("bin edges must be strictly ascending")
-    counts = [0] * (len(edge_tuple) - 1)
-    out_of_range = 0
+    tally = [0] * len(edge_tuple)  # the bin counts, then the out-of-range count
     for v in values:
-        if math.isnan(v) or v < edge_tuple[0] or v > edge_tuple[-1]:
-            out_of_range += 1
-        elif v == edge_tuple[-1]:
-            counts[-1] += 1
-        else:
-            counts[bisect_right(edge_tuple, v) - 1] += 1
-    return Histogram(edge_tuple, tuple(counts), out_of_range)
+        tally[bin_index(v, edge_tuple)] += 1
+    return Histogram(edge_tuple, tuple(tally[:-1]), tally[-1])

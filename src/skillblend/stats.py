@@ -1,9 +1,11 @@
 """Corpus diagnostics over generated episode files.
 
-Every statistic is a pure, single-pass function of the episodes, so
-recomputation on a re-read file matches the batch-time report exactly.
-Reports come out three ways: a text summary, one canonical JSON file, and
-per-figure CSV tables for external plotting.
+``build_report`` folds the episodes into one set of counters in a single
+pass over any iterable; every histogram edge is fixed before the first
+episode is read. The report depends on the episodes alone, so a re-read
+file gives the batch-time report exactly. Reports come out three ways: a
+text summary, one canonical JSON file, and per-figure CSV tables for
+external plotting.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import Episode, SkillId, canonical_json
-from .distmath import Histogram, entropy, histogram, kl_divergence
+from .distmath import Histogram, bin_index, entropy, kl_divergence
 
 DEFAULT_KLD_EDGES = tuple(i * 0.25 for i in range(21))  # 20 bins over [0, 5]
 
@@ -26,102 +28,6 @@ def default_entropy_edges(m: int) -> tuple[float, ...]:
     edges = [top * i / 20 for i in range(21)]
     edges[-1] = top + 1e-12
     return tuple(edges)
-
-
-def skill_percentages(episodes: Sequence[Episode], roster: Sequence[SkillId]) -> list[float]:
-    """Share of all annotated turns per roster skill, in percent."""
-    position = {s.id: i for i, s in enumerate(roster)}
-    counts = [0] * len(roster)
-    total = 0
-    for ep in episodes:
-        for turn in ep.turns:
-            counts[position[turn.skill_label.id]] += 1
-            total += 1
-    if total == 0:
-        return [0.0] * len(roster)
-    return [100.0 * c / total for c in counts]
-
-
-def skills_per_dialogue(episodes: Sequence[Episode], roster: Sequence[SkillId]) -> dict[int, int]:
-    """Episodes bucketed by how many distinct skills their labels cover."""
-    buckets = {n: 0 for n in range(1, len(roster) + 1)}
-    for ep in episodes:
-        distinct = len({turn.skill_label.id for turn in ep.turns})
-        buckets[distinct] += 1
-    return buckets
-
-
-def contradiction_breakdown(
-    episodes: Sequence[Episode], roster: Sequence[SkillId]
-) -> list[list[int]]:
-    """M x M refusal counts by (candidate skill, conflicting context skill)."""
-    position = {s.id: i for i, s in enumerate(roster)}
-    matrix = [[0] * len(roster) for _ in roster]
-    for ep in episodes:
-        for turn in ep.turns:
-            for refusal in turn.refusals:
-                matrix[position[refusal.candidate_skill.id]][position[refusal.context_skill.id]] += 1
-    return matrix
-
-
-def cross_type_share(matrix: Sequence[Sequence[int]]) -> float | None:
-    """Off-diagonal refusal mass over the total; None for an empty matrix."""
-    total = sum(sum(row) for row in matrix)
-    if total == 0:
-        return None
-    diagonal = sum(matrix[i][i] for i in range(len(matrix)))
-    return (total - diagonal) / total
-
-
-def kld_histogram(
-    episodes: Sequence[Episode],
-    edges: Sequence[float] | None = None,
-    epsilon: float = 0.0,
-) -> Histogram:
-    """KL divergence over consecutive annotated-turn distribution pairs
-    within each episode."""
-    values = []
-    for ep in episodes:
-        dists = [t.distribution for t in ep.turns]
-        for prev, cur in zip(dists, dists[1:]):
-            values.append(kl_divergence(prev, cur, epsilon))
-    return histogram(values, edges if edges is not None else DEFAULT_KLD_EDGES)
-
-
-def entropy_histogram(
-    episodes: Sequence[Episode], edges: Sequence[float] | None = None
-) -> Histogram:
-    """Entropy of every turn's skill distribution across the corpus."""
-    values = []
-    m = None
-    for ep in episodes:
-        for turn in ep.turns:
-            m = len(turn.distribution.probs)
-            values.append(entropy(turn.distribution))
-    if edges is None:
-        if m is None:
-            raise ValueError("explicit edges are required for an empty corpus")
-        edges = default_entropy_edges(m)
-    return histogram(values, edges)
-
-
-def continuity_after_seed(
-    episodes: Sequence[Episode], roster: Sequence[SkillId], window: int = 1
-) -> dict[str, float | None]:
-    """Per seed skill: the fraction of the first ``window`` generated turns
-    labeled with the seed's skill. None where no episodes contribute."""
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    matches = {s.id: 0 for s in roster}
-    totals = {s.id: 0 for s in roster}
-    for ep in episodes:
-        for turn in ep.turns[2 : 2 + window]:
-            totals[ep.seed_dataset.id] += 1
-            if turn.skill_label.id == ep.seed_dataset.id:
-                matches[ep.seed_dataset.id] += 1
-    return {
-        sid: (matches[sid] / totals[sid] if totals[sid] else None) for sid in (s.id for s in roster)
-    }
 
 
 @dataclass(frozen=True)
@@ -165,21 +71,65 @@ def _histogram_obj(h: Histogram) -> dict:
 
 
 def build_report(
-    episodes: Sequence[Episode], roster: Sequence[SkillId], epsilon: float = 0.0
+    episodes: Iterable[Episode], roster: Sequence[SkillId], epsilon: float
 ) -> CorpusReport:
-    matrix = contradiction_breakdown(episodes, roster)
+    """Fold ``episodes`` (any iterable, read once) into the corpus report:
+    label counts, distinct-skill buckets, the refusal matrix, seed
+    continuity at turn 2, and KL (over consecutive turns) and entropy
+    binned on the fixed edges. An episode without turns, or whose
+    distributions differ in length, is a ValueError naming the episode."""
+    m = len(roster)
+    position = {s.id: i for i, s in enumerate(roster)}
+    labels = [0] * m
+    buckets = dict.fromkeys(range(1, m + 1), 0)
+    matrix = [[0] * m for _ in roster]
+    continued = [0] * m
+    sampled = [0] * m
+    kld_edges, entropy_edges = DEFAULT_KLD_EDGES, default_entropy_edges(m)
+    # the bin counts of each histogram, then its out-of-range count
+    kld = [0] * len(kld_edges)
+    turn_entropy = [0] * len(entropy_edges)
+    episode_count = 0
+    for ep in episodes:
+        if not ep.turns:
+            raise ValueError(f"{ep.id}: episode has no turns")
+        episode_count += 1
+        seen = [position[turn.skill_label.id] for turn in ep.turns]
+        for i in seen:
+            labels[i] += 1
+        buckets[len(set(seen))] += 1
+        for turn in ep.turns:
+            for refusal in turn.refusals:
+                matrix[position[refusal.candidate_skill.id]][position[refusal.context_skill.id]] += 1
+            turn_entropy[bin_index(entropy(turn.distribution), entropy_edges)] += 1
+        for prev, cur in zip(ep.turns, ep.turns[1:]):
+            try:
+                value = kl_divergence(prev.distribution, cur.distribution, epsilon)
+            except ValueError as exc:
+                raise ValueError(f"{ep.id}: {exc}") from None
+            kld[bin_index(value, kld_edges)] += 1
+        if len(seen) > 2:
+            seed = position[ep.seed_dataset.id]
+            sampled[seed] += 1
+            continued[seed] += seen[2] == seed
+
+    turn_count = sum(labels)
+    refusal_total = sum(map(sum, matrix))
+    diagonal = sum(matrix[i][i] for i in range(m))
     return CorpusReport(
         roster_ids=tuple(s.id for s in roster),
-        episode_count=len(episodes),
-        turn_count=sum(len(ep.turns) for ep in episodes),
-        refusal_total=sum(len(t.refusals) for ep in episodes for t in ep.turns),
-        skill_shares=tuple(skill_percentages(episodes, roster)),
-        dialogue_buckets=skills_per_dialogue(episodes, roster),
-        contradiction_matrix=tuple(tuple(row) for row in matrix),
-        cross_type=cross_type_share(matrix),
-        kld=kld_histogram(episodes, epsilon=epsilon),
-        turn_entropy=entropy_histogram(episodes, default_entropy_edges(len(roster))),
-        continuity=continuity_after_seed(episodes, roster),
+        episode_count=episode_count,
+        turn_count=turn_count,
+        refusal_total=refusal_total,
+        skill_shares=tuple(100.0 * c / turn_count if turn_count else 0.0 for c in labels),
+        dialogue_buckets=buckets,
+        contradiction_matrix=tuple(map(tuple, matrix)),
+        cross_type=(refusal_total - diagonal) / refusal_total if refusal_total else None,
+        kld=Histogram(kld_edges, tuple(kld[:-1]), kld[-1]),
+        turn_entropy=Histogram(entropy_edges, tuple(turn_entropy[:-1]), turn_entropy[-1]),
+        continuity={
+            s.id: continued[i] / sampled[i] if sampled[i] else None for i, s in enumerate(roster)
+        },
     )
 
 

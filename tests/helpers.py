@@ -6,6 +6,7 @@ import json
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from skillblend import orchestrator
 from skillblend.agents import default_scripted_agents
@@ -30,9 +31,11 @@ from skillblend.core import (
 )
 from skillblend.cli import draw_seeds
 from skillblend.dataio import EpisodeWriter, read_dataset
+from skillblend.distmath import Histogram, entropy, histogram, kl_divergence
 from skillblend.moderator import GateDecision
 from skillblend.orchestrator import run_batch
 from skillblend.seeds import build_index, docs_from_records
+from skillblend.stats import DEFAULT_KLD_EDGES, CorpusReport, default_entropy_edges
 
 # --- deterministic synthetic corpus -----------------------------------------
 
@@ -449,6 +452,127 @@ def hand_episode(cfg: EngineConfig, ep_id="ep-hand") -> Episode:
         digest=config_digest(cfg),
     )
     return ep
+
+
+# --- statistics oracle ---------------------------------------------------------
+
+
+def skill_percentages(episodes: Sequence[Episode], roster: Sequence[SkillId]) -> list[float]:
+    """Share of all annotated turns per roster skill, in percent."""
+    position = {s.id: i for i, s in enumerate(roster)}
+    counts = [0] * len(roster)
+    total = 0
+    for ep in episodes:
+        for turn in ep.turns:
+            counts[position[turn.skill_label.id]] += 1
+            total += 1
+    if total == 0:
+        return [0.0] * len(roster)
+    return [100.0 * c / total for c in counts]
+
+
+def skills_per_dialogue(episodes: Sequence[Episode], roster: Sequence[SkillId]) -> dict[int, int]:
+    """Episodes bucketed by how many distinct skills their labels cover."""
+    buckets = {n: 0 for n in range(1, len(roster) + 1)}
+    for ep in episodes:
+        distinct = len({turn.skill_label.id for turn in ep.turns})
+        buckets[distinct] += 1
+    return buckets
+
+
+def contradiction_breakdown(
+    episodes: Sequence[Episode], roster: Sequence[SkillId]
+) -> list[list[int]]:
+    """M x M refusal counts by (candidate skill, conflicting context skill)."""
+    position = {s.id: i for i, s in enumerate(roster)}
+    matrix = [[0] * len(roster) for _ in roster]
+    for ep in episodes:
+        for turn in ep.turns:
+            for refusal in turn.refusals:
+                matrix[position[refusal.candidate_skill.id]][position[refusal.context_skill.id]] += 1
+    return matrix
+
+
+def cross_type_share(matrix: Sequence[Sequence[int]]) -> float | None:
+    """Off-diagonal refusal mass over the total; None for an empty matrix."""
+    total = sum(sum(row) for row in matrix)
+    if total == 0:
+        return None
+    diagonal = sum(matrix[i][i] for i in range(len(matrix)))
+    return (total - diagonal) / total
+
+
+def kld_histogram(
+    episodes: Sequence[Episode],
+    edges: Sequence[float] | None = None,
+    epsilon: float = 0.0,
+) -> Histogram:
+    """KL divergence over consecutive annotated-turn distribution pairs
+    within each episode."""
+    values = []
+    for ep in episodes:
+        dists = [t.distribution for t in ep.turns]
+        for prev, cur in zip(dists, dists[1:]):
+            values.append(kl_divergence(prev, cur, epsilon))
+    return histogram(values, edges if edges is not None else DEFAULT_KLD_EDGES)
+
+
+def entropy_histogram(
+    episodes: Sequence[Episode], edges: Sequence[float] | None = None
+) -> Histogram:
+    """Entropy of every turn's skill distribution across the corpus."""
+    values = []
+    m = None
+    for ep in episodes:
+        for turn in ep.turns:
+            m = len(turn.distribution.probs)
+            values.append(entropy(turn.distribution))
+    if edges is None:
+        if m is None:
+            raise ValueError("explicit edges are required for an empty corpus")
+        edges = default_entropy_edges(m)
+    return histogram(values, edges)
+
+
+def continuity_after_seed(
+    episodes: Sequence[Episode], roster: Sequence[SkillId], window: int = 1
+) -> dict[str, float | None]:
+    """Per seed skill: the fraction of the first ``window`` generated turns
+    labeled with the seed's skill. None where no episodes contribute."""
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    matches = {s.id: 0 for s in roster}
+    totals = {s.id: 0 for s in roster}
+    for ep in episodes:
+        for turn in ep.turns[2 : 2 + window]:
+            totals[ep.seed_dataset.id] += 1
+            if turn.skill_label.id == ep.seed_dataset.id:
+                matches[ep.seed_dataset.id] += 1
+    return {
+        sid: (matches[sid] / totals[sid] if totals[sid] else None) for sid in (s.id for s in roster)
+    }
+
+
+def report_oracle(
+    episodes: Sequence[Episode], roster: Sequence[SkillId], epsilon: float = 0.0
+) -> CorpusReport:
+    """``stats.build_report`` as it was written before it became one fold:
+    one walk of the episode list per statistic. Its ``to_obj()`` must equal
+    the fold's."""
+    matrix = contradiction_breakdown(episodes, roster)
+    return CorpusReport(
+        roster_ids=tuple(s.id for s in roster),
+        episode_count=len(episodes),
+        turn_count=sum(len(ep.turns) for ep in episodes),
+        refusal_total=sum(len(t.refusals) for ep in episodes for t in ep.turns),
+        skill_shares=tuple(skill_percentages(episodes, roster)),
+        dialogue_buckets=skills_per_dialogue(episodes, roster),
+        contradiction_matrix=tuple(tuple(row) for row in matrix),
+        cross_type=cross_type_share(matrix),
+        kld=kld_histogram(episodes, epsilon=epsilon),
+        turn_entropy=entropy_histogram(episodes, default_entropy_edges(len(roster))),
+        continuity=continuity_after_seed(episodes, roster),
+    )
 
 
 # --- raw HTTP ------------------------------------------------------------------

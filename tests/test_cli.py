@@ -183,6 +183,35 @@ def test_corrupt_episode_file_is_reported(workdir, capsys):
     assert f"skillblend: {bad}: line 1: seed_dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", ["no turns", "dist lengths"])
+def test_stats_names_the_episode_it_cannot_fold(workdir, capsys, fault):
+    tmp_path, data = workdir
+    index = str(tmp_path / "ctx.idx")
+    episodes = tmp_path / "episodes.jsonl"
+    assert _run("index", "--data", *data, "--out", index) == 0
+    assert _run(
+        "generate", "--data", *data, "--index", index, "--out", str(episodes), "--episodes", "2"
+    ) == 0
+    lines = episodes.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1])
+    if fault == "no turns":
+        obj["turns"] = []
+        message = f"skillblend: {obj['id']}: episode has no turns"
+    else:
+        obj["turns"][3]["dist"] = [0.5, 0.5]
+        message = f"skillblend: {obj['id']}: distributions must have the same length"
+    episodes.write_text("\n".join([lines[0], json.dumps(obj)]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    report = tmp_path / "report"
+    assert _run("stats", "--in", str(episodes), "--out", str(report)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("skillblend: ep-")
+    assert err.strip() == message
+    assert "Traceback" not in err
+    assert list(tmp_path.glob("report*")) == []
+
+
 def test_dataset_errors_name_the_file(workdir, capsys):
     tmp_path, data = workdir
     index = str(tmp_path / "ctx.idx")

@@ -1,33 +1,32 @@
+"""The corpus report: hand-counted statistics, the pinned report bytes, and
+the one-pass fold against the per-statistic oracle in ``helpers``."""
+
 from __future__ import annotations
 
 import math
+import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from skillblend.core import DEFAULT_ROSTER, EngineConfig, canonical_json
+from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillDistribution, canonical_json
 from skillblend.dataio import read_episodes
-from skillblend.stats import (
-    build_report,
-    contradiction_breakdown,
-    continuity_after_seed,
-    cross_type_share,
-    default_entropy_edges,
-    entropy_histogram,
-    format_report,
-    kld_histogram,
-    skill_percentages,
-    skills_per_dialogue,
-    write_report,
-)
+from skillblend.stats import build_report, default_entropy_edges, format_report, write_report
 
 import helpers
 
 ROSTER = DEFAULT_ROSTER
+EPSILON = EngineConfig().epsilon
+
+
+def fold(episodes):
+    return build_report(iter(episodes), ROSTER, EPSILON)
 
 
 def test_skill_percentages_single_skill_corpus():
     eps = [helpers.mini_episode(ROSTER, ["K"] * 4, "K")]
-    assert skill_percentages(eps, ROSTER) == [0.0, 100.0, 0.0]
+    assert fold(eps).skill_shares == (0.0, 100.0, 0.0)
 
 
 def test_skill_percentages_counted_by_hand():
@@ -35,13 +34,13 @@ def test_skill_percentages_counted_by_hand():
         helpers.mini_episode(ROSTER, ["P", "K"], "P", ep_id="a"),
         helpers.mini_episode(ROSTER, ["K", "E"], "K", ep_id="b"),
     ]
-    assert skill_percentages(eps, ROSTER) == [25.0, 50.0, 25.0]
+    assert fold(eps).skill_shares == (25.0, 50.0, 25.0)
 
 
 def test_skill_percentages_empty_corpus_and_sum():
-    assert skill_percentages([], ROSTER) == [0.0, 0.0, 0.0]
+    assert fold([]).skill_shares == (0.0, 0.0, 0.0)
     eps = [helpers.mini_episode(ROSTER, ["P", "K", "E", "P", "K"], "P")]
-    assert sum(skill_percentages(eps, ROSTER)) == pytest.approx(100.0, abs=0.01)
+    assert sum(fold(eps).skill_shares) == pytest.approx(100.0, abs=0.01)
 
 
 def test_skills_per_dialogue_buckets_partition():
@@ -51,7 +50,7 @@ def test_skills_per_dialogue_buckets_partition():
         helpers.mini_episode(ROSTER, ["P", "K", "E", "P"], "P", ep_id="three"),
         helpers.mini_episode(ROSTER, ["K", "K", "K", "K"], "K", ep_id="four"),
     ]
-    buckets = skills_per_dialogue(eps, ROSTER)
+    buckets = fold(eps).dialogue_buckets
     assert buckets == {1: 2, 2: 1, 3: 1}
     assert sum(buckets.values()) == len(eps)
 
@@ -62,44 +61,46 @@ def test_contradiction_breakdown_counts_and_share():
             ROSTER, ["P", "K", "E"], "P", refusal_pairs=(("P", "K"), ("P", "K"), ("E", "E"))
         )
     ]
-    matrix = contradiction_breakdown(eps, ROSTER)
+    got = fold(eps)
+    matrix = got.contradiction_matrix
     assert matrix[0][1] == 2
     assert matrix[2][2] == 1
-    assert sum(sum(r) for r in matrix) == 3
-    assert cross_type_share(matrix) == pytest.approx(2 / 3)
+    assert sum(sum(r) for r in matrix) == got.refusal_total == 3
+    assert got.cross_type == pytest.approx(2 / 3)
 
 
 def test_contradiction_breakdown_empty():
     eps = [helpers.mini_episode(ROSTER, ["P", "K"], "P")]
-    matrix = contradiction_breakdown(eps, ROSTER)
-    assert all(all(c == 0 for c in row) for row in matrix)
-    assert cross_type_share(matrix) is None
+    got = fold(eps)
+    assert all(all(c == 0 for c in row) for row in got.contradiction_matrix)
+    assert got.refusal_total == 0
+    assert got.cross_type is None
 
 
 def test_kld_histogram_constant_distributions_land_in_first_bin():
     dists = [helpers.uniform(3)] * 4
     eps = [helpers.mini_episode(ROSTER, ["P"] * 4, "P", dists=dists)]
-    hist = kld_histogram(eps, edges=[0.0, 0.5, 1.0])
-    assert hist.counts == (3, 0)  # 3 consecutive pairs, all KL 0
+    hist = fold(eps).kld
+    assert hist.counts[0] == 3  # 3 consecutive pairs, all KL 0
+    assert sum(hist.counts) == 3
     assert hist.out_of_range == 0
 
 
 def test_entropy_histogram_one_hot_mass_at_zero():
     dists = [helpers.one_hot(0, 3)] * 4
     eps = [helpers.mini_episode(ROSTER, ["P"] * 4, "P", dists=dists)]
-    hist = entropy_histogram(eps, edges=[0.0, 0.1, math.log(3)])
-    assert hist.counts == (4, 0)
+    hist = fold(eps).turn_entropy
+    assert hist.counts[0] == 4
+    assert sum(hist.counts) == 4
 
 
 def test_entropy_histogram_default_edges_cover_uniform():
     dists = [helpers.uniform(3)] * 4
     eps = [helpers.mini_episode(ROSTER, ["P"] * 4, "P", dists=dists)]
-    hist = entropy_histogram(eps)
+    hist = fold(eps).turn_entropy
     assert hist.out_of_range == 0
     assert sum(hist.counts) == 4
     assert hist.counts[-1] == 4  # uniform entropy sits in the top bin
-    with pytest.raises(ValueError):
-        entropy_histogram([])
 
 
 def test_histograms_dual_path_recompute(corpus_files, tmp_path):
@@ -118,8 +119,7 @@ def test_histograms_dual_path_recompute(corpus_files, tmp_path):
 
 def test_continuity_after_seed_all_continue():
     eps = [helpers.mini_episode(ROSTER, ["P", "P", "P", "P"], "P")]
-    fractions = continuity_after_seed(eps, ROSTER)
-    assert fractions == {"P": 1.0, "K": None, "E": None}
+    assert fold(eps).continuity == {"P": 1.0, "K": None, "E": None}
 
 
 def test_continuity_after_seed_counted_by_hand():
@@ -128,17 +128,14 @@ def test_continuity_after_seed_counted_by_hand():
         helpers.mini_episode(ROSTER, ["K", "K", first, "K"], "K", ep_id=f"e{i}")
         for i, first in enumerate(["K", "K", "P", "E"])
     ]
-    fractions = continuity_after_seed(eps, ROSTER)
-    assert fractions["K"] == 0.5
+    assert fold(eps).continuity["K"] == 0.5
 
 
-def test_continuity_window_extends_the_measure():
+def test_continuity_reads_only_the_first_generated_turn():
     eps = [helpers.mini_episode(ROSTER, ["K", "K", "K", "P"], "K")]
-    assert continuity_after_seed(eps, ROSTER, window=1)["K"] == 1.0
-    assert continuity_after_seed(eps, ROSTER, window=2)["K"] == 0.5
-    with pytest.raises(ValueError):
-        continuity_after_seed(eps, ROSTER, window=0)
-    for value in continuity_after_seed(eps, ROSTER).values():
+    continuity = fold(eps).continuity
+    assert continuity["K"] == 1.0
+    for value in continuity.values():
         assert value is None or 0.0 <= value <= 1.0
 
 
@@ -171,3 +168,85 @@ def test_report_roundtrip_and_files(tmp_path, corpus_files):
         assert (tmp_path / path.split("/")[-1]).exists()
     json_text = (tmp_path / "report.json").read_text(encoding="utf-8")
     assert json_text.strip() == canonical_json(report.to_obj())
+
+
+# --- report golden ------------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "report"
+
+
+def golden_corpus():
+    """Hand corpus for the report golden: refusals on and off the diagonal,
+    two seed skills, one episode covering every skill, one-hot label flips
+    (KL above the top edge), uniform turns (entropy in the top bin) and a
+    two-turn episode (no continuity sample)."""
+    mixed = [(0.5, 0.3, 0.2), (0.6, 0.3, 0.1), (0.2, 0.7, 0.1), (0.1, 0.8, 0.1), (0.3, 0.4, 0.3)]
+    return [
+        helpers.mini_episode(
+            ROSTER, ["P", "K", "E", "P", "K", "E"], "P", ep_id="g-all",
+            refusal_pairs=(("P", "K"), ("P", "K"), ("E", "E")),
+        ),
+        helpers.mini_episode(
+            ROSTER, ["K"] * 4, "K", ep_id="g-uniform", dists=[helpers.uniform(3)] * 4
+        ),
+        helpers.mini_episode(
+            ROSTER, ["K", "K", "P", "K", "K"], "K", ep_id="g-mixed",
+            dists=[SkillDistribution(d) for d in mixed], refusal_pairs=(("K", "P"), ("K", "K")),
+        ),
+        helpers.mini_episode(ROSTER, ["P", "P"], "P", ep_id="g-short"),
+    ]
+
+
+def test_report_files_match_the_golden_bytes(tmp_path):
+    paths = write_report(fold(golden_corpus()), str(tmp_path / "report"))
+    names = [pathlib.Path(p).name for p in paths]
+    assert sorted(names) == sorted(p.name for p in GOLDEN.iterdir())
+    for path, name in zip(paths, names):
+        assert pathlib.Path(path).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+# --- the fold against the oracle ------------------------------------------------
+
+_LABELS = st.sampled_from([s.id for s in ROSTER])
+
+
+@st.composite
+def _distribution(draw, label_id):
+    kind = draw(st.sampled_from(["one_hot", "uniform", "random"]))
+    if kind == "one_hot":
+        return helpers.one_hot([s.id for s in ROSTER].index(label_id), len(ROSTER))
+    if kind == "uniform":
+        return helpers.uniform(len(ROSTER))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(ROSTER), max_size=len(ROSTER)))
+    total = sum(weights)
+    if total == 0.0:
+        return helpers.uniform(len(ROSTER))
+    return SkillDistribution(tuple(w / total for w in weights))
+
+
+@st.composite
+def _episode(draw, number):
+    labels = draw(st.lists(_LABELS, min_size=2, max_size=7))
+    return helpers.mini_episode(
+        ROSTER,
+        labels,
+        draw(_LABELS),
+        ep_id=f"ep-{number}",
+        dists=[draw(_distribution(label)) for label in labels],
+        refusal_pairs=tuple(draw(st.lists(st.tuples(_LABELS, _LABELS), max_size=3))),
+    )
+
+
+@st.composite
+def _corpus(draw):
+    return [draw(_episode(n)) for n in range(draw(st.integers(0, 6)))]
+
+
+@given(_corpus())
+@example([])
+@example([helpers.mini_episode(ROSTER, ["P", "K"], "E")])
+@settings(deadline=None, max_examples=150)
+def test_one_pass_report_equals_the_oracle(episodes):
+    # two-turn episodes give no continuity sample; one-hot label flips give
+    # KL values of about 20.7 (epsilon 1e-9), above the top edge of 5
+    assert fold(episodes).to_obj() == helpers.report_oracle(episodes, ROSTER, EPSILON).to_obj()

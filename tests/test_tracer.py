@@ -86,3 +86,29 @@ def test_traced_generate_yields_the_benchmark_metrics(tmp_path, corpus_files, mo
     assert per_layer["seeds.seeds_per_pair"] > 0
     assert per_layer["cli.generate.self_s"] > 0
     assert min(calls.values()) > 0
+
+
+def test_traced_validate_and_stats_yield_the_readback_metrics(tmp_path, corpus_files, monkeypatch):
+    # as the benchmark's traced batch reads its corpus back
+    tracer_module = _load(monkeypatch, "tracer")
+    metrics = _load(monkeypatch, "metrics")
+    out = tmp_path / "out.jsonl"
+    helpers.generate_file(corpus_files, EngineConfig(rng_seed=3), 4, out)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        for argv in (["validate", "--in", str(out)],
+                     ["stats", "--in", str(out), "--out", str(tmp_path / "report")]):
+            assert tracer.span("cli." + argv[0], cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+        tracer.dump(str(tmp_path / "spans.json"))
+
+    spans = metrics.load_spans(str(tmp_path / "spans.json"))
+    reads = [s[6] for s in spans if s[2] == "dataio.read_episodes"]
+    assert reads == [4, 4]
+    readback = metrics.readback_metrics(spans)
+    assert sorted(readback) == [
+        "core.validate_episode.us_p50", "dataio.read_episodes.s", "stats.build_report.s",
+    ]
+    assert all(value > 0 for value in readback.values())
