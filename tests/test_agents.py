@@ -209,6 +209,23 @@ def test_remote_generate_missing_fields_are_protocol_errors(dtx):
             RemoteSkillAgent(server.endpoint(), K).generate(SkillContext(K), dtx, 1)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"text":"a reply"}',
+        b'{"text":"a reply","score":"0.9"}',
+        b'{"text":"a reply","score":true}',
+    ],
+)
+def test_remote_generate_rejects_a_malformed_score(monkeypatch, dtx, raw):
+    # the score is checked, though no decision reads it
+    monkeypatch.setattr(agents, "post_json", lambda *args: (json.loads(raw), raw))
+    agent = RemoteSkillAgent(BackendEndpoint("http://127.0.0.1:9"), K)
+    with pytest.raises(ProtocolError, match="/generate: missing or non-numeric 'score' field") as err:
+        agent.generate(SkillContext(K), dtx, 1)
+    assert err.value.body == raw
+
+
 def test_remote_generate_connection_refused(dtx, sleeps):
     # grab a port nothing listens on
     with socket.socket() as sock:

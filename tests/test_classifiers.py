@@ -266,6 +266,17 @@ def test_remote_judge_rejects_a_bad_label_inside_one_verdict():
         (b'{"verdicts":{"label":"neutral","confidence":0.5}}', "expected 2 verdicts, got no"),
         (b'{"label":"neutral","confidence":0.5}', "expected 2 verdicts, got no"),
         (b'{"verdicts":[{"label":"neutral","confidence":0.5},"neutral"]}', "not a JSON object"),
+        # the confidence is checked, though no decision reads it
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5},{"label":"neutral"}]}',
+         "/nli: missing or non-numeric 'confidence'"),
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
+         b'{"label":"neutral","confidence":"high"}]}', "/nli: missing or non-numeric 'confidence'"),
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
+         b'{"label":"neutral","confidence":true}]}', "/nli: missing or non-numeric 'confidence'"),
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
+         b'{"label":"contradict","confidence":1.5}]}', r"/nli: confidence must be in \[0, 1\]"),
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
+         b'{"label":"contradict","confidence":-0.1}]}', r"/nli: confidence must be in \[0, 1\]"),
     ],
 )
 def test_remote_judge_rejects_malformed_verdicts(monkeypatch, raw, message):
