@@ -16,10 +16,13 @@ Wire protocol (all endpoints HTTP POST, UTF-8 JSON bodies):
                resp {"distribution": [number]}      (length M, validated client-side)
 
 Field names and casing are normative; unknown extra fields are ignored.
-One ``/nli`` request judges a hypothesis against a batch of premises, one
-verdict per premise in premise order. Requests go over HTTP/1.1
-keep-alive: each worker thread holds one persistent connection per backend
-host. Failed attempts are retried after a capped exponential backoff.
+A ``/generate`` score and an ``/nli`` confidence are validated, then
+dropped: no decision reads them, and of the three labels only
+``contradict`` refuses a candidate. One ``/nli`` request judges a
+hypothesis against a batch of premises, one verdict per premise in premise
+order. Requests go over HTTP/1.1 keep-alive: each worker thread holds one
+persistent connection per backend host. Failed attempts are retried after
+a capped exponential backoff.
 """
 
 from __future__ import annotations
@@ -74,19 +77,19 @@ class SkillAgent(Protocol):
 class ScriptedAgent:
     """Deterministic generator/ranker stand-in.
 
-    ``templates`` holds (text, base score) pairs; templates may reference
+    ``templates`` holds response texts, which may reference
     ``{context}`` (the first own-context line) and ``{last}`` (the last
     utterance). Templates are reused cyclically across attempts, so any
     non-zero count satisfies the retry budget.
     """
 
     skill: SkillId
-    templates: tuple[tuple[str, float], ...]
+    templates: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.templates:
             raise ValueError("a scripted agent needs at least one template")
-        for text, _score in self.templates:
+        for text in self.templates:
             if not text.format(context="", last="").strip():
                 raise ValueError("templates must render non-blank even with empty fills")
 
@@ -96,12 +99,10 @@ class ScriptedAgent:
         the last utterance."""
         if attempt < 1:
             raise ValueError("attempt must be at least 1")
-        template, base_score = self.templates[(attempt - 1) % len(self.templates)]
+        template = self.templates[(attempt - 1) % len(self.templates)]
         last = dtx.last.text if dtx.last is not None else ""
         text = template.format(context=stx.first_line, last=last)
-        return ResponseCandidate(
-            text=text, origin=self.skill, gen_score=base_score, attempts=attempt
-        )
+        return ResponseCandidate(text=text, origin=self.skill, attempts=attempt)
 
     def rank(
         self, stx: SkillContext, dtx: DialogueContext, candidates: Sequence[ResponseCandidate]
@@ -122,31 +123,31 @@ class ScriptedAgent:
         return scores
 
 
-_DEFAULT_TEMPLATES: dict[str, tuple[tuple[str, float], ...]] = {
+_DEFAULT_TEMPLATES: dict[str, tuple[str, ...]] = {
     "P": (
-        ("I love that. {context}", 0.9),
-        ("Me too! Personally, {context}", 0.8),
-        ("For me it is a bit different. {context}", 0.7),
-        ("My favorite part of most days touches on that.", 0.6),
+        "I love that. {context}",
+        "Me too! Personally, {context}",
+        "For me it is a bit different. {context}",
+        "My favorite part of most days touches on that.",
     ),
     "K": (
-        ("Did you know? {context}", 0.9),
-        ("Actually, {context}", 0.8),
-        ("There is a known fact behind '{last}'.", 0.7),
-        ("History books cover that in depth.", 0.6),
+        "Did you know? {context}",
+        "Actually, {context}",
+        "There is a known fact behind '{last}'.",
+        "History books cover that in depth.",
     ),
     "E": (
-        ("That sounds like a lot. {context}", 0.9),
-        ("I am glad you said '{last}'.", 0.8),
-        ("I hear you. Tell me more about it.", 0.7),
-        ("I hope it turns out well for you.", 0.6),
+        "That sounds like a lot. {context}",
+        "I am glad you said '{last}'.",
+        "I hear you. Tell me more about it.",
+        "I hope it turns out well for you.",
     ),
 }
 
-_GENERIC_TEMPLATES: tuple[tuple[str, float], ...] = (
-    ("Tell me more about that.", 0.5),
-    ("Interesting: '{last}'.", 0.4),
-    ("Let us stay with this. {context}", 0.3),
+_GENERIC_TEMPLATES: tuple[str, ...] = (
+    "Tell me more about that.",
+    "Interesting: '{last}'.",
+    "Let us stay with this. {context}",
 )
 
 
@@ -281,7 +282,8 @@ class RemoteSkillAgent:
 
     def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> ResponseCandidate:
         """Ask the remote generator for one candidate; the origin is forced
-        to this agent's skill regardless of the server payload."""
+        to this agent's skill regardless of the server payload. The score
+        must be a number but is not kept."""
         if attempt < 1:
             raise ValueError("attempt must be at least 1")
         body = {
@@ -292,14 +294,11 @@ class RemoteSkillAgent:
         }
         obj, raw = post_json(self.endpoint, "/generate", body)
         text = obj.get("text")
-        score = obj.get("score")
         if not isinstance(text, str) or not text.strip():
             raise ProtocolError("/generate: missing or blank 'text' field", raw)
-        if not is_number(score):
+        if not is_number(obj.get("score")):
             raise ProtocolError("/generate: missing or non-numeric 'score' field", raw)
-        return ResponseCandidate(
-            text=text, origin=self.skill, gen_score=float(score), attempts=attempt
-        )
+        return ResponseCandidate(text=text, origin=self.skill, attempts=attempt)
 
     def rank(
         self, stx: SkillContext, dtx: DialogueContext, candidates: Sequence[ResponseCandidate]

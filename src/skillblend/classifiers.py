@@ -5,14 +5,16 @@ Both come as interfaces with two implementations each: deterministic
 lexical stand-ins (substring pattern tables and weighted keyword counts)
 and remote clients speaking the wire protocol from :mod:`skillblend.agents`.
 The NLI judge is batch-shaped: one call judges a hypothesis against every
-premise it is given.
+premise it is given. It answers the one question the consistency gate
+asks, whether the hypothesis contradicts a premise, with one bit per
+premise; a remote judge's labels other than ``contradict`` and its
+confidences are checked on the wire and then dropped.
 The engine never embeds model weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Protocol, Sequence
 
 from .agents import BackendEndpoint, ProtocolError, is_number, post_json
@@ -20,29 +22,13 @@ from .core import SkillDistribution, SkillId
 from .distmath import softmax
 
 
-class NliLabel(Enum):
-    ENTAIL = "entail"
-    NEUTRAL = "neutral"
-    CONTRADICT = "contradict"
-
-
-@dataclass(frozen=True)
-class NliVerdict:
-    label: NliLabel
-    confidence: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must be in [0, 1]")
-
-
 class NliJudge(Protocol):
-    """Judges whether a hypothesis can be inferred from each of a batch of
-    premises, returning one verdict per premise in premise order.
+    """Judges whether a hypothesis contradicts each of a batch of premises,
+    returning one bit per premise in premise order (True: contradicts).
     Implementations must be deterministic for fixed inputs, and a premise's
-    verdict must not depend on the other premises in the batch."""
+    bit must not depend on the other premises in the batch."""
 
-    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[NliVerdict, ...]:
+    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[bool, ...]:
         ...
 
 
@@ -61,15 +47,14 @@ class LexiconSpec:
     """Configuration for the lexical stand-ins.
 
     ``keywords`` maps each roster skill id to (keyword, weight) pairs;
-    ``contradiction_pairs`` and ``entail_pairs`` are ordered
-    (premise-pattern, hypothesis-pattern) tables matched first-wins by
-    case-insensitive substring on both sides. Anything unmatched is Neutral.
+    ``contradiction_pairs`` is a (premise-pattern, hypothesis-pattern)
+    table matched by case-insensitive substring on both sides. A premise
+    and hypothesis that some pair matches contradict; nothing else does.
     """
 
     roster: tuple[SkillId, ...]
     keywords: Mapping[str, tuple[tuple[str, float], ...]]
     contradiction_pairs: tuple[tuple[str, str], ...] = ()
-    entail_pairs: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.roster) < 2:
@@ -85,40 +70,25 @@ class LexiconSpec:
         if extra:
             raise ValueError(f"keywords reference skills outside the roster: {sorted(extra)}")
         object.__setattr__(self, "keywords", normalized)
-        for premise, hypothesis in self.contradiction_pairs + self.entail_pairs:
+        for premise, hypothesis in self.contradiction_pairs:
             if not premise.strip() or not hypothesis.strip():
                 raise ValueError("NLI patterns must be non-blank")
-
-
-_CONTRADICT = NliVerdict(NliLabel.CONTRADICT, 1.0)
-_ENTAIL = NliVerdict(NliLabel.ENTAIL, 1.0)
-_NEUTRAL = NliVerdict(NliLabel.NEUTRAL, 0.5)
 
 
 @dataclass(frozen=True)
 class LexicalNliJudge:
     spec: LexiconSpec
 
-    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[NliVerdict, ...]:
-        """Per premise: a matching contradiction pair wins, then an entail
-        pair; otherwise Neutral. Patterned verdicts carry confidence 1.0, the
-        default Neutral 0.5 (downstream gates use only the label). Only the
+    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[bool, ...]:
+        """Per premise: True iff a contradiction pair matches. Only the
         pairs whose hypothesis pattern the hypothesis contains can match, so
         they are picked once per batch."""
-        spec = self.spec
         hypothesis_l = hypothesis.lower()
-        contradict = [p.lower() for p, h in spec.contradiction_pairs if h.lower() in hypothesis_l]
-        entail = [p.lower() for p, h in spec.entail_pairs if h.lower() in hypothesis_l]
-        verdicts = []
-        for premise in premises:
-            premise_l = premise.lower()
-            if any(pat in premise_l for pat in contradict):
-                verdicts.append(_CONTRADICT)
-            elif any(pat in premise_l for pat in entail):
-                verdicts.append(_ENTAIL)
-            else:
-                verdicts.append(_NEUTRAL)
-        return tuple(verdicts)
+        patterns = [
+            p.lower() for p, h in self.spec.contradiction_pairs if h.lower() in hypothesis_l
+        ]
+        lowered = map(str.lower, premises)
+        return tuple([any(pat in premise for pat in patterns) for premise in lowered])
 
 
 @dataclass(frozen=True)
@@ -142,8 +112,9 @@ class LexicalSkillScorer:
         return softmax(raw)
 
 
-def _wire_verdict(item: object, raw: bytes) -> NliVerdict:
-    """One ``{"label", "confidence"}`` object of an ``/nli`` response."""
+def _wire_contradicts(item: object, raw: bytes) -> bool:
+    """One ``{"label", "confidence"}`` object of an ``/nli`` response,
+    checked whole; only its label decides the bit."""
     if not isinstance(item, dict):
         raise ProtocolError("/nli: verdict is not a JSON object", raw)
     label = item.get("label")
@@ -152,17 +123,16 @@ def _wire_verdict(item: object, raw: bytes) -> NliVerdict:
         raise ProtocolError(f"/nli: missing or unknown 'label' {label!r}", raw)
     if not is_number(confidence):
         raise ProtocolError("/nli: missing or non-numeric 'confidence'", raw)
-    try:
-        return NliVerdict(NliLabel(label), float(confidence))
-    except ValueError as exc:
-        raise ProtocolError(f"/nli: {exc}", raw)
+    if not 0.0 <= confidence <= 1.0:
+        raise ProtocolError("/nli: confidence must be in [0, 1]", raw)
+    return label == "contradict"
 
 
 @dataclass(frozen=True)
 class RemoteNliJudge:
     endpoint: BackendEndpoint
 
-    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[NliVerdict, ...]:
+    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[bool, ...]:
         """One ``/nli`` request for the whole batch; the response must hold
         exactly one verdict per premise."""
         obj, raw = post_json(
@@ -172,7 +142,7 @@ class RemoteNliJudge:
         if not isinstance(verdicts, list) or len(verdicts) != len(premises):
             got = len(verdicts) if isinstance(verdicts, list) else "no"
             raise ProtocolError(f"/nli: expected {len(premises)} verdicts, got {got}", raw)
-        return tuple(_wire_verdict(item, raw) for item in verdicts)
+        return tuple([_wire_contradicts(item, raw) for item in verdicts])
 
 
 @dataclass(frozen=True)
@@ -229,8 +199,6 @@ _DEFAULT_CONTRADICTIONS: tuple[tuple[str, str], ...] = (
     ("i live alone", "my roommate"),
 )
 
-_DEFAULT_ENTAILMENTS: tuple[tuple[str, str], ...] = (("i like tennis", "i enjoy tennis"),)
-
 
 def default_lexicon(roster: Sequence[SkillId]) -> LexiconSpec:
     """Shipped lexical configuration; skills beyond P/K/E get empty keyword
@@ -240,5 +208,4 @@ def default_lexicon(roster: Sequence[SkillId]) -> LexiconSpec:
         roster=tuple(roster),
         keywords=keywords,
         contradiction_pairs=_DEFAULT_CONTRADICTIONS,
-        entail_pairs=_DEFAULT_ENTAILMENTS,
     )

@@ -197,8 +197,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_mockserver(args) -> int:
-    with open(args.tables, encoding="utf-8") as fh:
-        tables = json.load(fh)
+    try:
+        with open(args.tables, encoding="utf-8") as fh:
+            tables = json.load(fh)
+    except ValueError as exc:
+        raise ConfigError(f"{args.tables}: not a JSON file ({exc})") from None
     host, _, port = args.bind.partition(":")
     try:
         server = serve_mock(tables, host or "127.0.0.1", int(port or 0))

@@ -140,15 +140,11 @@ class DialogueContext:
 
 @dataclass(frozen=True)
 class ResponseCandidate:
-    """A skill agent's proposed utterance.
-
-    ``gen_score`` is the backend-reported likelihood proxy; ``attempts``
-    records how many consistency-phase regenerations it took.
-    """
+    """A skill agent's proposed utterance; ``attempts`` records how many
+    consistency-phase regenerations it took."""
 
     text: str
     origin: SkillId
-    gen_score: float
     attempts: int = 1
 
     def __post_init__(self) -> None:

@@ -70,10 +70,10 @@ class RosterError(ParseError):
 
 @dataclass(frozen=True)
 class SingleSkillRecord:
-    """One source dialogue: per-side skill contexts plus alternating turns."""
+    """One source dialogue: per-side skill contexts plus alternating turns.
+    The record's ``episode_id`` is checked on reading but not kept."""
 
     skill: SkillId
-    episode_id: str
     side_contexts: tuple[tuple[str, ...], tuple[str, ...]]
     turns: tuple[Utterance, ...]
 
@@ -166,7 +166,7 @@ def read_dataset(path: str, roster: Sequence[SkillId]) -> Iterator[SingleSkillRe
     by_id = {s.id: s for s in roster}
     for line_no, obj in _iter_json_lines(path):
         skill = _field(obj, "skill", by_id, line_no)
-        episode_id = _field(obj, "episode_id", str, line_no)
+        _field(obj, "episode_id", str, line_no)
         raw_contexts = _field(obj, "contexts", list, line_no)
         if len(raw_contexts) != 2:
             raise ParseError(line_no, "contexts", "expected exactly two context arrays")
@@ -176,7 +176,7 @@ def read_dataset(path: str, roster: Sequence[SkillId]) -> Iterator[SingleSkillRe
         raw_turns = _field(obj, "turns", list, line_no)
         turns = tuple(_utterance(raw, i, line_no, f"turns[{i}]") for i, raw in enumerate(raw_turns))
         try:
-            yield SingleSkillRecord(skill, episode_id, (sides[0], sides[1]), turns)
+            yield SingleSkillRecord(skill, (sides[0], sides[1]), turns)
         except ValueError as exc:
             raise ParseError(line_no, "turns", str(exc))
 

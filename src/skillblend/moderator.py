@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .agents import ProtocolError, SkillAgent
-from .classifiers import NliJudge, NliLabel, SkillScorer
+from .classifiers import NliJudge, SkillScorer
 from .core import (
     DialogueContext,
     Refusal,
@@ -58,15 +58,15 @@ class SelectionOutcome:
 def consistency_gate(
     judge: NliJudge, side_lines: tuple[tuple[str, ...], tuple[SkillId, ...]], res: str
 ) -> GateDecision:
-    """Refuse iff any (context line, res) pair judges Contradict.
+    """Refuse iff res contradicts any context line.
     ``side_lines`` is the speaking side's ``SkillContextSet.flat_lines()``.
     Every line goes to the judge in one batch; the first contradicting line
     in roster order, then line order, decides, and its skill is recorded."""
     lines, skills = side_lines
     if not lines:
         return _APPROVED
-    for verdict, skill in zip(judge.judge(lines, res), skills, strict=True):
-        if verdict.label is NliLabel.CONTRADICT:
+    for contradicts, skill in zip(judge.judge(lines, res), skills, strict=True):
+        if contradicts:
             return GateDecision(False, context_skill=skill)
     return _APPROVED
 

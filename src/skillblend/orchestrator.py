@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .agents import BackendError, SkillAgent
-from .classifiers import NliJudge, NliVerdict, SkillScorer
+from .classifiers import NliJudge, SkillScorer
 from .core import (
     AnnotatedTurn,
     DialogueContext,
@@ -64,7 +64,7 @@ class _EpisodeMemo:
 
     A judge call forwards, in one batch, only the distinct premises not yet
     judged against that hypothesis, and nothing when none are left. Whole
-    verdict tuples are memoized by (premises, hypothesis) in front of the
+    bit tuples are memoized by (premises, hypothesis) in front of the
     per-pair memo, so a side's gate call for a text seen before costs one
     lookup. Both backends are deterministic for fixed inputs, so the memo
     is exact. It lives as long as one episode, which runs on one thread;
@@ -76,24 +76,24 @@ class _EpisodeMemo:
         self._judge = judge
         self._scorer = scorer
         self.roster = scorer.roster
-        self._batches: dict[tuple[tuple[str, ...], str], tuple[NliVerdict, ...]] = {}
-        self._verdicts: dict[tuple[str, str], NliVerdict] = {}
+        self._batches: dict[tuple[tuple[str, ...], str], tuple[bool, ...]] = {}
+        self._bits: dict[tuple[str, str], bool] = {}
         self._dists: dict[str, SkillDistribution] = {}
 
-    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[NliVerdict, ...]:
+    def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[bool, ...]:
         key = (premises, hypothesis)
-        verdicts = self._batches.get(key)
-        if verdicts is None:
-            pairs = self._verdicts
+        bits = self._batches.get(key)
+        if bits is None:
+            pairs = self._bits
             # lists, not generators, so that tuple() allocates the exact size
             pending = tuple(dict.fromkeys([p for p in premises if (p, hypothesis) not in pairs]))
             if pending:
-                for premise, verdict in zip(
+                for premise, bit in zip(
                     pending, self._judge.judge(pending, hypothesis), strict=True
                 ):
-                    pairs[premise, hypothesis] = verdict
-            verdicts = self._batches[key] = tuple([pairs[p, hypothesis] for p in premises])
-        return verdicts
+                    pairs[premise, hypothesis] = bit
+            bits = self._batches[key] = tuple([pairs[p, hypothesis] for p in premises])
+        return bits
 
     def score(self, text: str) -> SkillDistribution:
         dist = self._dists.get(text)
@@ -131,7 +131,8 @@ def run_episode(
     zero consistency attempts); each following turn alternates the speaking
     side, fans the simulation over every roster agent with the speaking
     side's contexts, and selects via the active agent plus the flow gate.
-    Backend verdicts and distributions are memoized for the episode.
+    Backend contradiction bits and distributions are memoized for the
+    episode.
     """
     by_id = {agent.skill.id: agent for agent in agents}
     roster_ids = sorted(s.id for s in cfg.skill_roster)

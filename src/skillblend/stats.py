@@ -76,8 +76,9 @@ def build_report(
     """Fold ``episodes`` (any iterable, read once) into the corpus report:
     label counts, distinct-skill buckets, the refusal matrix, seed
     continuity at turn 2, and KL (over consecutive turns) and entropy
-    binned on the fixed edges. An episode without turns, or whose
-    distributions differ in length, is a ValueError naming the episode."""
+    binned on the fixed edges. An episode without turns, or with a
+    distribution whose length is not the roster's, is a ValueError naming
+    the episode."""
     m = len(roster)
     position = {s.id: i for i, s in enumerate(roster)}
     labels = [0] * m
@@ -98,15 +99,15 @@ def build_report(
         for i in seen:
             labels[i] += 1
         buckets[len(set(seen))] += 1
-        for turn in ep.turns:
+        for i, turn in enumerate(ep.turns):
+            n = len(turn.distribution.probs)
+            if n != m:
+                raise ValueError(f"{ep.id}: turn {i} has {n} entries for {m} skills")
             for refusal in turn.refusals:
                 matrix[position[refusal.candidate_skill.id]][position[refusal.context_skill.id]] += 1
             turn_entropy[bin_index(entropy(turn.distribution), entropy_edges)] += 1
         for prev, cur in zip(ep.turns, ep.turns[1:]):
-            try:
-                value = kl_divergence(prev.distribution, cur.distribution, epsilon)
-            except ValueError as exc:
-                raise ValueError(f"{ep.id}: {exc}") from None
+            value = kl_divergence(prev.distribution, cur.distribution, epsilon)
             kld[bin_index(value, kld_edges)] += 1
         if len(seen) > 2:
             seed = position[ep.seed_dataset.id]

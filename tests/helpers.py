@@ -10,13 +10,7 @@ from typing import Sequence
 
 from skillblend import orchestrator
 from skillblend.agents import default_scripted_agents
-from skillblend.classifiers import (
-    LexicalNliJudge,
-    LexicalSkillScorer,
-    NliLabel,
-    NliVerdict,
-    default_lexicon,
-)
+from skillblend.classifiers import LexicalNliJudge, LexicalSkillScorer, default_lexicon
 from skillblend.core import (
     AnnotatedTurn,
     EngineConfig,
@@ -327,27 +321,23 @@ def brute_force_cosines(docs, query_text):
 
 @dataclass
 class TableJudge:
-    """NLI stub: per-premise labels, hypothesis-independent."""
+    """NLI stub: a contradiction bit per premise, hypothesis-independent;
+    premises not in ``bits`` do not contradict."""
 
-    labels: dict = field(default_factory=dict)
-    default: NliLabel = NliLabel.NEUTRAL
+    bits: dict = field(default_factory=dict)
 
     def judge(self, premises: tuple, hypothesis: str) -> tuple:
-        verdicts = []
-        for premise in premises:
-            label = self.labels.get(premise, self.default)
-            verdicts.append(NliVerdict(label, 1.0 if label is not NliLabel.NEUTRAL else 0.5))
-        return tuple(verdicts)
+        return tuple(self.bits.get(premise, False) for premise in premises)
 
 
 def consistency_gate_oracle(judge, stx_all: SkillContextSet, res: str) -> GateDecision:
     """The consistency gate as a per-pair loop: each context line goes to
     the judge alone, in roster order then line order, and the first
-    Contradict refuses with that context's skill."""
+    contradicted line refuses with that context's skill."""
     for ctx in stx_all:
         for line in ctx.lines:
-            (verdict,) = judge.judge((line,), res)
-            if verdict.label is NliLabel.CONTRADICT:
+            (contradicts,) = judge.judge((line,), res)
+            if contradicts:
                 return GateDecision(False, context_skill=ctx.skill)
     return GateDecision(True)
 

@@ -22,7 +22,6 @@ from skillblend.classifiers import (
     LexicalNliJudge,
     LexicalSkillScorer,
     LexiconSpec,
-    NliLabel,
     RemoteNliJudge,
     RemoteSkillScorer,
 )
@@ -100,22 +99,22 @@ def test_acceptance_1_distribution_math():
 
 def test_acceptance_2_gate_semantics():
     start = time.monotonic()
-    labels = (NliLabel.ENTAIL, NliLabel.NEUTRAL, NliLabel.CONTRADICT)
 
-    # exhaustive: all 27 assignments for 3 single-line contexts
+    # exhaustive: all 8 contradiction-bit assignments for 3 single-line contexts
     lines = ["ctx a", "ctx b", "ctx c"]
     stx = SkillContextSet(tuple(SkillContext(s, (line,)) for s, line in zip(DEFAULT_ROSTER, lines)))
-    for assignment in itertools.product(labels, repeat=3):
+    for assignment in itertools.product((False, True), repeat=3):
         judge = TableJudge(dict(zip(lines, assignment)))
         decision = consistency_gate(judge, stx.flat_lines(), "the response")
-        assert decision.approved == (NliLabel.CONTRADICT not in assignment)
+        assert decision.approved == (True not in assignment)
 
     # 500 randomized context sets with up to 6 lines
     rng = random.Random(77)
     for trial in range(500):
         n_lines = rng.randrange(0, 7)
         all_lines = [f"line {trial} {i}" for i in range(n_lines)]
-        assigned = {line: labels[rng.randrange(3)] for line in all_lines}
+        # each line is contradicted with probability 1/3
+        assigned = {line: rng.randrange(3) == 2 for line in all_lines}
         per_skill = {s.id: [] for s in DEFAULT_ROSTER}
         for line in all_lines:
             per_skill[rng.choice("PKE")].append(line)
@@ -127,8 +126,7 @@ def test_acceptance_2_gate_semantics():
             )
         )
         decision = consistency_gate(TableJudge(assigned), stx.flat_lines(), "res")
-        refuse = any(assigned[line] is NliLabel.CONTRADICT for line in all_lines)
-        assert decision.approved == (not refuse)
+        assert decision.approved == (not any(assigned.values()))
 
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -174,7 +172,7 @@ def test_acceptance_3_selection_oracle():
                     P if (i == 0 and with_own) else roster_cycle[1 + (i % 3)] for i in range(n)
                 ]
                 candidates = [
-                    ResponseCandidate("ok" if mask[i] else "block", origins[i], 0.5)
+                    ResponseCandidate("ok" if mask[i] else "block", origins[i])
                     for i in range(n)
                 ]
                 outcome = select_final(
@@ -302,9 +300,9 @@ def _scenario():
         contexts,
     )
     agents = [
-        ScriptedAgent(P, (("personally {context}", 0.9),)),
-        ScriptedAgent(K, (("consider {context}", 0.8),)),
-        ScriptedAgent(E, (("soothing {context}", 0.7),)),
+        ScriptedAgent(P, ("personally {context}",)),
+        ScriptedAgent(K, ("consider {context}",)),
+        ScriptedAgent(E, ("soothing {context}",)),
     ]
     lexicon = LexiconSpec(
         DEFAULT_ROSTER,
@@ -427,20 +425,19 @@ def test_acceptance_8_wire_protocol_conformance():
         agent = RemoteSkillAgent(endpoint, K)
 
         cand = agent.generate(stx, dtx, 2)
-        assert (cand.text, cand.gen_score, cand.origin) == ("a steady reply", 0.75, K)
+        assert (cand.text, cand.origin, cand.attempts) == ("a steady reply", K, 2)
         assert server.requests[-1] == ("/generate", (GOLDEN / "wire_generate_req.json").read_bytes())
 
-        candidates = [ResponseCandidate("alpha reply", P, 0.1), ResponseCandidate("beta reply", E, 0.2)]
+        candidates = [ResponseCandidate("alpha reply", P), ResponseCandidate("beta reply", E)]
         scores = agent.rank(stx, dtx, candidates)
         assert scores == [0.1, 0.9]
         assert server.requests[-1] == ("/rank", (GOLDEN / "wire_rank_req.json").read_bytes())
 
         judge = RemoteNliJudge(endpoint)
-        neutral, contradict = judge.judge(
+        bits = judge.judge(
             ("i like tennis", "i wear sneakers everyday"), "my sandals were torn yesterday"
         )
-        assert (neutral.label, neutral.confidence) == (NliLabel.NEUTRAL, 0.5)
-        assert (contradict.label, contradict.confidence) == (NliLabel.CONTRADICT, 1.0)
+        assert bits == (False, True)
         assert server.requests[-1] == ("/nli", (GOLDEN / "wire_nli_req.json").read_bytes())
 
         scorer = RemoteSkillScorer(endpoint, DEFAULT_ROSTER)

@@ -34,12 +34,7 @@ def dtx():
 @pytest.fixture
 def agent():
     return ScriptedAgent(
-        K,
-        (
-            ("first take on {last}", 0.9),
-            ("second take with {context}", 0.8),
-            ("third take, plain", 0.7),
-        ),
+        K, ("first take on {last}", "second take with {context}", "third take, plain")
     )
 
 
@@ -47,7 +42,7 @@ def test_spec_rejects_empty_or_blank_templates():
     with pytest.raises(ValueError):
         ScriptedAgent(K, ())
     with pytest.raises(ValueError):
-        ScriptedAgent(K, (("{context}", 0.5),))
+        ScriptedAgent(K, ("{context}",))
 
 
 def test_scripted_generate_walks_templates(agent, dtx):
@@ -56,7 +51,6 @@ def test_scripted_generate_walks_templates(agent, dtx):
     second = agent.generate(stx, dtx, 2)
     assert first.text == "first take on hi friend"
     assert second.text == "second take with the topic"
-    assert (first.gen_score, second.gen_score) == (0.9, 0.8)
     assert first.attempts == 1 and second.attempts == 2
     # cyclic reuse past the template count
     assert agent.generate(stx, dtx, 4).text == first.text
@@ -82,8 +76,8 @@ def test_scripted_generate_origin_matches_agent(agent, dtx):
 
 def test_scripted_rank_counts_token_overlap(agent, dtx):
     stx = SkillContext(K, ("alpine snow travel", "rubber soles"))
-    sharing = ResponseCandidate("i like alpine snow travel", P, 0.5)
-    disjoint = ResponseCandidate("nothing in common here", P, 0.5)
+    sharing = ResponseCandidate("i like alpine snow travel", P)
+    disjoint = ResponseCandidate("nothing in common here", P)
     scores = agent.rank(stx, dtx, [sharing, disjoint])
     # counted by hand on the fixture: 3 shared tokens vs 0
     assert scores[0] - scores[1] >= 3
@@ -92,14 +86,14 @@ def test_scripted_rank_counts_token_overlap(agent, dtx):
 
 def test_scripted_rank_own_skill_bonus(agent, dtx):
     stx = SkillContext(K, ("alpine snow",))
-    own = ResponseCandidate("same words", K, 0.5)
-    other = ResponseCandidate("same words", P, 0.5)
+    own = ResponseCandidate("same words", K)
+    other = ResponseCandidate("same words", P)
     scores = agent.rank(stx, dtx, [own, other])
     assert scores[0] == scores[1] + 0.5
 
 
 def test_scripted_rank_single_and_empty(agent, dtx):
-    assert agent.rank(SkillContext(K), dtx, [ResponseCandidate("x", K, 0.1)]) == [0.5]
+    assert agent.rank(SkillContext(K), dtx, [ResponseCandidate("x", K)]) == [0.5]
     with pytest.raises(ValueError):
         agent.rank(SkillContext(K), dtx, [])
 
@@ -129,7 +123,6 @@ def test_remote_generate_echoes_configuration(dtx):
     with serve_mock(tables) as server:
         cand = RemoteSkillAgent(server.endpoint(), K).generate(SkillContext(K, ("topic",)), dtx, 1)
     assert cand.text == "hello"
-    assert cand.gen_score == 0.9
     assert cand.origin == K  # forced to the requesting skill
     assert cand.attempts == 1
 
@@ -221,7 +214,8 @@ def test_remote_generate_rejects_a_malformed_score(monkeypatch, dtx, raw):
     # the score is checked, though no decision reads it
     monkeypatch.setattr(agents, "post_json", lambda *args: (json.loads(raw), raw))
     agent = RemoteSkillAgent(BackendEndpoint("http://127.0.0.1:9"), K)
-    with pytest.raises(ProtocolError, match="/generate: missing or non-numeric 'score' field") as err:
+    message = "/generate: missing or non-numeric 'score' field"
+    with pytest.raises(ProtocolError, match=message) as err:
         agent.generate(SkillContext(K), dtx, 1)
     assert err.value.body == raw
 
@@ -242,7 +236,7 @@ def test_remote_generate_connection_refused(dtx, sleeps):
 
 
 def test_remote_rank_echo_and_arity(dtx):
-    candidates = [ResponseCandidate("a", P, 0.1), ResponseCandidate("b", K, 0.2)]
+    candidates = [ResponseCandidate("a", P), ResponseCandidate("b", K)]
     with serve_mock({"rank": {"by_text": {"a": 0.1, "b": 0.9}}}) as server:
         scores = RemoteSkillAgent(server.endpoint(), K).rank(SkillContext(K), dtx, candidates)
     assert scores == [0.1, 0.9]

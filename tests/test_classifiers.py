@@ -13,8 +13,6 @@ from skillblend.classifiers import (
     LexicalNliJudge,
     LexicalSkillScorer,
     LexiconSpec,
-    NliLabel,
-    NliVerdict,
     RemoteNliJudge,
     RemoteSkillScorer,
     default_lexicon,
@@ -33,7 +31,6 @@ def spec():
             "E": (("sorry", 1.0),),
         },
         contradiction_pairs=(("sneakers everyday", "sandals"),),
-        entail_pairs=(("like tennis", "enjoy tennis"),),
     )
 
 
@@ -51,43 +48,30 @@ def test_lexicon_requires_roster_coverage_and_clean_patterns():
 
 def test_lexical_nli_sneaker_sandal_conflict(spec):
     judge = LexicalNliJudge(spec)
-    (verdict,) = judge.judge(("I wear sneakers everyday",), "my sandals were torn yesterday")
-    assert verdict.label is NliLabel.CONTRADICT
-    assert verdict.confidence == 1.0
+    assert judge.judge(("I wear sneakers everyday",), "my sandals were torn yesterday") == (True,)
 
 
 def test_lexical_nli_defaults_to_neutral():
+    # an unmatched premise is not contradicted
     empty = LexiconSpec(DEFAULT_ROSTER, {})
-    (verdict,) = LexicalNliJudge(empty).judge(("anything at all",), "whatever else")
-    assert verdict.label is NliLabel.NEUTRAL
-    assert verdict.confidence == 0.5
+    assert LexicalNliJudge(empty).judge(("anything at all",), "whatever else") == (False,)
     assert LexicalNliJudge(empty).judge((), "whatever else") == ()
 
 
-def test_lexical_nli_entailment_fixture(spec):
-    (verdict,) = LexicalNliJudge(spec).judge(("I like tennis",), "I enjoy tennis")
-    assert verdict.label is NliLabel.ENTAIL
-
-
 def test_lexical_nli_batch_keeps_premise_order(spec):
-    premises = ("I like tennis", "I wear sneakers everyday", "nothing here", "I like tennis")
-    verdicts = LexicalNliJudge(spec).judge(premises, "sandals, and I enjoy tennis")
-    assert [v.label for v in verdicts] == [
-        NliLabel.ENTAIL, NliLabel.CONTRADICT, NliLabel.NEUTRAL, NliLabel.ENTAIL
-    ]
+    premises = ("I like tennis", "I wear sneakers everyday", "nothing here", "SNEAKERS EVERYDAY")
+    bits = LexicalNliJudge(spec).judge(premises, "sandals, and I enjoy tennis")
+    assert bits == (False, True, False, True)
 
 
 def _lexical_nli_oracle(spec, premise, hypothesis):
-    """The lexical judge as a per-pair scan of the pattern tables."""
+    """The lexical judge as a per-pair scan of the pattern table."""
     premise_l = premise.lower()
     hypothesis_l = hypothesis.lower()
-    for prem_pat, hyp_pat in spec.contradiction_pairs:
-        if prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l:
-            return NliVerdict(NliLabel.CONTRADICT, 1.0)
-    for prem_pat, hyp_pat in spec.entail_pairs:
-        if prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l:
-            return NliVerdict(NliLabel.ENTAIL, 1.0)
-    return NliVerdict(NliLabel.NEUTRAL, 0.5)
+    return any(
+        prem_pat.lower() in premise_l and hyp_pat.lower() in hypothesis_l
+        for prem_pat, hyp_pat in spec.contradiction_pairs
+    )
 
 
 _WORDS = ("Alpha", "beta", "GAMMA", "delta")
@@ -97,31 +81,13 @@ _phrases = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".joi
 @settings(max_examples=300, deadline=None)
 @given(
     contradictions=st.lists(st.tuples(_phrases, _phrases), max_size=3),
-    entailments=st.lists(st.tuples(_phrases, _phrases), max_size=3),
     premises=st.lists(_phrases, max_size=5),
     hypothesis=_phrases,
 )
-def test_lexical_nli_batch_matches_per_pair_oracle(
-    contradictions, entailments, premises, hypothesis
-):
-    spec = LexiconSpec(
-        DEFAULT_ROSTER,
-        {},
-        contradiction_pairs=tuple(contradictions),
-        entail_pairs=tuple(entailments),
-    )
-    verdicts = LexicalNliJudge(spec).judge(tuple(premises), hypothesis)
-    assert verdicts == tuple(_lexical_nli_oracle(spec, p, hypothesis) for p in premises)
-
-
-def test_lexical_nli_contradiction_outranks_entailment():
-    spec = LexiconSpec(
-        DEFAULT_ROSTER,
-        {},
-        contradiction_pairs=(("alpha", "beta"),),
-        entail_pairs=(("alpha", "beta"),),
-    )
-    assert LexicalNliJudge(spec).judge(("alpha",), "beta")[0].label is NliLabel.CONTRADICT
+def test_lexical_nli_batch_matches_per_pair_oracle(contradictions, premises, hypothesis):
+    spec = LexiconSpec(DEFAULT_ROSTER, {}, contradiction_pairs=tuple(contradictions))
+    bits = LexicalNliJudge(spec).judge(tuple(premises), hypothesis)
+    assert bits == tuple(_lexical_nli_oracle(spec, p, hypothesis) for p in premises)
 
 
 def test_lexical_skill_score_uniform_without_keywords(spec):
@@ -191,8 +157,7 @@ def test_default_lexicon_covers_roster():
     lex = default_lexicon(DEFAULT_ROSTER)
     assert set(lex.keywords) == {"P", "K", "E"}
     judge = LexicalNliJudge(lex)
-    (verdict,) = judge.judge(("i wear sneakers everyday",), "my sandals were torn yesterday")
-    assert verdict.label is NliLabel.CONTRADICT
+    assert judge.judge(("i wear sneakers everyday",), "my sandals were torn yesterday") == (True,)
 
 
 def test_remote_judge_and_scorer_roundtrip():
@@ -204,7 +169,13 @@ def test_remote_judge_and_scorer_roundtrip():
                     "hypothesis": "my sandals were torn",
                     "label": "contradict",
                     "confidence": 1.0,
-                }
+                },
+                {
+                    "premise": "i like tennis",
+                    "hypothesis": "my sandals were torn",
+                    "label": "entail",
+                    "confidence": 0.9,
+                },
             ],
             "default": {"label": "neutral", "confidence": 0.5},
         },
@@ -212,11 +183,12 @@ def test_remote_judge_and_scorer_roundtrip():
     }
     with serve_mock(tables) as server:
         judge = RemoteNliJudge(server.endpoint())
-        verdicts = judge.judge(("a", "i wear sneakers everyday"), "my sandals were torn")
-        assert verdicts == (
-            NliVerdict(NliLabel.NEUTRAL, 0.5), NliVerdict(NliLabel.CONTRADICT, 1.0)
+        # only "contradict" is a contradiction; "entail" and "neutral" are not
+        bits = judge.judge(
+            ("a", "i wear sneakers everyday", "i like tennis"), "my sandals were torn"
         )
-        assert judge.judge(("i wear sneakers everyday",), "b")[0].label is NliLabel.NEUTRAL
+        assert bits == (False, True, False)
+        assert judge.judge(("i wear sneakers everyday",), "b") == (False,)
         assert [r for r, _ in server.requests] == ["/nli", "/nli"]
 
         scorer = RemoteSkillScorer(server.endpoint(), DEFAULT_ROSTER)

@@ -183,7 +183,7 @@ def test_corrupt_episode_file_is_reported(workdir, capsys):
     assert f"skillblend: {bad}: line 1: seed_dataset" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["no turns", "dist lengths"])
+@pytest.mark.parametrize("fault", ["no turns", "dist lengths", "every dist short"])
 def test_stats_names_the_episode_it_cannot_fold(workdir, capsys, fault):
     tmp_path, data = workdir
     index = str(tmp_path / "ctx.idx")
@@ -197,9 +197,14 @@ def test_stats_names_the_episode_it_cannot_fold(workdir, capsys, fault):
     if fault == "no turns":
         obj["turns"] = []
         message = f"skillblend: {obj['id']}: episode has no turns"
-    else:
+    elif fault == "dist lengths":
         obj["turns"][3]["dist"] = [0.5, 0.5]
-        message = f"skillblend: {obj['id']}: distributions must have the same length"
+        message = f"skillblend: {obj['id']}: turn 3 has 2 entries for 3 skills"
+    else:
+        # consistent among themselves, so only the roster shows them short
+        for turn in obj["turns"]:
+            turn["dist"] = [0.5, 0.5]
+        message = f"skillblend: {obj['id']}: turn 0 has 2 entries for 3 skills"
     episodes.write_text("\n".join([lines[0], json.dumps(obj)]) + "\n", encoding="utf-8")
     capsys.readouterr()
 
@@ -210,6 +215,27 @@ def test_stats_names_the_episode_it_cannot_fold(workdir, capsys, fault):
     assert err.strip() == message
     assert "Traceback" not in err
     assert list(tmp_path.glob("report*")) == []
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (
+            "{bad",
+            "{path}: not a JSON file (Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1))",
+        ),
+        ('{"judge": {}}', "cannot start mock server: unknown mock table 'judge'"),
+        (None, "{path}: file not found"),
+    ],
+)
+def test_mockserver_bad_tables_are_configuration_errors(tmp_path, capsys, content, message):
+    # each fault is found before a socket is bound
+    path = tmp_path / "tables.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert _run("mockserver", "--tables", str(path)) == 2
+    assert capsys.readouterr().err.strip() == "skillblend: " + message.format(path=path)
 
 
 def test_dataset_errors_name_the_file(workdir, capsys):

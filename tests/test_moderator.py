@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillblend.agents import ProtocolError, ScriptedAgent
-from skillblend.classifiers import LexicalNliJudge, LexiconSpec, NliLabel, NliVerdict
+from skillblend.classifiers import LexicalNliJudge, LexiconSpec
 from skillblend.core import (
     DEFAULT_ROSTER,
     DialogueContext,
@@ -58,19 +58,18 @@ def test_consistency_gate_vacuous_on_empty_contexts():
     assert consistency_gate(judge, SkillContextSet(()).flat_lines(), "anything") == GateDecision(True)
 
 
-def test_consistency_gate_all_27_label_assignments():
-    # brute force: refuse iff any of the three verdicts is Contradict
+def test_consistency_gate_all_8_bit_assignments():
+    # brute force: refuse iff any of the three lines is contradicted
     lines = ["line one", "line two", "line three"]
-    labels = (NliLabel.ENTAIL, NliLabel.NEUTRAL, NliLabel.CONTRADICT)
     stx = ctxset((P, [lines[0]]), (K, [lines[1]]), (E, [lines[2]]))
-    for assignment in itertools.product(labels, repeat=3):
+    for assignment in itertools.product((False, True), repeat=3):
         judge = TableJudge(dict(zip(lines, assignment)))
         decision = consistency_gate(judge, stx.flat_lines(), "candidate text")
         assert decision == consistency_gate_oracle(judge, stx, "candidate text")
-        expected_refuse = NliLabel.CONTRADICT in assignment
+        expected_refuse = True in assignment
         assert decision.approved == (not expected_refuse)
         if expected_refuse:
-            first = assignment.index(NliLabel.CONTRADICT)
+            first = assignment.index(True)
             assert decision.context_skill == (P, K, E)[first]
         else:
             assert decision.context_skill is None
@@ -78,11 +77,11 @@ def test_consistency_gate_all_27_label_assignments():
 
 def test_consistency_gate_randomized_against_oracle():
     rng = random.Random(99)
-    labels = (NliLabel.ENTAIL, NliLabel.NEUTRAL, NliLabel.CONTRADICT)
     for trial in range(200):
         n_lines = rng.randrange(0, 7)
         lines = [f"ctx {trial} {i}" for i in range(n_lines)]
-        assigned = {line: labels[rng.randrange(3)] for line in lines}
+        # each line is contradicted with probability 1/3
+        assigned = {line: rng.randrange(3) == 2 for line in lines}
         per_skill: dict[str, list[str]] = {"P": [], "K": [], "E": []}
         for line in lines:
             per_skill[rng.choice("PKE")].append(line)
@@ -90,23 +89,20 @@ def test_consistency_gate_randomized_against_oracle():
         judge = TableJudge(assigned)
         decision = consistency_gate(judge, stx.flat_lines(), "res")
         assert decision == consistency_gate_oracle(judge, stx, "res")
-        assert decision.approved == all(
-            assigned[line] is not NliLabel.CONTRADICT for line in lines
-        )
+        assert decision.approved == (not any(assigned.values()))
 
 
 class _PairJudge:
-    """NLI stub with a label per (premise, hypothesis); logs each batch."""
+    """NLI stub with a contradiction bit per (premise, hypothesis); logs
+    each batch."""
 
-    def __init__(self, labels):
-        self.labels = labels
+    def __init__(self, bits):
+        self.bits = bits
         self.batches = []
 
     def judge(self, premises, hypothesis):
         self.batches.append((premises, hypothesis))
-        return tuple(
-            NliVerdict(self.labels.get((p, hypothesis), NliLabel.NEUTRAL), 0.5) for p in premises
-        )
+        return tuple(self.bits.get((p, hypothesis), False) for p in premises)
 
 
 # a small pool, so lines repeat within a context, across skills and across sides
@@ -120,14 +116,14 @@ _context_sets = st.fixed_dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(
     sides=st.tuples(_context_sets, _context_sets),
-    labels=st.dictionaries(
-        st.tuples(st.sampled_from(_LINES), st.sampled_from(_TEXTS)), st.sampled_from(NliLabel)
+    bits=st.dictionaries(
+        st.tuples(st.sampled_from(_LINES), st.sampled_from(_TEXTS)), st.booleans()
     ),
     calls=st.lists(st.tuples(st.integers(0, 1), st.sampled_from(_TEXTS)), max_size=10),
 )
-def test_consistency_gate_matches_oracle_directly_and_through_the_memo(sides, labels, calls):
-    direct = _PairJudge(labels)
-    behind = _PairJudge(labels)
+def test_consistency_gate_matches_oracle_directly_and_through_the_memo(sides, bits, calls):
+    direct = _PairJudge(bits)
+    behind = _PairJudge(bits)
     memo = _EpisodeMemo(behind, TableScorer(DEFAULT_ROSTER))
     for side, text in calls:
         expected = consistency_gate_oracle(direct, sides[side], text)
@@ -144,7 +140,7 @@ def test_consistency_gate_matches_oracle_directly_and_through_the_memo(sides, la
 
 def test_simulate_approved_first_attempt(dtx):
     judge = TableJudge()
-    agent = ScriptedAgent(K, (("clean response", 0.5),))
+    agent = ScriptedAgent(K, ("clean response",))
     result = simulate_approved(agent, judge, ((), ()), SkillContext(K), dtx, 8)
     assert result.candidate.attempts == 1
     assert result.refusals == ()
@@ -155,9 +151,7 @@ def test_simulate_approved_retries_until_clean(dtx):
     # templates 0-1 trip the contradiction pattern, template 2 is clean
     spec = LexiconSpec(DEFAULT_ROSTER, {}, contradiction_pairs=(("premise line", "tainted"),))
     judge = LexicalNliJudge(spec)
-    agent = ScriptedAgent(
-        K, (("tainted one", 0.9), ("tainted two", 0.8), ("fresh and clean", 0.7))
-    )
+    agent = ScriptedAgent(K, ("tainted one", "tainted two", "fresh and clean"))
     stx_all = ctxset((P, ["premise line"]))
     result = simulate_approved(agent, judge, stx_all.flat_lines(), SkillContext(K), dtx, 8)
     assert result.candidate.text == "fresh and clean"
@@ -169,7 +163,7 @@ def test_simulate_approved_retries_until_clean(dtx):
 def test_simulate_approved_exhaustion(dtx):
     spec = LexiconSpec(DEFAULT_ROSTER, {}, contradiction_pairs=(("premise line", "tainted"),))
     judge = LexicalNliJudge(spec)
-    agent = ScriptedAgent(K, (("tainted forever", 0.9),))
+    agent = ScriptedAgent(K, ("tainted forever",))
     result = simulate_approved(
         agent, judge, ctxset((P, ["premise line"])).flat_lines(), SkillContext(K), dtx, 8
     )
@@ -219,7 +213,7 @@ def test_flow_gate_monotone_in_alpha():
 
 
 def _candidates(texts_origins):
-    return [ResponseCandidate(text, origin, 0.5) for text, origin in texts_origins]
+    return [ResponseCandidate(text, origin) for text, origin in texts_origins]
 
 
 def _gate_scorer():

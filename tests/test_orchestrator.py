@@ -505,3 +505,55 @@ def test_remote_batch_holds_one_connection_per_worker(tmp_path, corpus_files, cf
             assert 1 <= len(connects) <= parallelism
     assert corpora[1] == corpora[2]
     assert corpora[1].count(b"\n") == 8
+
+
+def test_remote_batch_fails_fast_when_the_backend_dies(cfg, monkeypatch):
+    # the server is closed mid-batch, after about five episodes of ~49
+    # requests each; each worker's next request fails, is retried twice
+    # after 0.05 + 0.1 s of backoff, and then ends the batch
+    started = []
+    run_episode_uncounted = orchestrator.run_episode
+
+    def counted(*args, **kwargs):
+        started.append(kwargs["episode_id"])
+        return run_episode_uncounted(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_episode", counted)
+    written = []
+    closed_at = []
+    server = serve_mock(_REMOTE_TABLES)
+    stop = threading.Event()
+
+    def kill() -> None:
+        while len(server.requests) <= 250:
+            if stop.wait(0.001):
+                return
+        closed_at.append(time.monotonic())
+        server.close()
+
+    killer = threading.Thread(target=kill)
+    killer.start()
+    try:
+        agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
+        with pytest.raises(BackendUnavailableError, match=r"^episode ep-\d{6} turn \d+: ") as err:
+            run_batch(
+                [_plain_seed()] * 200, agents, judge, scorer, cfg,
+                parallelism=2, write=written.append,
+            )
+        failed_at = time.monotonic()
+    finally:
+        stop.set()
+        killer.join()
+        server.close()
+    assert failed_at - closed_at[0] < 3.0
+
+    failed = int(str(err.value).split()[1].removeprefix("ep-"))
+    # the written episodes are the ones before the failed one, in seed order
+    assert [ep.id for ep in written] == [f"ep-{i:06d}" for i in range(failed)]
+    # only the episodes in flight when it failed have started: at most
+    # 2 * parallelism from the failed one on, and none once the batch ended
+    assert sorted(started) == [f"ep-{i:06d}" for i in range(len(started))]
+    assert len(started) <= failed + 4
+    count = len(started)
+    time.sleep(0.2)
+    assert len(started) == count

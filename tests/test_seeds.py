@@ -419,7 +419,7 @@ def test_default_role_template_shape():
 
 def _record(skill, *texts):
     turns = tuple(Utterance(i % 2, i, text) for i, text in enumerate(texts))
-    return SingleSkillRecord(skill, f"{skill.id}-{len(texts)}", ((), ()), turns)
+    return SingleSkillRecord(skill, ((), ()), turns)
 
 
 def test_iter_seed_pairs_deterministic_and_uniform_over_roster():
