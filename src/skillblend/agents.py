@@ -16,19 +16,22 @@ Wire protocol (all endpoints HTTP POST, UTF-8 JSON bodies):
                resp {"distribution": [number]}      (length M, validated client-side)
 
 Field names and casing are normative; unknown extra fields are ignored.
-A ``/generate`` score and an ``/nli`` confidence are validated, then
-dropped: no decision reads them, and of the three labels only
-``contradict`` refuses a candidate. One ``/nli`` request judges a
-hypothesis against a batch of premises, one verdict per premise in premise
-order. Requests go over HTTP/1.1 keep-alive: each worker thread holds one
-persistent connection per backend host. Failed attempts are retried after
-a capped exponential backoff.
+Every number in a response must be finite: ``NaN``, ``Infinity`` and an
+integer beyond float range are protocol errors. A ``/generate`` score and
+an ``/nli`` confidence are validated, then dropped: no decision reads
+them, and of the three labels only ``contradict`` refuses a candidate.
+One ``/nli`` request judges a hypothesis against a batch of premises, one
+verdict per premise in premise order. Requests go over HTTP/1.1
+keep-alive: each worker thread holds one persistent connection per
+backend host. Failed attempts are retried after a capped exponential
+backoff.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import socket
 import threading
 from dataclasses import dataclass
@@ -58,13 +61,16 @@ class ProtocolError(BackendError):
 
 
 class SkillAgent(Protocol):
-    """Per-skill participant: a generator proposing responses and a ranker
-    scoring candidates. Implementations must be callable from concurrent
-    episode workers."""
+    """Per-skill participant: a generator proposing response texts and a
+    ranker scoring candidates. ``generate`` returns only the text; the
+    moderator makes the candidate, with this agent's skill as its origin
+    and ``attempt`` as its attempt count. Both methods must be
+    deterministic for fixed inputs and callable from concurrent episode
+    workers."""
 
     skill: SkillId
 
-    def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> ResponseCandidate:
+    def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> str:
         ...
 
     def rank(
@@ -75,7 +81,8 @@ class SkillAgent(Protocol):
 
 @dataclass(frozen=True)
 class ScriptedAgent:
-    """Deterministic generator/ranker stand-in.
+    """Deterministic generator/ranker stand-in; ``generate`` returns a
+    rendered template.
 
     ``templates`` holds response texts, which may reference
     ``{context}`` (the first own-context line) and ``{last}`` (the last
@@ -93,16 +100,15 @@ class ScriptedAgent:
             if not text.format(context="", last="").strip():
                 raise ValueError("templates must render non-blank even with empty fills")
 
-    def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> ResponseCandidate:
-        """Deterministic response: template index (attempt - 1) mod
+    def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> str:
+        """Deterministic response text: template index (attempt - 1) mod
         len(templates), placeholders filled from the first context line and
         the last utterance."""
         if attempt < 1:
             raise ValueError("attempt must be at least 1")
         template = self.templates[(attempt - 1) % len(self.templates)]
         last = dtx.last.text if dtx.last is not None else ""
-        text = template.format(context=stx.first_line, last=last)
-        return ResponseCandidate(text=text, origin=self.skill, attempts=attempt)
+        return template.format(context=stx.first_line, last=last)
 
     def rank(
         self, stx: SkillContext, dtx: DialogueContext, candidates: Sequence[ResponseCandidate]
@@ -270,20 +276,32 @@ def _dialogue_payload(dtx: DialogueContext) -> list[dict]:
     return [{"speaker": u.speaker, "text": u.text} for u in dtx.turns]
 
 
-def is_number(value) -> bool:
-    """A JSON number: an int or float, never a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def finite_float(value, message: str, raw: bytes) -> float:
+    """A wire number as a finite float. A bool, a non-number, NaN, an
+    infinity or an integer beyond float range raises ``ProtocolError``
+    with ``message`` and the raw response body."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ProtocolError(message, raw) from None
+        if math.isfinite(number):
+            return number
+    raise ProtocolError(message, raw)
 
 
 @dataclass(frozen=True)
 class RemoteSkillAgent:
+    """One skill's generator and ranker behind the wire protocol:
+    ``generate`` returns the ``/generate`` text, ``rank`` the ``/rank``
+    scores."""
+
     endpoint: BackendEndpoint
     skill: SkillId
 
-    def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> ResponseCandidate:
-        """Ask the remote generator for one candidate; the origin is forced
-        to this agent's skill regardless of the server payload. The score
-        must be a number but is not kept."""
+    def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> str:
+        """Ask the remote generator for one response text. The response's
+        score must be a finite number but is not kept."""
         if attempt < 1:
             raise ValueError("attempt must be at least 1")
         body = {
@@ -296,15 +314,14 @@ class RemoteSkillAgent:
         text = obj.get("text")
         if not isinstance(text, str) or not text.strip():
             raise ProtocolError("/generate: missing or blank 'text' field", raw)
-        if not is_number(obj.get("score")):
-            raise ProtocolError("/generate: missing or non-numeric 'score' field", raw)
-        return ResponseCandidate(text=text, origin=self.skill, attempts=attempt)
+        finite_float(obj.get("score"), "/generate: missing or non-numeric 'score' field", raw)
+        return text
 
     def rank(
         self, stx: SkillContext, dtx: DialogueContext, candidates: Sequence[ResponseCandidate]
     ) -> list[float]:
         """Ask the remote ranker to score candidates; the response must
-        contain exactly one numeric score per candidate."""
+        contain exactly one finite score per candidate."""
         if not candidates:
             raise ValueError("rank requires at least one candidate")
         body = {
@@ -318,9 +335,7 @@ class RemoteSkillAgent:
         if not isinstance(scores, list) or len(scores) != len(candidates):
             got = len(scores) if isinstance(scores, list) else "no"
             raise ProtocolError(f"/rank: expected {len(candidates)} scores, got {got}", raw)
-        if not all(map(is_number, scores)):
-            raise ProtocolError("/rank: non-numeric score in response", raw)
-        return [float(s) for s in scores]
+        return [finite_float(s, "/rank: non-numeric score in response", raw) for s in scores]
 
 
 # --- mock model server -----------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
-from .agents import BackendEndpoint, ProtocolError, is_number, post_json
+from .agents import BackendEndpoint, ProtocolError, finite_float, post_json
 from .core import SkillDistribution, SkillId
 from .distmath import softmax
 
@@ -118,11 +118,10 @@ def _wire_contradicts(item: object, raw: bytes) -> bool:
     if not isinstance(item, dict):
         raise ProtocolError("/nli: verdict is not a JSON object", raw)
     label = item.get("label")
-    confidence = item.get("confidence")
     if label not in ("entail", "neutral", "contradict"):
         raise ProtocolError(f"/nli: missing or unknown 'label' {label!r}", raw)
-    if not is_number(confidence):
-        raise ProtocolError("/nli: missing or non-numeric 'confidence'", raw)
+    message = "/nli: missing or non-numeric 'confidence'"
+    confidence = finite_float(item.get("confidence"), message, raw)
     if not 0.0 <= confidence <= 1.0:
         raise ProtocolError("/nli: confidence must be in [0, 1]", raw)
     return label == "contradict"
@@ -158,10 +157,10 @@ class RemoteSkillScorer:
             raise ProtocolError(
                 f"/classify: expected {len(self.roster)} probabilities, got {got}", raw
             )
-        if not all(map(is_number, dist)):
-            raise ProtocolError("/classify: non-numeric probability in response", raw)
+        message = "/classify: non-numeric probability in response"
+        probs = tuple([finite_float(p, message, raw) for p in dist])
         try:
-            return SkillDistribution(tuple(float(p) for p in dist))
+            return SkillDistribution(probs)
         except ValueError as exc:
             raise ProtocolError(f"/classify: {exc}", raw)
 

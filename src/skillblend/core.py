@@ -102,32 +102,28 @@ class SkillContextSet:
 
 @dataclass(frozen=True)
 class Utterance:
-    """One dialogue turn: speaker side (0 or 1), turn index, text."""
+    """One dialogue turn: speaker side (0 or 1) and text. Its turn index is
+    its position in the dialogue, which no field restates."""
 
     speaker: int
-    turn: int
     text: str
 
     def __post_init__(self) -> None:
         if self.speaker not in (0, 1):
             raise ValueError("speaker must be 0 or 1")
-        if self.turn < 0:
-            raise ValueError("turn index must be non-negative")
         if not self.text.strip():
             raise ValueError("utterance text must be non-blank")
 
 
 @dataclass(frozen=True)
 class DialogueContext:
-    """Ordered utterances so far; indices consecutive, speakers alternating."""
+    """Ordered utterances so far, speakers alternating."""
 
     turns: tuple[Utterance, ...] = ()
 
     def __post_init__(self) -> None:
-        for i, utt in enumerate(self.turns):
-            if utt.turn != i:
-                raise ValueError(f"turn {i} carries index {utt.turn}")
-            if i > 0 and utt.speaker == self.turns[i - 1].speaker:
+        for i in range(1, len(self.turns)):
+            if self.turns[i].speaker == self.turns[i - 1].speaker:
                 raise ValueError(f"speakers must alternate (turn {i})")
 
     @property
@@ -140,8 +136,9 @@ class DialogueContext:
 
 @dataclass(frozen=True)
 class ResponseCandidate:
-    """A skill agent's proposed utterance; ``attempts`` records how many
-    consistency-phase regenerations it took."""
+    """A skill agent's proposed utterance as the moderator stamps it: the
+    text the agent returned, the agent's skill as ``origin`` and, in
+    ``attempts``, the number of consistency-phase generations it took."""
 
     text: str
     origin: SkillId
@@ -346,10 +343,7 @@ def validate_episode(ep: Episode, cfg: EngineConfig) -> list[str]:
             out.append(f"seed: turn {i} must record 0 consistency attempts")
 
     for i, turn in enumerate(ep.turns):
-        utt = turn.utterance
-        if utt.turn != i:
-            out.append(f"turns: turn {i} carries index {utt.turn}")
-        if i > 0 and utt.speaker == ep.turns[i - 1].utterance.speaker:
+        if i > 0 and turn.utterance.speaker == ep.turns[i - 1].utterance.speaker:
             out.append(f"turns: speakers do not alternate at turn {i}")
         if turn.skill_label.id not in roster_ids:
             out.append(f"roster: turn {i} label {turn.skill_label.id!r} is not in the roster")

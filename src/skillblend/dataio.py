@@ -135,13 +135,13 @@ def _context_lines(value, line_no: int, path: str) -> tuple[str, ...]:
     return lines
 
 
-def _utterance(value, turn: int, line_no: int, path: str) -> Utterance:
-    """A ``{speaker, text}`` object as the utterance of turn ``turn``."""
+def _utterance(value, line_no: int, path: str) -> Utterance:
+    """A ``{speaker, text}`` object as an utterance."""
     obj = _as(value, dict, line_no, path)
     speaker = _field(obj, "speaker", int, line_no, path)
     text = _field(obj, "text", str, line_no, path)
     try:
-        return Utterance(speaker, turn, text)
+        return Utterance(speaker, text)
     except ValueError as exc:
         raise ParseError(line_no, path, str(exc))
 
@@ -174,7 +174,7 @@ def read_dataset(path: str, roster: Sequence[SkillId]) -> Iterator[SingleSkillRe
             _context_lines(raw, line_no, f"contexts[{s}]") for s, raw in enumerate(raw_contexts)
         ]
         raw_turns = _field(obj, "turns", list, line_no)
-        turns = tuple(_utterance(raw, i, line_no, f"turns[{i}]") for i, raw in enumerate(raw_turns))
+        turns = tuple(_utterance(raw, line_no, f"turns[{i}]") for i, raw in enumerate(raw_turns))
         try:
             yield SingleSkillRecord(skill, (sides[0], sides[1]), turns)
         except ValueError as exc:
@@ -265,7 +265,7 @@ def _episode_from_obj(obj: dict, by_id: dict, line_no: int) -> Episode:
     raw_pair = _field(obj, "seed_pair", list, line_no)
     if len(raw_pair) != 2:
         raise ParseError(line_no, "seed_pair", "expected exactly two utterances")
-    pair = [_utterance(raw, i, line_no, f"seed_pair[{i}]") for i, raw in enumerate(raw_pair)]
+    pair = [_utterance(raw, line_no, f"seed_pair[{i}]") for i, raw in enumerate(raw_pair)]
 
     digest = _field(obj, "config_digest", str, line_no)
 
@@ -289,7 +289,7 @@ def _episode_from_obj(obj: dict, by_id: dict, line_no: int) -> Episode:
     turns = []
     for i, raw in enumerate(_field(obj, "turns", list, line_no)):
         path = f"turns[{i}]"
-        utterance = _utterance(raw, i, line_no, path)
+        utterance = _utterance(raw, line_no, path)
         label = _field(raw, "skill", by_id, line_no, path)
         dist = [
             float(_as(p, _NUMBER, line_no, f"{path}.dist[{j}]"))

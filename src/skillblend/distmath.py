@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import SkillDistribution
 
@@ -100,18 +100,3 @@ def bin_index(value: float, edges: tuple[float, ...]) -> int:
     if value == edges[-1]:
         return len(edges) - 2
     return bisect_right(edges, value) - 1
-
-
-def histogram(values: Iterable[float], edges: Sequence[float]) -> Histogram:
-    """Bin ``values`` into half-open bins [edges[i], edges[i+1]); the last
-    bin also includes its right edge."""
-    edge_tuple = tuple(float(e) for e in edges)
-    if len(edge_tuple) < 2:
-        raise ValueError("need at least two bin edges")
-    for lo, hi in zip(edge_tuple, edge_tuple[1:]):
-        if not hi > lo:
-            raise ValueError("bin edges must be strictly ascending")
-    tally = [0] * len(edge_tuple)  # the bin counts, then the out-of-range count
-    for v in values:
-        tally[bin_index(v, edge_tuple)] += 1
-    return Histogram(edge_tuple, tuple(tally[:-1]), tally[-1])

@@ -9,7 +9,7 @@ threshold). Everything here is stateless given its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .agents import ProtocolError, SkillAgent
@@ -80,17 +80,18 @@ def simulate_approved(
     max_attempts: int,
 ) -> SimulationResult:
     """Regenerate until the consistency gate approves, at most
-    ``max_attempts`` times. Exhausted agents contribute no candidate for
-    the turn."""
+    ``max_attempts`` times. Each generated text becomes a candidate stamped
+    here, with the agent's skill as its origin and the attempt number as
+    its attempt count. Exhausted agents contribute no candidate for the
+    turn."""
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     refusals: list[Refusal] = []
     for attempt in range(1, max_attempts + 1):
-        candidate = agent.generate(stx_own, dtx, attempt)
-        assert candidate.origin.id == agent.skill.id, "candidate origin must match the agent"
+        candidate = ResponseCandidate(agent.generate(stx_own, dtx, attempt), agent.skill, attempt)
         decision = consistency_gate(judge, side_lines, candidate.text)
         if decision.approved:
-            return SimulationResult(replace(candidate, attempts=attempt), tuple(refusals))
+            return SimulationResult(candidate, tuple(refusals))
         refusals.append(Refusal(candidate_skill=agent.skill, context_skill=decision.context_skill))
     return SimulationResult(None, tuple(refusals))
 

@@ -140,8 +140,9 @@ def run_episode(
         raise ValueError("agents must cover the skill roster exactly")
     memo = _EpisodeMemo(judge, scorer)
 
-    first = Utterance(0, 0, seed.pair[0].text)
-    second = Utterance(1, 1, seed.pair[1].text)
+    # the pair is seated here, once: its first utterance is side 0's
+    first = Utterance(0, seed.pair[0].text)
+    second = Utterance(1, seed.pair[1].text)
     dtx = DialogueContext((first, second))
     active_skill = seed.seed_dataset
     annotated = [_annotate(first, memo, False, 0, ()), _annotate(second, memo, False, 0, ())]
@@ -179,7 +180,7 @@ def run_episode(
             exc.args = (f"episode {episode_id} turn {turn}: {exc}",)
             raise
 
-        utt = Utterance(side, turn, outcome.winner.text)
+        utt = Utterance(side, outcome.winner.text)
         annotated.append(
             _annotate(utt, memo, outcome.mic_passed, outcome.winner.attempts, refusals)
         )
@@ -205,7 +206,6 @@ def run_batch(
     cfg: EngineConfig,
     parallelism: int = 1,
     write: Callable[[Episode], None] | None = None,
-    on_progress: Callable[[int, int], None] | None = None,
 ) -> BatchReport:
     """Generate episodes for every seed with up to ``parallelism`` workers.
 
@@ -248,8 +248,6 @@ def run_batch(
                     ) from exc
             written += 1
             refusal_total += sum(len(t.refusals) for t in result.turns)
-        if on_progress is not None:
-            on_progress(written, len(aborts))
 
     # at most 2 * parallelism episodes in flight, consumed in seed order;
     # each is dropped once consumed, and when the batch ends early the

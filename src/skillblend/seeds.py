@@ -101,9 +101,10 @@ class TfIdfIndex:
 
 @dataclass(frozen=True)
 class SeedEpisode:
-    """Seed for one episode: the utterance pair and per-side contexts. The
-    pair's provenance skill ``seed_dataset`` is also the initially active
-    skill."""
+    """Seed for one episode: the utterance pair as its dataset holds it
+    and per-side contexts. The pair's provenance skill ``seed_dataset`` is
+    also the initially active skill. The episode seats the pair, so its
+    speakers here are not read."""
 
     seed_dataset: SkillId
     pair: tuple[Utterance, Utterance]
@@ -237,7 +238,7 @@ def build_seeds(
     entry is simply omitted for the variant. Variants with no context at
     all are dropped; a variant is empty only when every bucket has at most
     v hits, so only a suffix is dropped and the seed at position v of the
-    list is variant v.
+    list is variant v. Every variant carries ``pair`` itself.
     """
     first, second = pair
     if not first.text.strip() or not second.text.strip():
@@ -253,7 +254,6 @@ def build_seeds(
         if key in needed
     }
 
-    norm_pair = (Utterance(0, 0, first.text), Utterance(1, 1, second.text))
     seeds: list[SeedEpisode] = []
     for variant in range(cfg.seeds_per_pair):
         sides: list[SkillContextSet] = []
@@ -270,7 +270,7 @@ def build_seeds(
                     any_context = True
             sides.append(SkillContextSet(tuple(entries)))
         if any_context:
-            seeds.append(SeedEpisode(seed_dataset, norm_pair, (sides[0], sides[1])))
+            seeds.append(SeedEpisode(seed_dataset, pair, (sides[0], sides[1])))
     return seeds
 
 

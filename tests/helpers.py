@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from skillblend import orchestrator
 from skillblend.agents import default_scripted_agents
@@ -25,7 +26,7 @@ from skillblend.core import (
 )
 from skillblend.cli import draw_seeds
 from skillblend.dataio import EpisodeWriter, read_dataset
-from skillblend.distmath import Histogram, entropy, histogram, kl_divergence
+from skillblend.distmath import Histogram, entropy, kl_divergence
 from skillblend.moderator import GateDecision
 from skillblend.orchestrator import run_batch
 from skillblend.seeds import build_index, docs_from_records
@@ -406,7 +407,7 @@ def mini_episode(
         )
         turns.append(
             AnnotatedTurn(
-                Utterance(i % 2, i, texts[i % len(texts)]),
+                Utterance(i % 2, texts[i % len(texts)]),
                 label,
                 dist,
                 False,
@@ -445,6 +446,29 @@ def hand_episode(cfg: EngineConfig, ep_id="ep-hand") -> Episode:
 
 
 # --- statistics oracle ---------------------------------------------------------
+
+
+def histogram(values: Iterable[float], edges: Sequence[float]) -> Histogram:
+    """Bin ``values`` into half-open bins [edges[i], edges[i+1]); the last
+    bin also includes its right edge, and every other value, NaN included,
+    is out of range. It bins by its own rule, not ``distmath.bin_index``,
+    so the report oracle checks that rule too."""
+    edge_tuple = tuple(float(e) for e in edges)
+    if len(edge_tuple) < 2:
+        raise ValueError("need at least two bin edges")
+    for lo, hi in zip(edge_tuple, edge_tuple[1:]):
+        if not hi > lo:
+            raise ValueError("bin edges must be strictly ascending")
+    counts = [0] * (len(edge_tuple) - 1)
+    out_of_range = 0
+    for v in values:
+        if edge_tuple[0] <= v < edge_tuple[-1]:
+            counts[bisect_right(edge_tuple, v) - 1] += 1
+        elif v == edge_tuple[-1]:
+            counts[-1] += 1
+        else:
+            out_of_range += 1
+    return Histogram(edge_tuple, tuple(counts), out_of_range)
 
 
 def skill_percentages(episodes: Sequence[Episode], roster: Sequence[SkillId]) -> list[float]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
@@ -21,14 +22,21 @@ from skillblend.agents import (
     post_json,
     serve_mock,
 )
-from skillblend.core import DEFAULT_ROSTER, DialogueContext, ResponseCandidate, SkillContext, Utterance
+from skillblend.core import (
+    DEFAULT_ROSTER,
+    DialogueContext,
+    ResponseCandidate,
+    SkillContext,
+    Utterance,
+    compact_json,
+)
 
 P, K, E = DEFAULT_ROSTER
 
 
 @pytest.fixture
 def dtx():
-    return DialogueContext((Utterance(0, 0, "hello there"), Utterance(1, 1, "hi friend")))
+    return DialogueContext((Utterance(0, "hello there"), Utterance(1, "hi friend")))
 
 
 @pytest.fixture
@@ -48,30 +56,24 @@ def test_spec_rejects_empty_or_blank_templates():
 def test_scripted_generate_walks_templates(agent, dtx):
     stx = SkillContext(K, ("the topic",))
     first = agent.generate(stx, dtx, 1)
-    second = agent.generate(stx, dtx, 2)
-    assert first.text == "first take on hi friend"
-    assert second.text == "second take with the topic"
-    assert first.attempts == 1 and second.attempts == 2
+    assert first == "first take on hi friend"
+    assert agent.generate(stx, dtx, 2) == "second take with the topic"
     # cyclic reuse past the template count
-    assert agent.generate(stx, dtx, 4).text == first.text
+    assert agent.generate(stx, dtx, 4) == first
     with pytest.raises(ValueError):
         agent.generate(stx, dtx, 0)
 
 
 def test_scripted_generate_handles_empty_context(agent, dtx):
     got = agent.generate(SkillContext(K), dtx, 2)
-    assert got.text == "second take with "
-    assert got.text.strip()
+    assert got == "second take with "
+    assert got.strip()
 
 
 def test_scripted_generate_is_deterministic(agent, dtx):
     stx = SkillContext(K, ("the topic",))
-    outputs = {agent.generate(stx, dtx, 3).text for _ in range(100)}
+    outputs = {agent.generate(stx, dtx, 3) for _ in range(100)}
     assert len(outputs) == 1
-
-
-def test_scripted_generate_origin_matches_agent(agent, dtx):
-    assert agent.generate(SkillContext(K), dtx, 1).origin == K
 
 
 def test_scripted_rank_counts_token_overlap(agent, dtx):
@@ -102,9 +104,8 @@ def test_default_scripted_agents_cover_roster(dtx):
     agents = default_scripted_agents(DEFAULT_ROSTER)
     assert [a.skill.id for a in agents] == ["P", "K", "E"]
     for agent in agents:
-        cand = agent.generate(SkillContext(agent.skill, ("a line of context",)), dtx, 1)
-        assert cand.origin == agent.skill
-        assert cand.text.strip()
+        text = agent.generate(SkillContext(agent.skill, ("a line of context",)), dtx, 1)
+        assert text.strip()
 
 
 def test_backend_endpoint_validation():
@@ -121,10 +122,8 @@ def test_backend_endpoint_validation():
 def test_remote_generate_echoes_configuration(dtx):
     tables = {"generate": {"default": {"text": "hello", "score": 0.9}}}
     with serve_mock(tables) as server:
-        cand = RemoteSkillAgent(server.endpoint(), K).generate(SkillContext(K, ("topic",)), dtx, 1)
-    assert cand.text == "hello"
-    assert cand.origin == K  # forced to the requesting skill
-    assert cand.attempts == 1
+        text = RemoteSkillAgent(server.endpoint(), K).generate(SkillContext(K, ("topic",)), dtx, 1)
+    assert text == "hello"
 
 
 def test_remote_generate_attempt_selects_table_row(dtx):
@@ -135,9 +134,9 @@ def test_remote_generate_attempt_selects_table_row(dtx):
     }
     with serve_mock(tables) as server:
         agent = RemoteSkillAgent(server.endpoint(), K)
-        assert agent.generate(SkillContext(K), dtx, 1).text == "row zero"
-        assert agent.generate(SkillContext(K), dtx, 2).text == "row one"
-        assert agent.generate(SkillContext(K), dtx, 3).text == "row zero"
+        assert agent.generate(SkillContext(K), dtx, 1) == "row zero"
+        assert agent.generate(SkillContext(K), dtx, 2) == "row one"
+        assert agent.generate(SkillContext(K), dtx, 3) == "row zero"
 
 
 @pytest.fixture
@@ -170,8 +169,8 @@ def test_remote_generate_recovers_within_budget(dtx, sleeps):
         "fail_first": {"/generate": 1},
     }
     with serve_mock(tables) as server:
-        cand = RemoteSkillAgent(server.endpoint(max_retries=1), K).generate(SkillContext(K), dtx, 1)
-    assert cand.text == "late"
+        text = RemoteSkillAgent(server.endpoint(max_retries=1), K).generate(SkillContext(K), dtx, 1)
+    assert text == "late"
     assert sleeps == [0.05]
 
 
@@ -187,7 +186,7 @@ def test_retries_back_off_exponentially_up_to_a_cap(dtx, sleeps, failures, max_r
             with pytest.raises(BackendUnavailableError):
                 agent.generate(SkillContext(K), dtx, 1)
         else:
-            assert agent.generate(SkillContext(K), dtx, 1).text == "late"
+            assert agent.generate(SkillContext(K), dtx, 1) == "late"
     assert sleeps == _backoff(min(failures, max_retries))
     assert _backoff(8)[-1] == agents._BACKOFF_CAP_S  # the cap is reached within 8 retries
 
@@ -208,6 +207,10 @@ def test_remote_generate_missing_fields_are_protocol_errors(dtx):
         b'{"text":"a reply"}',
         b'{"text":"a reply","score":"0.9"}',
         b'{"text":"a reply","score":true}',
+        b'{"text":"a reply","score":NaN}',
+        b'{"text":"a reply","score":Infinity}',
+        b'{"text":"a reply","score":-Infinity}',
+        b'{"text":"a reply","score":1' + b"0" * 400 + b"}",
     ],
 )
 def test_remote_generate_rejects_a_malformed_score(monkeypatch, dtx, raw):
@@ -243,6 +246,19 @@ def test_remote_rank_echo_and_arity(dtx):
     with serve_mock({"rank": {"force_scores": [0.1, 0.2, 0.3]}}) as server:
         with pytest.raises(ProtocolError):
             RemoteSkillAgent(server.endpoint(), K).rank(SkillContext(K), dtx, candidates)
+
+
+@pytest.mark.parametrize(
+    "score",
+    ["0.1", True, None, math.nan, math.inf, -math.inf, 10**400],
+    ids=["string", "bool", "null", "NaN", "Infinity", "-Infinity", "beyond float range"],
+)
+def test_remote_rank_rejects_a_malformed_score(dtx, score):
+    candidates = [ResponseCandidate("a", P), ResponseCandidate("b", K)]
+    with serve_mock({"rank": {"by_text": {"a": 0.1}, "default_score": score}}) as server:
+        with pytest.raises(ProtocolError, match="/rank: non-numeric score in response") as err:
+            RemoteSkillAgent(server.endpoint(), K).rank(SkillContext(K), dtx, candidates)
+    assert err.value.body == compact_json({"scores": [0.1, score]}).encode("utf-8")
 
 
 def test_remote_rank_empty_candidates_never_hits_network(dtx):

@@ -17,7 +17,7 @@ from skillblend.classifiers import (
     RemoteSkillScorer,
     default_lexicon,
 )
-from skillblend.core import DEFAULT_ROSTER, Utterance
+from skillblend.core import DEFAULT_ROSTER, Utterance, compact_json
 from skillblend.orchestrator import _annotate
 
 
@@ -123,7 +123,7 @@ def test_lexical_scorer_is_pure_and_normalized(spec):
 
 def _label(scorer, text):
     """The skill label the orchestrator annotates an utterance of ``text`` with."""
-    return _annotate(Utterance(0, 0, text), scorer, False, 0, ()).skill_label
+    return _annotate(Utterance(0, text), scorer, False, 0, ()).skill_label
 
 
 def test_annotate_label_argmax_and_tie_break(spec):
@@ -207,6 +207,21 @@ def test_remote_scorer_rejects_wrong_arity_and_bad_sum():
             scorer.score("skew")
 
 
+@pytest.mark.parametrize(
+    "probability",
+    ["0.3", True, None, math.nan, math.inf, -math.inf, 10**400],
+    ids=["string", "bool", "null", "NaN", "Infinity", "-Infinity", "beyond float range"],
+)
+def test_remote_scorer_rejects_a_malformed_probability(probability):
+    dist = [0.5, probability, 0.5]
+    with serve_mock({"classify": {"default": dist}}) as server:
+        scorer = RemoteSkillScorer(server.endpoint(), DEFAULT_ROSTER)
+        message = "/classify: non-numeric probability in response"
+        with pytest.raises(ProtocolError, match=message) as err:
+            scorer.score("text")
+    assert err.value.body == compact_json({"distribution": dist}).encode("utf-8")
+
+
 def test_remote_judge_rejects_unknown_label():
     tables = {"nli": {"default": {"label": "maybe", "confidence": 0.5}}}
     with serve_mock(tables) as server:
@@ -245,6 +260,15 @@ def test_remote_judge_rejects_a_bad_label_inside_one_verdict():
          b'{"label":"neutral","confidence":"high"}]}', "/nli: missing or non-numeric 'confidence'"),
         (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
          b'{"label":"neutral","confidence":true}]}', "/nli: missing or non-numeric 'confidence'"),
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
+         b'{"label":"neutral","confidence":NaN}]}', "/nli: missing or non-numeric 'confidence'"),
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
+         b'{"label":"neutral","confidence":Infinity}]}', "/nli: missing or non-numeric 'confidence'"),
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
+         b'{"label":"neutral","confidence":-Infinity}]}', "/nli: missing or non-numeric 'confidence'"),
+        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
+         b'{"label":"neutral","confidence":1' + b"0" * 400 + b"}]}",
+         "/nli: missing or non-numeric 'confidence'"),
         (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
          b'{"label":"contradict","confidence":1.5}]}', r"/nli: confidence must be in \[0, 1\]"),
         (b'{"verdicts":[{"label":"neutral","confidence":0.5},'

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import weakref
 from dataclasses import fields
 from types import SimpleNamespace
@@ -411,18 +412,20 @@ def test_malformed_index_fails_cleanly(workdir, capsys, case):
     assert not out.exists()
 
 
+_REMOTE_TABLES = {
+    "generate": {"default": {"text": "a steady reply", "score": 0.5}},
+    "rank": {"default_score": 0.25},
+    "nli": {"default": {"label": "neutral", "confidence": 0.5}},
+    "classify": {"default": [0.2, 0.3, 0.5]},
+}
+
+
 def test_generate_with_remote_backend(workdir):
     tmp_path, data = workdir
     index = str(tmp_path / "ctx.idx")
     assert _run("index", "--data", *data, "--out", index) == 0
-    tables = {
-        "generate": {"default": {"text": "a steady reply", "score": 0.5}},
-        "rank": {"default_score": 0.25},
-        "nli": {"default": {"label": "neutral", "confidence": 0.5}},
-        "classify": {"default": [0.2, 0.3, 0.5]},
-    }
     out = str(tmp_path / "remote.jsonl")
-    with serve_mock(tables) as server:
+    with serve_mock(_REMOTE_TABLES) as server:
         rc = _run(
             "generate", "--data", *data, "--index", index, "--out", out,
             "--episodes", "2", "--backend", "remote", "--endpoint", server.base_url,
@@ -434,6 +437,22 @@ def test_generate_with_remote_backend(workdir):
     first = json.loads(lines[0])
     assert first["turns"][2]["text"] == "a steady reply"
     assert first["turns"][2]["skill"] == "E"  # argmax of [0.2, 0.3, 0.5]
+
+
+@pytest.mark.parametrize("score", [10**400, math.nan], ids=["beyond float range", "NaN"])
+def test_remote_score_that_is_not_a_finite_float_exits_1(workdir, capsys, score):
+    tmp_path, data = workdir
+    index = str(tmp_path / "ctx.idx")
+    assert _run("index", "--data", *data, "--out", index) == 0
+    tables = {**_REMOTE_TABLES, "rank": {"default_score": score}}
+    with serve_mock(tables) as server:
+        rc = _run(
+            "generate", "--data", *data, "--index", index, "--out", str(tmp_path / "remote.jsonl"),
+            "--episodes", "2", "--backend", "remote", "--endpoint", server.base_url,
+        )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "skillblend: episode ep-000000 turn 2: /rank: non-numeric score in response\n"
 
 
 def test_remote_backend_requires_endpoint(workdir, monkeypatch):

@@ -54,23 +54,21 @@ def test_context_set_sorts_by_roster_index_and_rejects_duplicates():
 
 
 def test_dialogue_context_invariants():
-    a = Utterance(0, 0, "hello")
-    b = Utterance(1, 1, "hi")
+    a = Utterance(0, "hello")
+    b = Utterance(1, "hi")
     dtx = DialogueContext((a, b))
     assert dtx.last.text == "hi"
-    extended = dtx.extended(Utterance(0, 2, "more"))
+    extended = dtx.extended(Utterance(0, "more"))
     assert len(extended.turns) == 3
     with pytest.raises(ValueError):
-        DialogueContext((a, Utterance(0, 1, "same side twice")))
-    with pytest.raises(ValueError):
-        DialogueContext((a, Utterance(1, 5, "bad index")))
+        DialogueContext((a, Utterance(0, "same side twice")))
 
 
 def test_utterance_rejects_bad_fields():
     with pytest.raises(ValueError):
-        Utterance(2, 0, "x")
+        Utterance(2, "x")
     with pytest.raises(ValueError):
-        Utterance(0, 0, "  ")
+        Utterance(0, "  ")
 
 
 def test_distribution_validation():

@@ -65,7 +65,7 @@ def test_read_dataset_happy_path(tmp_path):
     assert len(records) == 3
     assert records[0].skill == P
     assert records[0].side_contexts == (("i ski",), ("i paint",))
-    assert [u.turn for u in records[0].turns] == [0, 1, 2]
+    assert [(u.speaker, u.text) for u in records[0].turns] == [(0, "hello"), (1, "hi"), (0, "again")]
 
 
 def test_read_dataset_empty_file(tmp_path):
@@ -161,8 +161,8 @@ def _episodes(draw):
     roster = make_roster(draw(st.lists(_TEXT, min_size=2, max_size=4, unique=True)))
     skill = st.sampled_from(roster)
 
-    def utterance(turn):
-        return Utterance(draw(_SPEAKER), turn, draw(_TEXT))
+    def utterance():
+        return Utterance(draw(_SPEAKER), draw(_TEXT))
 
     def context_set():
         chosen = draw(st.lists(skill, max_size=len(roster), unique=True))
@@ -179,7 +179,7 @@ def _episodes(draw):
         refusals = tuple(Refusal(a, b) for a, b in pairs)
         turns.append(
             AnnotatedTurn(
-                utterance(i),
+                utterance(),
                 draw(skill),
                 dist,
                 draw(st.booleans()),
@@ -190,7 +190,7 @@ def _episodes(draw):
     return Episode(
         draw(_TEXT),
         draw(skill),
-        (utterance(0), utterance(1)),
+        (utterance(), utterance()),
         (context_set(), context_set()),
         tuple(turns),
         draw(st.sampled_from(["0" * 64, "digest", "é\\\""])),

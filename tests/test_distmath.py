@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import histogram
 from skillblend.core import SkillDistribution
 from skillblend.distmath import (
     Histogram,
+    bin_index,
     entropy,
-    histogram,
     kl_divergence,
     softmax,
     stable_argmax,
@@ -173,6 +174,35 @@ def test_argmax_matches_linear_scan(values):
 
 
 # --- histogram --------------------------------------------------------------------
+
+_EDGES = (0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (0.0, 0),  # the bottom edge
+        (math.nextafter(0.5, 0.0), 0),
+        (0.5, 1),  # an interior edge opens the next bin
+        (math.nextafter(1.0, 0.0), 1),
+        (1.0, 1),  # the top edge closes the last bin
+        (math.nextafter(0.0, -1.0), 2),  # just below the range
+        (math.nextafter(1.0, 2.0), 2),  # just above the range
+        (math.nan, 2),
+        (-math.inf, 2),
+        (math.inf, 2),
+    ],
+)
+def test_bin_index_edges_and_out_of_range(value, expected):
+    assert bin_index(value, _EDGES) == expected
+
+
+@given(st.floats(min_value=-0.5, max_value=1.5) | st.sampled_from(_EDGES + (math.nan,)))
+def test_bin_index_matches_the_oracle_histogram(value):
+    h = histogram([value], _EDGES)
+    tally = list(h.counts) + [h.out_of_range]
+    assert tally.index(1) == bin_index(value, _EDGES)
+
 
 
 def test_histogram_last_bin_right_closed():

@@ -40,7 +40,7 @@ def ctxset(*pairs):
 
 @pytest.fixture
 def dtx():
-    return DialogueContext((Utterance(0, 0, "hello there"), Utterance(1, 1, "prev")))
+    return DialogueContext((Utterance(0, "hello there"), Utterance(1, "prev")))
 
 
 def test_consistency_gate_sneaker_sandal_conflict():
@@ -142,9 +142,9 @@ def test_simulate_approved_first_attempt(dtx):
     judge = TableJudge()
     agent = ScriptedAgent(K, ("clean response",))
     result = simulate_approved(agent, judge, ((), ()), SkillContext(K), dtx, 8)
-    assert result.candidate.attempts == 1
+    # the moderator stamps the agent's text with the agent's skill and the attempt
+    assert result.candidate == ResponseCandidate("clean response", K, 1)
     assert result.refusals == ()
-    assert result.candidate is not None
 
 
 def test_simulate_approved_retries_until_clean(dtx):
@@ -154,8 +154,7 @@ def test_simulate_approved_retries_until_clean(dtx):
     agent = ScriptedAgent(K, ("tainted one", "tainted two", "fresh and clean"))
     stx_all = ctxset((P, ["premise line"]))
     result = simulate_approved(agent, judge, stx_all.flat_lines(), SkillContext(K), dtx, 8)
-    assert result.candidate.text == "fresh and clean"
-    assert result.candidate.attempts == 3
+    assert result.candidate == ResponseCandidate("fresh and clean", K, 3)
     assert [r.candidate_skill.id for r in result.refusals] == ["K", "K"]
     assert [r.context_skill.id for r in result.refusals] == ["P", "P"]
 

@@ -57,7 +57,8 @@ def _plain_seed(seed_skill=P):
             )
         ),
     )
-    pair = (Utterance(0, 0, "do you enjoy skiing"), Utterance(1, 1, "i love skiing a lot"))
+    # a pair from turns 1 and 2 of its record: side 1 speaks first
+    pair = (Utterance(1, "do you enjoy skiing"), Utterance(0, "i love skiing a lot"))
     return SeedEpisode(seed_skill, pair, contexts)
 
 
@@ -71,6 +72,8 @@ def test_run_episode_shape_and_annotation(cfg):
     assert len(ep.turns) == 10  # 2-turn seed + 8 generated
     assert ep.turns[0].utterance.text == "do you enjoy skiing"
     assert ep.turns[1].utterance.text == "i love skiing a lot"
+    # the episode seats the seed pair: side 0 speaks first
+    assert ep.seed_pair == (Utterance(0, "do you enjoy skiing"), Utterance(1, "i love skiing a lot"))
     assert [t.utterance.speaker for t in ep.turns] == [i % 2 for i in range(10)]
     for i, turn in enumerate(ep.turns[:2]):
         assert turn.phase2_attempts == 0 and not turn.mic_passed
@@ -115,7 +118,7 @@ def test_run_episode_matches_reference_replay(cfg):
 
     by_id = {a.skill.id: a for a in agents}
     dtx = DialogueContext(
-        (Utterance(0, 0, seed.pair[0].text), Utterance(1, 1, seed.pair[1].text))
+        (Utterance(0, seed.pair[0].text), Utterance(1, seed.pair[1].text))
     )
     active = seed.seed_dataset
     for t in range(2, cfg.episode_length):
@@ -134,7 +137,7 @@ def test_run_episode_matches_reference_replay(cfg):
         assert ep.turns[t].utterance.text == outcome.winner.text
         assert ep.turns[t].mic_passed == outcome.mic_passed
         assert ep.turns[t].phase2_attempts == outcome.winner.attempts
-        dtx = dtx.extended(Utterance(side, t, outcome.winner.text))
+        dtx = dtx.extended(Utterance(side, outcome.winner.text))
         if outcome.mic_passed:
             active = outcome.winner.origin
 
@@ -155,7 +158,7 @@ def test_run_episode_aborts_when_everything_contradicts(cfg):
     )
     seed = SeedEpisode(
         P,
-        (Utterance(0, 0, "hello"), Utterance(1, 1, "hi")),
+        (Utterance(0, "hello"), Utterance(1, "hi")),
         contexts,
     )
     with pytest.raises(EpisodeAbortError) as excinfo:
@@ -196,7 +199,7 @@ def test_default_stack_can_pass_the_mic(cfg):
     )
     seed = SeedEpisode(
         P,
-        (Utterance(0, 0, "hello there"), Utterance(1, 1, "hi pal")),
+        (Utterance(0, "hello there"), Utterance(1, "hi pal")),
         (contexts, contexts),
     )
     ep = helpers.run_episode(seed, agents, judge, scorer, cfg)
@@ -242,7 +245,7 @@ def test_run_batch_records_aborts_without_writing(cfg):
     agents = default_scripted_agents(DEFAULT_ROSTER)
     doomed = SeedEpisode(
         P,
-        (Utterance(0, 0, "hello"), Utterance(1, 1, "hi")),
+        (Utterance(0, "hello"), Utterance(1, "hi")),
         (
             SkillContextSet((SkillContext(P, ("poison line",)),)),
             SkillContextSet((SkillContext(P, ("poison line",)),)),
@@ -254,16 +257,6 @@ def test_run_batch_records_aborts_without_writing(cfg):
     assert collected == []
     assert len(report.aborts) == 1
     assert report.aborts[0][0] == 0
-
-
-def test_run_batch_progress_callback(corpus_files):
-    cfg = EngineConfig(rng_seed=2)
-    seeds = helpers.make_seeds(corpus_files, cfg, 5)
-    agents, judge, scorer = _stack(cfg)
-    ticks = []
-    run_batch(seeds, agents, judge, scorer, cfg, on_progress=lambda w, a: ticks.append((w, a)))
-    assert ticks[-1] == (5, 0)
-    assert [w for w, _ in ticks] == [1, 2, 3, 4, 5]
 
 
 def test_run_batch_writer_failure_carries_partial_report(corpus_files, monkeypatch):

@@ -276,7 +276,6 @@ def _old_build_seeds(pair, seed_dataset, docs, old, cfg):
         for role in SideRole
         if (skill.id, role) in needed
     }
-    norm_pair = (Utterance(0, 0, pair[0].text), Utterance(1, 1, pair[1].text))
     seeds = []
     for variant in range(cfg.seeds_per_pair):
         sides = [
@@ -290,7 +289,7 @@ def _old_build_seeds(pair, seed_dataset, docs, old, cfg):
             for side in template
         ]
         if any(len(side) for side in sides):
-            seeds.append(SeedEpisode(seed_dataset, norm_pair, tuple(sides)))
+            seeds.append(SeedEpisode(seed_dataset, pair, tuple(sides)))
     return seeds
 
 
@@ -321,7 +320,7 @@ def test_build_seeds_and_query_equal_the_full_scan(docs, first, second, k):
     index = build_index(docs)
     old = _old_index(docs)
     assert (index.vocabulary, index.idf) == old[:2]
-    pair = (Utterance(0, 4, first), Utterance(1, 5, second))
+    pair = (Utterance(0, first), Utterance(1, second))
     text = first + " " + second
     assert query(index, text, k) == _old_query(docs, old, text, k)
     for skill in DEFAULT_ROSTER:
@@ -349,13 +348,15 @@ def _seed_corpus():
 
 
 def _pair(a="tell me about the topic", b="the topic is lovely"):
-    return (Utterance(0, 2, a), Utterance(1, 3, b))
+    return (Utterance(0, a), Utterance(1, b))
 
 
 def test_build_seeds_full_buckets_yield_all_variants():
     cfg = EngineConfig(seeds_per_pair=5)
     docs = _seed_corpus()
-    seeds = build_seeds(_pair(), P, build_index(docs), cfg)
+    # a pair from turns 1 and 2 of its record: side 1 speaks first
+    pair = (Utterance(1, "tell me about the topic"), Utterance(0, "the topic is lovely"))
+    seeds = build_seeds(pair, P, build_index(docs), cfg)
     assert len(seeds) == 5
     # the seed at position v carries the v-th ranked context of each bucket
     text = "tell me about the topic the topic is lovely"
@@ -363,9 +364,8 @@ def test_build_seeds_full_buckets_yield_all_variants():
     assert [s.contexts[0].get(P).lines for s in seeds] == [docs[d].lines for d, _ in ranked]
     for seed in seeds:
         assert seed.seed_dataset == P
-        # pair re-indexed to turns 0/1, speakers 0/1
-        assert [u.turn for u in seed.pair] == [0, 1]
-        assert [u.speaker for u in seed.pair] == [0, 1]
+        # every variant carries the dataset's pair itself; the episode seats it
+        assert seed.pair[0] is pair[0] and seed.pair[1] is pair[1]
 
 
 def test_build_seeds_side_asymmetry_follows_role_template():
@@ -405,7 +405,7 @@ def test_build_seeds_drops_fully_empty_variants():
 def test_blank_seed_texts_cannot_be_constructed():
     # the non-blank precondition is enforced by the Utterance type itself
     with pytest.raises(ValueError):
-        Utterance(0, 0, "   ")
+        Utterance(0, "   ")
 
 
 def test_default_role_template_shape():
@@ -418,7 +418,7 @@ def test_default_role_template_shape():
 
 
 def _record(skill, *texts):
-    turns = tuple(Utterance(i % 2, i, text) for i, text in enumerate(texts))
+    turns = tuple(Utterance(i % 2, text) for i, text in enumerate(texts))
     return SingleSkillRecord(skill, ((), ()), turns)
 
 
@@ -659,7 +659,7 @@ def test_saved_index_loads_bit_for_bit(docs, first, second):
     assert [x.hex() for x in loaded.idf] == [x.hex() for x in index.idf]
     assert loaded.vocabulary == index.vocabulary
     assert loaded.docs == index.docs
-    pair = (Utterance(0, 4, first), Utterance(1, 5, second))
+    pair = (Utterance(0, first), Utterance(1, second))
     cfg = EngineConfig(seeds_per_pair=3)
     for seed_dataset in DEFAULT_ROSTER:
         assert build_seeds(pair, seed_dataset, loaded, cfg) == build_seeds(pair, seed_dataset, index, cfg)

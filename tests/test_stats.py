@@ -112,9 +112,9 @@ def test_histograms_dual_path_recompute(corpus_files, tmp_path):
     episodes = read_episodes(str(out), cfg.skill_roster)
     _, _, scorer = helpers.scripted_stack(cfg)
     for ep in episodes:
-        for turn in ep.turns:
+        for i, turn in enumerate(ep.turns):
             rescored = scorer.score(turn.utterance.text)
-            assert turn.distribution == rescored, (ep.id, turn.utterance.turn)
+            assert turn.distribution == rescored, (ep.id, i)
 
 
 def test_continuity_after_seed_all_continue():
