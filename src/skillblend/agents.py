@@ -21,18 +21,32 @@ integer beyond float range are protocol errors. A ``/generate`` score and
 an ``/nli`` confidence are validated, then dropped: no decision reads
 them, and of the three labels only ``contradict`` refuses a candidate.
 One ``/nli`` request judges a hypothesis against a batch of premises, one
-verdict per premise in premise order. Requests go over HTTP/1.1
-keep-alive: each worker thread holds one persistent connection per
-backend host. Failed attempts are retried after a capped exponential
-backoff.
+verdict per premise in premise order.
+
+Transport: a small HTTP/1.1 client on the standard library's ``socket``
+and ``ssl``. Each worker thread holds one persistent connection per
+backend host, with Nagle off; an ``https`` connection verifies the
+certificate and the host name against the default trust store. A request
+is one write: the route, then ``Host``, ``Accept-Encoding: identity`` (no
+compressed bodies), ``Content-Type`` and ``Content-Length``. A response
+body is read by ``Content-Length``, as ``chunked``, or up to the end of
+the stream when it has neither; the connection closes after a
+``Connection: close`` response, after an HTTP/1.0 response and after a
+body read to the end. A status or header line longer than 65536 bytes,
+more than 100 header lines, any other ``Transfer-Encoding`` and a body cut
+short are failed attempts, like timeouts, resets and 5xx responses; failed
+attempts are retried after a capped exponential backoff. A request that
+fails on a reused connection before any response byte arrives is sent
+once more on a fresh connection, outside the retry budget.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
+import re
 import socket
+import ssl
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -179,17 +193,185 @@ class BackendEndpoint:
         parts = urlsplit(self.base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"endpoint must be an http or https URL, got {self.base_url!r}")
+        path = parts.path.rstrip("/")
+        if not all("!" <= c <= "~" for c in path):
+            raise ValueError(f"endpoint path must be printable ASCII without spaces, got {path!r}")
+        host, default_port = parts.hostname, 443 if parts.scheme == "https" else 80
+        port = parts.port or default_port
+        name = f"[{host}]" if ":" in host else host
+        try:
+            host_header = name.encode("ascii" if name.isascii() else "idna")
+        except UnicodeError:
+            raise ValueError(f"endpoint host is not a valid host name, got {host!r}") from None
+        if port != default_port:
+            host_header += b":%d" % port
         # derived once, not dataclass fields: (scheme, host, port) keys the
         # per-thread connection, the path prefixes every route
-        object.__setattr__(self, "_origin", (parts.scheme, parts.hostname, parts.port))
-        object.__setattr__(self, "_path", parts.path.rstrip("/"))
+        object.__setattr__(self, "_origin", (parts.scheme, host, port))
+        object.__setattr__(self, "_host", host_header)
+        object.__setattr__(self, "_path", path.encode("ascii"))
 
 
-_HEADERS = {"Content-Type": "application/json"}
 # the wait before retry i (0-based) is min(_BACKOFF_CAP_S, _BACKOFF_FIRST_S * 2**i)
 _BACKOFF_FIRST_S = 0.05
 _BACKOFF_CAP_S = 1.0
+# limits on what a response may send before its body: a status or header
+# line (terminator included), and the header lines of one response
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_REQUEST_HEAD = (
+    b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
+    b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+)
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 _thread_state = threading.local()
+
+
+class _BadResponse(Exception):
+    """A response that breaks HTTP/1.1 framing or a reader limit; like a
+    transport failure, it is a failed attempt."""
+
+
+def _line(reader) -> bytes:
+    """One status, header or chunk-size line, at most ``_MAX_LINE`` bytes;
+    b"" at end of stream."""
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _BadResponse(f"response line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _header_lines(reader):
+    """The header (or trailer) lines up to the blank line that ends them."""
+    for _ in range(_MAX_HEADERS + 1):
+        line = _line(reader)
+        if line in (b"\r\n", b"\n"):
+            return
+        if not line:
+            raise _BadResponse("connection closed inside the response headers")
+        yield line
+    raise _BadResponse(f"more than {_MAX_HEADERS} response header lines")
+
+
+def _chunked_body(reader) -> bytes:
+    parts = []
+    while True:
+        field = _line(reader).split(b";", 1)[0].strip()
+        if not _CHUNK_SIZE.fullmatch(field):
+            raise _BadResponse(f"bad chunk size line {field[:40]!r}")
+        size = int(field, 16)
+        if not size:
+            for _trailer in _header_lines(reader):
+                pass
+            return b"".join(parts)
+        chunk = reader.read(size)
+        if len(chunk) < size or reader.read(2) != b"\r\n":
+            raise _BadResponse("chunk ended early or without CRLF")
+        parts.append(chunk)
+
+
+class _Connection:
+    """One thread's persistent HTTP/1.1 connection to one backend host. The
+    socket opens on first use and again after a close."""
+
+    def __init__(self, endpoint: BackendEndpoint):
+        scheme, host, port = endpoint._origin
+        self._address = (host, port)
+        self._tls = ssl.create_default_context() if scheme == "https" else None
+        self._host = endpoint._host
+        self._sock: socket.socket | None = None
+        self._reader = None
+        self._timeout = 0.0
+
+    def close(self) -> None:
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
+
+    def _open(self, timeout: float) -> None:
+        sock = socket.create_connection(self._address, timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except OSError:
+            sock.close()
+            raise
+        self._sock, self._reader, self._timeout = sock, sock.makefile("rb"), timeout
+
+    def post(self, path: bytes, payload: bytes, timeout: float) -> tuple[int, bytes]:
+        """One POST in a single write; returns (status, body). A reused
+        connection that the server has closed meanwhile fails before any
+        response byte arrives; that request is sent once more on a fresh
+        connection."""
+        request = _REQUEST_HEAD % (path, self._host, len(payload)) + payload
+        if self._sock is not None:
+            if self._timeout != timeout:
+                self._sock.settimeout(timeout)
+                self._timeout = timeout
+            try:
+                self._sock.sendall(request)
+                begun = bool(self._reader.peek(1))
+            except (ConnectionResetError, BrokenPipeError):
+                begun = False
+            if begun:
+                return self._response()
+            self.close()
+        self._open(timeout)
+        self._sock.sendall(request)
+        return self._response()
+
+    def _response(self) -> tuple[int, bytes]:
+        """Read one response: its body by Content-Length, chunked, or up to
+        the end of the stream; close after ``Connection: close``, after an
+        HTTP/1.0 response and after a body that ran to the end."""
+        reader = self._reader
+        status = 100
+        while status < 200:  # skip interim (1xx) responses
+            line = _line(reader)
+            if not line:
+                raise _BadResponse("connection closed without a response")
+            parts = line.split(None, 2)
+            if (
+                len(parts) < 2
+                or not parts[0].startswith(b"HTTP/1.")
+                or len(parts[1]) != 3
+                or not parts[1].isdigit()
+            ):
+                raise _BadResponse(f"malformed status line {line[:40]!r}")
+            status = int(parts[1])
+            close = parts[0] == b"HTTP/1.0"
+            length = None
+            chunked = False
+            for header in _header_lines(reader):
+                name, _, value = header.partition(b":")
+                name = name.strip().lower()
+                value = value.strip()
+                if name == b"content-length":
+                    if not value.isdigit() or length not in (None, int(value)):
+                        raise _BadResponse(f"bad Content-Length {value[:40]!r}")
+                    length = int(value)
+                elif name == b"transfer-encoding":
+                    if value.lower() != b"chunked":
+                        raise _BadResponse(f"unsupported Transfer-Encoding {value[:40]!r}")
+                    chunked = True
+                elif name == b"connection":
+                    close = close or b"close" in [t.strip() for t in value.lower().split(b",")]
+        if status in (204, 304):
+            body = b""
+        elif chunked:
+            body = _chunked_body(reader)
+        elif length is not None:
+            body = reader.read(length)
+            if len(body) < length:
+                raise _BadResponse(f"response body ended after {len(body)} of {length} bytes")
+        else:
+            body = reader.read()
+            close = True
+        if close:
+            self.close()
+        return status, body
 
 
 class _Connections(dict):
@@ -201,39 +383,15 @@ class _Connections(dict):
             conn.close()
 
 
-def _connection(endpoint: BackendEndpoint, timeout: float) -> http.client.HTTPConnection:
-    """This thread's persistent connection to the endpoint's host. It opens
-    on first use, and http.client reopens it after a close."""
+def _connection(endpoint: BackendEndpoint) -> _Connection:
+    """This thread's connection to the endpoint's host."""
     conns = getattr(_thread_state, "conns", None)
     if conns is None:
         conns = _thread_state.conns = _Connections()
     conn = conns.get(endpoint._origin)
     if conn is None:
-        scheme, host, port = endpoint._origin
-        cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-        conn = conns[endpoint._origin] = cls(host, port, timeout=timeout)
-    elif conn.timeout != timeout:
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
+        conn = conns[endpoint._origin] = _Connection(endpoint)
     return conn
-
-
-def _exchange(conn: http.client.HTTPConnection, path: str, payload: bytes) -> tuple[int, bytes]:
-    """One POST on ``conn``; returns (status, body). A reused connection
-    that the server has closed meanwhile fails before any response byte
-    arrives; that request is sent once more on a fresh connection."""
-    reused = conn.sock is not None
-    try:
-        conn.request("POST", path, payload, _HEADERS)
-        resp = conn.getresponse()
-    except (ConnectionResetError, BrokenPipeError):  # includes RemoteDisconnected
-        conn.close()
-        if not reused:
-            raise
-        conn.request("POST", path, payload, _HEADERS)
-        resp = conn.getresponse()
-    return resp.status, resp.read()
 
 
 def post_json(endpoint: BackendEndpoint, route: str, body: dict) -> tuple[dict, bytes]:
@@ -242,16 +400,16 @@ def post_json(endpoint: BackendEndpoint, route: str, body: dict) -> tuple[dict, 
     backoff before each retry. Returns (parsed object, raw response
     bytes)."""
     payload = compact_json(body).encode("utf-8")
-    path = endpoint._path + route
+    path = endpoint._path + route.encode("ascii")
     timeout = endpoint.timeout_ms / 1000.0
     last_failure = "no attempt made"
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
             sleep(min(_BACKOFF_CAP_S, _BACKOFF_FIRST_S * 2 ** (attempt - 1)))
-        conn = _connection(endpoint, timeout)
+        conn = _connection(endpoint)
         try:
-            status, content = _exchange(conn, path, payload)
-        except (OSError, http.client.HTTPException) as exc:
+            status, content = conn.post(path, payload, timeout)
+        except (OSError, _BadResponse) as exc:
             conn.close()
             last_failure = str(exc) or type(exc).__name__
             continue

@@ -132,7 +132,8 @@ def run_episode(
     side, fans the simulation over every roster agent with the speaking
     side's contexts, and selects via the active agent plus the flow gate.
     Backend contradiction bits and distributions are memoized for the
-    episode.
+    episode. A backend error, the seed turns' included, propagates with
+    the episode and turn named first.
     """
     by_id = {agent.skill.id: agent for agent in agents}
     roster_ids = sorted(s.id for s in cfg.skill_roster)
@@ -145,17 +146,19 @@ def run_episode(
     second = Utterance(1, seed.pair[1].text)
     dtx = DialogueContext((first, second))
     active_skill = seed.seed_dataset
-    annotated = [_annotate(first, memo, False, 0, ()), _annotate(second, memo, False, 0, ())]
     # flattened once per episode; the consistency gate sends a side's lines in one batch
     side_lines = [stx.flat_lines() for stx in seed.contexts]
+    annotated: list[AnnotatedTurn] = []
+    turn = 0
+    try:
+        for turn, utt in enumerate((first, second)):
+            annotated.append(_annotate(utt, memo, False, 0, ()))
+        for turn in range(2, cfg.episode_length):
+            side = turn % 2  # the sides alternate from the seed pair on
+            stx_all = seed.contexts[side]
 
-    for turn in range(2, cfg.episode_length):
-        side = turn % 2  # the sides alternate from the seed pair on
-        stx_all = seed.contexts[side]
-
-        refusals: list[Refusal] = []
-        candidates = []
-        try:
+            refusals: list[Refusal] = []
+            candidates = []
             for skill in cfg.skill_roster:
                 agent = by_id[skill.id]
                 stx_own = stx_all.get(skill) or SkillContext(skill, ())
@@ -174,19 +177,19 @@ def run_episode(
             outcome = select_final(
                 active_agent, memo, stx_active, dtx, candidates, cfg.alpha, cfg.epsilon
             )
-        except BackendError as exc:
-            # the same error, so its class and fields (a ProtocolError's
-            # raw body) survive, with the episode and turn named first
-            exc.args = (f"episode {episode_id} turn {turn}: {exc}",)
-            raise
 
-        utt = Utterance(side, outcome.winner.text)
-        annotated.append(
-            _annotate(utt, memo, outcome.mic_passed, outcome.winner.attempts, refusals)
-        )
-        dtx = dtx.extended(utt)
-        if outcome.mic_passed:
-            active_skill = outcome.winner.origin
+            utt = Utterance(side, outcome.winner.text)
+            annotated.append(
+                _annotate(utt, memo, outcome.mic_passed, outcome.winner.attempts, refusals)
+            )
+            dtx = dtx.extended(utt)
+            if outcome.mic_passed:
+                active_skill = outcome.winner.origin
+    except BackendError as exc:
+        # the same error, so its class and fields (a ProtocolError's raw
+        # body) survive, with the episode and turn named first
+        exc.args = (f"episode {episode_id} turn {turn}: {exc}",)
+        raise
 
     return Episode(
         id=episode_id,
@@ -214,19 +217,28 @@ def run_batch(
     the written episodes, so recounting the output file reproduces them.
     At most 2 * ``parallelism`` episodes are in flight at once, so ``seeds``
     may be a lazy iterable. A backend error or a failed write ends the
-    batch at that episode; the episodes not yet started are not run.
+    batch at that episode; the episodes after it that have not started
+    are not run.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     digest = config_digest(cfg)
+    # the index of the first episode that raised: the batch ends there, so
+    # a worker that takes a later episode afterwards skips it
+    failed: list[int] = []
 
-    def work(index: int, seed: SeedEpisode) -> Episode | EpisodeAbortError:
+    def work(index: int, seed: SeedEpisode) -> Episode | EpisodeAbortError | None:
+        if failed and index > failed[0]:
+            return None
         try:
             return run_episode(
                 seed, agents, judge, scorer, cfg, episode_id=f"ep-{index:06d}", digest=digest
             )
         except EpisodeAbortError as exc:
             return exc
+        except Exception:
+            failed.append(index)
+            raise
 
     aborts: list[tuple[int, str]] = []
     written = 0

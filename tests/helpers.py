@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import socket
+import threading
 import urllib.error
 import urllib.request
 from bisect import bisect_right
@@ -604,3 +606,80 @@ def post_raw(url: str, data: bytes) -> tuple[int, bytes]:
     except urllib.error.HTTPError as exc:
         with exc:
             return exc.code, exc.read()
+
+
+def read_request(stream) -> bytes | None:
+    """The body of the next HTTP request on a binary stream, by its
+    Content-Length; None at the end of the stream."""
+    if not stream.readline():
+        return None
+    length = 0
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return stream.read(length)
+
+
+class RawServer:
+    """A localhost TCP server for transport tests. Each accepted connection
+    runs ``serve(sock, number)`` in its own thread, ``number`` counting
+    connections from 0; exceptions from ``serve`` end only that thread.
+    With no ``serve`` it accepts and never answers. A ``tls`` context
+    wraps each connection before ``serve`` sees it. Every connection stays
+    open until ``close``, which also waits for the threads."""
+
+    def __init__(self, serve=None, tls=None):
+        self._serve = serve
+        self._tls = tls
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.02)
+        self.port = self._listener.getsockname()[1]
+        self.sockets: list[socket.socket] = []
+        self._threads: list[threading.Thread] = []
+        self._stop = threading.Event()
+        self._acceptor = threading.Thread(target=self._accept, daemon=True)
+        self._acceptor.start()
+
+    def _accept(self) -> None:
+        while not self._stop.is_set():
+            try:
+                sock, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.sockets.append(sock)
+            if self._serve is not None:
+                worker = threading.Thread(
+                    target=self._run, args=(sock, len(self.sockets) - 1), daemon=True
+                )
+                self._threads.append(worker)
+                worker.start()
+
+    def _run(self, sock: socket.socket, number: int) -> None:
+        try:
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_side=True)
+                self.sockets.append(sock)
+            self._serve(sock, number)
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        self._stop.set()
+        self._acceptor.join(timeout=5)
+        self._listener.close()
+        for sock in self.sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # closed already, or never connected
+        for worker in self._threads:
+            worker.join(timeout=5)
+        for sock in self.sockets:
+            sock.close()
+
+    def __enter__(self) -> "RawServer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import socket
+import ssl
+import struct
+import subprocess
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from helpers import post_raw
+from helpers import RawServer, post_raw, read_request
 from skillblend import agents
 from skillblend.agents import (
     BackendEndpoint,
@@ -116,6 +120,28 @@ def test_backend_endpoint_validation():
     for url in ("ftp://x", "file:///tmp/x", "localhost:8900", "127.0.0.1", "http://", ""):
         with pytest.raises(ValueError):
             BackendEndpoint(url)
+    # the path goes on the request line as it is
+    for url in ("http://x/a b", "http://x/caf\u00e9", "http://x/a\x7f"):
+        with pytest.raises(ValueError, match="printable ASCII"):
+            BackendEndpoint(url)
+    with pytest.raises(ValueError, match="not a valid host name"):
+        BackendEndpoint("http://" + "\u00fc" * 70 + ".example")
+
+
+@pytest.mark.parametrize(
+    "url, host",
+    [
+        ("http://models.example", b"models.example"),
+        ("http://models.example:80/api", b"models.example"),
+        ("http://models.example:8900", b"models.example:8900"),
+        ("https://models.example:443", b"models.example"),
+        ("https://models.example:80", b"models.example:80"),
+        ("http://[::1]:8900", b"[::1]:8900"),
+        ("http://b\u00fccher.example", b"xn--bcher-kva.example"),
+    ],
+)
+def test_the_host_header_names_the_port_unless_it_is_the_default(url, host):
+    assert BackendEndpoint(url)._host == host
     BackendEndpoint("https://models.example:8443/api/")
 
 
@@ -423,3 +449,216 @@ def test_mock_server_answers_400_to_a_bad_content_length(length):
         assert server.requests == []
         # the server goes on answering well-formed requests
         assert post_raw(server.base_url + "/nli", b'{"premises":[],"hypothesis":"h"}')[0] == 200
+
+
+# --- the transport against raw in-test servers -----------------------------------
+
+_NLI_BODY = {"premises": ["p"], "hypothesis": "h"}
+_VERDICT = b'{"verdicts":[{"label":"neutral","confidence":0.5}]}'
+_OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(_VERDICT) + _VERDICT
+
+
+def _answer(replies, after=None):
+    """A RawServer ``serve``: answer each request on a connection with the
+    next of ``replies``, then call ``after(sock)`` if given; the connection
+    stays open."""
+
+    def serve(sock, number):
+        with sock.makefile("rb") as stream:
+            for reply in replies:
+                if read_request(stream) is None:
+                    return
+                sock.sendall(reply)
+        if after is not None:
+            after(sock)
+
+    return serve
+
+
+def _shut_write(sock):
+    sock.shutdown(socket.SHUT_WR)
+
+
+def _raw_endpoint(server, timeout_ms=2000, max_retries=0, scheme="http", path=""):
+    return BackendEndpoint(f"{scheme}://127.0.0.1:{server.port}{path}", timeout_ms, max_retries)
+
+
+def _calls(endpoint, n):
+    """The response bodies of n /nli calls from one new thread."""
+    return _in_fresh_thread(lambda: [post_json(endpoint, "/nli", _NLI_BODY)[1] for _ in range(n)])
+
+
+def test_a_request_is_a_fixed_head_and_the_compact_body():
+    received = []
+
+    def serve(sock, number):
+        with sock.makefile("rb") as stream:
+            lines = [stream.readline()]
+            while lines[-1] != b"\r\n":
+                lines.append(stream.readline())
+            received.append(b"".join(lines) + stream.read(35))
+        sock.sendall(_OK)
+
+    with RawServer(serve) as server:
+        assert _calls(_raw_endpoint(server, path="/api/"), 1) == [_VERDICT]
+    assert received == [
+        b"POST /api/nli HTTP/1.1\r\nHost: 127.0.0.1:%d\r\nAccept-Encoding: identity\r\n"
+        b"Content-Type: application/json\r\nContent-Length: 35\r\n\r\n"
+        b'{"premises":["p"],"hypothesis":"h"}' % server.port
+    ]
+
+
+def test_a_chunked_body_is_joined_and_the_connection_kept(connects):
+    chunked = (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"a;ext=1\r\n" + _VERDICT[:10] + b"\r\n"
+        + b"%X\r\n" % (len(_VERDICT) - 10) + _VERDICT[10:] + b"\r\n"
+        b"0\r\nX-Trailer: t\r\n\r\n"
+    )
+    interim = b"HTTP/1.1 100 Continue\r\n\r\n"  # an interim response is skipped
+    with RawServer(_answer([chunked, interim + chunked])) as server:
+        assert _calls(_raw_endpoint(server), 2) == [_VERDICT] * 2
+    assert len(connects) == 1
+
+
+def test_a_no_content_reply_has_no_body_and_keeps_the_connection(connects):
+    # a 204 carries no body even without a length: the client does not
+    # wait for one, and the next request goes on the same connection
+    with RawServer(_answer([b"HTTP/1.1 204 No Content\r\n\r\n", _OK])) as server:
+        endpoint = _raw_endpoint(server, timeout_ms=5000)
+
+        def two_calls():
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match="/nli: unexpected HTTP 204"):
+                post_json(endpoint, "/nli", _NLI_BODY)
+            return time.monotonic() - start, post_json(endpoint, "/nli", _NLI_BODY)[1]
+
+        elapsed, body = _in_fresh_thread(two_calls)
+    assert elapsed < 2.5
+    assert body == _VERDICT
+    assert len(connects) == 1
+
+
+def test_a_connection_close_reply_ends_the_connection(connects):
+    # the server holds each connection open after its one reply, so a
+    # client that reused the connection would wait out its timeout
+    closing = b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: %d\r\n\r\n" % len(
+        _VERDICT
+    )
+    with RawServer(_answer([closing + _VERDICT])) as server:
+        assert _calls(_raw_endpoint(server), 2) == [_VERDICT] * 2
+    assert len(connects) == 2
+
+
+def test_an_http10_body_runs_to_the_end_of_the_stream(connects):
+    http10 = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _VERDICT
+    with RawServer(_answer([http10], after=_shut_write)) as server:
+        assert _calls(_raw_endpoint(server), 2) == [_VERDICT] * 2
+    assert len(connects) == 2
+
+
+def test_a_body_shorter_than_its_content_length_is_a_failed_attempt(sleeps):
+    short = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + _VERDICT[:10]
+    with RawServer(_answer([short], after=_shut_write)) as server:
+        message = r"after 2 attempts \(response body ended after 10 of 100 bytes\)"
+        with pytest.raises(BackendUnavailableError, match=message):
+            _calls(_raw_endpoint(server, max_retries=1), 1)
+        assert len(server.sockets) == 2
+    assert sleeps == [0.05]
+
+
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        (b"HTTP/1.1 200 " + b"x" * 70000, "response line longer than 65536 bytes"),
+        (b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * 70000, "response line longer than 65536 bytes"),
+        (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101, "more than 100 response header lines"),
+    ],
+    ids=["status line", "header line", "header count"],
+)
+def test_an_unbounded_response_head_is_a_failed_attempt(head, message):
+    # the server sends the head and holds the connection open: a reader
+    # without limits would wait out the 5 s timeout
+    with RawServer(_answer([head])) as server:
+        start = time.monotonic()
+        with pytest.raises(BackendUnavailableError, match=message):
+            _calls(_raw_endpoint(server, timeout_ms=5000), 1)
+        assert time.monotonic() - start < 2.5
+
+
+def test_a_reset_inside_a_response_spends_a_retry(connects, sleeps):
+    # each connection answers its first request in full, then resets in the
+    # middle of the second response's head; unlike a stale connection, the
+    # request is not sent again for free
+    def serve(sock, number):
+        with sock.makefile("rb") as stream:
+            read_request(stream)
+            sock.sendall(_OK)
+            read_request(stream)
+        sock.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n")
+        time.sleep(0.1)  # the client reads these bytes before the reset
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+
+    with RawServer(serve) as server:
+        with pytest.raises(BackendUnavailableError, match="after 1 attempts"):
+            _calls(_raw_endpoint(server), 2)
+        assert len(connects) == 1
+        assert sleeps == []
+        # with one retry, the retry opens a new connection and succeeds
+        assert _calls(_raw_endpoint(server, max_retries=1), 2) == [_VERDICT] * 2
+    assert len(connects) == 3
+    assert sleeps == [0.05]
+
+
+def test_a_stalled_backend_fails_within_the_retry_budget():
+    # the server accepts and never answers, so each of the two attempts
+    # waits out the 200 ms timeout: 2 * 0.2 s + 0.05 s of backoff, with
+    # 0.5 s of slack for a loaded machine
+    with RawServer() as server:
+        endpoint = _raw_endpoint(server, timeout_ms=200, max_retries=1)
+        start = time.monotonic()
+        with pytest.raises(BackendUnavailableError, match=r"after 2 attempts \(timed out\)"):
+            _calls(endpoint, 1)
+        elapsed = time.monotonic() - start
+        assert len(server.sockets) == 2
+    assert 0.4 <= elapsed < 2 * 0.2 + 0.05 + 0.5
+
+
+@pytest.fixture(scope="module")
+def self_signed(tmp_path_factory):
+    """(certificate, key) paths of a self-signed certificate for 127.0.0.1."""
+    if shutil.which("openssl") is None:
+        pytest.skip("the openssl binary is not installed")
+    root = tmp_path_factory.mktemp("tls")
+    cert, key = str(root / "cert.pem"), str(root / "key.pem")
+    subprocess.run(
+        [
+            "openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+            "-nodes", "-keyout", key, "-out", cert, "-days", "2", "-subj", "/CN=127.0.0.1",
+            "-addext", "subjectAltName=IP:127.0.0.1",
+        ],
+        check=True,
+        capture_output=True,
+    )
+    return cert, key
+
+
+def test_https_round_trip_verifies_the_certificate(self_signed, monkeypatch):
+    cert, key = self_signed
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(cert, key)
+    with RawServer(_answer([_OK, _OK]), tls=tls) as server:
+        endpoint = _raw_endpoint(server, scheme="https")
+        # the default trust store does not hold the self-signed certificate
+        with pytest.raises(BackendUnavailableError, match="CERTIFICATE_VERIFY_FAILED"):
+            _calls(endpoint, 1)
+        create = ssl.create_default_context
+
+        def trusting(*args, **kwargs):
+            context = create(*args, **kwargs)
+            context.load_verify_locations(cert)
+            return context
+
+        monkeypatch.setattr(ssl, "create_default_context", trusting)
+        assert _calls(endpoint, 2) == [_VERDICT] * 2

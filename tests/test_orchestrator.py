@@ -9,6 +9,7 @@ import pytest
 
 from skillblend import orchestrator
 from skillblend.agents import (
+    BackendEndpoint,
     BackendUnavailableError,
     ProtocolError,
     RemoteSkillAgent,
@@ -550,3 +551,30 @@ def test_remote_batch_fails_fast_when_the_backend_dies(cfg, monkeypatch):
     count = len(started)
     time.sleep(0.2)
     assert len(started) == count
+
+
+def test_remote_batch_fails_fast_when_the_backend_stalls(cfg):
+    # the backend accepts connections and never answers: each worker's
+    # first request waits out two 200 ms timeouts and 0.05 s of backoff,
+    # 0.45 s in all, and the episodes queued behind them are skipped; the
+    # bound adds 1 s of slack for a loaded machine
+    written = []
+    with helpers.RawServer() as server:
+        endpoint = BackendEndpoint(f"http://127.0.0.1:{server.port}", timeout_ms=200, max_retries=1)
+        agents, judge, scorer = _remote_stack(endpoint, cfg)
+        start = time.monotonic()
+        # an episode's first request scores its first seed utterance
+        message = (
+            r"^episode ep-000000 turn 0: /classify: "
+            r"backend unavailable after 2 attempts \(timed out\)$"
+        )
+        with pytest.raises(BackendUnavailableError, match=message):
+            run_batch(
+                [_plain_seed()] * 20, agents, judge, scorer, cfg,
+                parallelism=2, write=written.append,
+            )
+        elapsed = time.monotonic() - start
+        attempts = len(server.sockets)
+    assert elapsed < 2 * 0.2 + 0.05 + 1.0
+    assert written == []
+    assert attempts == 4  # two attempts for each of the two episodes in flight

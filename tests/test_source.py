@@ -1,10 +1,12 @@
 """Source checks over ``src/skillblend``, with the standard library's ``ast``:
-no module imports a name it never uses, and no module has an ``assert``
-statement, which ``python -O`` strips."""
+no module imports a name it never uses or a module outside the standard
+library, and no module has an ``assert`` statement, which ``python -O``
+strips."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,9 +50,27 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level packages the module's imports load; a relative import
+    counts as ``skillblend``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("skillblend" if node.level else node.module.split(".")[0])
+    return found
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    outside = imported_modules(_tree(path)) - sys.stdlib_module_names - {"skillblend"}
+    assert outside == set(), f"{path.name} imports {sorted(outside)}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -65,4 +85,7 @@ def test_the_checks_see_what_they_look_for():
         "def f(v: 'T') -> None:\n    assert w\n    return a.b\n"
     )
     assert unused_imports(tree) == ["line 1: os", "line 3: z"]
+    assert imported_modules(tree) == {"os", "a", "x", "typing"}
+    relative = ast.parse("from . import core\nfrom .core import x\nfrom skillblend.core import y\n")
+    assert imported_modules(relative) == {"skillblend"}
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == [6]

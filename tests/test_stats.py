@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillDistribution, canonical_json
 from skillblend.dataio import read_episodes
-from skillblend.stats import build_report, default_entropy_edges, format_report, write_report
+from skillblend.distmath import kl_divergence
+from skillblend.stats import (
+    DEFAULT_KLD_EDGES,
+    build_report,
+    default_entropy_edges,
+    format_report,
+    write_report,
+)
 
 import helpers
 
@@ -205,6 +212,25 @@ def test_report_files_match_the_golden_bytes(tmp_path):
         assert pathlib.Path(path).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+def _top_edge_episode():
+    """Two turns whose KL (epsilon 1e-9) is exactly 5.0, the top KL edge:
+    one-hot on P, then q, found by stepping q[0] one ulp at a time from
+    the solution of (1 + eps) / (q[0] + eps) = e**5."""
+    q0 = 0.0067379460058234145
+    dists = [helpers.one_hot(0, 3), SkillDistribution((q0, 1.0 - q0, 0.0))]
+    return helpers.mini_episode(ROSTER, ["P", "K"], "P", ep_id="ep-top", dists=dists)
+
+
+def test_a_kl_on_the_top_edge_lands_in_the_last_bin():
+    ep = _top_edge_episode()
+    kl = kl_divergence(ep.turns[0].distribution, ep.turns[1].distribution, EPSILON)
+    assert kl == DEFAULT_KLD_EDGES[-1] == 5.0
+    report = fold([ep])
+    assert report.kld.counts == (0,) * 19 + (1,)
+    assert report.kld.out_of_range == 0
+    assert report.to_obj() == helpers.report_oracle([ep], ROSTER, EPSILON).to_obj()
+
+
 # --- the fold against the oracle ------------------------------------------------
 
 _LABELS = st.sampled_from([s.id for s in ROSTER])
@@ -245,6 +271,7 @@ def _corpus(draw):
 @given(_corpus())
 @example([])
 @example([helpers.mini_episode(ROSTER, ["P", "K"], "E")])
+@example([_top_edge_episode()])
 @settings(deadline=None, max_examples=150)
 def test_one_pass_report_equals_the_oracle(episodes):
     # two-turn episodes give no continuity sample; one-hot label flips give
