@@ -1,27 +1,32 @@
 """Skill agents: deterministic scripted stand-ins, remote HTTP clients, and
 a table-driven mock model server for protocol tests.
 
-Wire protocol (all endpoints HTTP POST, UTF-8 JSON bodies):
+Wire protocol (all endpoints HTTP POST, UTF-8 JSON bodies). ``/generate``,
+``/nli`` and ``/classify`` take a batch of items and answer one result per
+item, in item order; a request with one item is the same form:
 
-    /generate  req  {"skill": str, "context": [str],
-                     "dialogue": [{"speaker": int, "text": str}], "attempt": int}
-               resp {"text": str, "score": number}
+    /generate  req  {"dialogue": [{"speaker": int, "text": str}],
+                     "items": [{"skill": str, "context": [str], "attempt": int}]}
+               resp {"results": [{"text": str, "score": number}]}
     /rank      req  {"skill": str, "context": [str], "dialogue": [...],
                      "candidates": [str]}
-               resp {"scores": [number]}            (arity must match)
-    /nli       req  {"premises": [str], "hypothesis": str}
-               resp {"verdicts": [{"label": "entail"|"neutral"|"contradict",
-                                   "confidence": number}]}  (arity must match)
-    /classify  req  {"text": str}
-               resp {"distribution": [number]}      (length M, validated client-side)
+               resp {"scores": [number]}            (one per candidate)
+    /nli       req  {"items": [{"premises": [str], "hypothesis": str}]}
+               resp {"verdicts": [[{"label": "entail"|"neutral"|"contradict",
+                                    "confidence": number}]]}
+                    (one verdict list per item, one verdict per premise)
+    /classify  req  {"texts": [str]}
+               resp {"distributions": [[number]]}  (one per text, each of length M)
 
 Field names and casing are normative; unknown extra fields are ignored.
-Every number in a response must be finite: ``NaN``, ``Infinity`` and an
-integer beyond float range are protocol errors. A ``/generate`` score and
-an ``/nli`` confidence are validated, then dropped: no decision reads
-them, and of the three labels only ``contradict`` refuses a candidate.
-One ``/nli`` request judges a hypothesis against a batch of premises, one
-verdict per premise in premise order.
+Every array in a response must have the length given above. Every number
+in a response must be finite: ``NaN``, ``Infinity`` and an integer beyond
+float range are protocol errors. A ``/generate`` score and an ``/nli``
+confidence are validated, then dropped: no decision reads them, and of the
+three labels only ``contradict`` refuses a candidate. The engine sends one
+``/generate`` for every agent's first attempt of a turn, one ``/nli`` for
+the pairs those texts add, and one ``/classify`` for a turn's new texts;
+a regeneration after a refusal is a one-item batch.
 
 Transport: a small HTTP/1.1 client on the standard library's ``socket``
 and ``ssl``. Each worker thread holds one persistent connection per
@@ -448,6 +453,45 @@ def finite_float(value, message: str, raw: bytes) -> float:
     raise ProtocolError(message, raw)
 
 
+def wire_list(value, count: int, route: str, noun: str, raw: bytes) -> list:
+    """A wire array that must hold ``count`` entries; anything else raises
+    ``ProtocolError`` "route: expected <count> <noun>, got <n or no>" with
+    the raw response body."""
+    if not isinstance(value, list) or len(value) != count:
+        got = len(value) if isinstance(value, list) else "no"
+        raise ProtocolError(f"{route}: expected {count} {noun}, got {got}", raw)
+    return value
+
+
+def generate_texts(
+    endpoint: BackendEndpoint,
+    dtx: DialogueContext,
+    items: Sequence[tuple[SkillId, SkillContext, int]],
+) -> list[str]:
+    """One ``/generate`` request for a batch of (skill, own context,
+    attempt) items over one dialogue, which is sent once; returns one text
+    per item, in item order. Each result's score must be a finite number
+    but is not kept."""
+    body = {
+        "dialogue": _dialogue_payload(dtx),
+        "items": [
+            {"skill": skill.id, "context": list(stx.lines), "attempt": attempt}
+            for skill, stx, attempt in items
+        ],
+    }
+    obj, raw = post_json(endpoint, "/generate", body)
+    texts = []
+    for result in wire_list(obj.get("results"), len(items), "/generate", "results", raw):
+        if not isinstance(result, dict):
+            raise ProtocolError("/generate: result is not a JSON object", raw)
+        text = result.get("text")
+        if not isinstance(text, str) or not text.strip():
+            raise ProtocolError("/generate: missing or blank 'text' field", raw)
+        finite_float(result.get("score"), "/generate: missing or non-numeric 'score' field", raw)
+        texts.append(text)
+    return texts
+
+
 @dataclass(frozen=True)
 class RemoteSkillAgent:
     """One skill's generator and ranker behind the wire protocol:
@@ -458,22 +502,11 @@ class RemoteSkillAgent:
     skill: SkillId
 
     def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> str:
-        """Ask the remote generator for one response text. The response's
-        score must be a finite number but is not kept."""
+        """Ask the remote generator for one response text, as a one-item
+        batch."""
         if attempt < 1:
             raise ValueError("attempt must be at least 1")
-        body = {
-            "skill": self.skill.id,
-            "context": list(stx.lines),
-            "dialogue": _dialogue_payload(dtx),
-            "attempt": attempt,
-        }
-        obj, raw = post_json(self.endpoint, "/generate", body)
-        text = obj.get("text")
-        if not isinstance(text, str) or not text.strip():
-            raise ProtocolError("/generate: missing or blank 'text' field", raw)
-        finite_float(obj.get("score"), "/generate: missing or non-numeric 'score' field", raw)
-        return text
+        return generate_texts(self.endpoint, dtx, ((self.skill, stx, attempt),))[0]
 
     def rank(
         self, stx: SkillContext, dtx: DialogueContext, candidates: Sequence[ResponseCandidate]
@@ -489,11 +522,18 @@ class RemoteSkillAgent:
             "candidates": [c.text for c in candidates],
         }
         obj, raw = post_json(self.endpoint, "/rank", body)
-        scores = obj.get("scores")
-        if not isinstance(scores, list) or len(scores) != len(candidates):
-            got = len(scores) if isinstance(scores, list) else "no"
-            raise ProtocolError(f"/rank: expected {len(candidates)} scores, got {got}", raw)
+        scores = wire_list(obj.get("scores"), len(candidates), "/rank", "scores", raw)
         return [finite_float(s, "/rank: non-numeric score in response", raw) for s in scores]
+
+
+def shared_endpoint(agents: Sequence[SkillAgent]) -> BackendEndpoint | None:
+    """The endpoint of ``agents`` when every one is a ``RemoteSkillAgent``
+    on the same endpoint, so that one ``/generate`` serves them all; None
+    otherwise."""
+    endpoints = {
+        agent.endpoint if isinstance(agent, RemoteSkillAgent) else None for agent in agents
+    }
+    return endpoints.pop() if len(endpoints) == 1 else None
 
 
 # --- mock model server -----------------------------------------------------
@@ -553,12 +593,15 @@ class _KeepAliveHTTPServer(ThreadingHTTPServer):
 class MockServer:
     """Serves the wire protocol from fixture tables, deterministically.
 
-    Response objects from the tables are echoed verbatim, so tables may
-    deliberately omit fields or mis-size score arrays to drive client-side
-    protocol-error tests. Request bodies are recorded in ``requests`` for
-    golden-file comparison. ``fail_first`` makes the first N calls to a
-    route answer 500, which exercises the client retry budget. It speaks
-    HTTP/1.1 keep-alive; ``close`` also ends the open connections.
+    Each item of a batch is answered from the tables, and the response
+    objects found there are echoed verbatim, so tables may deliberately
+    omit fields or mis-size score arrays to drive client-side
+    protocol-error tests. A missing, empty or malformed item array is
+    answered 400 with an error object, on the same connection. Request
+    bodies are recorded in ``requests`` for golden-file comparison.
+    ``fail_first`` makes the first N calls to a route answer 500, which
+    exercises the client retry budget. It speaks HTTP/1.1 keep-alive;
+    ``close`` also ends the open connections.
     """
 
     def __init__(self, tables: dict, host: str = "127.0.0.1", port: int = 0):
@@ -657,23 +700,33 @@ class MockServer:
         return self._classify(req)
 
     def _generate(self, req: dict) -> tuple[int, dict | None]:
-        attempt = req.get("attempt", 1)
-        if not isinstance(attempt, int) or isinstance(attempt, bool):
-            return 400, {"error": "'attempt' must be an integer"}
-        skill = req.get("skill", "")
-        if not isinstance(skill, str):
-            return 400, {"error": "'skill' must be a string"}
+        items = req.get("items")
+        if not (items and _array_of(items, dict)):
+            return 400, {"error": "'items' must be a non-empty array of objects"}
         table = self._tables.get("generate", {})
-        entries = table.get("by_skill", {}).get(skill)
-        if entries:
-            return 200, entries[(attempt - 1) % len(entries)]
-        if "default" in table:
-            return 200, table["default"]
-        return 500, {"error": "no generate table entry"}
+        by_skill = table.get("by_skill", {})
+        results = []
+        for item in items:
+            attempt = item.get("attempt", 1)
+            if not isinstance(attempt, int) or isinstance(attempt, bool):
+                return 400, {"error": "'attempt' must be an integer"}
+            skill = item.get("skill", "")
+            if not isinstance(skill, str):
+                return 400, {"error": "'skill' must be a string"}
+            if not _array_of(item.get("context", []), str):
+                return 400, {"error": "'context' must be an array of strings"}
+            entries = by_skill.get(skill)
+            if entries:
+                results.append(entries[(attempt - 1) % len(entries)])
+            elif "default" in table:
+                results.append(table["default"])
+            else:
+                return 500, {"error": "no generate table entry"}
+        return 200, {"results": results}
 
     def _rank(self, req: dict) -> tuple[int, dict | None]:
         candidates = req.get("candidates", [])
-        if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
+        if not _array_of(candidates, str):
             return 400, {"error": "'candidates' must be an array of strings"}
         table = self._tables.get("rank", {})
         if "force_scores" in table:
@@ -683,36 +736,45 @@ class MockServer:
         return 200, {"scores": [by_text.get(text, default) for text in candidates]}
 
     def _nli(self, req: dict) -> tuple[int, dict | None]:
-        premises = req.get("premises")
-        hypothesis = req.get("hypothesis")
-        if not isinstance(premises, list) or not all(isinstance(p, str) for p in premises):
-            return 400, {"error": "'premises' must be an array of strings"}
-        if not isinstance(hypothesis, str):
-            return 400, {"error": "'hypothesis' must be a string"}
+        items = req.get("items")
+        if not (items and _array_of(items, dict)):
+            return 400, {"error": "'items' must be a non-empty array of objects"}
         table = self._tables.get("nli", {})
         default = table.get("default", {"label": "neutral", "confidence": 0.5})
-        # the first table row matching a (premise, hypothesis) pair decides
-        rows = [pair for pair in table.get("pairs", []) if pair.get("hypothesis") == hypothesis]
-
-        def verdict(premise: str) -> dict:
-            for pair in rows:
-                if pair.get("premise") == premise:
-                    return {"label": pair.get("label"), "confidence": pair.get("confidence", 1.0)}
-            return default
-
-        return 200, {"verdicts": [verdict(premise) for premise in premises]}
+        verdicts = []
+        for item in items:
+            premises = item.get("premises")
+            hypothesis = item.get("hypothesis")
+            if not _array_of(premises, str):
+                return 400, {"error": "'premises' must be an array of strings"}
+            if not isinstance(hypothesis, str):
+                return 400, {"error": "'hypothesis' must be a string"}
+            # the first table row matching a (premise, hypothesis) pair decides
+            rows = [pair for pair in table.get("pairs", []) if pair.get("hypothesis") == hypothesis]
+            verdicts.append([_verdict(rows, premise, default) for premise in premises])
+        return 200, {"verdicts": verdicts}
 
     def _classify(self, req: dict) -> tuple[int, dict | None]:
+        texts = req.get("texts")
+        if not (texts and _array_of(texts, str)):
+            return 400, {"error": "'texts' must be a non-empty array of strings"}
         table = self._tables.get("classify", {})
         by_text = table.get("by_text", {})
-        text = req.get("text", "")
-        if not isinstance(text, str):
-            return 400, {"error": "'text' must be a string"}
-        if text in by_text:
-            return 200, {"distribution": by_text[text]}
-        if "default" in table:
-            return 200, {"distribution": table["default"]}
-        return 500, {"error": "no classify table entry"}
+        if "default" not in table and not all(text in by_text for text in texts):
+            return 500, {"error": "no classify table entry"}
+        return 200, {"distributions": [by_text.get(text, table.get("default")) for text in texts]}
+
+
+def _array_of(value, kind: type) -> bool:
+    """Whether a request field is an array of ``kind`` entries."""
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _verdict(rows: list, premise: str, default: dict) -> dict:
+    for pair in rows:
+        if pair.get("premise") == premise:
+            return {"label": pair.get("label"), "confidence": pair.get("confidence", 1.0)}
+    return default
 
 
 def serve_mock(tables: dict, host: str = "127.0.0.1", port: int = 0) -> MockServer:

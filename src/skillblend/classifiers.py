@@ -8,7 +8,9 @@ The NLI judge is batch-shaped: one call judges a hypothesis against every
 premise it is given. It answers the one question the consistency gate
 asks, whether the hypothesis contradicts a premise, with one bit per
 premise; a remote judge's labels other than ``contradict`` and its
-confidences are checked on the wire and then dropped.
+confidences are checked on the wire and then dropped. The remote clients
+also take several items in one request (``judge_batch``, ``score_batch``),
+which the engine uses when a backend has them.
 The engine never embeds model weights.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
-from .agents import BackendEndpoint, ProtocolError, finite_float, post_json
+from .agents import BackendEndpoint, ProtocolError, finite_float, post_json, wire_list
 from .core import SkillDistribution, SkillId
 from .distmath import softmax
 
@@ -132,16 +134,23 @@ class RemoteNliJudge:
     endpoint: BackendEndpoint
 
     def judge(self, premises: tuple[str, ...], hypothesis: str) -> tuple[bool, ...]:
-        """One ``/nli`` request for the whole batch; the response must hold
-        exactly one verdict per premise."""
-        obj, raw = post_json(
-            self.endpoint, "/nli", {"premises": list(premises), "hypothesis": hypothesis}
-        )
-        verdicts = obj.get("verdicts")
-        if not isinstance(verdicts, list) or len(verdicts) != len(premises):
-            got = len(verdicts) if isinstance(verdicts, list) else "no"
-            raise ProtocolError(f"/nli: expected {len(premises)} verdicts, got {got}", raw)
-        return tuple([_wire_contradicts(item, raw) for item in verdicts])
+        """The batch as a one-item ``/nli`` request."""
+        return self.judge_batch(((premises, hypothesis),))[0]
+
+    def judge_batch(
+        self, items: Sequence[tuple[tuple[str, ...], str]]
+    ) -> list[tuple[bool, ...]]:
+        """One ``/nli`` request for several (premises, hypothesis) items; the
+        response must hold one verdict list per item and one verdict per
+        premise."""
+        body = {"items": [{"premises": list(p), "hypothesis": h} for p, h in items]}
+        obj, raw = post_json(self.endpoint, "/nli", body)
+        lists = wire_list(obj.get("verdicts"), len(items), "/nli", "verdict lists", raw)
+        bits = []
+        for (premises, _hypothesis), verdicts in zip(items, lists):
+            verdicts = wire_list(verdicts, len(premises), "/nli", "verdicts", raw)
+            bits.append(tuple([_wire_contradicts(item, raw) for item in verdicts]))
+        return bits
 
 
 @dataclass(frozen=True)
@@ -150,13 +159,18 @@ class RemoteSkillScorer:
     roster: tuple[SkillId, ...]
 
     def score(self, text: str) -> SkillDistribution:
-        obj, raw = post_json(self.endpoint, "/classify", {"text": text})
-        dist = obj.get("distribution")
-        if not isinstance(dist, list) or len(dist) != len(self.roster):
-            got = len(dist) if isinstance(dist, list) else "no"
-            raise ProtocolError(
-                f"/classify: expected {len(self.roster)} probabilities, got {got}", raw
-            )
+        """The text as a one-item ``/classify`` request."""
+        return self.score_batch((text,))[0]
+
+    def score_batch(self, texts: Sequence[str]) -> list[SkillDistribution]:
+        """One ``/classify`` request for several texts; the response must
+        hold one distribution of roster length per text."""
+        obj, raw = post_json(self.endpoint, "/classify", {"texts": list(texts)})
+        dists = wire_list(obj.get("distributions"), len(texts), "/classify", "distributions", raw)
+        return [self._distribution(dist, raw) for dist in dists]
+
+    def _distribution(self, dist: object, raw: bytes) -> SkillDistribution:
+        dist = wire_list(dist, len(self.roster), "/classify", "probabilities", raw)
         message = "/classify: non-numeric probability in response"
         probs = tuple([finite_float(p, message, raw) for p in dist])
         try:

@@ -15,7 +15,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .agents import BackendError, SkillAgent
+from .agents import BackendError, SkillAgent, generate_texts, shared_endpoint
 from .classifiers import NliJudge, SkillScorer
 from .core import (
     AnnotatedTurn,
@@ -66,16 +66,20 @@ class _EpisodeMemo:
     judged against that hypothesis, and nothing when none are left. Whole
     bit tuples are memoized by (premises, hypothesis) in front of the
     per-pair memo, so a side's gate call for a text seen before costs one
-    lookup. Both backends are deterministic for fixed inputs, so the memo
-    is exact. It lives as long as one episode, which runs on one thread;
-    exceptions propagate uncached, so retries and backend errors behave as
-    without it.
+    lookup. A backend with ``judge_batch`` or ``score_batch`` also serves
+    ``judge_all`` and ``score_all``, which fill the same entries for many
+    texts in one call. Both backends are deterministic for fixed inputs, so
+    the memo is exact. It lives as long as one episode, which runs on one
+    thread; exceptions propagate uncached, so retries and backend errors
+    behave as without it.
     """
 
     def __init__(self, judge: NliJudge, scorer: SkillScorer):
         self._judge = judge
         self._scorer = scorer
         self.roster = scorer.roster
+        self.judge_batch = getattr(judge, "judge_batch", None)
+        self.score_batch = getattr(scorer, "score_batch", None)
         self._batches: dict[tuple[tuple[str, ...], str], tuple[bool, ...]] = {}
         self._bits: dict[tuple[str, str], bool] = {}
         self._dists: dict[str, SkillDistribution] = {}
@@ -95,11 +99,38 @@ class _EpisodeMemo:
             bits = self._batches[key] = tuple([pairs[p, hypothesis] for p in premises])
         return bits
 
+    def judge_all(self, premises: tuple[str, ...], hypotheses: Sequence[str]) -> None:
+        """Like ``judge`` for each hypothesis, but in one ``judge_batch``
+        call: one (premises, hypothesis) item per distinct hypothesis with
+        premises not yet judged against it, and no call when there are
+        none."""
+        pairs = self._bits
+        items = []
+        for hypothesis in dict.fromkeys(hypotheses):
+            pending = tuple(dict.fromkeys([p for p in premises if (p, hypothesis) not in pairs]))
+            if pending:
+                items.append((pending, hypothesis))
+        if items:
+            for (pending, hypothesis), bits in zip(items, self.judge_batch(items), strict=True):
+                for premise, bit in zip(pending, bits, strict=True):
+                    pairs[premise, hypothesis] = bit
+        for hypothesis in hypotheses:
+            self._batches[premises, hypothesis] = tuple([pairs[p, hypothesis] for p in premises])
+
     def score(self, text: str) -> SkillDistribution:
         dist = self._dists.get(text)
         if dist is None:
             dist = self._dists[text] = self._scorer.score(text)
         return dist
+
+    def score_all(self, texts: Sequence[str]) -> None:
+        """Score, in one ``score_batch`` call, every text not scored yet
+        (none: no call)."""
+        dists = self._dists
+        pending = list(dict.fromkeys([text for text in texts if text not in dists]))
+        if pending:
+            for text, dist in zip(pending, self.score_batch(pending), strict=True):
+                dists[text] = dist
 
 
 def _annotate(
@@ -132,14 +163,23 @@ def run_episode(
     side, fans the simulation over every roster agent with the speaking
     side's contexts, and selects via the active agent plus the flow gate.
     Backend contradiction bits and distributions are memoized for the
-    episode. A backend error, the seed turns' included, propagates with
-    the episode and turn named first.
+    episode. Remote backends get a turn's work in batches: one
+    ``/generate`` for every agent's first attempt, one ``/nli`` for the
+    pairs those texts add, one ``/classify`` for the candidates' new texts
+    (and one for the two seed texts); only regenerations after a refusal
+    go one at a time. A backend error, the seed turns' included,
+    propagates with the episode and turn named first.
     """
     by_id = {agent.skill.id: agent for agent in agents}
     roster_ids = sorted(s.id for s in cfg.skill_roster)
     if sorted(by_id) != roster_ids or len(list(agents)) != len(cfg.skill_roster):
         raise ValueError("agents must cover the skill roster exactly")
     memo = _EpisodeMemo(judge, scorer)
+    # which backends take batches is decided here, once for the episode
+    endpoint = shared_endpoint(agents)
+    judge_openings = endpoint is not None and memo.judge_batch is not None
+    score_candidates = memo.score_batch is not None
+    no_openings = (None,) * len(cfg.skill_roster)
 
     # the pair is seated here, once: its first utterance is side 0's
     first = Utterance(0, seed.pair[0].text)
@@ -151,19 +191,27 @@ def run_episode(
     annotated: list[AnnotatedTurn] = []
     turn = 0
     try:
+        if score_candidates:
+            memo.score_all((first.text, second.text))
         for turn, utt in enumerate((first, second)):
             annotated.append(_annotate(utt, memo, False, 0, ()))
         for turn in range(2, cfg.episode_length):
             side = turn % 2  # the sides alternate from the seed pair on
             stx_all = seed.contexts[side]
+            openings = no_openings
+            if endpoint is not None:
+                items = [(s, stx_all.get(s) or SkillContext(s, ()), 1) for s in cfg.skill_roster]
+                openings = generate_texts(endpoint, dtx, items)
+                if judge_openings:
+                    memo.judge_all(side_lines[side][0], openings)
 
             refusals: list[Refusal] = []
             candidates = []
-            for skill in cfg.skill_roster:
+            for skill, opening in zip(cfg.skill_roster, openings):
                 agent = by_id[skill.id]
                 stx_own = stx_all.get(skill) or SkillContext(skill, ())
                 result = simulate_approved(
-                    agent, memo, side_lines[side], stx_own, dtx, cfg.max_attempts
+                    agent, memo, side_lines[side], stx_own, dtx, cfg.max_attempts, opening
                 )
                 refusals.extend(result.refusals)
                 if result.candidate is not None:
@@ -172,6 +220,8 @@ def run_episode(
                 raise EpisodeAbortError(
                     episode_id, turn, "every agent exhausted its consistency attempts"
                 )
+            if score_candidates:
+                memo.score_all([c.text for c in candidates])
             active_agent = by_id[active_skill.id]
             stx_active = stx_all.get(active_skill) or SkillContext(active_skill, ())
             outcome = select_final(

@@ -5,6 +5,7 @@ produced by independent brute-force oracles written inline."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import pathlib
 import random
@@ -16,6 +17,7 @@ from skillblend.agents import (
     ProtocolError,
     RemoteSkillAgent,
     ScriptedAgent,
+    generate_texts,
     serve_mock,
 )
 from skillblend.classifiers import (
@@ -424,8 +426,15 @@ def test_acceptance_8_wire_protocol_conformance():
         endpoint = server.endpoint()
         agent = RemoteSkillAgent(endpoint, K)
 
-        assert agent.generate(stx, dtx, 2) == "a steady reply"
+        # one item per (skill, context, attempt), the dialogue sent once
+        texts = generate_texts(endpoint, dtx, [(K, stx, 2), (P, SkillContext(P), 1)])
+        assert texts == ["a steady reply"] * 2
         assert server.requests[-1] == ("/generate", (GOLDEN / "wire_generate_req.json").read_bytes())
+        # a single generation is a one-item batch
+        assert agent.generate(stx, dtx, 2) == "a steady reply"
+        assert json.loads(server.requests[-1][1])["items"] == [
+            {"skill": "K", "context": ["the topic", "a fact"], "attempt": 2}
+        ]
 
         candidates = [ResponseCandidate("alpha reply", P), ResponseCandidate("beta reply", E)]
         scores = agent.rank(stx, dtx, candidates)
@@ -433,15 +442,21 @@ def test_acceptance_8_wire_protocol_conformance():
         assert server.requests[-1] == ("/rank", (GOLDEN / "wire_rank_req.json").read_bytes())
 
         judge = RemoteNliJudge(endpoint)
-        bits = judge.judge(
-            ("i like tennis", "i wear sneakers everyday"), "my sandals were torn yesterday"
+        bits = judge.judge_batch(
+            [
+                (("i like tennis", "i wear sneakers everyday"), "my sandals were torn yesterday"),
+                (("i wear sneakers everyday",), "a steady reply"),
+            ]
         )
-        assert bits == (False, True)
+        assert bits == [(False, True), (False,)]
         assert server.requests[-1] == ("/nli", (GOLDEN / "wire_nli_req.json").read_bytes())
+        assert judge.judge(("i wear sneakers everyday",), "my sandals were torn yesterday") == (True,)
 
         scorer = RemoteSkillScorer(endpoint, DEFAULT_ROSTER)
-        assert scorer.score("hello there").probs == (0.2, 0.3, 0.5)
+        dists = scorer.score_batch(["hello there", "hi friend"])
+        assert [d.probs for d in dists] == [(0.2, 0.3, 0.5), (0.34, 0.33, 0.33)]
         assert server.requests[-1] == ("/classify", (GOLDEN / "wire_classify_req.json").read_bytes())
+        assert scorer.score("hello there").probs == (0.2, 0.3, 0.5)
 
         # response bodies byte-for-byte against the goldens
         for route, req_name, resp_name in (

@@ -23,6 +23,7 @@ from skillblend.agents import (
     RemoteSkillAgent,
     ScriptedAgent,
     default_scripted_agents,
+    generate_texts,
     post_json,
     serve_mock,
 )
@@ -227,26 +228,54 @@ def test_remote_generate_missing_fields_are_protocol_errors(dtx):
             RemoteSkillAgent(server.endpoint(), K).generate(SkillContext(K), dtx, 1)
 
 
+_SCORE_MESSAGE = "/generate: missing or non-numeric 'score' field"
+
+
 @pytest.mark.parametrize(
-    "raw",
+    "raw, message",
     [
-        b'{"text":"a reply"}',
-        b'{"text":"a reply","score":"0.9"}',
-        b'{"text":"a reply","score":true}',
-        b'{"text":"a reply","score":NaN}',
-        b'{"text":"a reply","score":Infinity}',
-        b'{"text":"a reply","score":-Infinity}',
-        b'{"text":"a reply","score":1' + b"0" * 400 + b"}",
+        (b'{"results":[{"text":"a reply"}]}', _SCORE_MESSAGE),
+        (b'{"results":[{"text":"a reply","score":"0.9"}]}', _SCORE_MESSAGE),
+        (b'{"results":[{"text":"a reply","score":true}]}', _SCORE_MESSAGE),
+        (b'{"results":[{"text":"a reply","score":NaN}]}', _SCORE_MESSAGE),
+        (b'{"results":[{"text":"a reply","score":Infinity}]}', _SCORE_MESSAGE),
+        (b'{"results":[{"text":"a reply","score":-Infinity}]}', _SCORE_MESSAGE),
+        (b'{"results":[{"text":"a reply","score":1' + b"0" * 400 + b"}]}", _SCORE_MESSAGE),
+        # the batch's arity and shape
+        (b'{"results":[]}', "/generate: expected 1 results, got 0"),
+        (b'{"results":[{"text":"a","score":0.5},{"text":"b","score":0.5}]}',
+         "/generate: expected 1 results, got 2"),
+        (b'{"results":{"text":"a reply","score":0.5}}', "/generate: expected 1 results, got no"),
+        (b'{"text":"a reply","score":0.5}', "/generate: expected 1 results, got no"),
+        (b'{"results":["a reply"]}', "/generate: result is not a JSON object"),
+        (b'{"results":[{"text":" ","score":0.5}]}', "/generate: missing or blank 'text' field"),
     ],
 )
-def test_remote_generate_rejects_a_malformed_score(monkeypatch, dtx, raw):
+def test_remote_generate_rejects_a_malformed_score(monkeypatch, dtx, raw, message):
     # the score is checked, though no decision reads it
     monkeypatch.setattr(agents, "post_json", lambda *args: (json.loads(raw), raw))
     agent = RemoteSkillAgent(BackendEndpoint("http://127.0.0.1:9"), K)
-    message = "/generate: missing or non-numeric 'score' field"
     with pytest.raises(ProtocolError, match=message) as err:
         agent.generate(SkillContext(K), dtx, 1)
     assert err.value.body == raw
+
+
+def test_remote_generate_batch_sends_the_dialogue_once(dtx):
+    tables = {"generate": {"by_skill": {"K": [{"text": "k1", "score": 0.1}, {"text": "k2", "score": 0.2}]},
+                           "default": {"text": "other", "score": 0.5}}}
+    items = [(K, SkillContext(K, ("topic",)), 2), (P, SkillContext(P), 1), (K, SkillContext(K), 1)]
+    with serve_mock(tables) as server:
+        assert generate_texts(server.endpoint(), dtx, items) == ["k2", "other", "k1"]
+        (route, body), = server.requests
+    assert route == "/generate"
+    assert json.loads(body) == {
+        "dialogue": [{"speaker": 0, "text": "hello there"}, {"speaker": 1, "text": "hi friend"}],
+        "items": [
+            {"skill": "K", "context": ["topic"], "attempt": 2},
+            {"skill": "P", "context": [], "attempt": 1},
+            {"skill": "K", "context": [], "attempt": 1},
+        ],
+    }
 
 
 def test_remote_generate_connection_refused(dtx, sleeps):
@@ -300,32 +329,75 @@ def test_mock_server_unknown_route_is_404():
     assert status == 404
 
 
-def test_mock_server_answers_400_to_malformed_request_fields():
-    tables = {"generate": {"by_skill": {"K": [{"text": "row zero", "score": 0.1}]}}}
+def test_mock_server_answers_400_to_a_body_that_is_not_an_object():
+    with serve_mock({}) as server:
+        for route in ("/generate", "/rank", "/nli", "/classify"):
+            assert post_raw(server.base_url + route, b"[1, 2]")[0] == 400, route
+            assert post_raw(server.base_url + route, b'"text"')[0] == 400, route
+
+
+_GOOD_BODIES = {
+    "/generate": {"dialogue": [], "items": [{"skill": "K", "context": [], "attempt": 1}]},
+    "/nli": {"items": [{"premises": ["p"], "hypothesis": "h"}]},
+    "/classify": {"texts": ["hello"]},
+    "/rank": {"candidates": ["a"]},
+}
+
+
+@pytest.mark.parametrize(
+    "route, body",
+    [
+        # the item array is not an array, is empty, or holds a non-object
+        # (for /classify: non-string) item
+        ("/generate", {"dialogue": [], "items": {"skill": "K", "attempt": 1}}),
+        ("/generate", {"dialogue": [], "items": []}),
+        ("/generate", {"dialogue": [], "items": ["K"]}),
+        ("/nli", {"items": {"premises": ["p"], "hypothesis": "h"}}),
+        ("/nli", {"items": []}),
+        ("/nli", {"items": [["p", "h"]]}),
+        ("/classify", {"texts": "hello"}),
+        ("/classify", {"texts": []}),
+        ("/classify", {"texts": [{"text": "hello"}]}),
+        ("/classify", {"texts": ["hello", 3]}),
+        # the retired one-item forms carry no item array
+        ("/generate", {"skill": "K", "context": [], "dialogue": [], "attempt": 1}),
+        ("/nli", {"premises": ["p"], "hypothesis": "h"}),
+        ("/classify", {"text": "hello"}),
+        # a wrongly typed field inside an item, also after a good item
+        ("/generate", {"items": [{"skill": "K", "attempt": "2"}]}),
+        ("/generate", {"items": [{"skill": "K", "attempt": 1.5}]}),
+        ("/generate", {"items": [{"skill": "K", "attempt": True}]}),
+        ("/generate", {"items": [{"skill": "K", "attempt": None}]}),
+        ("/generate", {"items": [{"skill": "K", "attempt": 1}, {"skill": [], "attempt": 1}]}),
+        ("/generate", {"items": [{"skill": "K", "context": "topic", "attempt": 1}]}),
+        ("/generate", {"items": [{"skill": "K", "context": ["topic", 2], "attempt": 1}]}),
+        ("/nli", {"items": [{"premises": "p", "hypothesis": "h"}]}),
+        ("/nli", {"items": [{"premises": ["p", 1], "hypothesis": "h"}]}),
+        ("/nli", {"items": [{"premises": ["p"], "hypothesis": "h"}, {"premises": ["p"], "hypothesis": ["h"]}]}),
+        ("/nli", {"items": [{"premises": ["p"]}]}),
+        ("/rank", {"candidates": 5}),
+        ("/rank", {"candidates": [[1]]}),
+    ],
+)
+def test_mock_server_answers_400_to_a_malformed_batch_and_keeps_the_connection(
+    connects, route, body
+):
+    tables = {
+        "generate": {"by_skill": {"K": [{"text": "row zero", "score": 0.1}]}},
+        "classify": {"default": [0.2, 0.3, 0.5]},
+    }
     with serve_mock(tables) as server:
-        url = server.base_url
-        assert post_raw(url + "/rank", b"[1, 2]")[0] == 400
-        assert post_raw(url + "/nli", b'"premise"')[0] == 400
-        for body in (
-            b'{"premises": "p", "hypothesis": "h"}',
-            b'{"premises": ["p", 1], "hypothesis": "h"}',
-            b'{"premises": ["p"], "hypothesis": ["h"]}',
-            b'{"premises": ["p"]}',
-            b'{"premise": "p", "hypothesis": "h"}',
-        ):
-            assert post_raw(url + "/nli", body)[0] == 400, body
-        for attempt in ('"2"', "1.5", "true", "null"):
-            body = ('{"skill": "K", "attempt": %s}' % attempt).encode()
-            assert post_raw(url + "/generate", body)[0] == 400, attempt
-        for route, body in (
-            ("/generate", b'{"skill": []}'),
-            ("/classify", b'{"text": []}'),
-            ("/rank", b'{"candidates": 5}'),
-            ("/rank", b'{"candidates": [[1]]}'),
-        ):
-            assert post_raw(url + route, body)[0] == 400, (route, body)
-        # the server still answers well-formed requests
-        assert post_raw(url + "/generate", b'{"skill": "K", "attempt": 1}')[0] == 200
+        endpoint = server.endpoint(max_retries=0)
+
+        def bad_then_good():
+            with pytest.raises(ProtocolError, match=f"^{route}: unexpected HTTP 400$") as err:
+                post_json(endpoint, route, body)
+            return json.loads(err.value.body), post_json(endpoint, route, _GOOD_BODIES[route])[0]
+
+        error, answer = _in_fresh_thread(bad_then_good)
+    assert list(error) == ["error"] and isinstance(error["error"], str)
+    assert answer  # the same connection answers the next, well-formed request
+    assert len(connects) == 1
 
 
 def test_mock_server_nli_default_and_classify_table():
@@ -334,17 +406,16 @@ def test_mock_server_nli_default_and_classify_table():
         "classify": {"by_text": {"hello": [0.2, 0.3, 0.5]}},
     }
     with serve_mock(tables) as server:
-        _, body = post_raw(
-            server.base_url + "/nli",
-            json.dumps({"premises": ["p", "q"], "hypothesis": "h"}).encode(),
-        )
-        nli = json.loads(body)
-        assert nli == {"verdicts": [{"label": "entail", "confidence": 0.8}] * 2}
-        _, body = post_raw(server.base_url + "/nli", b'{"premises": [], "hypothesis": "h"}')
-        assert json.loads(body) == {"verdicts": []}
-        _, body = post_raw(server.base_url + "/classify", json.dumps({"text": "hello"}).encode())
-        dist = json.loads(body)
-        assert dist == {"distribution": [0.2, 0.3, 0.5]}
+        items = [{"premises": ["p", "q"], "hypothesis": "h"}, {"premises": [], "hypothesis": "h"}]
+        _, body = post_raw(server.base_url + "/nli", json.dumps({"items": items}).encode())
+        verdict = {"label": "entail", "confidence": 0.8}
+        assert json.loads(body) == {"verdicts": [[verdict, verdict], []]}
+        texts = json.dumps({"texts": ["hello", "hello"]}).encode()
+        _, body = post_raw(server.base_url + "/classify", texts)
+        assert json.loads(body) == {"distributions": [[0.2, 0.3, 0.5]] * 2}
+        # a text with no table entry and no default fails the whole batch
+        texts = json.dumps({"texts": ["hello", "other"]}).encode()
+        assert post_raw(server.base_url + "/classify", texts)[0] == 500
 
 
 def test_mock_server_rejects_malformed_tables():
@@ -355,6 +426,10 @@ def test_mock_server_rejects_malformed_tables():
 
 
 _NLI_TABLES = {"nli": {"default": {"label": "neutral", "confidence": 0.5}}}
+
+
+def _nli_body(hypothesis: str) -> dict:
+    return {"items": [{"premises": ["p"], "hypothesis": hypothesis}]}
 
 
 def _in_fresh_thread(fn):
@@ -388,19 +463,18 @@ def test_calls_from_one_thread_share_one_connection(connects):
         endpoint = server.endpoint()
 
         def twenty_calls():
-            return [post_json(endpoint, "/nli", {"premises": ["p"], "hypothesis": str(i)})[1]
-                    for i in range(20)]
+            return [post_json(endpoint, "/nli", _nli_body(str(i)))[1] for i in range(20)]
 
         bodies = _in_fresh_thread(twenty_calls)
         assert len(server.requests) == 20
-    assert set(bodies) == {b'{"verdicts":[{"label":"neutral","confidence":0.5}]}'}
+    assert set(bodies) == {b'{"verdicts":[[{"label":"neutral","confidence":0.5}]]}'}
     assert len(connects) == 1
 
 
 def test_closed_server_ends_keepalive_connections():
     server = serve_mock(_NLI_TABLES)
     endpoint = server.endpoint(timeout_ms=2000, max_retries=0)
-    body = {"premises": ["p"], "hypothesis": "h"}
+    body = _nli_body("h")
 
     def call_close_call():
         post_json(endpoint, "/nli", body)
@@ -418,7 +492,7 @@ def test_closed_server_ends_keepalive_connections():
 def test_stale_connection_reopens_without_spending_retries(connects):
     first = serve_mock(_NLI_TABLES)
     port = int(first.base_url.rsplit(":", 1)[1])
-    body = {"premises": ["p"], "hypothesis": "h"}
+    body = _nli_body("h")
 
     def call_restart_call():
         post_json(first.endpoint(), "/nli", body)
@@ -428,8 +502,8 @@ def test_stale_connection_reopens_without_spending_retries(connects):
             return obj, list(second.requests)
 
     obj, second_requests = _in_fresh_thread(call_restart_call)
-    assert obj == {"verdicts": [{"label": "neutral", "confidence": 0.5}]}
-    assert second_requests == [("/nli", b'{"premises":["p"],"hypothesis":"h"}')]
+    assert obj == {"verdicts": [[{"label": "neutral", "confidence": 0.5}]]}
+    assert second_requests == [("/nli", b'{"items":[{"premises":["p"],"hypothesis":"h"}]}')]
     assert len(connects) == 2
 
 
@@ -448,7 +522,8 @@ def test_mock_server_answers_400_to_a_bad_content_length(length):
         assert reply.endswith(b'{"error":"bad Content-Length"}')
         assert server.requests == []
         # the server goes on answering well-formed requests
-        assert post_raw(server.base_url + "/nli", b'{"premises":[],"hypothesis":"h"}')[0] == 200
+        body = b'{"items":[{"premises":[],"hypothesis":"h"}]}'
+        assert post_raw(server.base_url + "/nli", body)[0] == 200
 
 
 # --- the transport against raw in-test servers -----------------------------------

@@ -189,12 +189,20 @@ def test_remote_judge_and_scorer_roundtrip():
         )
         assert bits == (False, True, False)
         assert judge.judge(("i wear sneakers everyday",), "b") == (False,)
-        assert [r for r, _ in server.requests] == ["/nli", "/nli"]
+        # several items in one request, one bit tuple per item
+        batch = judge.judge_batch(
+            [(("i like tennis", "i wear sneakers everyday"), "my sandals were torn"), (("a",), "b")]
+        )
+        assert batch == [(False, True), (False,)]
+        assert [r for r, _ in server.requests] == ["/nli", "/nli", "/nli"]
 
         scorer = RemoteSkillScorer(server.endpoint(), DEFAULT_ROSTER)
         assert scorer.score("hello").probs == (0.2, 0.3, 0.5)
         assert scorer.score("other").probs == (0.4, 0.3, 0.3)
         assert _label(scorer, "hello").id == "E"
+        dists = scorer.score_batch(["other", "hello"])
+        assert [d.probs for d in dists] == [(0.4, 0.3, 0.3), (0.2, 0.3, 0.5)]
+        assert json.loads(server.requests[-1][1]) == {"texts": ["other", "hello"]}
 
 
 def test_remote_scorer_rejects_wrong_arity_and_bad_sum():
@@ -207,6 +215,32 @@ def test_remote_scorer_rejects_wrong_arity_and_bad_sum():
             scorer.score("skew")
 
 
+_PROBABILITY_MESSAGE = "/classify: non-numeric probability in response"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"distributions":[[0.2,0.3,0.5]]}', "/classify: expected 2 distributions, got 1"),
+        (b'{"distributions":[[0.2,0.3,0.5],[0.2,0.3,0.5],[0.2,0.3,0.5]]}',
+         "/classify: expected 2 distributions, got 3"),
+        (b'{"distributions":[0.2,0.3,0.5]}', "/classify: expected 2 distributions, got 3"),
+        (b'{"distribution":[0.2,0.3,0.5]}', "/classify: expected 2 distributions, got no"),
+        (b'{"distributions":[[0.2,0.3,0.5],{"P":1.0}]}', "/classify: expected 3 probabilities, got no"),
+        (b'{"distributions":[[0.2,0.3,0.5],[0.5,0.5]]}', "/classify: expected 3 probabilities, got 2"),
+        (b'{"distributions":[[0.2,0.3,0.5],[0.2,NaN,0.5]]}', _PROBABILITY_MESSAGE),
+        (b'{"distributions":[[0.2,0.3,0.5],[0.2,Infinity,0.5]]}', _PROBABILITY_MESSAGE),
+        (b'{"distributions":[[0.2,0.3,0.5],[0.2,0.3,0.9]]}', "/classify: "),
+    ],
+)
+def test_remote_scorer_rejects_a_malformed_batch(monkeypatch, raw, message):
+    monkeypatch.setattr(classifiers, "post_json", lambda *args: (json.loads(raw), raw))
+    scorer = RemoteSkillScorer(BackendEndpoint("http://127.0.0.1:9"), DEFAULT_ROSTER)
+    with pytest.raises(ProtocolError, match=message) as err:
+        scorer.score_batch(["a", "b"])
+    assert err.value.body == raw
+
+
 @pytest.mark.parametrize(
     "probability",
     ["0.3", True, None, math.nan, math.inf, -math.inf, 10**400],
@@ -216,10 +250,9 @@ def test_remote_scorer_rejects_a_malformed_probability(probability):
     dist = [0.5, probability, 0.5]
     with serve_mock({"classify": {"default": dist}}) as server:
         scorer = RemoteSkillScorer(server.endpoint(), DEFAULT_ROSTER)
-        message = "/classify: non-numeric probability in response"
-        with pytest.raises(ProtocolError, match=message) as err:
+        with pytest.raises(ProtocolError, match=_PROBABILITY_MESSAGE) as err:
             scorer.score("text")
-    assert err.value.body == compact_json({"distribution": dist}).encode("utf-8")
+    assert err.value.body == compact_json({"distributions": [dist]}).encode("utf-8")
 
 
 def test_remote_judge_rejects_unknown_label():
@@ -241,38 +274,42 @@ def test_remote_judge_rejects_a_bad_label_inside_one_verdict():
         with pytest.raises(ProtocolError, match="unknown 'label' 'maybe'") as err:
             RemoteNliJudge(server.endpoint()).judge(("a", "b", "c"), "h")
     assert err.value.body == (
-        b'{"verdicts":[{"label":"neutral","confidence":0.5},'
-        b'{"label":"maybe","confidence":1.0},{"label":"neutral","confidence":0.5}]}'
+        b'{"verdicts":[[{"label":"neutral","confidence":0.5},'
+        b'{"label":"maybe","confidence":1.0},{"label":"neutral","confidence":0.5}]]}'
     )
+
+
+_CONFIDENCE_MESSAGE = "/nli: missing or non-numeric 'confidence'"
+_NEUTRAL = b'{"label":"neutral","confidence":0.5}'
+
+
+def _second(verdict: bytes) -> bytes:
+    """A response to the two-premise, one-hypothesis batch below whose
+    second verdict is ``verdict``."""
+    return b'{"verdicts":[[' + _NEUTRAL + b"," + verdict + b"]]}"
 
 
 @pytest.mark.parametrize(
     "raw, message",
     [
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5}]}', "expected 2 verdicts, got 1"),
-        (b'{"verdicts":{"label":"neutral","confidence":0.5}}', "expected 2 verdicts, got no"),
-        (b'{"label":"neutral","confidence":0.5}', "expected 2 verdicts, got no"),
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5},"neutral"]}', "not a JSON object"),
+        # the batch's arity and shape: one verdict list per item
+        (b'{"verdicts":[[' + _NEUTRAL + b"]]}", "expected 2 verdicts, got 1"),
+        (b'{"verdicts":[' + _NEUTRAL + b"]}", "expected 2 verdicts, got no"),
+        (b'{"verdicts":[]}', "expected 1 verdict lists, got 0"),
+        (b'{"verdicts":[[' + _NEUTRAL + b"," + _NEUTRAL + b"],[]]}", "expected 1 verdict lists, got 2"),
+        (b'{"verdicts":{"label":"neutral","confidence":0.5}}', "expected 1 verdict lists, got no"),
+        (b'{"label":"neutral","confidence":0.5}', "expected 1 verdict lists, got no"),
+        (_second(b'"neutral"'), "not a JSON object"),
         # the confidence is checked, though no decision reads it
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5},{"label":"neutral"}]}',
-         "/nli: missing or non-numeric 'confidence'"),
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
-         b'{"label":"neutral","confidence":"high"}]}', "/nli: missing or non-numeric 'confidence'"),
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
-         b'{"label":"neutral","confidence":true}]}', "/nli: missing or non-numeric 'confidence'"),
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
-         b'{"label":"neutral","confidence":NaN}]}', "/nli: missing or non-numeric 'confidence'"),
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
-         b'{"label":"neutral","confidence":Infinity}]}', "/nli: missing or non-numeric 'confidence'"),
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
-         b'{"label":"neutral","confidence":-Infinity}]}', "/nli: missing or non-numeric 'confidence'"),
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
-         b'{"label":"neutral","confidence":1' + b"0" * 400 + b"}]}",
-         "/nli: missing or non-numeric 'confidence'"),
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
-         b'{"label":"contradict","confidence":1.5}]}', r"/nli: confidence must be in \[0, 1\]"),
-        (b'{"verdicts":[{"label":"neutral","confidence":0.5},'
-         b'{"label":"contradict","confidence":-0.1}]}', r"/nli: confidence must be in \[0, 1\]"),
+        (_second(b'{"label":"neutral"}'), _CONFIDENCE_MESSAGE),
+        (_second(b'{"label":"neutral","confidence":"high"}'), _CONFIDENCE_MESSAGE),
+        (_second(b'{"label":"neutral","confidence":true}'), _CONFIDENCE_MESSAGE),
+        (_second(b'{"label":"neutral","confidence":NaN}'), _CONFIDENCE_MESSAGE),
+        (_second(b'{"label":"neutral","confidence":Infinity}'), _CONFIDENCE_MESSAGE),
+        (_second(b'{"label":"neutral","confidence":-Infinity}'), _CONFIDENCE_MESSAGE),
+        (_second(b'{"label":"neutral","confidence":1' + b"0" * 400 + b"}"), _CONFIDENCE_MESSAGE),
+        (_second(b'{"label":"contradict","confidence":1.5}'), r"/nli: confidence must be in \[0, 1\]"),
+        (_second(b'{"label":"contradict","confidence":-0.1}'), r"/nli: confidence must be in \[0, 1\]"),
     ],
 )
 def test_remote_judge_rejects_malformed_verdicts(monkeypatch, raw, message):

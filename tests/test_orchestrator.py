@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from collections import Counter
@@ -14,6 +15,7 @@ from skillblend.agents import (
     ProtocolError,
     RemoteSkillAgent,
     default_scripted_agents,
+    post_json,
     serve_mock,
 )
 from skillblend.classifiers import (
@@ -30,6 +32,7 @@ from skillblend.core import (
     SkillContext,
     SkillContextSet,
     Utterance,
+    compact_json,
     config_digest,
 )
 from skillblend.dataio import EpisodeWriter, episode_line
@@ -443,37 +446,114 @@ def test_remote_episode_sends_each_nli_and_classify_body_once(cfg):
     with serve_mock(_REMOTE_TABLES) as server:
         agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
         ep = helpers.run_episode(seed, agents, judge, scorer, cfg)
-        requests = list(server.requests)
+        requests = [(route, json.loads(body)) for route, body in server.requests]
     assert len(ep.turns) == cfg.episode_length
     assert any(t.refusals for t in ep.turns)  # the consistency gate did refuse
-    for route in ("/nli", "/classify"):
-        bodies = Counter(body for r, body in requests if r == route)
-        assert bodies and max(bodies.values()) == 1, route
-    # at most one /nli request per (side, candidate text), never an empty
-    # one, and each (premise, hypothesis) pair in at most one request
-    side_lines = [set(side.flat_lines()[0]) for side in seed.contexts]
-    per_side_text = Counter()
+
+    # each generated turn opens with one /generate holding every agent's
+    # first attempt, in roster order; every other /generate is one retry
+    generates = [req for route, req in requests if route == "/generate"]
+    openings = [req for req in generates if req["items"][0]["attempt"] == 1]
+    retries = [req["items"] for req in generates if req["items"][0]["attempt"] != 1]
+    assert [len(req["dialogue"]) for req in openings] == list(range(2, cfg.episode_length))
+    roster = [skill.id for skill in cfg.skill_roster]
+    for req in openings:
+        assert [(item["skill"], item["attempt"]) for item in req["items"]] == [(s, 1) for s in roster]
+    assert retries
+    for items in retries:
+        assert len(items) == 1 and items[0]["attempt"] >= 2
+
+    # no empty /nli or /classify batch, and no (premise, hypothesis) pair
+    # and no text sent twice in the episode
     pairs = []
-    for route, body in requests:
-        if route != "/nli":
-            continue
-        req = json.loads(body)
-        premises, hypothesis = req["premises"], req["hypothesis"]
-        assert premises
-        (side,) = [i for i, lines in enumerate(side_lines) if set(premises) <= lines]
-        per_side_text[side, hypothesis] += 1
-        pairs.extend((premise, hypothesis) for premise in premises)
-    assert max(per_side_text.values()) == 1
-    assert len(pairs) == len(set(pairs))
+    texts = []
+    for route, req in requests:
+        if route == "/nli":
+            assert req["items"] and all(item["premises"] for item in req["items"])
+            pairs += [(p, item["hypothesis"]) for item in req["items"] for p in item["premises"]]
+        elif route == "/classify":
+            assert req["texts"]
+            texts += req["texts"]
+    assert pairs and len(pairs) == len(set(pairs))
+    assert texts and len(texts) == len(set(texts))
+    # at most one /nli after each /generate, and one /classify per turn
+    # (the seed turns share theirs)
+    nli_runs, classify_runs = [0], [0]
+    for route, req in requests:
+        if route == "/generate":
+            nli_runs.append(0)
+            if req["items"][0]["attempt"] == 1:
+                classify_runs.append(0)
+        elif route == "/nli":
+            nli_runs[-1] += 1
+        elif route == "/classify":
+            classify_runs[-1] += 1
+    assert max(nli_runs) == 1
+    assert max(classify_runs) == 1
 
 
-def test_wrapped_protocol_error_keeps_its_raw_body(cfg):
+def _first_item(key, replace):
+    """A response edit that replaces the first item of ``key``'s array."""
+    return lambda obj: {key: [replace(obj[key][0])] + obj[key][1:]}
+
+
+@pytest.mark.parametrize(
+    "route, edit, turn, message",
+    [
+        ("/generate", lambda obj: {"results": obj["results"][:-1]}, 2, "expected 3 results, got 2"),
+        ("/generate", _first_item("results", lambda r: r["text"]), 2, "result is not a JSON object"),
+        ("/generate", _first_item("results", lambda r: {**r, "score": math.nan}), 2,
+         "missing or non-numeric 'score' field"),
+        ("/nli", lambda obj: {"verdicts": obj["verdicts"] + [[]]}, 2,
+         r"expected (\d+) verdict lists, got (?!\1)\d+"),
+        ("/nli", _first_item("verdicts", lambda v: v[1:]), 2, r"expected \d+ verdicts, got \d+"),
+        ("/nli", _first_item("verdicts", lambda v: ["neutral"] + v[1:]), 2,
+         "verdict is not a JSON object"),
+        ("/nli", _first_item("verdicts", lambda v: [{**v[0], "confidence": math.inf}] + v[1:]), 2,
+         "missing or non-numeric 'confidence'"),
+        ("/classify", lambda obj: {"distributions": obj["distributions"][:-1]}, 0,
+         "expected 2 distributions, got 1"),
+        ("/classify", _first_item("distributions", lambda d: {"P": d[0]}), 0,
+         "expected 3 probabilities, got no"),
+        ("/classify", _first_item("distributions", lambda d: [math.nan] + d[1:]), 0,
+         "non-numeric probability in response"),
+    ],
+    ids=[
+        "generate-short", "generate-non-object", "generate-nan-score", "nli-long",
+        "nli-short-item", "nli-non-object", "nli-infinite-confidence", "classify-short",
+        "classify-non-list", "classify-nan-probability",
+    ],
+)
+def test_wrapped_protocol_error_keeps_its_raw_body(cfg, monkeypatch, route, edit, turn, message):
+    # the mock answers well; its response on one route is edited on the
+    # way to the client, and the raw body the client saw is kept
+    sent = []
+
+    def edited(endpoint, r, body):
+        obj, raw = post_json(endpoint, r, body)
+        if r != route:
+            return obj, raw
+        raw = compact_json(edit(obj)).encode("utf-8")
+        sent.append(raw)
+        return json.loads(raw), raw
+
+    monkeypatch.setattr("skillblend.agents.post_json", edited)
+    monkeypatch.setattr("skillblend.classifiers.post_json", edited)
+    with serve_mock(_REMOTE_TABLES) as server:
+        agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
+        pattern = rf"^episode ep-000000 turn {turn}: {route}: {message}"
+        with pytest.raises(ProtocolError, match=pattern) as err:
+            helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg)
+    assert err.value.body == sent[-1]
+
+
+def test_wrapped_protocol_error_from_the_tables_keeps_its_raw_body(cfg):
     tables = dict(_REMOTE_TABLES, generate={"default": {"text": "x"}})  # no score
     with serve_mock(tables) as server:
         agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
         with pytest.raises(ProtocolError, match=r"^episode ep-000000 turn 2: /generate: ") as err:
             helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg)
-    assert err.value.body == b'{"text":"x"}'
+    assert err.value.body == b'{"results":[{"text":"x"},{"text":"x"},{"text":"x"}]}'
 
 
 def test_episode_memo_does_not_outlive_its_episode(cfg):
