@@ -471,7 +471,9 @@ def generate_texts(
     """One ``/generate`` request for a batch of (skill, own context,
     attempt) items over one dialogue, which is sent once; returns one text
     per item, in item order. Each result's score must be a finite number
-    but is not kept."""
+    but is not kept. An attempt below 1 raises ``ValueError``."""
+    if any(attempt < 1 for _skill, _stx, attempt in items):
+        raise ValueError("attempt must be at least 1")
     body = {
         "dialogue": _dialogue_payload(dtx),
         "items": [
@@ -504,8 +506,6 @@ class RemoteSkillAgent:
     def generate(self, stx: SkillContext, dtx: DialogueContext, attempt: int) -> str:
         """Ask the remote generator for one response text, as a one-item
         batch."""
-        if attempt < 1:
-            raise ValueError("attempt must be at least 1")
         return generate_texts(self.endpoint, dtx, ((self.skill, stx, attempt),))[0]
 
     def rank(
@@ -708,8 +708,8 @@ class MockServer:
         results = []
         for item in items:
             attempt = item.get("attempt", 1)
-            if not isinstance(attempt, int) or isinstance(attempt, bool):
-                return 400, {"error": "'attempt' must be an integer"}
+            if not isinstance(attempt, int) or isinstance(attempt, bool) or attempt < 1:
+                return 400, {"error": "'attempt' must be a positive integer"}
             skill = item.get("skill", "")
             if not isinstance(skill, str):
                 return 400, {"error": "'skill' must be a string"}

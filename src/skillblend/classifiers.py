@@ -10,7 +10,7 @@ asks, whether the hypothesis contradicts a premise, with one bit per
 premise; a remote judge's labels other than ``contradict`` and its
 confidences are checked on the wire and then dropped. The remote clients
 also take several items in one request (``judge_batch``, ``score_batch``),
-which the engine uses when a backend has them.
+which the engine's episode memo uses whenever a backend has them.
 The engine never embeds model weights.
 """
 
@@ -50,8 +50,8 @@ class LexiconSpec:
 
     ``keywords`` maps each roster skill id to (keyword, weight) pairs;
     ``contradiction_pairs`` is a (premise-pattern, hypothesis-pattern)
-    table matched by case-insensitive substring on both sides. A premise
-    and hypothesis that some pair matches contradict; nothing else does.
+    table. Both are stored lower-cased and matched by case-insensitive
+    substring; a premise and hypothesis contradict iff some pair matches.
     """
 
     roster: tuple[SkillId, ...]
@@ -67,7 +67,7 @@ class LexiconSpec:
             for keyword, _weight in entries:
                 if not keyword.strip():
                     raise ValueError("keywords must be non-blank")
-            normalized[skill.id] = entries
+            normalized[skill.id] = tuple([(kw.lower(), weight) for kw, weight in entries])
         extra = set(self.keywords) - set(normalized)
         if extra:
             raise ValueError(f"keywords reference skills outside the roster: {sorted(extra)}")
@@ -75,6 +75,8 @@ class LexiconSpec:
         for premise, hypothesis in self.contradiction_pairs:
             if not premise.strip() or not hypothesis.strip():
                 raise ValueError("NLI patterns must be non-blank")
+        pairs = tuple([(p.lower(), h.lower()) for p, h in self.contradiction_pairs])
+        object.__setattr__(self, "contradiction_pairs", pairs)
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,7 @@ class LexicalNliJudge:
         pairs whose hypothesis pattern the hypothesis contains can match, so
         they are picked once per batch."""
         hypothesis_l = hypothesis.lower()
-        patterns = [
-            p.lower() for p, h in self.spec.contradiction_pairs if h.lower() in hypothesis_l
-        ]
+        patterns = [p for p, h in self.spec.contradiction_pairs if h in hypothesis_l]
         lowered = map(str.lower, premises)
         return tuple([any(pat in premise for pat in patterns) for premise in lowered])
 
@@ -108,7 +108,7 @@ class LexicalSkillScorer:
         spec = self.spec
         text_l = text.lower()
         raw = [
-            sum(weight for keyword, weight in spec.keywords[skill.id] if keyword.lower() in text_l)
+            sum(weight for keyword, weight in spec.keywords[skill.id] if keyword in text_l)
             for skill in spec.roster
         ]
         return softmax(raw)

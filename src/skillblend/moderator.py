@@ -78,22 +78,19 @@ def simulate_approved(
     stx_own: SkillContext,
     dtx: DialogueContext,
     max_attempts: int,
-    opening: str | None = None,
+    opening: str,
 ) -> SimulationResult:
-    """Regenerate until the consistency gate approves, at most
-    ``max_attempts`` times. Each generated text becomes a candidate stamped
-    here, with the agent's skill as its origin and the attempt number as
-    its attempt count. ``opening``, when given, is the agent's attempt-1
-    text, already generated; the agent is then asked only for the retries.
-    Exhausted agents contribute no candidate for the turn."""
+    """Gate the agent's ``opening`` (its attempt-1 text, generated by the
+    caller with the turn's other openings), then regenerate until the
+    consistency gate approves, at most ``max_attempts`` attempts in all.
+    Each text becomes a candidate stamped here, with the agent's skill as
+    its origin and the attempt number as its attempt count. Exhausted
+    agents contribute no candidate for the turn."""
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     refusals: list[Refusal] = []
     for attempt in range(1, max_attempts + 1):
-        if attempt == 1 and opening is not None:
-            text = opening
-        else:
-            text = agent.generate(stx_own, dtx, attempt)
+        text = opening if attempt == 1 else agent.generate(stx_own, dtx, attempt)
         candidate = ResponseCandidate(text, agent.skill, attempt)
         decision = consistency_gate(judge, side_lines, candidate.text)
         if decision.approved:

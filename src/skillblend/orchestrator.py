@@ -1,7 +1,7 @@
 """The episode state machine and batch generation.
 
-One episode runs the three phases per turn: every roster agent simulates a
-candidate under the consistency gate (bounded regeneration), then the
+One episode runs the three phases per turn: every roster agent opens with
+a candidate that the consistency gate filters (bounded regeneration), the
 active agent ranks the surviving pool and the flow gate picks the final
 response, passing the mic when an inactive agent wins. Episodes are
 independent work units; batches fan out across a thread pool while output
@@ -66,20 +66,21 @@ class _EpisodeMemo:
     judged against that hypothesis, and nothing when none are left. Whole
     bit tuples are memoized by (premises, hypothesis) in front of the
     per-pair memo, so a side's gate call for a text seen before costs one
-    lookup. A backend with ``judge_batch`` or ``score_batch`` also serves
-    ``judge_all`` and ``score_all``, which fill the same entries for many
-    texts in one call. Both backends are deterministic for fixed inputs, so
-    the memo is exact. It lives as long as one episode, which runs on one
-    thread; exceptions propagate uncached, so retries and backend errors
-    behave as without it.
+    lookup. Only the memo reads ``judge_batch`` and ``score_batch``:
+    ``judge_all`` and ``score_all`` fill the same entries for many texts in
+    one such call, and do nothing for a backend without it. Both backends
+    are deterministic for fixed inputs, so the memo is exact. It lives as
+    long as one episode, on one thread; exceptions propagate uncached, so
+    retries and backend errors behave as without it.
     """
 
     def __init__(self, judge: NliJudge, scorer: SkillScorer):
         self._judge = judge
         self._scorer = scorer
         self.roster = scorer.roster
-        self.judge_batch = getattr(judge, "judge_batch", None)
-        self.score_batch = getattr(scorer, "score_batch", None)
+        # in-process backends stay per-item: batch adapters made run_batch 5-7% slower
+        self._judge_batch = getattr(judge, "judge_batch", None)
+        self._score_batch = getattr(scorer, "score_batch", None)
         self._batches: dict[tuple[tuple[str, ...], str], tuple[bool, ...]] = {}
         self._bits: dict[tuple[str, str], bool] = {}
         self._dists: dict[str, SkillDistribution] = {}
@@ -100,21 +101,24 @@ class _EpisodeMemo:
         return bits
 
     def judge_all(self, premises: tuple[str, ...], hypotheses: Sequence[str]) -> None:
-        """Like ``judge`` for each hypothesis, but in one ``judge_batch``
-        call: one (premises, hypothesis) item per distinct hypothesis with
-        premises not yet judged against it, and no call when there are
-        none."""
+        """Like ``judge`` for each hypothesis the memo does not hold yet, but
+        in one ``judge_batch`` call: one (premises, hypothesis) item per
+        such hypothesis with premises not yet judged against it, and no call
+        when there are none or the judge has no ``judge_batch``."""
+        if self._judge_batch is None:
+            return
         pairs = self._bits
+        fresh = [h for h in dict.fromkeys(hypotheses) if (premises, h) not in self._batches]
         items = []
-        for hypothesis in dict.fromkeys(hypotheses):
+        for hypothesis in fresh:
             pending = tuple(dict.fromkeys([p for p in premises if (p, hypothesis) not in pairs]))
             if pending:
                 items.append((pending, hypothesis))
         if items:
-            for (pending, hypothesis), bits in zip(items, self.judge_batch(items), strict=True):
+            for (pending, hypothesis), bits in zip(items, self._judge_batch(items), strict=True):
                 for premise, bit in zip(pending, bits, strict=True):
                     pairs[premise, hypothesis] = bit
-        for hypothesis in hypotheses:
+        for hypothesis in fresh:
             self._batches[premises, hypothesis] = tuple([pairs[p, hypothesis] for p in premises])
 
     def score(self, text: str) -> SkillDistribution:
@@ -125,11 +129,13 @@ class _EpisodeMemo:
 
     def score_all(self, texts: Sequence[str]) -> None:
         """Score, in one ``score_batch`` call, every text not scored yet
-        (none: no call)."""
+        (none, or a scorer without ``score_batch``: no call)."""
+        if self._score_batch is None:
+            return
         dists = self._dists
         pending = list(dict.fromkeys([text for text in texts if text not in dists]))
         if pending:
-            for text, dist in zip(pending, self.score_batch(pending), strict=True):
+            for text, dist in zip(pending, self._score_batch(pending), strict=True):
                 dists[text] = dist
 
 
@@ -159,27 +165,28 @@ def run_episode(
     ``config_digest(cfg)``, which the episode records.
 
     Seed turns are annotated exactly like generated turns (mic never passed,
-    zero consistency attempts); each following turn alternates the speaking
-    side, fans the simulation over every roster agent with the speaking
-    side's contexts, and selects via the active agent plus the flow gate.
-    Backend contradiction bits and distributions are memoized for the
-    episode. Remote backends get a turn's work in batches: one
-    ``/generate`` for every agent's first attempt, one ``/nli`` for the
-    pairs those texts add, one ``/classify`` for the candidates' new texts
-    (and one for the two seed texts); only regenerations after a refusal
-    go one at a time. A backend error, the seed turns' included,
-    propagates with the episode and turn named first.
+    zero consistency attempts). Each following turn alternates the speaking
+    side: every roster agent generates its opening (attempt 1) with its own
+    context, in one ``/generate`` when all share a remote endpoint; each
+    opening then goes through the consistency gate with bounded
+    regeneration, and the active agent plus the flow gate select. For a
+    backend with a batch form, the memo judges a turn's openings, and scores
+    its candidates and the seed texts, in one call each; only regenerations
+    after a refusal go one at a time. A backend error, the seed turns'
+    included, propagates with the episode and turn named first.
     """
     by_id = {agent.skill.id: agent for agent in agents}
     roster_ids = sorted(s.id for s in cfg.skill_roster)
     if sorted(by_id) != roster_ids or len(list(agents)) != len(cfg.skill_roster):
         raise ValueError("agents must cover the skill roster exactly")
     memo = _EpisodeMemo(judge, scorer)
-    # which backends take batches is decided here, once for the episode
+    # the only choice of backend kind: who generates the openings
     endpoint = shared_endpoint(agents)
-    judge_openings = endpoint is not None and memo.judge_batch is not None
-    score_candidates = memo.score_batch is not None
-    no_openings = (None,) * len(cfg.skill_roster)
+    # each side's (agent, own context) seats by skill id, in roster order
+    seats = [
+        {s.id: (by_id[s.id], stx_all.get(s) or SkillContext(s, ())) for s in cfg.skill_roster}
+        for stx_all in seed.contexts
+    ]
 
     # the pair is seated here, once: its first utterance is side 0's
     first = Utterance(0, seed.pair[0].text)
@@ -191,25 +198,22 @@ def run_episode(
     annotated: list[AnnotatedTurn] = []
     turn = 0
     try:
-        if score_candidates:
-            memo.score_all((first.text, second.text))
+        memo.score_all((first.text, second.text))
         for turn, utt in enumerate((first, second)):
             annotated.append(_annotate(utt, memo, False, 0, ()))
         for turn in range(2, cfg.episode_length):
             side = turn % 2  # the sides alternate from the seed pair on
-            stx_all = seed.contexts[side]
-            openings = no_openings
+            seated = seats[side].values()
             if endpoint is not None:
-                items = [(s, stx_all.get(s) or SkillContext(s, ()), 1) for s in cfg.skill_roster]
+                items = [(agent.skill, stx_own, 1) for agent, stx_own in seated]
                 openings = generate_texts(endpoint, dtx, items)
-                if judge_openings:
-                    memo.judge_all(side_lines[side][0], openings)
+            else:
+                openings = [agent.generate(stx_own, dtx, 1) for agent, stx_own in seated]
+            memo.judge_all(side_lines[side][0], openings)
 
             refusals: list[Refusal] = []
             candidates = []
-            for skill, opening in zip(cfg.skill_roster, openings):
-                agent = by_id[skill.id]
-                stx_own = stx_all.get(skill) or SkillContext(skill, ())
+            for (agent, stx_own), opening in zip(seated, openings):
                 result = simulate_approved(
                     agent, memo, side_lines[side], stx_own, dtx, cfg.max_attempts, opening
                 )
@@ -220,10 +224,8 @@ def run_episode(
                 raise EpisodeAbortError(
                     episode_id, turn, "every agent exhausted its consistency attempts"
                 )
-            if score_candidates:
-                memo.score_all([c.text for c in candidates])
-            active_agent = by_id[active_skill.id]
-            stx_active = stx_all.get(active_skill) or SkillContext(active_skill, ())
+            memo.score_all([c.text for c in candidates])
+            active_agent, stx_active = seats[side][active_skill.id]
             outcome = select_final(
                 active_agent, memo, stx_active, dtx, candidates, cfg.alpha, cfg.epsilon
             )

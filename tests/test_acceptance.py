@@ -356,7 +356,8 @@ def test_acceptance_6_protocol_driven_mic_passing():
         stx_own = stx_all.get(skill) or SkillContext(skill, ())
         candidates.append(
             simulate_approved(
-                agent, judge, stx_all.flat_lines(), stx_own, dtx, cfg.max_attempts
+                agent, judge, stx_all.flat_lines(), stx_own, dtx, cfg.max_attempts,
+                agent.generate(stx_own, dtx, 1),
             ).candidate
         )
     k_agent = agents[1]

@@ -278,6 +278,17 @@ def test_remote_generate_batch_sends_the_dialogue_once(dtx):
     }
 
 
+@pytest.mark.parametrize("attempt", [0, -1])
+def test_generate_texts_rejects_a_non_positive_attempt_before_sending(dtx, attempt):
+    items = [(K, SkillContext(K), 1), (P, SkillContext(P), attempt)]
+    with serve_mock({"generate": {"default": {"text": "other", "score": 0.5}}}) as server:
+        with pytest.raises(ValueError, match="attempt must be at least 1"):
+            generate_texts(server.endpoint(), dtx, items)
+        with pytest.raises(ValueError, match="attempt must be at least 1"):
+            RemoteSkillAgent(server.endpoint(), K).generate(SkillContext(K), dtx, attempt)
+        assert server.requests == []
+
+
 def test_remote_generate_connection_refused(dtx, sleeps):
     # grab a port nothing listens on
     with socket.socket() as sock:
@@ -368,6 +379,9 @@ _GOOD_BODIES = {
         ("/generate", {"items": [{"skill": "K", "attempt": 1.5}]}),
         ("/generate", {"items": [{"skill": "K", "attempt": True}]}),
         ("/generate", {"items": [{"skill": "K", "attempt": None}]}),
+        # a non-positive attempt has no table entry
+        ("/generate", {"items": [{"skill": "K", "attempt": 0}]}),
+        ("/generate", {"items": [{"skill": "K", "attempt": -1}]}),
         ("/generate", {"items": [{"skill": "K", "attempt": 1}, {"skill": [], "attempt": 1}]}),
         ("/generate", {"items": [{"skill": "K", "context": "topic", "attempt": 1}]}),
         ("/generate", {"items": [{"skill": "K", "context": ["topic", 2], "attempt": 1}]}),

@@ -113,12 +113,22 @@ def test_lexical_skill_score_symmetry():
 
 def test_lexical_scorer_is_pure_and_normalized(spec):
     scorer = LexicalSkillScorer(spec)
-    texts = ["sneakers fact sorry", "", "FACT!", "tennis sorry sorry"]
+    # a mixed-case twin of the spec scores and judges as the lower-case spec does
+    mixed = LexiconSpec(
+        spec.roster,
+        {skill: tuple((kw.title(), w) for kw, w in kws) for skill, kws in spec.keywords.items()},
+        contradiction_pairs=tuple((p.upper(), h.title()) for p, h in spec.contradiction_pairs),
+    )
+    texts = ["sneakers fact sorry", "", "FACT!", "tennis sorry sorry", "Sneakers Everyday"]
     for text in texts:
         first = scorer.score(text)
         second = scorer.score(text)
         assert first == second
         assert abs(sum(first.probs) - 1.0) <= 1e-12
+        assert LexicalSkillScorer(mixed).score(text) == first
+        premises, hypothesis = (text, "i wear sneakers everyday"), "sandals " + text
+        bits = LexicalNliJudge(spec).judge(premises, hypothesis)
+        assert LexicalNliJudge(mixed).judge(premises, hypothesis) == bits
 
 
 def _label(scorer, text):

@@ -141,9 +141,10 @@ def test_consistency_gate_matches_oracle_directly_and_through_the_memo(sides, bi
 def test_simulate_approved_first_attempt(dtx):
     judge = TableJudge()
     agent = ScriptedAgent(K, ("clean response",))
-    result = simulate_approved(agent, judge, ((), ()), SkillContext(K), dtx, 8)
-    # the moderator stamps the agent's text with the agent's skill and the attempt
-    assert result.candidate == ResponseCandidate("clean response", K, 1)
+    result = simulate_approved(agent, judge, ((), ()), SkillContext(K), dtx, 8, "the opening")
+    # the opening is gated as given, and the moderator stamps it with the
+    # agent's skill and the attempt
+    assert result.candidate == ResponseCandidate("the opening", K, 1)
     assert result.refusals == ()
 
 
@@ -153,7 +154,9 @@ def test_simulate_approved_retries_until_clean(dtx):
     judge = LexicalNliJudge(spec)
     agent = ScriptedAgent(K, ("tainted one", "tainted two", "fresh and clean"))
     stx_all = ctxset((P, ["premise line"]))
-    result = simulate_approved(agent, judge, stx_all.flat_lines(), SkillContext(K), dtx, 8)
+    result = simulate_approved(
+        agent, judge, stx_all.flat_lines(), SkillContext(K), dtx, 8, "tainted one"
+    )
     assert result.candidate == ResponseCandidate("fresh and clean", K, 3)
     assert [r.candidate_skill.id for r in result.refusals] == ["K", "K"]
     assert [r.context_skill.id for r in result.refusals] == ["P", "P"]
@@ -164,12 +167,13 @@ def test_simulate_approved_exhaustion(dtx):
     judge = LexicalNliJudge(spec)
     agent = ScriptedAgent(K, ("tainted forever",))
     result = simulate_approved(
-        agent, judge, ctxset((P, ["premise line"])).flat_lines(), SkillContext(K), dtx, 8
+        agent, judge, ctxset((P, ["premise line"])).flat_lines(), SkillContext(K), dtx, 8,
+        "tainted forever",
     )
     assert result.candidate is None
     assert len(result.refusals) == 8
     with pytest.raises(ValueError):
-        simulate_approved(agent, judge, ((), ()), SkillContext(K), dtx, 0)
+        simulate_approved(agent, judge, ((), ()), SkillContext(K), dtx, 0, "tainted forever")
 
 
 def _scorer():

@@ -131,8 +131,10 @@ def test_run_episode_matches_reference_replay(cfg):
         candidates = []
         for skill in cfg.skill_roster:
             stx_own = stx_all.get(skill) or SkillContext(skill, ())
+            agent = by_id[skill.id]
             result = simulate_approved(
-                by_id[skill.id], judge, stx_all.flat_lines(), stx_own, dtx, cfg.max_attempts
+                agent, judge, stx_all.flat_lines(), stx_own, dtx, cfg.max_attempts,
+                agent.generate(stx_own, dtx, 1),
             )
             if result.candidate is not None:
                 candidates.append(result.candidate)
@@ -414,6 +416,52 @@ def test_run_batch_sends_each_backend_input_once_per_episode(
     # batching did happen: some gate call judged several lines at once
     assert max(counting.batch_sizes) > 1
     repeated = [call for call, n in Counter(counting.calls).items() if n > 1]
+    assert repeated == []
+
+
+class _BatchingBackends(_CountingBackends):
+    """``_CountingBackends`` plus the batch forms a remote judge and scorer
+    offer, each item going through the logging per-item call; counts the
+    ``judge_batch`` calls per episode."""
+
+    def __init__(self, judge, scorer):
+        super().__init__(judge, scorer)
+        self.judge_batches = Counter()
+
+    def judge_batch(self, items):
+        self.judge_batches[getattr(self.local, "episode", None)] += 1
+        return [self.judge(premises, hypothesis) for premises, hypothesis in items]
+
+    def score_batch(self, texts):
+        return [self.score(text) for text in texts]
+
+
+def test_in_process_agents_get_a_batching_judge_and_scorer_batched(
+    tmp_path, corpus_files, monkeypatch
+):
+    # scripted agents beside a judge and scorer that offer batch forms: the
+    # memo batches each turn's openings whatever backend the agents are
+    cfg = EngineConfig(rng_seed=31)
+    seeds = helpers.make_seeds(corpus_files, cfg, 12)
+    agents, judge, scorer = _stack(cfg)
+    plain = _write_corpus(tmp_path / "plain.jsonl", seeds, agents, judge, scorer, cfg, 1)
+
+    batching = _BatchingBackends(judge, scorer)
+    run_episode_untagged = orchestrator.run_episode
+
+    def tagged(*args, **kwargs):
+        batching.local.episode = kwargs["episode_id"]
+        return run_episode_untagged(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_episode", tagged)
+    mixed = _write_corpus(tmp_path / "mixed.jsonl", seeds, agents, batching, batching, cfg, 1)
+
+    assert mixed == plain
+    assert batching.judge_batches
+    # at most one judge_batch per generated turn of each episode
+    assert max(batching.judge_batches.values()) <= cfg.episode_length - 2
+    # no (premise, hypothesis) pair is judged twice, nor a text scored twice
+    repeated = [call for call, n in Counter(batching.calls).items() if n > 1]
     assert repeated == []
 
 
