@@ -196,6 +196,10 @@ class BackendEndpoint:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         parts = urlsplit(self.base_url)
+        # requests go to host, port and path only; the rest would be dropped
+        # unsent, and no message echoes it since it may hold a secret
+        if "@" in parts.netloc or parts.query or parts.fragment:
+            raise ValueError("endpoint must not carry user info, a query or a fragment")
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"endpoint must be an http or https URL, got {self.base_url!r}")
         path = parts.path.rstrip("/")

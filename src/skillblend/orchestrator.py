@@ -189,8 +189,8 @@ def run_episode(
     ]
 
     # the pair is seated here, once: its first utterance is side 0's
-    first = Utterance(0, seed.pair[0].text)
-    second = Utterance(1, seed.pair[1].text)
+    first = Utterance(0, seed.pair[0])
+    second = Utterance(1, seed.pair[1])
     dtx = DialogueContext((first, second))
     active_skill = seed.seed_dataset
     # flattened once per episode; the consistency gate sends a side's lines in one batch

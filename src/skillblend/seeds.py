@@ -27,12 +27,12 @@ from itertools import repeat
 from operator import lt, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import ConfigError, EngineConfig, SkillContext, SkillContextSet, SkillId, Utterance, compact_json
+from .core import ConfigError, EngineConfig, SkillContext, SkillContextSet, SkillId, compact_json
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 INDEX_FORMAT = "skillblend-tfidf"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 # documents per compact_json call when saving an index
 _SAVE_CHUNK = 1024
@@ -54,10 +54,10 @@ class SideRole(Enum):
 
 @dataclass(frozen=True)
 class ContextDoc:
-    """One retrievable skill context: the lines of one record side."""
+    """One retrievable skill context: the lines of one record side of the
+    skill ``skill_id``."""
 
-    doc_id: int
-    skill: SkillId
+    skill_id: str
     side_role: SideRole
     lines: tuple[str, ...]
 
@@ -71,9 +71,9 @@ class ContextDoc:
 class TfIdfIndex:
     """Immutable tf-idf index. ``postings[term id]`` holds the positions of
     the documents containing the term (ascending) and the term's weight in
-    each of their L2-normalized vectors. Every document's id equals its
-    position in ``docs``; ``buckets`` lists the positions of each
-    (skill id, side role) in ascending order."""
+    each of their L2-normalized vectors. A document's position in ``docs``
+    is its id; ``buckets`` lists the positions of each (skill id, side
+    role) in ascending order."""
 
     vocabulary: Mapping[str, int]
     idf: tuple[float, ...]
@@ -84,37 +84,33 @@ class TfIdfIndex:
     def __post_init__(self) -> None:
         buckets: dict[tuple[str, SideRole], array] = {}
         for pos, d in enumerate(self.docs):
-            if d.doc_id != pos:
-                raise ValueError(f"document id {d.doc_id} differs from its position {pos}")
-            buckets.setdefault((d.skill.id, d.side_role), array("i")).append(pos)
+            buckets.setdefault((d.skill_id, d.side_role), array("i")).append(pos)
         object.__setattr__(self, "buckets", buckets)
 
     @property
     def doc_count(self) -> int:
         return len(self.docs)
 
-    def doc(self, doc_id: int) -> ContextDoc:
-        if not 0 <= doc_id < len(self.docs):
-            raise KeyError(f"no document with id {doc_id}")
-        return self.docs[doc_id]
+    def doc(self, pos: int) -> ContextDoc:
+        if not 0 <= pos < len(self.docs):
+            raise KeyError(f"no document at position {pos}")
+        return self.docs[pos]
 
 
 @dataclass(frozen=True)
 class SeedEpisode:
-    """Seed for one episode: the utterance pair as its dataset holds it
+    """Seed for one episode: the texts of a dataset's consecutive turn pair
     and per-side contexts. The pair's provenance skill ``seed_dataset`` is
-    also the initially active skill. The episode seats the pair, so its
-    speakers here are not read."""
+    also the initially active skill; the episode seats the pair."""
 
     seed_dataset: SkillId
-    pair: tuple[Utterance, Utterance]
+    pair: tuple[str, str]
     contexts: tuple[SkillContextSet, SkillContextSet]
 
 
 def build_index(docs: Sequence[ContextDoc]) -> TfIdfIndex:
     """Index documents with tf = raw term count and
-    idf = max(0, ln(N / (1 + df)) + 1); vectors are L2-normalized. Document
-    ids must equal their positions, as ``docs_from_records`` assigns them.
+    idf = max(0, ln(N / (1 + df)) + 1); vectors are L2-normalized.
 
     Each document is tokenized once into term ids and counts; the ids are
     numbered in order of first appearance until the vocabulary is sorted at
@@ -181,7 +177,7 @@ def _scores(index: TfIdfIndex, text: str) -> list[float]:
 
 def _top(scores: list[float], positions: Iterable[int], k: int) -> list[tuple[int, float]]:
     """The k best of ``positions`` (which must ascend) with a positive score,
-    as (doc id, score): descending score, ties by ascending doc id.
+    as (position, score): descending score, ties by ascending position.
     ``nlargest`` equals a stable ``sorted(..., reverse=True)[:k]``, so tied
     positions keep their ascending order."""
     best = heapq.nlargest(k, positions, key=scores.__getitem__)
@@ -195,15 +191,15 @@ def query(
     filter_skill: SkillId | None = None,
     filter_role: SideRole | None = None,
 ) -> list[tuple[int, float]]:
-    """Top-k documents by cosine similarity, descending, ties by ascending
-    doc id. Zero-score documents are excluded, so fewer than k results may
-    come back."""
+    """Top-k documents as (position, score) by cosine similarity, descending,
+    ties by ascending position. Zero-score documents are excluded, so fewer
+    than k results may come back."""
     if k < 1:
         raise ValueError("k must be at least 1")
     positions = (
         pos
         for pos, d in enumerate(index.docs)
-        if (filter_skill is None or d.skill.id == filter_skill.id)
+        if (filter_skill is None or d.skill_id == filter_skill.id)
         and (filter_role is None or d.side_role is filter_role)
     )
     return _top(_scores(index, text), positions, k)
@@ -223,13 +219,13 @@ def default_role_template(roster: Sequence[SkillId]) -> RoleTemplate:
 
 
 def build_seeds(
-    pair: tuple[Utterance, Utterance],
+    pair: tuple[str, str],
     seed_dataset: SkillId,
     index: TfIdfIndex,
     cfg: EngineConfig,
 ) -> list[SeedEpisode]:
-    """Assemble up to ``cfg.seeds_per_pair`` seed variants for one utterance
-    pair.
+    """Assemble up to ``cfg.seeds_per_pair`` seed variants for one pair of
+    utterance texts.
 
     The query is the concatenation of both pair texts, scored once against
     the index; each (skill, role) bucket keeps its top hits as ``query``
@@ -241,10 +237,10 @@ def build_seeds(
     list is variant v. Every variant carries ``pair`` itself.
     """
     first, second = pair
-    if not first.text.strip() or not second.text.strip():
+    if not first.strip() or not second.strip():
         raise ValueError("seed pair texts must be non-blank")
     template = default_role_template(cfg.skill_roster)
-    query_text = first.text + " " + second.text
+    query_text = first + " " + second
 
     scores = _scores(index, query_text)
     needed = {(sid, role) for side in template for sid, role in side.items()}
@@ -276,21 +272,22 @@ def build_seeds(
 
 def iter_seed_pairs(
     records: Iterable, roster: Sequence[SkillId], rng_seed: int
-) -> Iterator[tuple[tuple[Utterance, Utterance], SkillId]]:
-    """Seeded endless stream of (pair, provenance skill) over dataset
+) -> Iterator[tuple[tuple[str, str], SkillId]]:
+    """Seeded endless stream of (pair texts, provenance skill) over dataset
     records: the skill chosen uniformly over the roster, then uniformly one
     consecutive turn pair of that skill's records (pairs in record order).
-    Reads ``records`` once, at once, keeping only the turn pairs; raises
-    ConfigError when a roster skill has no pair."""
-    pools: dict[str, list[tuple[Utterance, Utterance]]] = {s.id: [] for s in roster}
+    Reads ``records`` once, at once, keeping only the turn pairs' texts;
+    raises ConfigError when a roster skill has no pair."""
+    pools: dict[str, list[tuple[str, str]]] = {s.id: [] for s in roster}
     for rec in records:
-        pools[rec.skill.id].extend(zip(rec.turns, rec.turns[1:]))
+        texts = [u.text for u in rec.turns]
+        pools[rec.skill.id].extend(zip(texts, texts[1:]))
     for skill in roster:
         if not pools[skill.id]:
             raise ConfigError(f"no seed pairs available for skill {skill.id!r}")
     rng = random.Random(rng_seed)
 
-    def draw() -> Iterator[tuple[tuple[Utterance, Utterance], SkillId]]:
+    def draw() -> Iterator[tuple[tuple[str, str], SkillId]]:
         while True:
             skill = roster[rng.randrange(len(roster))]
             pool = pools[skill.id]
@@ -308,22 +305,15 @@ def docs_from_records(records) -> list[ContextDoc]:
         for side, role in ((0, SideRole.PRIMARY), (1, SideRole.COUNTERPART)):
             lines = rec.side_contexts[side]
             if lines:
-                docs.append(ContextDoc(len(docs), rec.skill, role, tuple(lines)))
+                docs.append(ContextDoc(rec.skill.id, role, tuple(lines)))
     return docs
 
 
-def _doc_rows(index: TfIdfIndex) -> Iterator[list[dict]]:
-    """The stored form of the documents, in chunks of consecutive ones."""
+def _doc_rows(index: TfIdfIndex) -> Iterator[list[list]]:
+    """The stored form of the documents, ``[skill id, side role, lines]``
+    rows, in chunks of consecutive ones."""
     for lo in range(0, index.doc_count, _SAVE_CHUNK):
-        yield [
-            {
-                "doc_id": d.doc_id,
-                "skill": {"id": d.skill.id, "index": d.skill.index},
-                "role": d.side_role.value,
-                "lines": list(d.lines),
-            }
-            for d in index.docs[lo : lo + _SAVE_CHUNK]
-        ]
+        yield [[d.skill_id, d.side_role.value, list(d.lines)] for d in index.docs[lo : lo + _SAVE_CHUNK]]
 
 
 def _write_json_array(fh, chunks: Iterable[list]) -> None:
@@ -364,9 +354,10 @@ def _unblob(postings: Mapping, key: str, typecode: str) -> array:
 
 def save_index(index: TfIdfIndex, path: str) -> None:
     """Persist the index as a single versioned JSON file: a header, the
-    documents (written a chunk at a time) and the postings as three
-    little-endian base64 blobs (int32 ``lengths`` per term id, int32
-    ``positions`` and float64 ``weights`` of every term in term-id order).
+    document rows (written a chunk at a time; a row's position is its
+    document's id) and the postings as three little-endian base64 blobs
+    (int32 ``lengths`` per term id, int32 ``positions`` and float64
+    ``weights`` of every term in term-id order).
 
     The file is written under a temporary name next to ``path`` and renamed
     over it once complete, so a failed save leaves any previous file intact.
@@ -392,16 +383,18 @@ def save_index(index: TfIdfIndex, path: str) -> None:
             _write_json_array(fh, _doc_rows(index))
             fh.write(',"postings":' + compact_json(postings) + "}")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the file asked for, not its temporary twin
+            exc.filename, exc.filename2 = path, None
         raise
 
 
 def load_index(path: str) -> TfIdfIndex:
     """Load a persisted index. Raises ValueError naming the file when it is
-    not JSON, not a version-2 index, or fails a check of ``_decode_index``.
-    Documents of one skill share one ``SkillId``."""
+    not JSON, not a version-3 index, or fails a check of ``_decode_index``."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -415,7 +408,7 @@ def load_index(path: str) -> TfIdfIndex:
 
 def _decode_index(obj) -> TfIdfIndex:
     """Build the index from a parsed file, checking the header, every
-    document field, that the vocabulary ids are exactly 0..V-1, that ``idf``
+    document row, that the vocabulary ids are exactly 0..V-1, that ``idf``
     holds V finite numbers, and that the postings hold one non-negative
     length per term, agree in size, and give each term finite weights and
     strictly ascending positions inside [0, doc_count)."""
@@ -446,30 +439,22 @@ def _decode_index(obj) -> TfIdfIndex:
     if type(obj.get("doc_count")) is not int or obj["doc_count"] != len(rows):
         raise ValueError("document count does not match header")
 
-    skills: dict[tuple[str, int], SkillId] = {}
     roles = {r.value: r for r in SideRole}  # a dict lookup is cheaper than SideRole(value)
     docs: list[ContextDoc] = []
     try:
-        for d in rows:
-            skill = d["skill"]
-            key = (skill["id"], skill["index"])
-            sid = skills.get(key)
-            if sid is None:
-                if type(key[0]) is not str or type(key[1]) is not int:
-                    raise ValueError(f"skill {skill!r} is not an id string and an index int")
-                sid = skills[key] = SkillId(*key)
-            role = roles.get(d["role"])
+        for row in rows:
+            if type(row) is not list or len(row) != 3:
+                raise ValueError("not a [skill id, side role, lines] row")
+            skill_id, role_value, lines = row
+            if type(skill_id) is not str or not skill_id.strip():
+                raise ValueError(f"skill id {skill_id!r} is not a non-blank string")
+            role = roles.get(role_value) if type(role_value) is str else None
             if role is None:
-                raise ValueError(f"unknown side role {d['role']!r}")
-            doc_id, lines = d["doc_id"], d["lines"]
-            if type(doc_id) is not int:
-                raise ValueError(f"doc_id {doc_id!r} is not an int")
+                raise ValueError(f"unknown side role {role_value!r}")
             if type(lines) is not list or not all(map(isinstance, lines, repeat(str))):
                 raise ValueError("lines is not a list of strings")
-            docs.append(ContextDoc(doc_id, sid, role, tuple(lines)))
-    except KeyError as exc:
-        raise ValueError(f"document {len(docs)}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+            docs.append(ContextDoc(skill_id, role, tuple(lines)))
+    except ValueError as exc:
         raise ValueError(f"document {len(docs)}: {exc}") from None
 
     blobs = obj.get("postings")

@@ -308,13 +308,13 @@ def brute_force_cosines(docs, query_text):
     qvec = [q_counts.get(t, 0) * idf[t] for t in terms]
     qnorm = math.sqrt(sum(x * x for x in qvec))
     out = []
-    for d, row in zip(docs, dense):
+    for pos, row in enumerate(dense):
         norm = math.sqrt(sum(x * x for x in row))
         if qnorm == 0.0 or norm == 0.0:
             continue
         cos = sum(a * b for a, b in zip(qvec, row)) / (qnorm * norm)
         if cos > 0.0:
-            out.append((d.doc_id, cos))
+            out.append((pos, cos))
     out.sort(key=lambda r: (-r[1], r[0]))
     return out
 

@@ -208,17 +208,17 @@ def test_acceptance_4_retrieval_oracle():
     docs = []
     for i in range(100):
         if i % 10 == 9:  # exact duplicates force cosine ties
-            docs.append(ContextDoc(i, DEFAULT_ROSTER[i % 3], SideRole.PRIMARY, docs[i - 1].lines))
+            docs.append(ContextDoc(DEFAULT_ROSTER[i % 3].id, SideRole.PRIMARY, docs[i - 1].lines))
         else:
             text = " ".join(rng.choice(words) for _ in range(rng.randrange(3, 13)))
-            docs.append(ContextDoc(i, DEFAULT_ROSTER[i % 3], SideRole.PRIMARY, (text,)))
+            docs.append(ContextDoc(DEFAULT_ROSTER[i % 3].id, SideRole.PRIMARY, (text,)))
     index = build_index(docs)
 
     for _ in range(50):
         q = " ".join(rng.choice(words) for _ in range(rng.randrange(1, 5)))
         mine = query(index, q, k=100)
         oracle = brute_force_cosines(docs, q)
-        assert [doc_id for doc_id, _ in mine] == [doc_id for doc_id, _ in oracle]
+        assert [pos for pos, _ in mine] == [pos for pos, _ in oracle]
         for (_, a), (_, b) in zip(mine, oracle):
             assert abs(a - b) <= 1e-9
 
@@ -298,7 +298,7 @@ def _scenario():
     )
     seed = SeedEpisode(
         P,
-        (Utterance(0, "hello there"), Utterance(1, "hi pal")),
+        ("hello there", "hi pal"),
         contexts,
     )
     agents = [

@@ -127,6 +127,10 @@ def test_backend_endpoint_validation():
             BackendEndpoint(url)
     with pytest.raises(ValueError, match="not a valid host name"):
         BackendEndpoint("http://" + "\u00fc" * 70 + ".example")
+    # requests carry only host, port and path: these parts would be dropped
+    for url in ("http://u:p@h:1/x", "http://h:1/x?k=v", "http://h:1/x#f", "http://u:p@/x"):
+        with pytest.raises(ValueError, match="user info, a query or a fragment"):
+            BackendEndpoint(url)
 
 
 @pytest.mark.parametrize(

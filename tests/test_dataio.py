@@ -112,7 +112,7 @@ def test_extract_pairs_sliding_window(tmp_path):
     records = list(read_dataset(path, DEFAULT_ROSTER))
     roster = [s for s in DEFAULT_ROSTER if s.id in ("P", "K")]
     drawn = set(islice(iter_seed_pairs(records, roster, rng_seed=3), 200))
-    pairs = sorted(((a.text, b.text), s.id) for (a, b), s in drawn)
+    pairs = sorted((pair, s.id) for pair, s in drawn)
     # every consecutive turn pair, tagged with its source record's skill
     assert pairs == sorted(
         [(("hello", "hi"), "P"), (("hi", "again"), "P"), (("q", "a"), "K")]

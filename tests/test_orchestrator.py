@@ -61,9 +61,7 @@ def _plain_seed(seed_skill=P):
             )
         ),
     )
-    # a pair from turns 1 and 2 of its record: side 1 speaks first
-    pair = (Utterance(1, "do you enjoy skiing"), Utterance(0, "i love skiing a lot"))
-    return SeedEpisode(seed_skill, pair, contexts)
+    return SeedEpisode(seed_skill, ("do you enjoy skiing", "i love skiing a lot"), contexts)
 
 
 def _stack(cfg):
@@ -122,7 +120,7 @@ def test_run_episode_matches_reference_replay(cfg):
 
     by_id = {a.skill.id: a for a in agents}
     dtx = DialogueContext(
-        (Utterance(0, seed.pair[0].text), Utterance(1, seed.pair[1].text))
+        (Utterance(0, seed.pair[0]), Utterance(1, seed.pair[1]))
     )
     active = seed.seed_dataset
     for t in range(2, cfg.episode_length):
@@ -164,7 +162,7 @@ def test_run_episode_aborts_when_everything_contradicts(cfg):
     )
     seed = SeedEpisode(
         P,
-        (Utterance(0, "hello"), Utterance(1, "hi")),
+        ("hello", "hi"),
         contexts,
     )
     with pytest.raises(EpisodeAbortError) as excinfo:
@@ -205,7 +203,7 @@ def test_default_stack_can_pass_the_mic(cfg):
     )
     seed = SeedEpisode(
         P,
-        (Utterance(0, "hello there"), Utterance(1, "hi pal")),
+        ("hello there", "hi pal"),
         (contexts, contexts),
     )
     ep = helpers.run_episode(seed, agents, judge, scorer, cfg)
@@ -251,7 +249,7 @@ def test_run_batch_records_aborts_without_writing(cfg):
     agents = default_scripted_agents(DEFAULT_ROSTER)
     doomed = SeedEpisode(
         P,
-        (Utterance(0, "hello"), Utterance(1, "hi")),
+        ("hello", "hi"),
         (
             SkillContextSet((SkillContext(P, ("poison line",)),)),
             SkillContextSet((SkillContext(P, ("poison line",)),)),

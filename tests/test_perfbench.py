@@ -1,6 +1,8 @@
 """The benchmark's correctness gate, run as part of the suite: one short
 ``remote`` run checks the pinned corpus sha256 and that the mock server's
-request log equals the client's ``post_json`` calls, and one short traced
+request log equals the client's ``post_json`` calls, one short
+``retrieval`` run checks the pinned sha256 of a corpus seeded from a saved,
+loaded and queried 10 500-document index, and one short traced
 ``scripted`` run checks its pinned sha256 and that every tracer target
 still wraps a callable the program calls."""
 
@@ -30,6 +32,10 @@ def _run(workload: str, trace: int) -> dict:
 
 def test_remote_benchmark_run_is_correct():
     _run("remote", 0)
+
+
+def test_retrieval_benchmark_run_is_correct():
+    _run("retrieval", 0)
 
 
 def test_scripted_traced_benchmark_run_is_correct():

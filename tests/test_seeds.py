@@ -9,7 +9,6 @@ import struct
 import tempfile
 from array import array
 from collections import Counter
-from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -39,8 +38,8 @@ import helpers
 P, K, E = DEFAULT_ROSTER
 
 
-def doc(i, skill, text, role=SideRole.PRIMARY):
-    return ContextDoc(i, skill, role, tuple(text.split("; ")))
+def doc(skill, text, role=SideRole.PRIMARY):
+    return ContextDoc(skill.id, role, tuple(text.split("; ")))
 
 
 # --- tokenize ----------------------------------------------------------------
@@ -56,32 +55,25 @@ def test_tokenize_rules():
 
 
 def test_single_doc_is_one_hot_after_l2():
-    index = build_index([doc(0, P, "apple apple")])
+    index = build_index([doc(P, "apple apple")])
     assert index.postings == ((array("i", [0]), array("d", [1.0])),)
 
 
 def test_disjoint_docs_are_orthogonal():
-    index = build_index([doc(0, P, "apple pie"), doc(1, P, "river stone")])
+    index = build_index([doc(P, "apple pie"), doc(P, "river stone")])
     # no term's postings hold both documents, so their dot product is zero
     assert sorted(tuple(positions) for positions, _ in index.postings) == [
         (0,), (0,), (1,), (1,)
     ]
 
 
-def test_build_index_rejects_empty_and_duplicate_ids():
+def test_build_index_rejects_an_empty_corpus():
     with pytest.raises(ValueError):
         build_index([])
-    with pytest.raises(ValueError):
-        build_index([doc(0, P, "a"), doc(0, P, "b")])
-    # ids must equal positions, which is what makes doc() a direct lookup
-    with pytest.raises(ValueError):
-        build_index([doc(1, P, "a"), doc(0, P, "b")])
-    with pytest.raises(ValueError):
-        build_index([doc(0, P, "a"), doc(2, P, "b")])
 
 
 def test_doc_looks_up_by_position():
-    docs = [doc(0, P, "apple pie"), doc(1, K, "river stone"), doc(2, E, "quiet night")]
+    docs = [doc(P, "apple pie"), doc(K, "river stone"), doc(E, "quiet night")]
     index = build_index(docs)
     assert [index.doc(i) for i in range(3)] == docs
     for bad in (-1, 3):
@@ -112,7 +104,7 @@ _ORACLE_LINES = st.lists(st.sampled_from(_ORACLE_WORDS), min_size=1, max_size=8)
 @example([["apple river"], ["stone apple"], ["apple apple"]])
 @example([["café naïve"], ["東京 İstanbul", "?!"], ["caf na ve"]])
 def test_build_index_equals_the_oracle_bit_for_bit(corpus):
-    docs = [ContextDoc(i, DEFAULT_ROSTER[i % 3], SideRole.PRIMARY, tuple(lines)) for i, lines in enumerate(corpus)]
+    docs = [ContextDoc(DEFAULT_ROSTER[i % 3].id, SideRole.PRIMARY, tuple(lines)) for i, lines in enumerate(corpus)]
     assert _bits(build_index(docs)) == _bits(helpers.build_index_oracle(docs))
 
 
@@ -131,13 +123,13 @@ def _brute_force_cosines(docs, query_text):
     qvec = [q_counts.get(t, 0) * idf[t] for t in terms]
     qnorm = math.sqrt(sum(x * x for x in qvec))
     out = []
-    for d, row in zip(docs, dense):
+    for pos, row in enumerate(dense):
         norm = math.sqrt(sum(x * x for x in row))
         if qnorm == 0.0 or norm == 0.0:
             continue
         cos = sum(a * b for a, b in zip(qvec, row)) / (qnorm * norm)
         if cos > 0.0:
-            out.append((d.doc_id, cos))
+            out.append((pos, cos))
     out.sort(key=lambda r: (-r[1], r[0]))
     return out
 
@@ -146,7 +138,7 @@ def test_pairwise_cosines_match_dense_oracle():
     rng = random.Random(7)
     words = ["apple", "river", "stone", "cloud", "ember", "violet", "moss", "tide"]
     docs = [
-        doc(i, DEFAULT_ROSTER[i % 3], " ".join(rng.choice(words) for _ in range(rng.randrange(2, 9))))
+        doc(DEFAULT_ROSTER[i % 3], " ".join(rng.choice(words) for _ in range(rng.randrange(2, 9))))
         for i in range(40)
     ]
     index = build_index(docs)
@@ -163,24 +155,24 @@ def test_pairwise_cosines_match_dense_oracle():
 
 
 def test_query_ranks_unique_term_doc_first():
-    docs = [doc(i, P, f"common words {i}") for i in range(7)]
-    docs.append(doc(7, P, "common words zephyr"))
+    docs = [doc(P, f"common words {i}") for i in range(7)]
+    docs.append(doc(P, "common words zephyr"))
     index = build_index(docs)
     results = query(index, "zephyr", k=3)
     assert results[0][0] == 7
 
 
 def test_query_oov_returns_empty():
-    index = build_index([doc(0, P, "apple pie")])
+    index = build_index([doc(P, "apple pie")])
     assert query(index, "zzz qqq", k=5) == []
 
 
 def test_query_respects_corpus_bound_and_filters():
     docs = [
-        doc(0, P, "shared token alpha"),
-        doc(1, P, "shared token beta"),
-        doc(2, K, "shared token gamma"),
-        doc(3, K, "shared token delta", role=SideRole.COUNTERPART),
+        doc(P, "shared token alpha"),
+        doc(P, "shared token beta"),
+        doc(K, "shared token gamma"),
+        doc(K, "shared token delta", role=SideRole.COUNTERPART),
     ]
     index = build_index(docs)
     assert len(query(index, "shared token", k=10)) == 4
@@ -193,7 +185,7 @@ def test_query_respects_corpus_bound_and_filters():
 
 
 def test_query_tie_order_by_doc_id():
-    docs = [doc(0, P, "twin text"), doc(1, P, "twin text"), doc(2, P, "other words")]
+    docs = [doc(P, "twin text"), doc(P, "twin text"), doc(P, "other words")]
     index = build_index(docs)
     results = query(index, "twin text", k=3)
     assert [d for d, _ in results[:2]] == [0, 1]
@@ -202,19 +194,19 @@ def test_query_tie_order_by_doc_id():
 
 def test_query_self_retrieval_hits_cosine_one():
     docs = [
-        doc(0, P, "i like to ski; i hate mexican food"),
-        doc(1, K, "armadillo; armadillo means little armoured one"),
-        doc(2, E, "my brother scared me; terrified"),
+        doc(P, "i like to ski; i hate mexican food"),
+        doc(K, "armadillo; armadillo means little armoured one"),
+        doc(E, "my brother scared me; terrified"),
     ]
     index = build_index(docs)
-    for d in docs:
+    for pos, d in enumerate(docs):
         results = query(index, d.text, k=1)
-        assert results[0][0] == d.doc_id
+        assert results[0][0] == pos
         assert abs(results[0][1] - 1.0) <= 1e-9
 
 
 def test_query_rankings_are_reproducible():
-    docs = [doc(i, P, f"alpha beta {i}") for i in range(10)]
+    docs = [doc(P, f"alpha beta {i}") for i in range(10)]
     index_a = build_index(docs)
     index_b = build_index(docs)
     assert query(index_a, "alpha beta 3", k=10) == query(index_b, "alpha beta 3", k=10)
@@ -250,8 +242,8 @@ def _old_query(docs, old, text, k, skill=None, role=None):
     if qnorm == 0.0:
         return []
     results = []
-    for d, vec in zip(docs, vectors):
-        if (skill is not None and d.skill.id != skill.id) or (role is not None and d.side_role is not role):
+    for pos, (d, vec) in enumerate(zip(docs, vectors)):
+        if (skill is not None and d.skill_id != skill.id) or (role is not None and d.side_role is not role):
             continue
         # the scan's sum() added left to right (as sum() did up to Python
         # 3.11); spelled out so that the oracle is the same on every version
@@ -260,7 +252,7 @@ def _old_query(docs, old, text, k, skill=None, role=None):
             dot += qw * vec.get(tid, 0.0)
         score = dot / qnorm
         if score > 0.0:
-            results.append((d.doc_id, score))
+            results.append((pos, score))
     results.sort(key=lambda r: (-r[1], r[0]))
     return results[:k]
 
@@ -268,7 +260,7 @@ def _old_query(docs, old, text, k, skill=None, role=None):
 def _old_build_seeds(pair, seed_dataset, docs, old, cfg):
     """build_seeds with one full scan per (skill, role) bucket."""
     template = default_role_template(cfg.skill_roster)
-    text = pair[0].text + " " + pair[1].text
+    text = pair[0] + " " + pair[1]
     needed = {(sid, role) for side in template for sid, role in side.items()}
     buckets = {
         (skill.id, role): [docs[i] for i, _ in _old_query(docs, old, text, cfg.seeds_per_pair, skill, role)]
@@ -306,12 +298,12 @@ def _corpora(draw):
     buckets = [(s, r) for s in DEFAULT_ROSTER for r in SideRole]
     buckets += draw(st.lists(st.sampled_from(buckets), max_size=30))
     docs = [
-        ContextDoc(0, skill, role, tuple(draw(st.lists(_LINES, min_size=1, max_size=3))))
+        ContextDoc(skill.id, role, tuple(draw(st.lists(_LINES, min_size=1, max_size=3))))
         for skill, role in buckets
     ]
     docs += [docs[i] for i in draw(st.lists(st.integers(0, len(docs) - 1), max_size=10))]
-    docs += [ContextDoc(0, skill, role, ("?!",)) for skill, role in draw(st.lists(st.sampled_from(buckets), max_size=3))]
-    return [replace(d, doc_id=i) for i, d in enumerate(draw(st.permutations(docs)))]
+    docs += [ContextDoc(skill.id, role, ("?!",)) for skill, role in draw(st.lists(st.sampled_from(buckets), max_size=3))]
+    return draw(st.permutations(docs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -320,7 +312,7 @@ def test_build_seeds_and_query_equal_the_full_scan(docs, first, second, k):
     index = build_index(docs)
     old = _old_index(docs)
     assert (index.vocabulary, index.idf) == old[:2]
-    pair = (Utterance(0, first), Utterance(1, second))
+    pair = (first, second)
     text = first + " " + second
     assert query(index, text, k) == _old_query(docs, old, text, k)
     for skill in DEFAULT_ROSTER:
@@ -337,25 +329,23 @@ def test_build_seeds_and_query_equal_the_full_scan(docs, first, second, k):
 def _seed_corpus():
     """Five-plus docs per needed (skill, role) bucket, all sharing 'topic'."""
     docs = []
-    i = 0
     for n in range(6):
-        docs.append(doc(i, P, f"topic persona {n}; extra persona line {n}")); i += 1
-        docs.append(ContextDoc(i, P, SideRole.COUNTERPART, (f"topic persona other {n}",))); i += 1
-        docs.append(doc(i, K, f"topic {n}")); i += 1
-        docs.append(ContextDoc(i, K, SideRole.COUNTERPART, (f"topic {n}", f"knowledge about topic {n}"))); i += 1
-        docs.append(doc(i, E, f"topic situation {n}; emotion {n}")); i += 1
+        docs.append(doc(P, f"topic persona {n}; extra persona line {n}"))
+        docs.append(doc(P, f"topic persona other {n}", role=SideRole.COUNTERPART))
+        docs.append(doc(K, f"topic {n}"))
+        docs.append(doc(K, f"topic {n}; knowledge about topic {n}", role=SideRole.COUNTERPART))
+        docs.append(doc(E, f"topic situation {n}; emotion {n}"))
     return docs
 
 
 def _pair(a="tell me about the topic", b="the topic is lovely"):
-    return (Utterance(0, a), Utterance(1, b))
+    return (a, b)
 
 
 def test_build_seeds_full_buckets_yield_all_variants():
     cfg = EngineConfig(seeds_per_pair=5)
     docs = _seed_corpus()
-    # a pair from turns 1 and 2 of its record: side 1 speaks first
-    pair = (Utterance(1, "tell me about the topic"), Utterance(0, "the topic is lovely"))
+    pair = _pair()
     seeds = build_seeds(pair, P, build_index(docs), cfg)
     assert len(seeds) == 5
     # the seed at position v carries the v-th ranked context of each bucket
@@ -381,12 +371,9 @@ def test_build_seeds_side_asymmetry_follows_role_template():
 
 def test_build_seeds_short_bucket_omits_entry():
     cfg = EngineConfig(seeds_per_pair=5)
-    docs = [d for d in _seed_corpus() if not (d.skill.id == "E" and d.doc_id >= 10)]
     # keep only two empathy docs
-    e_docs = [d for d in docs if d.skill.id == "E"][:2]
-    docs = [d for d in docs if d.skill.id != "E"] + e_docs
-    # renumber: the index requires every doc id to equal its position
-    docs = [replace(d, doc_id=i) for i, d in enumerate(docs)]
+    e_docs = [d for d in _seed_corpus() if d.skill_id == "E"][:2]
+    docs = [d for d in _seed_corpus() if d.skill_id != "E"] + e_docs
     index = build_index(docs)
     seeds = build_seeds(_pair(), P, index, cfg)
     assert len(seeds) == 5
@@ -397,15 +384,16 @@ def test_build_seeds_short_bucket_omits_entry():
 
 def test_build_seeds_drops_fully_empty_variants():
     cfg = EngineConfig(seeds_per_pair=5)
-    index = build_index([doc(0, P, "topic persona")])
+    index = build_index([doc(P, "topic persona")])
     seeds = build_seeds(_pair(), P, index, cfg)
     assert len(seeds) == 1  # variants 1..4 have no retrievable context at all
 
 
 def test_blank_seed_texts_cannot_be_constructed():
-    # the non-blank precondition is enforced by the Utterance type itself
-    with pytest.raises(ValueError):
-        Utterance(0, "   ")
+    index = build_index([doc(P, "topic persona")])
+    for pair in (("   ", "the topic"), ("the topic", "\t\n")):
+        with pytest.raises(ValueError, match="non-blank"):
+            build_seeds(pair, P, index, EngineConfig())
 
 
 def test_default_role_template_shape():
@@ -432,9 +420,9 @@ def test_iter_seed_pairs_deterministic_and_uniform_over_roster():
     first = list(islice(iter_seed_pairs(records, DEFAULT_ROSTER, rng_seed=42), 60))
     second = list(islice(iter_seed_pairs(records, DEFAULT_ROSTER, rng_seed=42), 60))
     assert first == second
-    # exactly the consecutive turn pairs, each tagged with its record's skill
+    # exactly the consecutive turn pairs' texts, each tagged with its record's skill
     expected = {
-        (pair, rec.skill) for rec in records for pair in zip(rec.turns, rec.turns[1:])
+        ((a.text, b.text), rec.skill) for rec in records for a, b in zip(rec.turns, rec.turns[1:])
     }
     assert len(expected) == 5
     assert set(first) == expected
@@ -452,7 +440,7 @@ def test_docs_from_records_skips_empty_sides(corpus_files, cfg):
     records = [r for path in corpus_files for r in read_dataset(path, cfg.skill_roster)]
     docs = docs_from_records(records)
     assert all(d.lines for d in docs)
-    roles = {(d.skill.id, d.side_role) for d in docs}
+    roles = {(d.skill_id, d.side_role) for d in docs}
     assert (("E", SideRole.COUNTERPART)) not in roles  # listener side is empty
     assert ("E", SideRole.PRIMARY) in roles
     assert ("K", SideRole.COUNTERPART) in roles
@@ -471,7 +459,7 @@ def test_index_save_load_roundtrip(tmp_path):
 
 
 def test_index_load_validates_header(tmp_path):
-    index = build_index([doc(0, P, "apple")])
+    index = build_index([doc(P, "apple")])
     path = str(tmp_path / "ctx.idx")
     save_index(index, path)
 
@@ -489,7 +477,7 @@ def test_index_load_validates_header(tmp_path):
     with pytest.raises(ValueError):
         load_index(path)
     obj["doc_count"] = 1
-    obj["docs"][0]["role"] = "listener"
+    obj["docs"][0][1] = "listener"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
     with pytest.raises(ValueError, match="side role"):
@@ -498,17 +486,6 @@ def test_index_load_validates_header(tmp_path):
         fh.write("{}")
     with pytest.raises(ValueError):
         load_index(path)
-
-
-def test_index_load_rejects_ids_that_differ_from_positions(tmp_path):
-    index = build_index([doc(0, P, "apple"), doc(1, K, "river")])
-    path = tmp_path / "ctx.idx"
-    save_index(index, str(path))
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    obj["docs"][0]["doc_id"], obj["docs"][1]["doc_id"] = 1, 0
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ValueError, match="position"):
-        load_index(str(path))
 
 
 def _pack(fmt, values):
@@ -521,8 +498,8 @@ def _unpack(fmt, blob):
     return list(struct.unpack(f"<{len(data) // struct.calcsize(fmt)}{fmt}", data))
 
 
-def _v2_save_bytes(docs):
-    """The index file as one json.dumps of the whole version-2 object,
+def _v3_save_bytes(docs):
+    """The index file as one json.dumps of the whole version-3 object,
     with postings inverted from the per-document vectors of ``_old_index``."""
     vocabulary, idf, vectors = _old_index(docs)
     lengths, positions, weights = [], [], []
@@ -533,19 +510,11 @@ def _v2_save_bytes(docs):
         weights += [w for _, w in hits]
     obj = {
         "format": "skillblend-tfidf",
-        "version": 2,
+        "version": 3,
         "doc_count": len(docs),
         "vocabulary": vocabulary,
         "idf": list(idf),
-        "docs": [
-            {
-                "doc_id": d.doc_id,
-                "skill": {"id": d.skill.id, "index": d.skill.index},
-                "role": d.side_role.value,
-                "lines": list(d.lines),
-            }
-            for d in docs
-        ],
+        "docs": [[d.skill_id, d.side_role.value, list(d.lines)] for d in docs],
         "postings": {
             "lengths": _pack("i", lengths),
             "positions": _pack("i", positions),
@@ -559,16 +528,16 @@ def _v2_save_bytes(docs):
 def test_save_index_writes_the_bytes_of_one_json_dump(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(seeds, "_SAVE_CHUNK", chunk)
     docs = [
-        doc(0, P, "café crème; naïve façade"),
-        doc(1, K, "日本語 text; ünïcode \"quoted\" line", role=SideRole.COUNTERPART),
-        doc(2, E, "?!; —"),  # zero vector
-        doc(3, P, "plain ascii; café again"),
-        doc(4, K, "emoji 😀 and tab\tand newline\n"),
-        doc(5, E, "plain ascii; café again"),
+        doc(P, "café crème; naïve façade"),
+        doc(K, "日本語 text; ünïcode \"quoted\" line", role=SideRole.COUNTERPART),
+        doc(E, "?!; —"),  # zero vector
+        doc(P, "plain ascii; café again"),
+        doc(K, "emoji 😀 and tab\tand newline\n"),
+        doc(E, "plain ascii; café again"),
     ]
     path = tmp_path / "ctx.idx"
     save_index(build_index(docs), str(path))
-    expected = _v2_save_bytes(docs)
+    expected = _v3_save_bytes(docs)
     assert path.read_bytes() == expected
     # a loaded index saves to the same bytes again
     save_index(load_index(str(path)), str(path))
@@ -576,6 +545,20 @@ def test_save_index_writes_the_bytes_of_one_json_dump(tmp_path, monkeypatch, chu
 
 
 _GOLDEN_INDEX = (
+    '{"format":"skillblend-tfidf","version":3,"doc_count":3,'
+    '"vocabulary":{"apple":0,"pie":1,"river":2,"stone":3},'
+    '"idf":[1.0,1.4054651081081644,1.4054651081081644,1.4054651081081644],'
+    '"docs":[["P","primary",["apple pie"]],'
+    '["K","counterpart",["river apple stone"]],'
+    '["E","primary",["?!"]]],'
+    '"postings":{"lengths":"AgAAAAEAAAABAAAAAQAAAA==",'
+    '"positions":"AAAAAAEAAAAAAAAAAQAAAAEAAAA=",'
+    '"weights":"Y2JPHTiN4j8jhqb1kMPcP8imrKPcEuo/42etIp425D/jZ60injbkPw=="}}'
+)
+
+# the same three documents as written by format version 2, which stored a
+# document id and the skill's roster index in every row
+_GOLDEN_INDEX_V2 = (
     '{"format":"skillblend-tfidf","version":2,"doc_count":3,'
     '"vocabulary":{"apple":0,"pie":1,"river":2,"stone":3},'
     '"idf":[1.0,1.4054651081081644,1.4054651081081644,1.4054651081081644],'
@@ -590,9 +573,9 @@ _GOLDEN_INDEX = (
 
 def test_saved_index_matches_the_golden_bytes(tmp_path):
     docs = [
-        doc(0, P, "apple pie"),
-        doc(1, K, "river apple stone", role=SideRole.COUNTERPART),
-        doc(2, E, "?!"),
+        doc(P, "apple pie"),
+        doc(K, "river apple stone", role=SideRole.COUNTERPART),
+        doc(E, "?!"),
     ]
     path = tmp_path / "ctx.idx"
     save_index(build_index(docs), str(path))
@@ -612,20 +595,22 @@ def test_saved_index_matches_the_golden_bytes(tmp_path):
     assert load_index(str(path)).postings == build_index(docs).postings
 
 
-def test_index_load_rejects_version_1_files_with_a_rebuild_hint(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_index_load_rejects_version_1_files_with_a_rebuild_hint(tmp_path, version):
     path = tmp_path / "ctx.idx"
-    obj = json.loads(_GOLDEN_INDEX)
-    obj["version"] = 1
-    del obj["postings"]
-    obj["vectors"] = [[[0, 0.58], [1, 0.82]], [[0, 0.45], [2, 0.63], [3, 0.63]], []]
+    obj = json.loads(_GOLDEN_INDEX_V2)
+    if version == 1:
+        obj["version"] = 1
+        del obj["postings"]
+        obj["vectors"] = [[[0, 0.58], [1, 0.82]], [[0, 0.45], [2, 0.63], [3, 0.63]], []]
     path.write_text(json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ValueError, match=r"ctx\.idx: unsupported index version 1; re-run `skillblend index`"):
+    with pytest.raises(ValueError, match=rf"ctx\.idx: unsupported index version {version}; re-run `skillblend index`"):
         load_index(str(path))
 
 
 def test_index_save_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "ctx.idx"
-    save_index(build_index([doc(0, P, "apple pie")]), str(path))
+    save_index(build_index([doc(P, "apple pie")]), str(path))
     before = path.read_bytes()
     doc_rows = seeds._doc_rows
 
@@ -636,7 +621,7 @@ def test_index_save_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(seeds, "_SAVE_CHUNK", 1)
     monkeypatch.setattr(seeds, "_doc_rows", fail_after_one_chunk)
-    other = build_index([doc(0, K, "river stone"), doc(1, E, "moss")])
+    other = build_index([doc(K, "river stone"), doc(E, "moss")])
     with pytest.raises(OSError, match="disk full"):
         save_index(other, str(path))
     assert path.read_bytes() == before
@@ -659,7 +644,7 @@ def test_saved_index_loads_bit_for_bit(docs, first, second):
     assert [x.hex() for x in loaded.idf] == [x.hex() for x in index.idf]
     assert loaded.vocabulary == index.vocabulary
     assert loaded.docs == index.docs
-    pair = (Utterance(0, first), Utterance(1, second))
+    pair = (first, second)
     cfg = EngineConfig(seeds_per_pair=3)
     for seed_dataset in DEFAULT_ROSTER:
         assert build_seeds(pair, seed_dataset, loaded, cfg) == build_seeds(pair, seed_dataset, index, cfg)
@@ -668,7 +653,7 @@ def test_saved_index_loads_bit_for_bit(docs, first, second):
 def _saved_postings(tmp_path):
     """A two-document index file and its parsed object. Terms: apple 0,
     pie 1, river 2, stone 3; postings positions [0, 1], [0], [1], [1]."""
-    index = build_index([doc(0, P, "apple pie"), doc(1, K, "river apple stone")])
+    index = build_index([doc(P, "apple pie"), doc(K, "river apple stone")])
     path = tmp_path / "ctx.idx"
     save_index(index, str(path))
     obj = json.loads(path.read_text(encoding="utf-8"))
@@ -681,6 +666,28 @@ def _rejected(path, obj, reason):
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(ValueError, match=r"ctx\.idx: .*" + reason):
         load_index(str(path))
+
+
+# rows replacing document 1 of the ``_saved_postings`` file
+_NOT_A_ROW = r"not a \[skill id, side role, lines\] row"
+_BAD_ROWS = {
+    "too-short": (["K", "counterpart"], _NOT_A_ROW),
+    "too-long": (["K", "counterpart", ["river"], 1], _NOT_A_ROW),
+    "object": ({"skill": "K", "role": "counterpart", "lines": ["river"]}, _NOT_A_ROW),
+    "skill-id-int": ([7, "counterpart", ["river"]], "skill id 7 is not a non-blank string"),
+    "skill-id-blank": ([" ", "counterpart", ["river"]], "skill id ' ' is not a non-blank string"),
+    "role-unknown": (["K", "listener", ["river"]], "unknown side role 'listener'"),
+    "role-list": (["K", ["counterpart"], ["river"]], "unknown side role"),
+    "line-int": (["K", "counterpart", ["river", 5]], "lines is not a list of strings"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ROWS))
+def test_index_load_rejects_bad_document_rows(tmp_path, case):
+    path, obj = _saved_postings(tmp_path)
+    row, reason = _BAD_ROWS[case]
+    obj["docs"][1] = row
+    _rejected(path, obj, "document 1: " + reason)
 
 
 _BAD_ENTRIES = {
