@@ -25,8 +25,8 @@ Error contract of both readers: every malformed record raises
 :class:`ParseError` (:class:`RosterError` for a skill id outside the
 roster) naming the 1-based line and the field path, e.g.
 ``line 4: turns[3].refusals[0][1]: unknown skill id 'Z'``. The path is
-empty only when the fault is the line as a whole: not JSON, not an object,
-or an episode-level invariant.
+empty only when the fault is the line as a whole: not UTF-8, not JSON, not
+an object, or an episode-level invariant.
 """
 
 from __future__ import annotations
@@ -68,19 +68,18 @@ class RosterError(ParseError):
     """A record references a skill id outside the configured roster."""
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SingleSkillRecord:
-    """One source dialogue: per-side skill contexts plus alternating turns.
-    The record's ``episode_id`` is checked on reading but not kept."""
+    """One source dialogue: per-side skill contexts plus the texts of its
+    turns, in order. :func:`read_dataset` checks the record's
+    ``episode_id`` and each turn's speaker (0 or 1, alternating) but keeps
+    neither. Not frozen, since one is built per dataset line and a frozen
+    dataclass takes about three times as long to build; so, as a mutable
+    object, it compares by identity."""
 
     skill: SkillId
     side_contexts: tuple[tuple[str, ...], tuple[str, ...]]
-    turns: tuple[Utterance, ...]
-
-    def __post_init__(self) -> None:
-        for i in range(1, len(self.turns)):
-            if self.turns[i].speaker == self.turns[i - 1].speaker:
-                raise ValueError(f"turns must alternate speakers (turn {i})")
+    turns: tuple[str, ...]
 
 
 _NUMBER = (int, float)
@@ -146,39 +145,109 @@ def _utterance(value, line_no: int, path: str) -> Utterance:
         raise ParseError(line_no, path, str(exc))
 
 
-def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
+def _text_lines(path: str) -> Iterator[tuple[int, str]]:
+    r"""The non-blank lines of a UTF-8 text file with their 1-based numbers;
+    ``\n``, ``\r\n`` and ``\r`` each end a line. A line holding bytes that
+    are not UTF-8 raises :class:`ParseError` naming it, after every line
+    before it was yielded."""
+    # surrogateescape decodes each bad byte to a lone surrogate, which
+    # valid UTF-8 never yields, so only a non-ASCII line needs a look
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
-            if not line.strip():
+            if line.isspace():
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(line_no, "", "not UTF-8 text") from None
+            yield line_no, line
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
+    for line_no, line in _text_lines(path):
+        # the decoder json.loads runs, minus its two whitespace scans; a
+        # line with more than its value and a newline, or that is not JSON,
+        # goes through json.loads, which also words every error
+        try:
+            obj, end = _raw_decode(line)
+            exact = end == len(line) or line[end:] == "\n"
+        except json.JSONDecodeError:
+            exact = False
+        if not exact:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, "", f"invalid JSON ({exc.msg})")
-            if not isinstance(obj, dict):
-                raise ParseError(line_no, "", "expected a JSON object")
-            yield line_no, obj
+        if type(obj) is not dict:
+            raise ParseError(line_no, "", "expected a JSON object")
+        yield line_no, obj
 
 
 def read_dataset(path: str, roster: Sequence[SkillId]) -> Iterator[SingleSkillRecord]:
-    """Stream single-skill records from a line-delimited file, validating
-    every record; errors carry the line number."""
+    """Stream single-skill records from a line-delimited file, checking
+    every field; errors carry the line number and field path. Speakers
+    are checked (0 or 1, alternating) and not kept.
+
+    The checks run inline, in the schema's order. Only a check that fails
+    passes the value to the helper that formats the error, so a good record
+    builds no field path. Alternation is checked after every turn passed
+    its own checks."""
     by_id = {s.id: s for s in roster}
     for line_no, obj in _iter_json_lines(path):
-        skill = _field(obj, "skill", by_id, line_no)
-        _field(obj, "episode_id", str, line_no)
-        raw_contexts = _field(obj, "contexts", list, line_no)
-        if len(raw_contexts) != 2:
+        skill = obj.get("skill")
+        skill = by_id.get(skill) if type(skill) is str else None
+        if skill is None:
+            _field(obj, "skill", by_id, line_no)
+        if type(obj.get("episode_id")) is not str:
+            _field(obj, "episode_id", str, line_no)
+        contexts = obj.get("contexts")
+        if type(contexts) is not list or len(contexts) != 2:
+            _field(obj, "contexts", list, line_no)
             raise ParseError(line_no, "contexts", "expected exactly two context arrays")
-        sides = [
-            _context_lines(raw, line_no, f"contexts[{s}]") for s, raw in enumerate(raw_contexts)
-        ]
-        raw_turns = _field(obj, "turns", list, line_no)
-        turns = tuple(_utterance(raw, line_no, f"turns[{i}]") for i, raw in enumerate(raw_turns))
-        try:
-            yield SingleSkillRecord(skill, (sides[0], sides[1]), turns)
-        except ValueError as exc:
-            raise ParseError(line_no, "turns", str(exc))
+        faulty = False
+        for lines in contexts:
+            if type(lines) is not list:
+                faulty = True
+                break
+            for line in lines:
+                if type(line) is not str or not line or line.isspace():
+                    faulty = True
+        if faulty:
+            for s, raw in enumerate(contexts):
+                _context_lines(raw, line_no, f"contexts[{s}]")
+        turns = obj.get("turns")
+        if type(turns) is not list:
+            _field(obj, "turns", list, line_no)
+        texts = []
+        previous = None
+        alternates = True
+        for turn in turns:
+            try:
+                speaker = turn["speaker"]
+                text = turn["text"]
+            except (KeyError, TypeError):  # not an object, or a field missing
+                speaker = text = None
+            if (
+                type(speaker) is not int
+                or speaker not in (0, 1)
+                or type(text) is not str
+                or not text
+                or text.isspace()
+            ):
+                for i, raw in enumerate(turns):
+                    _utterance(raw, line_no, f"turns[{i}]")
+            if speaker == previous:
+                alternates = False
+            previous = speaker
+            texts.append(text)
+        if not alternates:
+            i = next(i for i in range(1, len(turns)) if turns[i]["speaker"] == turns[i - 1]["speaker"])
+            raise ParseError(line_no, "turns", f"turns must alternate speakers (turn {i})")
+        yield SingleSkillRecord(skill, (tuple(contexts[0]), tuple(contexts[1])), tuple(texts))
 
 
 # --- episode serialization ---------------------------------------------------
@@ -334,10 +403,10 @@ def load_config_file(path: str) -> dict[str, str]:
     :class:`EngineConfig`, and any other key is a configuration error."""
     keys = {f.name for f in fields(EngineConfig)}
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
+    try:
+        for line_no, line in _text_lines(path):
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            if stripped.startswith("#"):
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
@@ -346,4 +415,6 @@ def load_config_file(path: str) -> dict[str, str]:
             if key not in keys:
                 raise ConfigError(f"{path}:{line_no}: unknown configuration key {key!r}")
             values[key] = value.strip()
+    except ParseError as exc:  # only a line that is not UTF-8
+        raise ConfigError(f"{path}:{exc.line_no}: not UTF-8 text") from None
     return values

@@ -276,12 +276,11 @@ def iter_seed_pairs(
     """Seeded endless stream of (pair texts, provenance skill) over dataset
     records: the skill chosen uniformly over the roster, then uniformly one
     consecutive turn pair of that skill's records (pairs in record order).
-    Reads ``records`` once, at once, keeping only the turn pairs' texts;
-    raises ConfigError when a roster skill has no pair."""
+    Reads ``records`` once, at once, pooling each record's consecutive turn
+    texts; raises ConfigError when a roster skill has no pair."""
     pools: dict[str, list[tuple[str, str]]] = {s.id: [] for s in roster}
     for rec in records:
-        texts = [u.text for u in rec.turns]
-        pools[rec.skill.id].extend(zip(texts, texts[1:]))
+        pools[rec.skill.id].extend(zip(rec.turns, rec.turns[1:]))
     for skill in roster:
         if not pools[skill.id]:
             raise ConfigError(f"no seed pairs available for skill {skill.id!r}")
@@ -408,7 +407,8 @@ def load_index(path: str) -> TfIdfIndex:
 
 def _decode_index(obj) -> TfIdfIndex:
     """Build the index from a parsed file, checking the header, every
-    document row, that the vocabulary ids are exactly 0..V-1, that ``idf``
+    document row (its context lines non-blank, as the dataset reader
+    requires), that the vocabulary ids are exactly 0..V-1, that ``idf``
     holds V finite numbers, and that the postings hold one non-negative
     length per term, agree in size, and give each term finite weights and
     strictly ascending positions inside [0, doc_count)."""
@@ -453,6 +453,8 @@ def _decode_index(obj) -> TfIdfIndex:
                 raise ValueError(f"unknown side role {role_value!r}")
             if type(lines) is not list or not all(map(isinstance, lines, repeat(str))):
                 raise ValueError("lines is not a list of strings")
+            if "" in lines or any(map(str.isspace, lines)):
+                raise ValueError("context lines must be non-blank")
             docs.append(ContextDoc(skill_id, role, tuple(lines)))
     except ValueError as exc:
         raise ValueError(f"document {len(docs)}: {exc}") from None

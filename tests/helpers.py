@@ -27,7 +27,8 @@ from skillblend.core import (
     config_digest,
 )
 from skillblend.cli import draw_seeds
-from skillblend.dataio import EpisodeWriter, read_dataset
+from skillblend import dataio
+from skillblend.dataio import EpisodeWriter, ParseError, SingleSkillRecord, read_dataset
 from skillblend.distmath import Histogram, entropy, kl_divergence
 from skillblend.moderator import GateDecision
 from skillblend.orchestrator import run_batch
@@ -241,6 +242,33 @@ def episode_obj(ep: Episode) -> dict:
         "contexts": [_context_set_obj(cs) for cs in ep.contexts],
         "turns": [_turn_obj(t) for t in ep.turns],
     }
+
+
+# --- dataset reader oracle -----------------------------------------------------
+
+
+def read_dataset_oracle(path: str, roster: Sequence[SkillId]):
+    """The dataset reader before its checks ran inline: every field goes
+    through dataio's checking helpers in the schema's order, each turn
+    becomes an ``Utterance``, and alternation is checked last. Yields
+    records holding the turn texts."""
+    by_id = {s.id: s for s in roster}
+    for line_no, obj in dataio._iter_json_lines(path):
+        skill = dataio._field(obj, "skill", by_id, line_no)
+        dataio._field(obj, "episode_id", str, line_no)
+        raw_contexts = dataio._field(obj, "contexts", list, line_no)
+        if len(raw_contexts) != 2:
+            raise ParseError(line_no, "contexts", "expected exactly two context arrays")
+        sides = [
+            dataio._context_lines(raw, line_no, f"contexts[{s}]")
+            for s, raw in enumerate(raw_contexts)
+        ]
+        raw_turns = dataio._field(obj, "turns", list, line_no)
+        turns = [dataio._utterance(raw, line_no, f"turns[{i}]") for i, raw in enumerate(raw_turns)]
+        for i in range(1, len(turns)):
+            if turns[i].speaker == turns[i - 1].speaker:
+                raise ParseError(line_no, "turns", f"turns must alternate speakers (turn {i})")
+        yield SingleSkillRecord(skill, (sides[0], sides[1]), tuple(u.text for u in turns))
 
 
 # --- retrieval oracle -----------------------------------------------------------

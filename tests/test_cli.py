@@ -263,6 +263,25 @@ def test_dataset_errors_name_the_file(workdir, capsys):
     assert not out.exists()
 
 
+def test_bytes_that_are_not_utf8_name_the_file_and_line(workdir, capsys):
+    tmp_path, data = workdir
+    with open(data[1], "rb") as fh:
+        lines = fh.read().split(b"\n")
+    lines[3] = lines[3].replace(b"}", b"\xff}", 1)
+    bad = tmp_path / "second.jsonl"
+    bad.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    out = tmp_path / "never"
+    assert _run("index", "--data", data[0], str(bad), "--out", str(out)) == 1
+    assert f"skillblend: {bad}: line 4: not UTF-8 text" in capsys.readouterr().err
+
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_bytes(b"rng_seed = 3\n# \xe9\n")
+    assert _run("index", "--config", str(bad_cfg), "--data", *data, "--out", str(out)) == 2
+    assert f"skillblend: {bad_cfg}:2: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dataset_without_a_roster_skill_is_a_config_error(workdir, capsys):
     tmp_path, data = workdir
     index = str(tmp_path / "ctx.idx")

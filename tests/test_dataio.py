@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import os
+import tempfile
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skillblend import dataio
 from skillblend.core import (
     DEFAULT_ROSTER,
     AnnotatedTurn,
@@ -65,7 +69,7 @@ def test_read_dataset_happy_path(tmp_path):
     assert len(records) == 3
     assert records[0].skill == P
     assert records[0].side_contexts == (("i ski",), ("i paint",))
-    assert [(u.speaker, u.text) for u in records[0].turns] == [(0, "hello"), (1, "hi"), (0, "again")]
+    assert records[0].turns == ("hello", "hi", "again")  # speakers checked, not kept
 
 
 def test_read_dataset_empty_file(tmp_path):
@@ -453,6 +457,152 @@ def test_single_fault_records_name_line_and_field(
     assert excinfo.value.line_no == 2
     assert excinfo.value.path == path
     assert str(excinfo.value) == message
+
+
+# --- the dataset reader against its record-by-record oracle -------------------
+
+# JSON values of every kind, including bools for speakers, blank strings
+# (the Unicode spaces str.strip removes too), unknown skill ids, and a
+# string that is not blank though it looks it (U+200B is not a space)
+_VALUES = st.sampled_from([
+    None, True, False, 0, 1, 2, -1, 0.0, 1.0, "", " ", "\t\u3000", "\x1c", "\u200b",
+    "P", "K", "Z", "hi", [], ["hi"], [" "], [0, 1], {}, {"speaker": 0, "text": "hi"},
+]).map(copy.deepcopy)  # a later fault may edit inside an array or object drawn here
+_LINE = st.sampled_from(["i ski", "tea", "é☃", "a b"])
+
+
+def _nodes(node, path=()):
+    """The key path of every value inside a record, the record excluded."""
+    items = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def _set(obj, keys, value):
+    for key in keys[:-1]:
+        obj = obj[key]
+    if value is _DEL:
+        del obj[keys[-1]]
+    else:
+        obj[keys[-1]] = value
+
+
+@st.composite
+def _dataset_record(draw):
+    """A dataset record with zero, one or several faults."""
+    first = draw(st.sampled_from([0, 1]))
+    texts = draw(st.lists(_LINE, max_size=5))
+    obj = {
+        "skill": draw(st.sampled_from(["P", "K", "E"])),
+        "episode_id": "r-1",
+        "contexts": [draw(st.lists(_LINE, max_size=3)), draw(st.lists(_LINE, max_size=3))],
+        "turns": [{"speaker": (first + i) % 2, "text": t} for i, t in enumerate(texts)],
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["value", "delete", "speaker", "break-then-blank"]))
+        turns = obj.get("turns")
+        whole_turns = type(turns) is list and all(type(t) is dict for t in turns)
+        if kind == "value":
+            _set(obj, draw(st.sampled_from(list(_nodes(obj)))), draw(_VALUES))
+        elif kind == "delete":
+            _set(obj, draw(st.sampled_from(list(_nodes(obj)))), _DEL)
+        elif kind == "speaker" and whole_turns and turns:
+            turns[draw(st.integers(0, len(turns) - 1))]["speaker"] = draw(_VALUES | st.booleans())
+        elif kind == "break-then-blank" and whole_turns and len(turns) >= 3:
+            # turn i repeats its predecessor's speaker; a later turn is blank
+            i = draw(st.integers(1, len(turns) - 2))
+            turns[i]["speaker"] = turns[i - 1].get("speaker")
+            turns[draw(st.integers(i + 1, len(turns) - 1))]["text"] = draw(st.sampled_from(["", " "]))
+    return obj
+
+
+def _outcome(reader, path):
+    """The records' fields, or the error's class, line, path and message."""
+    try:
+        return [(r.skill, r.side_contexts, r.turns) for r in reader(path, DEFAULT_ROSTER)]
+    except ParseError as exc:
+        return type(exc), exc.line_no, exc.path, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_dataset_record(), min_size=1, max_size=3))
+def test_read_dataset_equals_the_oracle(records):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ds.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(obj) + "\n" for obj in records)
+        assert _outcome(read_dataset, path) == _outcome(helpers.read_dataset_oracle, path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"a": 1}', ' {"a": 1}', '\t{"a": [1]} ', '{"a": 1}\x0c', '{"a": 1}\u3000', '{"a": 1}{}',
+     '{"a": 1', "[1]", "NaN"],
+)
+def test_json_lines_decode_as_json_loads_does(tmp_path, line):
+    path = tmp_path / "one.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    try:
+        obj = json.loads(line)
+        expected = obj if type(obj) is dict else "line 1: expected a JSON object"
+    except json.JSONDecodeError as exc:
+        expected = f"line 1: invalid JSON ({exc.msg})"
+    try:
+        [(_, got)] = dataio._iter_json_lines(str(path))
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_read_dataset_reports_a_turn_fault_before_an_alternation_break(tmp_path):
+    turns = [{"speaker": 0, "text": "a"}, {"speaker": 0, "text": "b"}, {"speaker": 1, "text": " "}]
+    path = _write(tmp_path, "bad.jsonl", [_record_line(turns=turns)])
+    with pytest.raises(ParseError) as excinfo:
+        list(read_dataset(path, DEFAULT_ROSTER))
+    assert str(excinfo.value) == "line 1: turns[2]: utterance text must be non-blank"
+
+
+# --- bytes that are not UTF-8 ---------------------------------------------------
+
+
+def _bytes_file(tmp_path, name, lines: list[bytes], ends: list[bytes]):
+    path = tmp_path / name
+    path.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+    return str(path)
+
+
+def test_read_dataset_names_the_line_that_is_not_utf8(tmp_path):
+    good = _record_line().encode()
+    bad = good.replace(b'"p-1"', b'"p-\xe9"')  # a lone 0xe9 byte
+    # \n, \r\n and \r each end a line, as text mode counts them; line 3 is blank
+    ends = [b"\n", b"\r\n", b"\r", b"\n", b"\n"]
+    path = _bytes_file(tmp_path, "ds.jsonl", [good, good, b"", good, bad], ends)
+    with pytest.raises(ParseError) as excinfo:
+        list(read_dataset(path, DEFAULT_ROSTER))
+    assert (excinfo.value.line_no, excinfo.value.path) == (5, "")
+    assert str(excinfo.value) == "line 5: not UTF-8 text"
+
+
+def test_read_episodes_reports_an_earlier_fault_before_bytes_that_are_not_utf8(tmp_path):
+    ep = helpers.mini_episode(DEFAULT_ROSTER, ["P", "K", "E", "P"], "P")
+    good = episode_line(ep).encode()
+    path = _bytes_file(tmp_path, "eps.jsonl", [good, b"{}", good + b"\xff"], [b"\n"] * 3)
+    with pytest.raises(ParseError) as excinfo:
+        read_episodes(path, DEFAULT_ROSTER)
+    assert str(excinfo.value) == "line 2: id: missing field"
+    path = _bytes_file(tmp_path, "eps.jsonl", [good, good + b"\xff", b"{}"], [b"\n"] * 3)
+    with pytest.raises(ParseError) as excinfo:
+        read_episodes(path, DEFAULT_ROSTER)
+    assert str(excinfo.value) == "line 2: not UTF-8 text"
+
+
+def test_load_config_file_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "engine.cfg"
+    path.write_bytes(b"# r\xc3\xa9glages\nalpha = 0.75\n\nepisode_length = 8 \xff\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config_file(str(path))
+    assert str(excinfo.value) == f"{path}:4: not UTF-8 text"
 
 
 def test_load_config_file(tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillblend import seeds
-from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillContext, SkillContextSet, Utterance
+from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillContext, SkillContextSet
 from skillblend.dataio import SingleSkillRecord
 from skillblend.seeds import (
     ContextDoc,
@@ -406,8 +406,7 @@ def test_default_role_template_shape():
 
 
 def _record(skill, *texts):
-    turns = tuple(Utterance(i % 2, text) for i, text in enumerate(texts))
-    return SingleSkillRecord(skill, ((), ()), turns)
+    return SingleSkillRecord(skill, ((), ()), texts)
 
 
 def test_iter_seed_pairs_deterministic_and_uniform_over_roster():
@@ -422,7 +421,7 @@ def test_iter_seed_pairs_deterministic_and_uniform_over_roster():
     assert first == second
     # exactly the consecutive turn pairs' texts, each tagged with its record's skill
     expected = {
-        ((a.text, b.text), rec.skill) for rec in records for a, b in zip(rec.turns, rec.turns[1:])
+        (pair, rec.skill) for rec in records for pair in zip(rec.turns, rec.turns[1:])
     }
     assert len(expected) == 5
     assert set(first) == expected
@@ -679,6 +678,8 @@ _BAD_ROWS = {
     "role-unknown": (["K", "listener", ["river"]], "unknown side role 'listener'"),
     "role-list": (["K", ["counterpart"], ["river"]], "unknown side role"),
     "line-int": (["K", "counterpart", ["river", 5]], "lines is not a list of strings"),
+    "line-blank": (["K", "counterpart", ["river", "   "]], "context lines must be non-blank"),
+    "line-empty": (["K", "counterpart", [""]], "context lines must be non-blank"),
 }
 
 
