@@ -1,16 +1,19 @@
 """Skill agents: deterministic scripted stand-ins, remote HTTP clients, and
 a table-driven mock model server for protocol tests.
 
-Wire protocol (all endpoints HTTP POST, UTF-8 JSON bodies). ``/generate``,
-``/nli`` and ``/classify`` take a batch of items and answer one result per
-item, in item order; a request with one item is the same form:
+Wire protocol (all endpoints HTTP POST, UTF-8 JSON bodies). Every route
+takes a batch and answers one result per entry, in entry order; a request
+with one entry is the same form:
 
-    /generate  req  {"dialogue": [{"speaker": int, "text": str}],
-                     "items": [{"skill": str, "context": [str], "attempt": int}]}
-               resp {"results": [{"text": str, "score": number}]}
-    /rank      req  {"skill": str, "context": [str], "dialogue": [...],
-                     "candidates": [str]}
-               resp {"scores": [number]}            (one per candidate)
+    /generate  req  {"groups": [{"dialogue": [{"speaker": int, "text": str}],
+                                 "items": [{"skill": str, "context": [str],
+                                            "attempt": int}]}]}
+               resp {"results": [[{"text": str, "score": number}]]}
+                    (one result list per group, one result per item)
+    /rank      req  {"items": [{"skill": str, "context": [str],
+                                "dialogue": [...], "candidates": [str]}]}
+               resp {"scores": [[number]]}
+                    (one score list per item, one score per candidate)
     /nli       req  {"items": [{"premises": [str], "hypothesis": str}]}
                resp {"verdicts": [[{"label": "entail"|"neutral"|"contradict",
                                     "confidence": number}]]}
@@ -23,30 +26,44 @@ Every array in a response must have the length given above. Every number
 in a response must be finite: ``NaN``, ``Infinity`` and an integer beyond
 float range are protocol errors. A ``/generate`` score and an ``/nli``
 confidence are validated, then dropped: no decision reads them, and of the
-three labels only ``contradict`` refuses a candidate. The engine sends one
-``/generate`` for every agent's first attempt of a turn, one ``/nli`` for
-the pairs those texts add, and one ``/classify`` for a turn's new texts;
-a regeneration after a refusal is a one-item batch.
+three labels only ``contradict`` refuses a candidate. An episode sends one
+``/generate`` group for every agent's first attempt of a turn, ``/nli``
+items for the pairs those texts add, and ``/classify`` texts for a turn's
+new texts; a regeneration after a refusal is a one-item group.
+
+Lockstep groups: ``run_in_lockstep`` runs jobs (the orchestrator's
+episodes) as one group, each on a thread of its own. Every remote call of
+a member goes through ``exchange``, and when every live member is blocked
+in one, a single thread sends one request per (endpoint, route), in
+``_ROUTES`` order, holding the members' entries in member order. Each
+member gets its own slice of the answer back and checks it as a lone
+caller would, so protocol errors read the same, and a failed request
+fails each of its members with a copy of the error. A member leaves the
+group when its job ends. Outside a group a call is sent at once, as a
+one-member request.
 
 Transport: a small HTTP/1.1 client on the standard library's ``socket``
 and ``ssl``. Each worker thread holds one persistent connection per
-backend host, with Nagle off; an ``https`` connection verifies the
-certificate and the host name against the default trust store. A request
-is one write: the route, then ``Host``, ``Accept-Encoding: identity`` (no
-compressed bodies), ``Content-Type`` and ``Content-Length``. A response
-body is read by ``Content-Length``, as ``chunked``, or up to the end of
-the stream when it has neither; the connection closes after a
-``Connection: close`` response, after an HTTP/1.0 response and after a
-body read to the end. A status or header line longer than 65536 bytes,
-more than 100 header lines, any other ``Transfer-Encoding`` and a body cut
-short are failed attempts, like timeouts, resets and 5xx responses; failed
-attempts are retried after a capped exponential backoff. A request that
-fails on a reused connection before any response byte arrives is sent
-once more on a fresh connection, outside the retry budget.
+backend host, with Nagle off, and the members of a lockstep group share
+the connections of the thread that started them; an ``https`` connection
+verifies the certificate and the host name against the default trust
+store. A request is one write: the route, then ``Host``,
+``Accept-Encoding: identity`` (no compressed bodies), ``Content-Type``
+and ``Content-Length``. A response body is read by ``Content-Length``, as
+``chunked``, or up to the end of the stream when it has neither; the
+connection closes after a ``Connection: close`` response, after an
+HTTP/1.0 response and after a body read to the end. A status or header
+line longer than 65536 bytes, more than 100 header lines, any other
+``Transfer-Encoding`` and a body cut short are failed attempts, like
+timeouts, resets and 5xx responses; failed attempts are retried after a
+capped exponential backoff. A request that fails on a reused connection
+before any response byte arrives is sent once more on a fresh connection,
+outside the retry budget.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import re
@@ -56,7 +73,7 @@ import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import sleep
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .core import DialogueContext, ResponseCandidate, SkillContext, SkillId, compact_json
@@ -392,11 +409,17 @@ class _Connections(dict):
             conn.close()
 
 
-def _connection(endpoint: BackendEndpoint) -> _Connection:
-    """This thread's connection to the endpoint's host."""
+def _thread_connections() -> _Connections:
+    """This thread's connections, made on first use."""
     conns = getattr(_thread_state, "conns", None)
     if conns is None:
         conns = _thread_state.conns = _Connections()
+    return conns
+
+
+def _connection(endpoint: BackendEndpoint) -> _Connection:
+    """This thread's connection to the endpoint's host."""
+    conns = _thread_connections()
     conn = conns.get(endpoint._origin)
     if conn is None:
         conn = conns[endpoint._origin] = _Connection(endpoint)
@@ -467,27 +490,170 @@ def wire_list(value, count: int, route: str, noun: str, raw: bytes) -> list:
     return value
 
 
+# a tick sends its requests in this order
+_ROUTES = ("/generate", "/rank", "/nli", "/classify")
+# per route: the request's entry array, the response's answer array, and
+# the noun that names an answer in a length error
+_FORMS = {
+    "/generate": ("groups", "results", "result lists"),
+    "/rank": ("items", "scores", "score lists"),
+    "/nli": ("items", "verdicts", "verdict lists"),
+    "/classify": ("texts", "distributions", "distributions"),
+}
+
+
+def _post_entries(post, endpoint: BackendEndpoint, route: str, calls: list[list]):
+    """One request holding every call's entries, in call order; returns
+    each call's (answers, raw response body)."""
+    request_key, answer_key, noun = _FORMS[route]
+    obj, raw = post(endpoint, route, {request_key: [entry for call in calls for entry in call]})
+    answers = wire_list(obj.get(answer_key), sum(map(len, calls)), route, noun, raw)
+    out = []
+    start = 0
+    for call in calls:
+        out.append((answers[start : start + len(call)], raw))
+        start += len(call)
+    return out
+
+
+class _Call:
+    """One member's pending call; ``done`` is held until it is answered."""
+
+    __slots__ = ("post", "endpoint", "route", "entries", "answer", "error", "done")
+
+    def __init__(self, post, endpoint: BackendEndpoint, route: str, entries: list):
+        self.post, self.endpoint, self.route, self.entries = post, endpoint, route, entries
+        self.answer = self.error = None
+        self.done = threading.Lock()
+        self.done.acquire()
+
+
+class _Lockstep:
+    """The exchange of one lockstep group: holds each member's pending
+    call, and has the thread that blocks (or leaves) last send them all."""
+
+    def __init__(self, size: int):
+        self._lock = threading.Lock()
+        self._live = size
+        self._pending: dict[int, _Call] = {}
+
+    def call(self, member: int, call: _Call):
+        with self._lock:
+            self._pending[member] = call
+            due = self._due()
+        if due:
+            _tick(due)
+        call.done.acquire()
+        if call.error is not None:
+            # each member raises its own copy: run_episode rewrites its message
+            raise copy.copy(call.error)
+        return call.answer
+
+    def leave(self) -> None:
+        with self._lock:
+            self._live -= 1
+            due = self._due()
+        if due:
+            _tick(due)
+
+    def _due(self) -> list[_Call]:
+        """Every pending call, in member order, once every live member is
+        blocked in one (and takes them); else nothing."""
+        if len(self._pending) < self._live:
+            return []
+        due = [self._pending[member] for member in sorted(self._pending)]
+        self._pending = {}
+        return due
+
+
+def _tick(calls: list[_Call]) -> None:
+    """One request per (endpoint, route), in ``_ROUTES`` order, holding the
+    calls' entries in call order. The calls of each request are answered
+    as soon as it returns, so that their members run on while the next
+    request is out. Sent outside the group's lock: the next tick falls due
+    only once every live member has been answered and blocked again, and
+    the last answers come with this tick's last request."""
+    merged: dict[tuple[str, BackendEndpoint], list[_Call]] = {}
+    for call in calls:
+        merged.setdefault((call.route, call.endpoint), []).append(call)
+    for (route, endpoint), same in sorted(merged.items(), key=lambda kv: _ROUTES.index(kv[0][0])):
+        try:
+            answers = _post_entries(same[0].post, endpoint, route, [c.entries for c in same])
+        except Exception as exc:
+            for call in same:
+                call.error = exc
+                call.done.release()
+        else:
+            for call, answer in zip(same, answers):
+                call.answer = answer
+                call.done.release()
+
+
+def exchange(post, endpoint: BackendEndpoint, route: str, entries: list) -> tuple[list, bytes]:
+    """Send ``entries`` on ``route``; returns their answers, in entry order,
+    and the raw body of the response that held them. On a member thread of
+    ``run_in_lockstep`` the call waits for the group's next tick and goes
+    out merged with the other members' calls; elsewhere it goes out at
+    once. ``post`` is the caller module's ``post_json``, looked up at call
+    time, and every request goes through it."""
+    member = getattr(_thread_state, "member", None)
+    if member is None:
+        return _post_entries(post, endpoint, route, [entries])[0]
+    group, index = member
+    return group.call(index, _Call(post, endpoint, route, entries))
+
+
+def run_in_lockstep(jobs: Sequence[Callable[[], object]]) -> list:
+    """Run each job on a thread of its own, as the members of one lockstep
+    group in job order, and return their results in job order once every
+    job has ended. Every thread is started before any job runs, and all of
+    them share the calling thread's connections: only one of them sends at
+    a time. A job should not raise: its thread would end with the error
+    reported and its result None."""
+    group = _Lockstep(len(jobs))
+    conns = _thread_connections()
+    results: list = [None] * len(jobs)
+
+    def member(index: int, job: Callable[[], object]) -> None:
+        _thread_state.conns = conns
+        _thread_state.member = (group, index)
+        try:
+            results[index] = job()
+        finally:
+            group.leave()
+
+    threads = [
+        threading.Thread(target=member, args=(i, job), name=f"skillblend-lockstep-{i}")
+        for i, job in enumerate(jobs)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results
+
+
 def generate_texts(
     endpoint: BackendEndpoint,
     dtx: DialogueContext,
     items: Sequence[tuple[SkillId, SkillContext, int]],
 ) -> list[str]:
-    """One ``/generate`` request for a batch of (skill, own context,
-    attempt) items over one dialogue, which is sent once; returns one text
-    per item, in item order. Each result's score must be a finite number
-    but is not kept. An attempt below 1 raises ``ValueError``."""
+    """One ``/generate`` group of (skill, own context, attempt) items over
+    one dialogue, which is sent once; returns one text per item, in item
+    order. Each result's score must be a finite number but is not kept. An
+    attempt below 1 raises ``ValueError``."""
     if any(attempt < 1 for _skill, _stx, attempt in items):
         raise ValueError("attempt must be at least 1")
-    body = {
+    group = {
         "dialogue": _dialogue_payload(dtx),
         "items": [
             {"skill": skill.id, "context": list(stx.lines), "attempt": attempt}
             for skill, stx, attempt in items
         ],
     }
-    obj, raw = post_json(endpoint, "/generate", body)
+    (results,), raw = exchange(post_json, endpoint, "/generate", [group])
     texts = []
-    for result in wire_list(obj.get("results"), len(items), "/generate", "results", raw):
+    for result in wire_list(results, len(items), "/generate", "results", raw):
         if not isinstance(result, dict):
             raise ProtocolError("/generate: result is not a JSON object", raw)
         text = result.get("text")
@@ -519,14 +685,14 @@ class RemoteSkillAgent:
         contain exactly one finite score per candidate."""
         if not candidates:
             raise ValueError("rank requires at least one candidate")
-        body = {
+        item = {
             "skill": self.skill.id,
             "context": list(stx.lines),
             "dialogue": _dialogue_payload(dtx),
             "candidates": [c.text for c in candidates],
         }
-        obj, raw = post_json(self.endpoint, "/rank", body)
-        scores = wire_list(obj.get("scores"), len(candidates), "/rank", "scores", raw)
+        (scores,), raw = exchange(post_json, self.endpoint, "/rank", [item])
+        scores = wire_list(scores, len(candidates), "/rank", "scores", raw)
         return [finite_float(s, "/rank: non-numeric score in response", raw) for s in scores]
 
 
@@ -541,8 +707,6 @@ def shared_endpoint(agents: Sequence[SkillAgent]) -> BackendEndpoint | None:
 
 
 # --- mock model server -----------------------------------------------------
-
-_ROUTES = ("/generate", "/rank", "/nli", "/classify")
 
 
 def _validate_tables(tables: dict) -> None:
@@ -597,15 +761,16 @@ class _KeepAliveHTTPServer(ThreadingHTTPServer):
 class MockServer:
     """Serves the wire protocol from fixture tables, deterministically.
 
-    Each item of a batch is answered from the tables, and the response
-    objects found there are echoed verbatim, so tables may deliberately
-    omit fields or mis-size score arrays to drive client-side
-    protocol-error tests. A missing, empty or malformed item array is
-    answered 400 with an error object, on the same connection. Request
-    bodies are recorded in ``requests`` for golden-file comparison.
-    ``fail_first`` makes the first N calls to a route answer 500, which
-    exercises the client retry budget. It speaks HTTP/1.1 keep-alive;
-    ``close`` also ends the open connections.
+    Each entry of a batch is answered from the tables (a ``/generate``
+    group item by item), and the response objects found there are echoed
+    verbatim, so tables may deliberately omit fields or mis-size score
+    arrays to drive client-side protocol-error tests (``force_scores``
+    answers every ``/rank`` item). A missing, empty or malformed entry or
+    item array is answered 400 with an error object, on the same
+    connection. Request bodies are recorded in ``requests`` for
+    golden-file comparison. ``fail_first`` makes the first N calls to a
+    route answer 500, which exercises the client retry budget. It speaks
+    HTTP/1.1 keep-alive; ``close`` also ends the open connections.
     """
 
     def __init__(self, tables: dict, host: str = "127.0.0.1", port: int = 0):
@@ -704,40 +869,53 @@ class MockServer:
         return self._classify(req)
 
     def _generate(self, req: dict) -> tuple[int, dict | None]:
-        items = req.get("items")
-        if not (items and _array_of(items, dict)):
-            return 400, {"error": "'items' must be a non-empty array of objects"}
+        groups = req.get("groups")
+        if not (groups and _array_of(groups, dict)):
+            return 400, {"error": "'groups' must be a non-empty array of objects"}
         table = self._tables.get("generate", {})
         by_skill = table.get("by_skill", {})
         results = []
-        for item in items:
-            attempt = item.get("attempt", 1)
-            if not isinstance(attempt, int) or isinstance(attempt, bool) or attempt < 1:
-                return 400, {"error": "'attempt' must be a positive integer"}
-            skill = item.get("skill", "")
-            if not isinstance(skill, str):
-                return 400, {"error": "'skill' must be a string"}
-            if not _array_of(item.get("context", []), str):
-                return 400, {"error": "'context' must be an array of strings"}
-            entries = by_skill.get(skill)
-            if entries:
-                results.append(entries[(attempt - 1) % len(entries)])
-            elif "default" in table:
-                results.append(table["default"])
-            else:
-                return 500, {"error": "no generate table entry"}
+        for group in groups:
+            items = group.get("items")
+            if not (items and _array_of(items, dict)):
+                return 400, {"error": "'items' must be a non-empty array of objects"}
+            answers = []
+            for item in items:
+                attempt = item.get("attempt", 1)
+                if not isinstance(attempt, int) or isinstance(attempt, bool) or attempt < 1:
+                    return 400, {"error": "'attempt' must be a positive integer"}
+                skill = item.get("skill", "")
+                if not isinstance(skill, str):
+                    return 400, {"error": "'skill' must be a string"}
+                if not _array_of(item.get("context", []), str):
+                    return 400, {"error": "'context' must be an array of strings"}
+                entries = by_skill.get(skill)
+                if entries:
+                    answers.append(entries[(attempt - 1) % len(entries)])
+                elif "default" in table:
+                    answers.append(table["default"])
+                else:
+                    return 500, {"error": "no generate table entry"}
+            results.append(answers)
         return 200, {"results": results}
 
     def _rank(self, req: dict) -> tuple[int, dict | None]:
-        candidates = req.get("candidates", [])
-        if not _array_of(candidates, str):
-            return 400, {"error": "'candidates' must be an array of strings"}
+        items = req.get("items")
+        if not (items and _array_of(items, dict)):
+            return 400, {"error": "'items' must be a non-empty array of objects"}
         table = self._tables.get("rank", {})
-        if "force_scores" in table:
-            return 200, {"scores": table["force_scores"]}
         by_text = table.get("by_text", {})
         default = table.get("default_score", 0.0)
-        return 200, {"scores": [by_text.get(text, default) for text in candidates]}
+        scores = []
+        for item in items:
+            candidates = item.get("candidates", [])
+            if not _array_of(candidates, str):
+                return 400, {"error": "'candidates' must be an array of strings"}
+            if "force_scores" in table:
+                scores.append(table["force_scores"])
+            else:
+                scores.append([by_text.get(text, default) for text in candidates])
+        return 200, {"scores": scores}
 
     def _nli(self, req: dict) -> tuple[int, dict | None]:
         items = req.get("items")

@@ -10,7 +10,9 @@ asks, whether the hypothesis contradicts a premise, with one bit per
 premise; a remote judge's labels other than ``contradict`` and its
 confidences are checked on the wire and then dropped. The remote clients
 also take several items in one request (``judge_batch``, ``score_batch``),
-which the engine's episode memo uses whenever a backend has them.
+which the engine's episode memo uses whenever a backend has them; in a
+lockstep group (see :mod:`skillblend.agents`) the items of every member
+waiting on the same route go out in one request.
 The engine never embeds model weights.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
-from .agents import BackendEndpoint, ProtocolError, finite_float, post_json, wire_list
+from .agents import BackendEndpoint, ProtocolError, exchange, finite_float, post_json, wire_list
 from .core import SkillDistribution, SkillId
 from .distmath import softmax
 
@@ -140,12 +142,11 @@ class RemoteNliJudge:
     def judge_batch(
         self, items: Sequence[tuple[tuple[str, ...], str]]
     ) -> list[tuple[bool, ...]]:
-        """One ``/nli`` request for several (premises, hypothesis) items; the
+        """Several (premises, hypothesis) items in one ``/nli`` request; the
         response must hold one verdict list per item and one verdict per
         premise."""
-        body = {"items": [{"premises": list(p), "hypothesis": h} for p, h in items]}
-        obj, raw = post_json(self.endpoint, "/nli", body)
-        lists = wire_list(obj.get("verdicts"), len(items), "/nli", "verdict lists", raw)
+        entries = [{"premises": list(p), "hypothesis": h} for p, h in items]
+        lists, raw = exchange(post_json, self.endpoint, "/nli", entries)
         bits = []
         for (premises, _hypothesis), verdicts in zip(items, lists):
             verdicts = wire_list(verdicts, len(premises), "/nli", "verdicts", raw)
@@ -163,10 +164,9 @@ class RemoteSkillScorer:
         return self.score_batch((text,))[0]
 
     def score_batch(self, texts: Sequence[str]) -> list[SkillDistribution]:
-        """One ``/classify`` request for several texts; the response must
+        """Several texts in one ``/classify`` request; the response must
         hold one distribution of roster length per text."""
-        obj, raw = post_json(self.endpoint, "/classify", {"texts": list(texts)})
-        dists = wire_list(obj.get("distributions"), len(texts), "/classify", "distributions", raw)
+        dists, raw = exchange(post_json, self.endpoint, "/classify", list(texts))
         return [self._distribution(dist, raw) for dist in dists]
 
     def _distribution(self, dist: object, raw: bytes) -> SkillDistribution:

@@ -4,19 +4,32 @@ One episode runs the three phases per turn: every roster agent opens with
 a candidate that the consistency gate filters (bounded regeneration), the
 active agent ranks the surviving pool and the flow gate picks the final
 response, passing the mic when an inactive agent wins. Episodes are
-independent work units; batches fan out across a thread pool while output
-order stays equal to seed order, so parallelism never changes the bytes.
-"""
+independent work units. A batch runs them in groups on a thread pool, at
+most ``parallelism`` groups at once, while output order stays equal to
+seed order, so parallelism never changes the bytes. With in-process
+backends a group is one episode. With a remote backend it is up to
+``_GROUP`` consecutive episodes in lockstep, one thread each: whenever all
+of them wait on the backend, one request per route carries all their
+items, so the requests do not depend on parallelism either."""
 
 from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
-from .agents import BackendError, SkillAgent, generate_texts, shared_endpoint
-from .classifiers import NliJudge, SkillScorer
+from .agents import (
+    BackendError,
+    RemoteSkillAgent,
+    SkillAgent,
+    generate_texts,
+    run_in_lockstep,
+    shared_endpoint,
+)
+from .classifiers import NliJudge, RemoteNliJudge, RemoteSkillScorer, SkillScorer
 from .core import (
     AnnotatedTurn,
     DialogueContext,
@@ -31,6 +44,9 @@ from .core import (
 from .distmath import stable_argmax
 from .moderator import select_final, simulate_approved
 from .seeds import SeedEpisode
+
+# consecutive seeds that run as one lockstep group when a backend is remote
+_GROUP = 8
 
 
 class EpisodeAbortError(RuntimeError):
@@ -239,7 +255,8 @@ def run_episode(
                 active_skill = outcome.winner.origin
     except BackendError as exc:
         # the same error, so its class and fields (a ProtocolError's raw
-        # body) survive, with the episode and turn named first
+        # body) survive, with the episode and turn named first; a lockstep
+        # group gives each member its own copy of a failed request's error
         exc.args = (f"episode {episode_id} turn {turn}: {exc}",)
         raise
 
@@ -262,12 +279,17 @@ def run_batch(
     parallelism: int = 1,
     write: Callable[[Episode], None] | None = None,
 ) -> BatchReport:
-    """Generate episodes for every seed with up to ``parallelism`` workers.
+    """Generate episodes for every seed with up to ``parallelism`` groups
+    running at once.
 
-    Output order equals seed order regardless of completion order; aborted
+    When some backend is a remote client, each ``_GROUP`` consecutive seeds
+    form a lockstep group: its episodes run on threads of their own and
+    share one request per route and step (see ``agents.run_in_lockstep``).
+    Otherwise a group is one episode, run on the worker thread. Output
+    order equals seed order regardless of completion order; aborted
     episodes are recorded in the report, not written. Refusal totals count
     the written episodes, so recounting the output file reproduces them.
-    At most 2 * ``parallelism`` episodes are in flight at once, so ``seeds``
+    At most 2 * ``parallelism`` groups are in flight at once, so ``seeds``
     may be a lazy iterable. A backend error or a failed write ends the
     batch at that episode; the episodes after it that have not started
     are not run.
@@ -275,11 +297,15 @@ def run_batch(
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     digest = config_digest(cfg)
+    remote = (RemoteSkillAgent, RemoteNliJudge, RemoteSkillScorer)
+    size = _GROUP if any(isinstance(b, remote) for b in (*agents, judge, scorer)) else 1
     # the index of the first episode that raised: the batch ends there, so
-    # a worker that takes a later episode afterwards skips it
+    # a group that starts afterwards skips its later episodes
     failed: list[int] = []
 
-    def work(index: int, seed: SeedEpisode) -> Episode | EpisodeAbortError | None:
+    def work(index: int, seed: SeedEpisode) -> Episode | Exception | None:
+        """The episode, its abort, the exception it raised, or None when
+        skipped."""
         if failed and index > failed[0]:
             return None
         try:
@@ -288,20 +314,27 @@ def run_batch(
             )
         except EpisodeAbortError as exc:
             return exc
-        except Exception:
+        except Exception as exc:
             failed.append(index)
-            raise
+            return exc
+
+    def run_group(group: list[tuple[int, SeedEpisode]]) -> list[Episode | Exception | None]:
+        if len(group) == 1:
+            return [work(*group[0])]
+        return run_in_lockstep([partial(work, index, seed) for index, seed in group])
 
     aborts: list[tuple[int, str]] = []
     written = 0
     refusal_total = 0
 
-    def consume(index: int, future: Future) -> None:
+    def consume(group: list[tuple[int, SeedEpisode]], future: Future) -> None:
         nonlocal written, refusal_total
-        result = future.result()
-        if isinstance(result, EpisodeAbortError):
-            aborts.append((index, str(result)))
-        else:
+        for (index, _seed), result in zip(group, future.result()):
+            if isinstance(result, EpisodeAbortError):
+                aborts.append((index, str(result)))
+                continue
+            if isinstance(result, Exception):
+                raise result
             if write is not None:
                 try:
                     write(result)
@@ -313,16 +346,17 @@ def run_batch(
             written += 1
             refusal_total += sum(len(t.refusals) for t in result.turns)
 
-    # at most 2 * parallelism episodes in flight, consumed in seed order;
+    # at most 2 * parallelism groups in flight, consumed in seed order;
     # each is dropped once consumed, and when the batch ends early the
     # ones not yet started are cancelled
-    window: deque[tuple[int, Future]] = deque()
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+    indexed = enumerate(seeds)
+    window: deque[tuple[list[tuple[int, SeedEpisode]], Future]] = deque()
+    with ThreadPoolExecutor(max_workers=parallelism, thread_name_prefix="skillblend-batch") as pool:
         try:
-            for index, seed in enumerate(seeds):
+            for group in iter(lambda: list(islice(indexed, size)), []):
                 if len(window) == 2 * parallelism:
                     consume(*window.popleft())
-                window.append((index, pool.submit(work, index, seed)))
+                window.append((group, pool.submit(run_group, group)))
             while window:
                 consume(*window.popleft())
         finally:

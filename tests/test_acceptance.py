@@ -18,6 +18,7 @@ from skillblend.agents import (
     RemoteSkillAgent,
     ScriptedAgent,
     generate_texts,
+    run_in_lockstep,
     serve_mock,
 )
 from skillblend.classifiers import (
@@ -431,10 +432,25 @@ def test_acceptance_8_wire_protocol_conformance():
         texts = generate_texts(endpoint, dtx, [(K, stx, 2), (P, SkillContext(P), 1)])
         assert texts == ["a steady reply"] * 2
         assert server.requests[-1] == ("/generate", (GOLDEN / "wire_generate_req.json").read_bytes())
-        # a single generation is a one-item batch
+        # a single generation is a one-item group
         assert agent.generate(stx, dtx, 2) == "a steady reply"
-        assert json.loads(server.requests[-1][1])["items"] == [
+        assert json.loads(server.requests[-1][1])["groups"][0]["items"] == [
             {"skill": "K", "context": ["the topic", "a fact"], "attempt": 2}
+        ]
+
+        # two callers in lockstep: one /generate holding a group for each,
+        # in member order, and each caller gets its own group's texts
+        later = dtx.extended(Utterance(0, "a steady reply"))
+        before = len(server.requests)
+        answers = run_in_lockstep(
+            [
+                lambda: generate_texts(endpoint, dtx, [(K, stx, 2), (P, SkillContext(P), 1)]),
+                lambda: generate_texts(endpoint, later, [(E, SkillContext(E, ("a feeling",)), 1)]),
+            ]
+        )
+        assert answers == [["a steady reply"] * 2, ["a steady reply"]]
+        assert server.requests[before:] == [
+            ("/generate", (GOLDEN / "wire_generate_groups_req.json").read_bytes())
         ]
 
         candidates = [ResponseCandidate("alpha reply", P), ResponseCandidate("beta reply", E)]
@@ -462,6 +478,7 @@ def test_acceptance_8_wire_protocol_conformance():
         # response bodies byte-for-byte against the goldens
         for route, req_name, resp_name in (
             ("/generate", "wire_generate_req.json", "wire_generate_resp.json"),
+            ("/generate", "wire_generate_groups_req.json", "wire_generate_groups_resp.json"),
             ("/rank", "wire_rank_req.json", "wire_rank_resp.json"),
             ("/nli", "wire_nli_req.json", "wire_nli_resp.json"),
             ("/classify", "wire_classify_req.json", "wire_classify_resp.json"),

@@ -238,21 +238,26 @@ _SCORE_MESSAGE = "/generate: missing or non-numeric 'score' field"
 @pytest.mark.parametrize(
     "raw, message",
     [
-        (b'{"results":[{"text":"a reply"}]}', _SCORE_MESSAGE),
-        (b'{"results":[{"text":"a reply","score":"0.9"}]}', _SCORE_MESSAGE),
-        (b'{"results":[{"text":"a reply","score":true}]}', _SCORE_MESSAGE),
-        (b'{"results":[{"text":"a reply","score":NaN}]}', _SCORE_MESSAGE),
-        (b'{"results":[{"text":"a reply","score":Infinity}]}', _SCORE_MESSAGE),
-        (b'{"results":[{"text":"a reply","score":-Infinity}]}', _SCORE_MESSAGE),
-        (b'{"results":[{"text":"a reply","score":1' + b"0" * 400 + b"}]}", _SCORE_MESSAGE),
-        # the batch's arity and shape
-        (b'{"results":[]}', "/generate: expected 1 results, got 0"),
-        (b'{"results":[{"text":"a","score":0.5},{"text":"b","score":0.5}]}',
+        (b'{"results":[[{"text":"a reply"}]]}', _SCORE_MESSAGE),
+        (b'{"results":[[{"text":"a reply","score":"0.9"}]]}', _SCORE_MESSAGE),
+        (b'{"results":[[{"text":"a reply","score":true}]]}', _SCORE_MESSAGE),
+        (b'{"results":[[{"text":"a reply","score":NaN}]]}', _SCORE_MESSAGE),
+        (b'{"results":[[{"text":"a reply","score":Infinity}]]}', _SCORE_MESSAGE),
+        (b'{"results":[[{"text":"a reply","score":-Infinity}]]}', _SCORE_MESSAGE),
+        (b'{"results":[[{"text":"a reply","score":1' + b"0" * 400 + b"}]]}", _SCORE_MESSAGE),
+        # the group's arity and shape
+        (b'{"results":[[]]}', "/generate: expected 1 results, got 0"),
+        (b'{"results":[[{"text":"a","score":0.5},{"text":"b","score":0.5}]]}',
          "/generate: expected 1 results, got 2"),
-        (b'{"results":{"text":"a reply","score":0.5}}', "/generate: expected 1 results, got no"),
-        (b'{"text":"a reply","score":0.5}', "/generate: expected 1 results, got no"),
-        (b'{"results":["a reply"]}', "/generate: result is not a JSON object"),
-        (b'{"results":[{"text":" ","score":0.5}]}', "/generate: missing or blank 'text' field"),
+        (b'{"results":[{"text":"a reply","score":0.5}]}', "/generate: expected 1 results, got no"),
+        (b'{"results":[["a reply"]]}', "/generate: result is not a JSON object"),
+        (b'{"results":[[{"text":" ","score":0.5}]]}', "/generate: missing or blank 'text' field"),
+        # the batch's arity and shape: one result list per group
+        (b'{"results":[]}', "/generate: expected 1 result lists, got 0"),
+        (b'{"results":[[{"text":"a","score":0.5}],[{"text":"b","score":0.5}]]}',
+         "/generate: expected 1 result lists, got 2"),
+        (b'{"results":{"text":"a reply","score":0.5}}', "/generate: expected 1 result lists, got no"),
+        (b'{"text":"a reply","score":0.5}', "/generate: expected 1 result lists, got no"),
     ],
 )
 def test_remote_generate_rejects_a_malformed_score(monkeypatch, dtx, raw, message):
@@ -272,7 +277,7 @@ def test_remote_generate_batch_sends_the_dialogue_once(dtx):
         assert generate_texts(server.endpoint(), dtx, items) == ["k2", "other", "k1"]
         (route, body), = server.requests
     assert route == "/generate"
-    assert json.loads(body) == {
+    group = {
         "dialogue": [{"speaker": 0, "text": "hello there"}, {"speaker": 1, "text": "hi friend"}],
         "items": [
             {"skill": "K", "context": ["topic"], "attempt": 2},
@@ -280,6 +285,7 @@ def test_remote_generate_batch_sends_the_dialogue_once(dtx):
             {"skill": "K", "context": [], "attempt": 1},
         ],
     }
+    assert json.loads(body) == {"groups": [group]}
 
 
 @pytest.mark.parametrize("attempt", [0, -1])
@@ -328,7 +334,26 @@ def test_remote_rank_rejects_a_malformed_score(dtx, score):
     with serve_mock({"rank": {"by_text": {"a": 0.1}, "default_score": score}}) as server:
         with pytest.raises(ProtocolError, match="/rank: non-numeric score in response") as err:
             RemoteSkillAgent(server.endpoint(), K).rank(SkillContext(K), dtx, candidates)
-    assert err.value.body == compact_json({"scores": [0.1, score]}).encode("utf-8")
+    assert err.value.body == compact_json({"scores": [[0.1, score]]}).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"scores":[0.1,0.9]}', "/rank: expected 1 score lists, got 2"),
+        (b'{"scores":[]}', "/rank: expected 1 score lists, got 0"),
+        (b'{"scores":[[0.1],[0.9]]}', "/rank: expected 1 score lists, got 2"),
+        (b'{"scores":[[0.1]]}', "/rank: expected 2 scores, got 1"),
+        (b'{"scores":[0.1]}', "/rank: expected 2 scores, got no"),
+    ],
+)
+def test_remote_rank_checks_one_score_list_per_item(monkeypatch, dtx, raw, message):
+    monkeypatch.setattr(agents, "post_json", lambda *args: (json.loads(raw), raw))
+    candidates = [ResponseCandidate("a", P), ResponseCandidate("b", K)]
+    agent = RemoteSkillAgent(BackendEndpoint("http://127.0.0.1:9"), K)
+    with pytest.raises(ProtocolError, match=f"^{message}$") as err:
+        agent.rank(SkillContext(K), dtx, candidates)
+    assert err.value.body == raw
 
 
 def test_remote_rank_empty_candidates_never_hits_network(dtx):
@@ -352,21 +377,28 @@ def test_mock_server_answers_400_to_a_body_that_is_not_an_object():
 
 
 _GOOD_BODIES = {
-    "/generate": {"dialogue": [], "items": [{"skill": "K", "context": [], "attempt": 1}]},
+    "/generate": {"groups": [{"dialogue": [], "items": [{"skill": "K", "context": [], "attempt": 1}]}]},
     "/nli": {"items": [{"premises": ["p"], "hypothesis": "h"}]},
     "/classify": {"texts": ["hello"]},
-    "/rank": {"candidates": ["a"]},
+    "/rank": {"items": [{"candidates": ["a"]}]},
 }
+
+
+def _group(*items):
+    return {"groups": [{"dialogue": [], "items": list(items)}]}
 
 
 @pytest.mark.parametrize(
     "route, body",
     [
-        # the item array is not an array, is empty, or holds a non-object
-        # (for /classify: non-string) item
+        # the entry array is not an array, is empty, or holds a non-object
+        # (for /classify: non-string) entry
+        ("/generate", {"groups": {"dialogue": [], "items": [{"skill": "K", "attempt": 1}]}}),
+        ("/generate", {"groups": []}),
+        ("/generate", {"groups": [["K"]]}),
         ("/generate", {"dialogue": [], "items": {"skill": "K", "attempt": 1}}),
-        ("/generate", {"dialogue": [], "items": []}),
-        ("/generate", {"dialogue": [], "items": ["K"]}),
+        ("/generate", {"groups": [{"dialogue": [], "items": []}]}),
+        ("/generate", {"groups": [{"dialogue": [], "items": ["K"]}]}),
         ("/nli", {"items": {"premises": ["p"], "hypothesis": "h"}}),
         ("/nli", {"items": []}),
         ("/nli", {"items": [["p", "h"]]}),
@@ -374,27 +406,33 @@ _GOOD_BODIES = {
         ("/classify", {"texts": []}),
         ("/classify", {"texts": [{"text": "hello"}]}),
         ("/classify", {"texts": ["hello", 3]}),
-        # the retired one-item forms carry no item array
+        ("/rank", {"items": {"candidates": ["a"]}}),
+        ("/rank", {"items": []}),
+        ("/rank", {"items": [["a"]]}),
+        # the retired forms: one item, or a /generate without groups and
+        # a /rank without items
         ("/generate", {"skill": "K", "context": [], "dialogue": [], "attempt": 1}),
+        ("/generate", {"dialogue": [], "items": [{"skill": "K", "context": [], "attempt": 1}]}),
         ("/nli", {"premises": ["p"], "hypothesis": "h"}),
         ("/classify", {"text": "hello"}),
+        ("/rank", {"skill": "K", "context": [], "dialogue": [], "candidates": ["a"]}),
         # a wrongly typed field inside an item, also after a good item
-        ("/generate", {"items": [{"skill": "K", "attempt": "2"}]}),
-        ("/generate", {"items": [{"skill": "K", "attempt": 1.5}]}),
-        ("/generate", {"items": [{"skill": "K", "attempt": True}]}),
-        ("/generate", {"items": [{"skill": "K", "attempt": None}]}),
+        ("/generate", _group({"skill": "K", "attempt": "2"})),
+        ("/generate", _group({"skill": "K", "attempt": 1.5})),
+        ("/generate", _group({"skill": "K", "attempt": True})),
+        ("/generate", _group({"skill": "K", "attempt": None})),
         # a non-positive attempt has no table entry
-        ("/generate", {"items": [{"skill": "K", "attempt": 0}]}),
-        ("/generate", {"items": [{"skill": "K", "attempt": -1}]}),
-        ("/generate", {"items": [{"skill": "K", "attempt": 1}, {"skill": [], "attempt": 1}]}),
-        ("/generate", {"items": [{"skill": "K", "context": "topic", "attempt": 1}]}),
-        ("/generate", {"items": [{"skill": "K", "context": ["topic", 2], "attempt": 1}]}),
+        ("/generate", _group({"skill": "K", "attempt": 0})),
+        ("/generate", _group({"skill": "K", "attempt": -1})),
+        ("/generate", _group({"skill": "K", "attempt": 1}, {"skill": [], "attempt": 1})),
+        ("/generate", _group({"skill": "K", "context": "topic", "attempt": 1})),
+        ("/generate", _group({"skill": "K", "context": ["topic", 2], "attempt": 1})),
         ("/nli", {"items": [{"premises": "p", "hypothesis": "h"}]}),
         ("/nli", {"items": [{"premises": ["p", 1], "hypothesis": "h"}]}),
         ("/nli", {"items": [{"premises": ["p"], "hypothesis": "h"}, {"premises": ["p"], "hypothesis": ["h"]}]}),
         ("/nli", {"items": [{"premises": ["p"]}]}),
-        ("/rank", {"candidates": 5}),
-        ("/rank", {"candidates": [[1]]}),
+        ("/rank", {"items": [{"candidates": 5}]}),
+        ("/rank", {"items": [{"candidates": ["a"]}, {"candidates": [[1]]}]}),
     ],
 )
 def test_mock_server_answers_400_to_a_malformed_batch_and_keeps_the_connection(

@@ -497,8 +497,10 @@ def test_remote_episode_sends_each_nli_and_classify_body_once(cfg):
     assert any(t.refusals for t in ep.turns)  # the consistency gate did refuse
 
     # each generated turn opens with one /generate holding every agent's
-    # first attempt, in roster order; every other /generate is one retry
-    generates = [req for route, req in requests if route == "/generate"]
+    # first attempt, in roster order; every other /generate is one retry;
+    # a lone episode sends one group per /generate
+    assert all(len(req["groups"]) == 1 for route, req in requests if route == "/generate")
+    generates = [req["groups"][0] for route, req in requests if route == "/generate"]
     openings = [req for req in generates if req["items"][0]["attempt"] == 1]
     retries = [req["items"] for req in generates if req["items"][0]["attempt"] != 1]
     assert [len(req["dialogue"]) for req in openings] == list(range(2, cfg.episode_length))
@@ -528,7 +530,7 @@ def test_remote_episode_sends_each_nli_and_classify_body_once(cfg):
     for route, req in requests:
         if route == "/generate":
             nli_runs.append(0)
-            if req["items"][0]["attempt"] == 1:
+            if req["groups"][0]["items"][0]["attempt"] == 1:
                 classify_runs.append(0)
         elif route == "/nli":
             nli_runs[-1] += 1
@@ -543,13 +545,22 @@ def _first_item(key, replace):
     return lambda obj: {key: [replace(obj[key][0])] + obj[key][1:]}
 
 
+def _first_group(edit):
+    """A ``/generate`` response edit that applies ``edit`` to the results
+    of the first group."""
+    return lambda obj: {"results": [edit(obj["results"][0])] + obj["results"][1:]}
+
+
 @pytest.mark.parametrize(
     "route, edit, turn, message",
     [
-        ("/generate", lambda obj: {"results": obj["results"][:-1]}, 2, "expected 3 results, got 2"),
-        ("/generate", _first_item("results", lambda r: r["text"]), 2, "result is not a JSON object"),
-        ("/generate", _first_item("results", lambda r: {**r, "score": math.nan}), 2,
-         "missing or non-numeric 'score' field"),
+        ("/generate", _first_group(lambda results: results[:-1]), 2, "expected 3 results, got 2"),
+        ("/generate", lambda obj: {"results": obj["results"] + [[]]}, 2,
+         "expected 1 result lists, got 2"),
+        ("/generate", _first_group(lambda results: [results[0]["text"]] + results[1:]), 2,
+         "result is not a JSON object"),
+        ("/generate", _first_group(lambda results: [{**results[0], "score": math.nan}] + results[1:]),
+         2, "missing or non-numeric 'score' field"),
         ("/nli", lambda obj: {"verdicts": obj["verdicts"] + [[]]}, 2,
          r"expected (\d+) verdict lists, got (?!\1)\d+"),
         ("/nli", _first_item("verdicts", lambda v: v[1:]), 2, r"expected \d+ verdicts, got \d+"),
@@ -565,7 +576,7 @@ def _first_item(key, replace):
          "non-numeric probability in response"),
     ],
     ids=[
-        "generate-short", "generate-non-object", "generate-nan-score", "nli-long",
+        "generate-short", "generate-long", "generate-non-object", "generate-nan-score", "nli-long",
         "nli-short-item", "nli-non-object", "nli-infinite-confidence", "classify-short",
         "classify-non-list", "classify-nan-probability",
     ],
@@ -599,7 +610,7 @@ def test_wrapped_protocol_error_from_the_tables_keeps_its_raw_body(cfg):
         agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
         with pytest.raises(ProtocolError, match=r"^episode ep-000000 turn 2: /generate: ") as err:
             helpers.run_episode(_plain_seed(), agents, judge, scorer, cfg)
-    assert err.value.body == b'{"results":[{"text":"x"},{"text":"x"},{"text":"x"}]}'
+    assert err.value.body == b'{"results":[[{"text":"x"},{"text":"x"},{"text":"x"}]]}'
 
 
 def test_episode_memo_does_not_outlive_its_episode(cfg):
@@ -628,9 +639,10 @@ def test_remote_batch_holds_one_connection_per_worker(tmp_path, corpus_files, cf
 
 
 def test_remote_batch_fails_fast_when_the_backend_dies(cfg, monkeypatch):
-    # the server is closed mid-batch, after about five episodes of ~49
-    # requests each; each worker's next request fails, is retried twice
-    # after 0.05 + 0.1 s of backoff, and then ends the batch
+    # the server is closed mid-batch, after 250 requests: about nine
+    # lockstep groups of eight like episodes, ~28 requests each; each
+    # running group's next request fails, is retried twice after 0.05 +
+    # 0.1 s of backoff, and then ends the batch
     started = []
     run_episode_uncounted = orchestrator.run_episode
 
@@ -670,20 +682,22 @@ def test_remote_batch_fails_fast_when_the_backend_dies(cfg, monkeypatch):
     failed = int(str(err.value).split()[1].removeprefix("ep-"))
     # the written episodes are the ones before the failed one, in seed order
     assert [ep.id for ep in written] == [f"ep-{i:06d}" for i in range(failed)]
-    # only the episodes in flight when it failed have started: at most
-    # 2 * parallelism from the failed one on, and none once the batch ended
+    # only the groups in flight when it failed have started: at most
+    # 2 * parallelism groups from the failed one's on, and none once the
+    # batch ended
     assert sorted(started) == [f"ep-{i:06d}" for i in range(len(started))]
-    assert len(started) <= failed + 4
+    assert len(started) <= failed + 2 * 2 * orchestrator._GROUP
     count = len(started)
     time.sleep(0.2)
     assert len(started) == count
 
 
 def test_remote_batch_fails_fast_when_the_backend_stalls(cfg):
-    # the backend accepts connections and never answers: each worker's
-    # first request waits out two 200 ms timeouts and 0.05 s of backoff,
-    # 0.45 s in all, and the episodes queued behind them are skipped; the
-    # bound adds 1 s of slack for a loaded machine
+    # the backend accepts connections and never answers: the first request
+    # of each lockstep group running (20 seeds: groups of 8, 8 and 4) waits
+    # out two 200 ms timeouts and 0.05 s of backoff, 0.45 s in all, and the
+    # group queued behind them is skipped; the bound adds 1 s of slack for
+    # a loaded machine
     written = []
     with helpers.RawServer() as server:
         endpoint = BackendEndpoint(f"http://127.0.0.1:{server.port}", timeout_ms=200, max_retries=1)
@@ -703,4 +717,4 @@ def test_remote_batch_fails_fast_when_the_backend_stalls(cfg):
         attempts = len(server.sockets)
     assert elapsed < 2 * 0.2 + 0.05 + 1.0
     assert written == []
-    assert attempts == 4  # two attempts for each of the two episodes in flight
+    assert attempts == 4  # two attempts for each of the two groups in flight
