@@ -8,31 +8,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import SkillDistribution
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Counts over half-open bins; the last bin is right-closed. Values
-    outside the edge range are dropped but tallied in ``out_of_range``."""
-
-    bin_edges: tuple[float, ...]
-    counts: tuple[int, ...]
-    out_of_range: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.bin_edges) < 2:
-            raise ValueError("need at least two bin edges")
-        for lo, hi in zip(self.bin_edges, self.bin_edges[1:]):
-            if not hi > lo:
-                raise ValueError("bin edges must be strictly ascending")
-        if len(self.counts) != len(self.bin_edges) - 1:
-            raise ValueError("counts length must be len(bin_edges) - 1")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative")
 
 
 def softmax(scores: Sequence[float]) -> SkillDistribution:

@@ -26,16 +26,15 @@ from .distmath import kl_divergence, stable_argmax
 
 @dataclass(frozen=True)
 class GateDecision:
-    """A gate's verdict. A refusal records what caused it: the first
-    contradicting context's skill (consistency gate) or the KL value
-    (flow gate)."""
+    """A gate's verdict. A consistency-gate refusal records the first
+    contradicting context's skill."""
 
     approved: bool
     context_skill: SkillId | None = None
-    kl_value: float | None = None
 
 
 _APPROVED = GateDecision(True)
+_REFUSED = GateDecision(False)
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,7 @@ def flow_gate(
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     kl = kl_divergence(scorer.score(prev_text), scorer.score(cand_text), epsilon)
-    if kl < alpha:
-        return _APPROVED
-    return GateDecision(False, kl_value=kl)
+    return _APPROVED if kl < alpha else _REFUSED
 
 
 def select_final(

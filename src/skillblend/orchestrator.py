@@ -55,8 +55,6 @@ class EpisodeAbortError(RuntimeError):
 
     def __init__(self, episode_id: str, turn: int, message: str):
         super().__init__(f"episode {episode_id} aborted at turn {turn}: {message}")
-        self.episode_id = episode_id
-        self.turn = turn
 
 
 @dataclass(frozen=True)
@@ -67,11 +65,7 @@ class BatchReport:
 
 
 class BatchError(RuntimeError):
-    """Writer I/O failed mid-batch; carries the partial report."""
-
-    def __init__(self, message: str, partial: BatchReport):
-        super().__init__(message)
-        self.partial = partial
+    """Writer I/O failed mid-batch; the message names the episode."""
 
 
 class _EpisodeMemo:
@@ -339,10 +333,7 @@ def run_batch(
                 try:
                     write(result)
                 except OSError as exc:
-                    raise BatchError(
-                        f"writer failed on episode {result.id}: {exc}",
-                        BatchReport(written, tuple(aborts), refusal_total),
-                    ) from exc
+                    raise BatchError(f"writer failed on episode {result.id}: {exc}") from exc
             written += 1
             refusal_total += sum(len(t.refusals) for t in result.turns)
 

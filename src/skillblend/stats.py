@@ -3,20 +3,19 @@
 ``build_report`` folds the episodes into one set of counters in a single
 pass over any iterable; every histogram edge is fixed before the first
 episode is read. The report depends on the episodes alone, so a re-read
-file gives the batch-time report exactly. Reports come out three ways: a
-text summary, one canonical JSON file, and per-figure CSV tables for
-external plotting.
+file gives the batch-time report exactly. It is the plain object that
+``report.json`` holds, and it comes out three ways: that canonical JSON
+file, a text summary, and per-figure CSV tables for external plotting.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Episode, SkillId, canonical_json
-from .distmath import Histogram, bin_index, entropy, kl_divergence
+from .distmath import bin_index, entropy, kl_divergence
 
 DEFAULT_KLD_EDGES = tuple(i * 0.25 for i in range(21))  # 20 bins over [0, 5]
 
@@ -30,59 +29,19 @@ def default_entropy_edges(m: int) -> tuple[float, ...]:
     return tuple(edges)
 
 
-@dataclass(frozen=True)
-class CorpusReport:
-    roster_ids: tuple[str, ...]
-    episode_count: int
-    turn_count: int
-    refusal_total: int
-    skill_shares: tuple[float, ...]
-    dialogue_buckets: dict[int, int]
-    contradiction_matrix: tuple[tuple[int, ...], ...]
-    cross_type: float | None
-    kld: Histogram
-    turn_entropy: Histogram
-    continuity: dict[str, float | None]
-
-    def to_obj(self) -> dict:
-        return {
-            "roster": list(self.roster_ids),
-            "episodes": self.episode_count,
-            "turns": self.turn_count,
-            "refusal_total": self.refusal_total,
-            "skill_shares": {sid: share for sid, share in zip(self.roster_ids, self.skill_shares)},
-            "skills_per_dialogue": {str(n): c for n, c in sorted(self.dialogue_buckets.items())},
-            "contradictions": {
-                "matrix": [list(row) for row in self.contradiction_matrix],
-                "cross_type_share": self.cross_type,
-            },
-            "kld_histogram": _histogram_obj(self.kld),
-            "entropy_histogram": _histogram_obj(self.turn_entropy),
-            "continuity_after_seed": dict(self.continuity),
-        }
-
-
-def _histogram_obj(h: Histogram) -> dict:
-    return {
-        "edges": [float(e) for e in h.bin_edges],
-        "counts": list(h.counts),
-        "out_of_range": h.out_of_range,
-    }
-
-
-def build_report(
-    episodes: Iterable[Episode], roster: Sequence[SkillId], epsilon: float
-) -> CorpusReport:
+def build_report(episodes: Iterable[Episode], roster: Sequence[SkillId], epsilon: float) -> dict:
     """Fold ``episodes`` (any iterable, read once) into the corpus report:
     label counts, distinct-skill buckets, the refusal matrix, seed
     continuity at turn 2, and KL (over consecutive turns) and entropy
-    binned on the fixed edges. An episode without turns, or with a
-    distribution whose length is not the roster's, is a ValueError naming
-    the episode."""
+    binned on the fixed edges. The report is the object ``report.json``
+    holds: plain dicts, lists, numbers and None, keyed by skill id, and
+    with the distinct-skill buckets keyed "1" to "M" in numeric order. An
+    episode without turns, or with a distribution whose length is not the
+    roster's, is a ValueError naming the episode."""
     m = len(roster)
     position = {s.id: i for i, s in enumerate(roster)}
     labels = [0] * m
-    buckets = dict.fromkeys(range(1, m + 1), 0)
+    buckets = [0] * m  # by distinct skills minus one
     matrix = [[0] * m for _ in roster]
     continued = [0] * m
     sampled = [0] * m
@@ -98,7 +57,7 @@ def build_report(
         seen = [position[turn.skill_label.id] for turn in ep.turns]
         for i in seen:
             labels[i] += 1
-        buckets[len(set(seen))] += 1
+        buckets[len(set(seen)) - 1] += 1
         for i, turn in enumerate(ep.turns):
             n = len(turn.distribution.probs)
             if n != m:
@@ -117,67 +76,75 @@ def build_report(
     turn_count = sum(labels)
     refusal_total = sum(map(sum, matrix))
     diagonal = sum(matrix[i][i] for i in range(m))
-    return CorpusReport(
-        roster_ids=tuple(s.id for s in roster),
-        episode_count=episode_count,
-        turn_count=turn_count,
-        refusal_total=refusal_total,
-        skill_shares=tuple(100.0 * c / turn_count if turn_count else 0.0 for c in labels),
-        dialogue_buckets=buckets,
-        contradiction_matrix=tuple(map(tuple, matrix)),
-        cross_type=(refusal_total - diagonal) / refusal_total if refusal_total else None,
-        kld=Histogram(kld_edges, tuple(kld[:-1]), kld[-1]),
-        turn_entropy=Histogram(entropy_edges, tuple(turn_entropy[:-1]), turn_entropy[-1]),
-        continuity={
+    return {
+        "roster": [s.id for s in roster],
+        "episodes": episode_count,
+        "turns": turn_count,
+        "refusal_total": refusal_total,
+        "skill_shares": {
+            s.id: 100.0 * labels[i] / turn_count if turn_count else 0.0 for i, s in enumerate(roster)
+        },
+        "skills_per_dialogue": {str(n): c for n, c in enumerate(buckets, 1)},
+        "contradictions": {
+            "matrix": matrix,
+            "cross_type_share": (refusal_total - diagonal) / refusal_total if refusal_total else None,
+        },
+        "kld_histogram": {"edges": list(kld_edges), "counts": kld[:-1], "out_of_range": kld[-1]},
+        "entropy_histogram": {
+            "edges": list(entropy_edges),
+            "counts": turn_entropy[:-1],
+            "out_of_range": turn_entropy[-1],
+        },
+        "continuity_after_seed": {
             s.id: continued[i] / sampled[i] if sampled[i] else None for i, s in enumerate(roster)
         },
-    )
+    }
 
 
-def format_report(report: CorpusReport) -> str:
+def format_report(report: dict) -> str:
+    cross_type = report["contradictions"]["cross_type_share"]
     lines = [
-        f"episodes: {report.episode_count}  turns: {report.turn_count}  refusals: {report.refusal_total}",
+        f"episodes: {report['episodes']}  turns: {report['turns']}  refusals: {report['refusal_total']}",
         "skill shares (%): "
-        + "  ".join(f"{sid} {share:.2f}" for sid, share in zip(report.roster_ids, report.skill_shares)),
+        + "  ".join(f"{sid} {share:.2f}" for sid, share in report["skill_shares"].items()),
         "dialogues by distinct skills: "
-        + "  ".join(f"{n}:{c}" for n, c in sorted(report.dialogue_buckets.items())),
+        + "  ".join(f"{n}:{c}" for n, c in report["skills_per_dialogue"].items()),
     ]
-    if report.cross_type is None:
+    if cross_type is None:
         lines.append("contradictions: none logged")
     else:
         lines.append(
-            f"contradictions: {report.refusal_total} logged, cross-type share {report.cross_type:.3f}"
+            f"contradictions: {report['refusal_total']} logged, cross-type share {cross_type:.3f}"
         )
     lines.append(
         "continuity after seed: "
         + "  ".join(
             f"{sid} {'n/a' if frac is None else format(frac, '.3f')}"
-            for sid, frac in report.continuity.items()
+            for sid, frac in report["continuity_after_seed"].items()
         )
     )
-    lines.append(_histogram_line("kld", report.kld))
-    lines.append(_histogram_line("entropy", report.turn_entropy))
+    lines.append(_histogram_line("kld", report["kld_histogram"]))
+    lines.append(_histogram_line("entropy", report["entropy_histogram"]))
     return "\n".join(lines)
 
 
-def _histogram_line(name: str, h: Histogram) -> str:
+def _histogram_line(name: str, h: dict) -> str:
+    edges = h["edges"]
     populated = [
-        f"[{h.bin_edges[i]:.3g},{h.bin_edges[i + 1]:.3g}):{c}"
-        for i, c in enumerate(h.counts)
-        if c
+        f"[{edges[i]:.3g},{edges[i + 1]:.3g}):{c}" for i, c in enumerate(h["counts"]) if c
     ]
-    tail = f" out-of-range {h.out_of_range}" if h.out_of_range else ""
+    tail = f" out-of-range {h['out_of_range']}" if h["out_of_range"] else ""
     return f"{name} histogram: " + (" ".join(populated) if populated else "empty") + tail
 
 
-def write_report(report: CorpusReport, prefix: str) -> list[str]:
-    """Write the machine-readable report plus per-figure CSVs; returns the
-    paths written."""
+def write_report(report: dict, prefix: str) -> list[str]:
+    """Write ``report`` as the machine-readable ``.json``, the text summary
+    and per-figure CSVs; returns the paths written."""
     paths = []
 
     json_path = prefix + ".json"
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(report.to_obj()) + "\n")
+        fh.write(canonical_json(report) + "\n")
     paths.append(json_path)
 
     text_path = prefix + ".txt"
@@ -193,35 +160,35 @@ def write_report(report: CorpusReport, prefix: str) -> list[str]:
             writer.writerows(rows)
         paths.append(path)
 
+    roster = report["roster"]
+    matrix = report["contradictions"]["matrix"]
     table(
         "skill_shares",
         ["skill", "percent"],
-        [[sid, repr(share)] for sid, share in zip(report.roster_ids, report.skill_shares)],
+        [[sid, repr(share)] for sid, share in report["skill_shares"].items()],
     )
     table(
         "skills_per_dialogue",
         ["distinct_skills", "dialogues"],
-        [[n, c] for n, c in sorted(report.dialogue_buckets.items())],
+        [[n, c] for n, c in report["skills_per_dialogue"].items()],
     )
     table(
         "contradictions",
         ["candidate_skill", "context_skill", "count"],
-        [
-            [cand, ctx, report.contradiction_matrix[i][j]]
-            for i, cand in enumerate(report.roster_ids)
-            for j, ctx in enumerate(report.roster_ids)
-        ],
+        [[cand, ctx, matrix[i][j]] for i, cand in enumerate(roster) for j, ctx in enumerate(roster)],
     )
-    for name, hist in (("kld_hist", report.kld), ("entropy_hist", report.turn_entropy)):
-        rows = [
-            [repr(hist.bin_edges[i]), repr(hist.bin_edges[i + 1]), c]
-            for i, c in enumerate(hist.counts)
-        ]
-        rows.append(["out_of_range", "", hist.out_of_range])
+    for name, key in (("kld_hist", "kld_histogram"), ("entropy_hist", "entropy_histogram")):
+        hist = report[key]
+        edges = hist["edges"]
+        rows = [[repr(edges[i]), repr(edges[i + 1]), c] for i, c in enumerate(hist["counts"])]
+        rows.append(["out_of_range", "", hist["out_of_range"]])
         table(name, ["bin_start", "bin_end", "count"], rows)
     table(
         "continuity",
         ["seed_skill", "fraction"],
-        [[sid, "" if frac is None else repr(frac)] for sid, frac in report.continuity.items()],
+        [
+            [sid, "" if frac is None else repr(frac)]
+            for sid, frac in report["continuity_after_seed"].items()
+        ],
     )
     return paths

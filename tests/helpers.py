@@ -29,11 +29,11 @@ from skillblend.core import (
 from skillblend.cli import draw_seeds
 from skillblend import dataio
 from skillblend.dataio import EpisodeWriter, ParseError, SingleSkillRecord, read_dataset
-from skillblend.distmath import Histogram, entropy, kl_divergence
+from skillblend.distmath import entropy, kl_divergence
 from skillblend.moderator import GateDecision
 from skillblend.orchestrator import run_batch
 from skillblend.seeds import build_index, docs_from_records
-from skillblend.stats import DEFAULT_KLD_EDGES, CorpusReport, default_entropy_edges
+from skillblend.stats import DEFAULT_KLD_EDGES, default_entropy_edges
 
 # --- deterministic synthetic corpus -----------------------------------------
 
@@ -478,11 +478,12 @@ def hand_episode(cfg: EngineConfig, ep_id="ep-hand") -> Episode:
 # --- statistics oracle ---------------------------------------------------------
 
 
-def histogram(values: Iterable[float], edges: Sequence[float]) -> Histogram:
+def histogram(values: Iterable[float], edges: Sequence[float]) -> dict:
     """Bin ``values`` into half-open bins [edges[i], edges[i+1]); the last
     bin also includes its right edge, and every other value, NaN included,
-    is out of range. It bins by its own rule, not ``distmath.bin_index``,
-    so the report oracle checks that rule too."""
+    is out of range. Returns the report's histogram object: ``edges``,
+    ``counts`` and ``out_of_range``. It bins by its own rule, not
+    ``distmath.bin_index``, so the report oracle checks that rule too."""
     edge_tuple = tuple(float(e) for e in edges)
     if len(edge_tuple) < 2:
         raise ValueError("need at least two bin edges")
@@ -498,7 +499,7 @@ def histogram(values: Iterable[float], edges: Sequence[float]) -> Histogram:
             counts[-1] += 1
         else:
             out_of_range += 1
-    return Histogram(edge_tuple, tuple(counts), out_of_range)
+    return {"edges": list(edge_tuple), "counts": counts, "out_of_range": out_of_range}
 
 
 def skill_percentages(episodes: Sequence[Episode], roster: Sequence[SkillId]) -> list[float]:
@@ -550,7 +551,7 @@ def kld_histogram(
     episodes: Sequence[Episode],
     edges: Sequence[float] | None = None,
     epsilon: float = 0.0,
-) -> Histogram:
+) -> dict:
     """KL divergence over consecutive annotated-turn distribution pairs
     within each episode."""
     values = []
@@ -563,7 +564,7 @@ def kld_histogram(
 
 def entropy_histogram(
     episodes: Sequence[Episode], edges: Sequence[float] | None = None
-) -> Histogram:
+) -> dict:
     """Entropy of every turn's skill distribution across the corpus."""
     values = []
     m = None
@@ -599,24 +600,26 @@ def continuity_after_seed(
 
 def report_oracle(
     episodes: Sequence[Episode], roster: Sequence[SkillId], epsilon: float = 0.0
-) -> CorpusReport:
+) -> dict:
     """``stats.build_report`` as it was written before it became one fold:
-    one walk of the episode list per statistic. Its ``to_obj()`` must equal
-    the fold's."""
+    one walk of the episode list per statistic. It must equal the fold's
+    report."""
+    ids = [s.id for s in roster]
     matrix = contradiction_breakdown(episodes, roster)
-    return CorpusReport(
-        roster_ids=tuple(s.id for s in roster),
-        episode_count=len(episodes),
-        turn_count=sum(len(ep.turns) for ep in episodes),
-        refusal_total=sum(len(t.refusals) for ep in episodes for t in ep.turns),
-        skill_shares=tuple(skill_percentages(episodes, roster)),
-        dialogue_buckets=skills_per_dialogue(episodes, roster),
-        contradiction_matrix=tuple(tuple(row) for row in matrix),
-        cross_type=cross_type_share(matrix),
-        kld=kld_histogram(episodes, epsilon=epsilon),
-        turn_entropy=entropy_histogram(episodes, default_entropy_edges(len(roster))),
-        continuity=continuity_after_seed(episodes, roster),
-    )
+    return {
+        "roster": ids,
+        "episodes": len(episodes),
+        "turns": sum(len(ep.turns) for ep in episodes),
+        "refusal_total": sum(len(t.refusals) for ep in episodes for t in ep.turns),
+        "skill_shares": dict(zip(ids, skill_percentages(episodes, roster))),
+        "skills_per_dialogue": {
+            str(n): c for n, c in sorted(skills_per_dialogue(episodes, roster).items())
+        },
+        "contradictions": {"matrix": matrix, "cross_type_share": cross_type_share(matrix)},
+        "kld_histogram": kld_histogram(episodes, epsilon=epsilon),
+        "entropy_histogram": entropy_histogram(episodes, default_entropy_edges(len(roster))),
+        "continuity_after_seed": continuity_after_seed(episodes, roster),
+    }
 
 
 # --- raw HTTP ------------------------------------------------------------------

@@ -19,6 +19,7 @@ from skillblend.core import (
     SkillDistribution,
     Utterance,
 )
+from skillblend.distmath import kl_divergence
 from skillblend.moderator import (
     GateDecision,
     consistency_gate,
@@ -193,10 +194,12 @@ def test_flow_gate_identity_approves():
 
 
 def test_flow_gate_refuses_above_alpha():
-    decision = flow_gate(_scorer(), "same", "swap", 1.0, 0.0)
-    assert not decision.approved and decision.context_skill is None
+    scorer = _scorer()
+    assert flow_gate(scorer, "same", "swap", 1.0, 0.0) == GateDecision(False)
     expected = 0.8 * math.log(8.0) + 0.1 * math.log(1.0 / 8.0)
-    assert decision.kl_value == pytest.approx(expected, abs=1e-12)
+    kl = kl_divergence(scorer.score("same"), scorer.score("swap"), 0.0)
+    assert kl == pytest.approx(expected, abs=1e-12)
+    assert kl >= 1.0
 
 
 def test_flow_gate_huge_alpha_approves_anything():

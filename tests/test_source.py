@@ -1,7 +1,8 @@
 """Source checks over ``src/skillblend``, with the standard library's ``ast``:
 no module imports a name it never uses or a module outside the standard
-library, and no module has an ``assert`` statement, which ``python -O``
-strips."""
+library, no module has an ``assert`` statement, which ``python -O``
+strips, and every top-level function and class has a reader in
+``src/skillblend`` or ``perfbench``, not only in the tests."""
 
 from __future__ import annotations
 
@@ -11,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "skillblend").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "skillblend").glob("*.py"))
+READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _tree(path: Path) -> ast.Module:
@@ -62,6 +66,40 @@ def imported_modules(tree: ast.Module) -> set[str]:
     return found
 
 
+def references(tree: ast.Module) -> set[str]:
+    """The names a module refers to: a name, an attribute, an imported name
+    or its alias, and a string constant. A top-level function or class
+    naming itself inside its own definition does not count."""
+    found: set[str] = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(filter(None, (node.name, node.asname)))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        if isinstance(stmt, _DEFINITIONS):
+            names.discard(stmt.name)
+        found |= names
+    return found
+
+
+def unreferenced(trees: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """The top-level functions and classes in ``trees`` that no reader
+    refers to, as ``module: name``."""
+    used = set().union(*map(references, readers))
+    return [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, _DEFINITIONS) and node.name not in used
+    ]
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(_tree(path)) == []
@@ -79,6 +117,11 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
+def test_every_top_level_definition_has_a_reader():
+    trees = {path.name: _tree(path) for path in SOURCES}
+    assert unreferenced(trees, [_tree(path) for path in READERS]) == []
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse(
         "import os\nimport a.b\nfrom x import y as z, w\nfrom typing import T\n"
@@ -89,3 +132,12 @@ def test_the_checks_see_what_they_look_for():
     relative = ast.parse("from . import core\nfrom .core import x\nfrom skillblend.core import y\n")
     assert imported_modules(relative) == {"skillblend"}
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == [6]
+    defs = ast.parse(
+        "class Dead:\n    x: 'Dead'\ndef loop():\n    return loop()\n"
+        "def aliased(): pass\nclass Named: pass\ndef called(): pass\n"
+    )
+    reader = ast.parse("from m import aliased as a\nTARGETS = ('Named',)\nm.called()\n")
+    assert unreferenced({"m.py": defs}, [defs, reader]) == ["m.py: Dead", "m.py: loop"]
+    assert unreferenced({"m.py": defs}, [defs]) == [
+        "m.py: Dead", "m.py: loop", "m.py: aliased", "m.py: Named", "m.py: called"
+    ]

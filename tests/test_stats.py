@@ -3,6 +3,8 @@ the one-pass fold against the per-statistic oracle in ``helpers``."""
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import pathlib
 
@@ -10,7 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillDistribution, canonical_json
+from skillblend.core import (
+    DEFAULT_ROSTER,
+    EngineConfig,
+    SkillDistribution,
+    canonical_json,
+    make_roster,
+)
 from skillblend.dataio import read_episodes
 from skillblend.distmath import kl_divergence
 from skillblend.stats import (
@@ -33,7 +41,7 @@ def fold(episodes):
 
 def test_skill_percentages_single_skill_corpus():
     eps = [helpers.mini_episode(ROSTER, ["K"] * 4, "K")]
-    assert fold(eps).skill_shares == (0.0, 100.0, 0.0)
+    assert fold(eps)["skill_shares"] == {"P": 0.0, "K": 100.0, "E": 0.0}
 
 
 def test_skill_percentages_counted_by_hand():
@@ -41,13 +49,13 @@ def test_skill_percentages_counted_by_hand():
         helpers.mini_episode(ROSTER, ["P", "K"], "P", ep_id="a"),
         helpers.mini_episode(ROSTER, ["K", "E"], "K", ep_id="b"),
     ]
-    assert fold(eps).skill_shares == (25.0, 50.0, 25.0)
+    assert fold(eps)["skill_shares"] == {"P": 25.0, "K": 50.0, "E": 25.0}
 
 
 def test_skill_percentages_empty_corpus_and_sum():
-    assert fold([]).skill_shares == (0.0, 0.0, 0.0)
+    assert fold([])["skill_shares"] == {"P": 0.0, "K": 0.0, "E": 0.0}
     eps = [helpers.mini_episode(ROSTER, ["P", "K", "E", "P", "K"], "P")]
-    assert sum(fold(eps).skill_shares) == pytest.approx(100.0, abs=0.01)
+    assert sum(fold(eps)["skill_shares"].values()) == pytest.approx(100.0, abs=0.01)
 
 
 def test_skills_per_dialogue_buckets_partition():
@@ -57,8 +65,8 @@ def test_skills_per_dialogue_buckets_partition():
         helpers.mini_episode(ROSTER, ["P", "K", "E", "P"], "P", ep_id="three"),
         helpers.mini_episode(ROSTER, ["K", "K", "K", "K"], "K", ep_id="four"),
     ]
-    buckets = fold(eps).dialogue_buckets
-    assert buckets == {1: 2, 2: 1, 3: 1}
+    buckets = fold(eps)["skills_per_dialogue"]
+    assert buckets == {"1": 2, "2": 1, "3": 1}
     assert sum(buckets.values()) == len(eps)
 
 
@@ -69,45 +77,45 @@ def test_contradiction_breakdown_counts_and_share():
         )
     ]
     got = fold(eps)
-    matrix = got.contradiction_matrix
+    matrix = got["contradictions"]["matrix"]
     assert matrix[0][1] == 2
     assert matrix[2][2] == 1
-    assert sum(sum(r) for r in matrix) == got.refusal_total == 3
-    assert got.cross_type == pytest.approx(2 / 3)
+    assert sum(sum(r) for r in matrix) == got["refusal_total"] == 3
+    assert got["contradictions"]["cross_type_share"] == pytest.approx(2 / 3)
 
 
 def test_contradiction_breakdown_empty():
     eps = [helpers.mini_episode(ROSTER, ["P", "K"], "P")]
     got = fold(eps)
-    assert all(all(c == 0 for c in row) for row in got.contradiction_matrix)
-    assert got.refusal_total == 0
-    assert got.cross_type is None
+    assert all(all(c == 0 for c in row) for row in got["contradictions"]["matrix"])
+    assert got["refusal_total"] == 0
+    assert got["contradictions"]["cross_type_share"] is None
 
 
 def test_kld_histogram_constant_distributions_land_in_first_bin():
     dists = [helpers.uniform(3)] * 4
     eps = [helpers.mini_episode(ROSTER, ["P"] * 4, "P", dists=dists)]
-    hist = fold(eps).kld
-    assert hist.counts[0] == 3  # 3 consecutive pairs, all KL 0
-    assert sum(hist.counts) == 3
-    assert hist.out_of_range == 0
+    hist = fold(eps)["kld_histogram"]
+    assert hist["counts"][0] == 3  # 3 consecutive pairs, all KL 0
+    assert sum(hist["counts"]) == 3
+    assert hist["out_of_range"] == 0
 
 
 def test_entropy_histogram_one_hot_mass_at_zero():
     dists = [helpers.one_hot(0, 3)] * 4
     eps = [helpers.mini_episode(ROSTER, ["P"] * 4, "P", dists=dists)]
-    hist = fold(eps).turn_entropy
-    assert hist.counts[0] == 4
-    assert sum(hist.counts) == 4
+    hist = fold(eps)["entropy_histogram"]
+    assert hist["counts"][0] == 4
+    assert sum(hist["counts"]) == 4
 
 
 def test_entropy_histogram_default_edges_cover_uniform():
     dists = [helpers.uniform(3)] * 4
     eps = [helpers.mini_episode(ROSTER, ["P"] * 4, "P", dists=dists)]
-    hist = fold(eps).turn_entropy
-    assert hist.out_of_range == 0
-    assert sum(hist.counts) == 4
-    assert hist.counts[-1] == 4  # uniform entropy sits in the top bin
+    hist = fold(eps)["entropy_histogram"]
+    assert hist["out_of_range"] == 0
+    assert sum(hist["counts"]) == 4
+    assert hist["counts"][-1] == 4  # uniform entropy sits in the top bin
 
 
 def test_histograms_dual_path_recompute(corpus_files, tmp_path):
@@ -126,7 +134,7 @@ def test_histograms_dual_path_recompute(corpus_files, tmp_path):
 
 def test_continuity_after_seed_all_continue():
     eps = [helpers.mini_episode(ROSTER, ["P", "P", "P", "P"], "P")]
-    assert fold(eps).continuity == {"P": 1.0, "K": None, "E": None}
+    assert fold(eps)["continuity_after_seed"] == {"P": 1.0, "K": None, "E": None}
 
 
 def test_continuity_after_seed_counted_by_hand():
@@ -135,12 +143,12 @@ def test_continuity_after_seed_counted_by_hand():
         helpers.mini_episode(ROSTER, ["K", "K", first, "K"], "K", ep_id=f"e{i}")
         for i, first in enumerate(["K", "K", "P", "E"])
     ]
-    assert fold(eps).continuity["K"] == 0.5
+    assert fold(eps)["continuity_after_seed"]["K"] == 0.5
 
 
 def test_continuity_reads_only_the_first_generated_turn():
     eps = [helpers.mini_episode(ROSTER, ["K", "K", "K", "P"], "K")]
-    continuity = fold(eps).continuity
+    continuity = fold(eps)["continuity_after_seed"]
     assert continuity["K"] == 1.0
     for value in continuity.values():
         assert value is None or 0.0 <= value <= 1.0
@@ -159,11 +167,11 @@ def test_report_roundtrip_and_files(tmp_path, corpus_files):
     report_batch = helpers.generate_file(corpus_files, cfg, 10, out)
     episodes = read_episodes(str(out), cfg.skill_roster)
     report = build_report(episodes, cfg.skill_roster, epsilon=cfg.epsilon)
-    assert report.episode_count == 10
-    assert report.turn_count == 60
-    assert report.refusal_total == report_batch.refusal_total
-    assert sum(report.skill_shares) == pytest.approx(100.0, abs=0.01)
-    assert sum(report.dialogue_buckets.values()) == 10
+    assert report["episodes"] == 10
+    assert report["turns"] == 60
+    assert report["refusal_total"] == report_batch.refusal_total
+    assert sum(report["skill_shares"].values()) == pytest.approx(100.0, abs=0.01)
+    assert sum(report["skills_per_dialogue"].values()) == 10
 
     text = format_report(report)
     assert "episodes: 10" in text
@@ -174,7 +182,32 @@ def test_report_roundtrip_and_files(tmp_path, corpus_files):
     for path in paths:
         assert (tmp_path / path.split("/")[-1]).exists()
     json_text = (tmp_path / "report.json").read_text(encoding="utf-8")
-    assert json_text.strip() == canonical_json(report.to_obj())
+    assert json_text.strip() == canonical_json(report)
+
+
+def test_a_ten_skill_roster_lists_its_buckets_in_numeric_order(tmp_path):
+    # a string sort would put "10" before "2"
+    roster = make_roster([f"S{i}" for i in range(10)])
+    ids = [s.id for s in roster]
+    episodes = [
+        helpers.mini_episode(roster, ids, "S0", ep_id="all"),
+        helpers.mini_episode(roster, ["S1", "S2", "S1"], "S1", ep_id="two"),
+        helpers.mini_episode(roster, ["S9", "S9"], "S9", ep_id="one"),
+    ]
+    report = build_report(episodes, roster, EPSILON)
+    assert report == helpers.report_oracle(episodes, roster, EPSILON)
+    order = [str(n) for n in range(1, 11)]
+    assert list(report["skills_per_dialogue"]) == order
+
+    write_report(report, str(tmp_path / "report"))
+    written = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert list(written["skills_per_dialogue"]) == order
+    text = (tmp_path / "report.txt").read_text(encoding="utf-8")
+    assert "dialogues by distinct skills: 1:1  2:1  3:0  4:0  5:0  6:0  7:0  8:0  9:0  10:1\n" in text
+    with open(tmp_path / "report_skills_per_dialogue.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    counts = {"1": "1", "2": "1", "10": "1"}
+    assert rows == [["distinct_skills", "dialogues"]] + [[n, counts.get(n, "0")] for n in order]
 
 
 # --- report golden ------------------------------------------------------------
@@ -226,9 +259,9 @@ def test_a_kl_on_the_top_edge_lands_in_the_last_bin():
     kl = kl_divergence(ep.turns[0].distribution, ep.turns[1].distribution, EPSILON)
     assert kl == DEFAULT_KLD_EDGES[-1] == 5.0
     report = fold([ep])
-    assert report.kld.counts == (0,) * 19 + (1,)
-    assert report.kld.out_of_range == 0
-    assert report.to_obj() == helpers.report_oracle([ep], ROSTER, EPSILON).to_obj()
+    assert report["kld_histogram"]["counts"] == [0] * 19 + [1]
+    assert report["kld_histogram"]["out_of_range"] == 0
+    assert report == helpers.report_oracle([ep], ROSTER, EPSILON)
 
 
 # --- the fold against the oracle ------------------------------------------------
@@ -276,4 +309,4 @@ def _corpus(draw):
 def test_one_pass_report_equals_the_oracle(episodes):
     # two-turn episodes give no continuity sample; one-hot label flips give
     # KL values of about 20.7 (epsilon 1e-9), above the top edge of 5
-    assert fold(episodes).to_obj() == helpers.report_oracle(episodes, ROSTER, EPSILON).to_obj()
+    assert fold(episodes) == helpers.report_oracle(episodes, ROSTER, EPSILON)
