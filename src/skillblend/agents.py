@@ -72,6 +72,7 @@ import ssl
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from string import Formatter
 from time import sleep
 from typing import Callable, Protocol, Sequence
 from urllib.parse import urlsplit
@@ -133,6 +134,9 @@ class ScriptedAgent:
         if not self.templates:
             raise ValueError("a scripted agent needs at least one template")
         for text in self.templates:
+            for _literal, name, spec, _conversion in Formatter().parse(text):
+                if name not in (None, "context", "last") or "{" in (spec or ""):
+                    raise ValueError(f"template {text!r} may reference only {{context}} and {{last}}")
             if not text.format(context="", last="").strip():
                 raise ValueError("templates must render non-blank even with empty fills")
 
@@ -490,22 +494,22 @@ def wire_list(value, count: int, route: str, noun: str, raw: bytes) -> list:
     return value
 
 
-# a tick sends its requests in this order
-_ROUTES = ("/generate", "/rank", "/nli", "/classify")
-# per route: the request's entry array, the response's answer array, and
-# the noun that names an answer in a length error
+# per route, in the order a tick sends them: the request's entry array,
+# the type of each entry, the response's answer array, and the noun that
+# names an answer in a length error
 _FORMS = {
-    "/generate": ("groups", "results", "result lists"),
-    "/rank": ("items", "scores", "score lists"),
-    "/nli": ("items", "verdicts", "verdict lists"),
-    "/classify": ("texts", "distributions", "distributions"),
+    "/generate": ("groups", dict, "results", "result lists"),
+    "/rank": ("items", dict, "scores", "score lists"),
+    "/nli": ("items", dict, "verdicts", "verdict lists"),
+    "/classify": ("texts", str, "distributions", "distributions"),
 }
+_ROUTES = tuple(_FORMS)
 
 
 def _post_entries(post, endpoint: BackendEndpoint, route: str, calls: list[list]):
     """One request holding every call's entries, in call order; returns
     each call's (answers, raw response body)."""
-    request_key, answer_key, noun = _FORMS[route]
+    request_key, _kind, answer_key, noun = _FORMS[route]
     obj, raw = post(endpoint, route, {request_key: [entry for call in calls for entry in call]})
     answers = wire_list(obj.get(answer_key), sum(map(len, calls)), route, noun, raw)
     out = []
@@ -606,10 +610,13 @@ def exchange(post, endpoint: BackendEndpoint, route: str, entries: list) -> tupl
 def run_in_lockstep(jobs: Sequence[Callable[[], object]]) -> list:
     """Run each job on a thread of its own, as the members of one lockstep
     group in job order, and return their results in job order once every
-    job has ended. Every thread is started before any job runs, and all of
-    them share the calling thread's connections: only one of them sends at
-    a time. A job should not raise: its thread would end with the error
-    reported and its result None."""
+    job has ended. A job runs as soon as its thread starts, but no request
+    goes out before every member has started, and all of them share the
+    calling thread's connections: only one of them sends at a time. When a
+    thread fails to start, each member that never started leaves the
+    group, the started ones run to their end, and the error propagates. A
+    job should not raise: its thread would end with the error reported and
+    its result None."""
     group = _Lockstep(len(jobs))
     conns = _thread_connections()
     results: list = [None] * len(jobs)
@@ -626,10 +633,16 @@ def run_in_lockstep(jobs: Sequence[Callable[[], object]]) -> list:
         threading.Thread(target=member, args=(i, job), name=f"skillblend-lockstep-{i}")
         for i, job in enumerate(jobs)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    started = 0
+    try:
+        for thread in threads:
+            thread.start()
+            started += 1
+    finally:
+        for _ in range(started, len(threads)):
+            group.leave()
+        for thread in threads[:started]:
+            thread.join()
     return results
 
 
@@ -713,7 +726,7 @@ def _validate_tables(tables: dict) -> None:
     if not isinstance(tables, dict):
         raise ValueError("mock tables must be a JSON object")
     for key in tables:
-        if key not in ("generate", "rank", "nli", "classify", "fail_first"):
+        if key != "fail_first" and f"/{key}" not in _FORMS:
             raise ValueError(f"unknown mock table {key!r}")
         if not isinstance(tables[key], dict):
             raise ValueError(f"mock table {key!r} must be an object")
@@ -761,16 +774,17 @@ class _KeepAliveHTTPServer(ThreadingHTTPServer):
 class MockServer:
     """Serves the wire protocol from fixture tables, deterministically.
 
-    Each entry of a batch is answered from the tables (a ``/generate``
-    group item by item), and the response objects found there are echoed
-    verbatim, so tables may deliberately omit fields or mis-size score
-    arrays to drive client-side protocol-error tests (``force_scores``
-    answers every ``/rank`` item). A missing, empty or malformed entry or
-    item array is answered 400 with an error object, on the same
-    connection. Request bodies are recorded in ``requests`` for
-    golden-file comparison. ``fail_first`` makes the first N calls to a
-    route answer 500, which exercises the client retry budget. It speaks
-    HTTP/1.1 keep-alive; ``close`` also ends the open connections.
+    Each entry of a request's entry array (named in ``_FORMS``) is
+    answered from the route's table, and the response objects found there
+    are echoed verbatim, so tables may deliberately omit fields or mis-size
+    score arrays to drive client-side protocol-error tests
+    (``force_scores`` answers every ``/rank`` item). A malformed array or
+    entry is answered 400 with an error object, on the same connection.
+    Request bodies are recorded in ``requests`` for golden-file
+    comparison. An entry with no table answer is answered 500, as are the
+    first N calls to a route under ``fail_first``, which exercise the
+    client retry budget. It speaks HTTP/1.1 keep-alive; ``close`` also
+    ends the open connections.
     """
 
     def __init__(self, tables: dict, host: str = "127.0.0.1", port: int = 0):
@@ -852,7 +866,7 @@ class MockServer:
             if self._fail_budget.get(route, 0) > 0:
                 self._fail_budget[route] -= 1
                 return 500, {"error": "injected failure"}
-        if route not in _ROUTES:
+        if route not in _FORMS:
             return 404, {"error": f"unknown route {route}"}
         try:
             req = json.loads(body.decode("utf-8"))
@@ -860,91 +874,79 @@ class MockServer:
             return 400, {"error": "request body is not valid JSON"}
         if not isinstance(req, dict):
             return 400, {"error": "request body is not a JSON object"}
-        if route == "/generate":
-            return self._generate(req)
-        if route == "/rank":
-            return self._rank(req)
-        if route == "/nli":
-            return self._nli(req)
-        return self._classify(req)
+        entry_key, kind, answer_key, _noun = _FORMS[route]
+        entries = req.get(entry_key)
+        if not (entries and _array_of(entries, kind)):
+            kinds = "strings" if kind is str else "objects"
+            return 400, {"error": f"'{entry_key}' must be a non-empty array of {kinds}"}
+        table = self._tables.get(route[1:], {})
+        try:
+            answers = [_ANSWERS[route](table, entry) for entry in entries]
+        except _Refused as exc:
+            return exc.args[0], {"error": exc.args[1]}
+        return 200, {answer_key: answers}
 
-    def _generate(self, req: dict) -> tuple[int, dict | None]:
-        groups = req.get("groups")
-        if not (groups and _array_of(groups, dict)):
-            return 400, {"error": "'groups' must be a non-empty array of objects"}
-        table = self._tables.get("generate", {})
-        by_skill = table.get("by_skill", {})
-        results = []
-        for group in groups:
-            items = group.get("items")
-            if not (items and _array_of(items, dict)):
-                return 400, {"error": "'items' must be a non-empty array of objects"}
-            answers = []
-            for item in items:
-                attempt = item.get("attempt", 1)
-                if not isinstance(attempt, int) or isinstance(attempt, bool) or attempt < 1:
-                    return 400, {"error": "'attempt' must be a positive integer"}
-                skill = item.get("skill", "")
-                if not isinstance(skill, str):
-                    return 400, {"error": "'skill' must be a string"}
-                if not _array_of(item.get("context", []), str):
-                    return 400, {"error": "'context' must be an array of strings"}
-                entries = by_skill.get(skill)
-                if entries:
-                    answers.append(entries[(attempt - 1) % len(entries)])
-                elif "default" in table:
-                    answers.append(table["default"])
-                else:
-                    return 500, {"error": "no generate table entry"}
-            results.append(answers)
-        return 200, {"results": results}
 
-    def _rank(self, req: dict) -> tuple[int, dict | None]:
-        items = req.get("items")
-        if not (items and _array_of(items, dict)):
-            return 400, {"error": "'items' must be a non-empty array of objects"}
-        table = self._tables.get("rank", {})
-        by_text = table.get("by_text", {})
-        default = table.get("default_score", 0.0)
-        scores = []
-        for item in items:
-            candidates = item.get("candidates", [])
-            if not _array_of(candidates, str):
-                return 400, {"error": "'candidates' must be an array of strings"}
-            if "force_scores" in table:
-                scores.append(table["force_scores"])
-            else:
-                scores.append([by_text.get(text, default) for text in candidates])
-        return 200, {"scores": scores}
+class _Refused(Exception):
+    """An entry the mock cannot answer; ``args`` is the request's (status, error)."""
 
-    def _nli(self, req: dict) -> tuple[int, dict | None]:
-        items = req.get("items")
-        if not (items and _array_of(items, dict)):
-            return 400, {"error": "'items' must be a non-empty array of objects"}
-        table = self._tables.get("nli", {})
-        default = table.get("default", {"label": "neutral", "confidence": 0.5})
-        verdicts = []
-        for item in items:
-            premises = item.get("premises")
-            hypothesis = item.get("hypothesis")
-            if not _array_of(premises, str):
-                return 400, {"error": "'premises' must be an array of strings"}
-            if not isinstance(hypothesis, str):
-                return 400, {"error": "'hypothesis' must be a string"}
-            # the first table row matching a (premise, hypothesis) pair decides
-            rows = [pair for pair in table.get("pairs", []) if pair.get("hypothesis") == hypothesis]
-            verdicts.append([_verdict(rows, premise, default) for premise in premises])
-        return 200, {"verdicts": verdicts}
 
-    def _classify(self, req: dict) -> tuple[int, dict | None]:
-        texts = req.get("texts")
-        if not (texts and _array_of(texts, str)):
-            return 400, {"error": "'texts' must be a non-empty array of strings"}
-        table = self._tables.get("classify", {})
-        by_text = table.get("by_text", {})
-        if "default" not in table and not all(text in by_text for text in texts):
-            return 500, {"error": "no classify table entry"}
-        return 200, {"distributions": [by_text.get(text, table.get("default")) for text in texts]}
+def _generate_answer(table: dict, group: dict) -> list:
+    items = group.get("items")
+    if not (items and _array_of(items, dict)):
+        raise _Refused(400, "'items' must be a non-empty array of objects")
+    answers = []
+    for item in items:
+        attempt = item.get("attempt", 1)
+        if not isinstance(attempt, int) or isinstance(attempt, bool) or attempt < 1:
+            raise _Refused(400, "'attempt' must be a positive integer")
+        skill = item.get("skill", "")
+        if not isinstance(skill, str):
+            raise _Refused(400, "'skill' must be a string")
+        if not _array_of(item.get("context", []), str):
+            raise _Refused(400, "'context' must be an array of strings")
+        entries = table.get("by_skill", {}).get(skill)
+        if entries:
+            answers.append(entries[(attempt - 1) % len(entries)])
+        elif "default" in table:
+            answers.append(table["default"])
+        else:
+            raise _Refused(500, "no generate table entry")
+    return answers
+
+
+def _rank_answer(table: dict, item: dict) -> list:
+    candidates = item.get("candidates", [])
+    if not _array_of(candidates, str):
+        raise _Refused(400, "'candidates' must be an array of strings")
+    if "force_scores" in table:
+        return table["force_scores"]
+    by_text, default = table.get("by_text", {}), table.get("default_score", 0.0)
+    return [by_text.get(text, default) for text in candidates]
+
+
+def _nli_answer(table: dict, item: dict) -> list:
+    premises, hypothesis = item.get("premises"), item.get("hypothesis")
+    if not _array_of(premises, str):
+        raise _Refused(400, "'premises' must be an array of strings")
+    if not isinstance(hypothesis, str):
+        raise _Refused(400, "'hypothesis' must be a string")
+    default = table.get("default", {"label": "neutral", "confidence": 0.5})
+    # the first table row matching a (premise, hypothesis) pair decides
+    rows = [pair for pair in table.get("pairs", []) if pair.get("hypothesis") == hypothesis]
+    return [_verdict(rows, premise, default) for premise in premises]
+
+
+def _classify_answer(table: dict, text: str) -> list:
+    by_text = table.get("by_text", {})
+    if text not in by_text and "default" not in table:
+        raise _Refused(500, "no classify table entry")
+    return by_text.get(text, table.get("default"))
+
+
+# per route of _FORMS, in its order: the mock's answer to one request
+# entry, from the route's table
+_ANSWERS = dict(zip(_FORMS, (_generate_answer, _rank_answer, _nli_answer, _classify_answer)))
 
 
 def _array_of(value, kind: type) -> bool:

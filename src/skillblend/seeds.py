@@ -4,9 +4,8 @@ The index is a plain unigram tf-idf with smoothed natural-log idf and cosine
 similarity, stored as an inverted index: each term maps to the documents
 that contain it. It is built once, immutable afterwards, and safe to query
 from concurrent workers. Seed construction retrieves rank-aligned context
-variants for each skill and speaker side, following the shipped role
-templates (side 0 gets the speaker-side flavor of every skill, side 1 the
-counterpart flavor with no empathy grounding).
+variants for each skill and speaker side: side 0 gets the primary flavor
+of every skill, side 1 the counterpart flavor with no empathy grounding.
 """
 
 from __future__ import annotations
@@ -50,6 +49,10 @@ class SideRole(Enum):
 
     PRIMARY = "primary"
     COUNTERPART = "counterpart"
+
+
+# record side s is role s, and seed side s draws from role s
+_SIDE_ROLES = (SideRole.PRIMARY, SideRole.COUNTERPART)
 
 
 @dataclass(frozen=True)
@@ -205,19 +208,6 @@ def query(
     return _top(_scores(index, text), positions, k)
 
 
-RoleTemplate = tuple[dict[str, SideRole], dict[str, SideRole]]
-
-
-def default_role_template(roster: Sequence[SkillId]) -> RoleTemplate:
-    """Shipped per-side context assignment: side 0 draws the primary flavor
-    of every skill (persona, topic-only, situation + emotion); side 1 draws
-    the counterpart flavor (persona, topic with knowledge) and carries no
-    empathy context."""
-    side0 = {s.id: SideRole.PRIMARY for s in roster}
-    side1 = {s.id: SideRole.COUNTERPART for s in roster if s.id != "E"}
-    return side0, side1
-
-
 def build_seeds(
     pair: tuple[str, str],
     seed_dataset: SkillId,
@@ -225,48 +215,44 @@ def build_seeds(
     cfg: EngineConfig,
 ) -> list[SeedEpisode]:
     """Assemble up to ``cfg.seeds_per_pair`` seed variants for one pair of
-    utterance texts.
+    utterance texts: side 0 draws the primary flavor of every roster skill,
+    side 1 the counterpart flavor of every skill but empathy.
 
     The query is the concatenation of both pair texts, scored once against
     the index; each (skill, role) bucket keeps its top hits as ``query``
     would rank them. Variant v pairs the v-th ranked context of every
     bucket together; when a bucket has fewer than v+1 hits, that skill's
-    entry is simply omitted for the variant. Variants with no context at
-    all are dropped; a variant is empty only when every bucket has at most
-    v hits, so only a suffix is dropped and the seed at position v of the
-    list is variant v. Every variant carries ``pair`` itself.
+    entry is simply omitted for the variant. A variant is empty only when
+    every bucket has at most v hits, so the list ends at the first empty
+    one and the seed at position v is variant v. Every variant carries
+    ``pair`` itself.
     """
     first, second = pair
     if not first.strip() or not second.strip():
         raise ValueError("seed pair texts must be non-blank")
-    template = default_role_template(cfg.skill_roster)
-    query_text = first + " " + second
+    scores = _scores(index, first + " " + second)
+    k = cfg.seeds_per_pair
 
-    scores = _scores(index, query_text)
-    needed = {(sid, role) for side in template for sid, role in side.items()}
-    buckets = {
-        key: [index.docs[pos] for pos, _ in _top(scores, positions, cfg.seeds_per_pair)]
-        for key, positions in index.buckets.items()
-        if key in needed
-    }
+    def hits(skill: SkillId, role: SideRole) -> list[ContextDoc]:
+        positions = index.buckets.get((skill.id, role), ())
+        return [index.docs[pos] for pos, _ in _top(scores, positions, k)]
 
+    primary, counterpart = _SIDE_ROLES
+    sides = (
+        [(skill, hits(skill, primary)) for skill in cfg.skill_roster],
+        [(skill, hits(skill, counterpart)) for skill in cfg.skill_roster if skill.id != "E"],
+    )
     seeds: list[SeedEpisode] = []
-    for variant in range(cfg.seeds_per_pair):
-        sides: list[SkillContextSet] = []
-        any_context = False
-        for side_spec in template:
-            entries: list[SkillContext] = []
-            for skill in cfg.skill_roster:
-                role = side_spec.get(skill.id)
-                if role is None:
-                    continue
-                docs = buckets.get((skill.id, role), [])
-                if variant < len(docs):
-                    entries.append(SkillContext(skill, docs[variant].lines))
-                    any_context = True
-            sides.append(SkillContextSet(tuple(entries)))
-        if any_context:
-            seeds.append(SeedEpisode(seed_dataset, pair, (sides[0], sides[1])))
+    for variant in range(k):
+        contexts = tuple(
+            SkillContextSet(
+                tuple(SkillContext(skill, docs[variant].lines) for skill, docs in side if variant < len(docs))
+            )
+            for side in sides
+        )
+        if not any(map(len, contexts)):
+            break
+        seeds.append(SeedEpisode(seed_dataset, pair, contexts))
     return seeds
 
 
@@ -301,8 +287,7 @@ def docs_from_records(records) -> list[ContextDoc]:
     counterpart); empty sides carry no seed information and are skipped."""
     docs: list[ContextDoc] = []
     for rec in records:
-        for side, role in ((0, SideRole.PRIMARY), (1, SideRole.COUNTERPART)):
-            lines = rec.side_contexts[side]
+        for lines, role in zip(rec.side_contexts, _SIDE_ROLES):
             if lines:
                 docs.append(ContextDoc(rec.skill.id, role, tuple(lines)))
     return docs

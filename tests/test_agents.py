@@ -58,6 +58,14 @@ def test_spec_rejects_empty_or_blank_templates():
         ScriptedAgent(K, ("{context}",))
 
 
+@pytest.mark.parametrize(
+    "template", ["{name} said", "{} said", "{0} said", "{context.upper} said", "{context:{last}} said"]
+)
+def test_spec_rejects_a_template_field_other_than_context_and_last(template):
+    with pytest.raises(ValueError, match=r"^template .* may reference only \{context\} and \{last\}$"):
+        ScriptedAgent(K, ("plain text", template))
+
+
 def test_scripted_generate_walks_templates(agent, dtx):
     stx = SkillContext(K, ("the topic",))
     first = agent.generate(stx, dtx, 1)
@@ -388,55 +396,78 @@ def _group(*items):
     return {"groups": [{"dialogue": [], "items": list(items)}]}
 
 
+def _refusal(field, kind):
+    """The mock's answer to a malformed batch."""
+    return {"error": f"'{field}' must be {kind}"}
+
+
+_GROUPS = _refusal("groups", "a non-empty array of objects")
+_ITEMS = _refusal("items", "a non-empty array of objects")
+_TEXTS = _refusal("texts", "a non-empty array of strings")
+_ATTEMPT = _refusal("attempt", "a positive integer")
+_CONTEXT = _refusal("context", "an array of strings")
+_PREMISES = _refusal("premises", "an array of strings")
+_HYPOTHESIS = _refusal("hypothesis", "a string")
+_CANDIDATES = _refusal("candidates", "an array of strings")
+
+
 @pytest.mark.parametrize(
-    "route, body",
+    "route, body, refusal",
     [
         # the entry array is not an array, is empty, or holds a non-object
         # (for /classify: non-string) entry
-        ("/generate", {"groups": {"dialogue": [], "items": [{"skill": "K", "attempt": 1}]}}),
-        ("/generate", {"groups": []}),
-        ("/generate", {"groups": [["K"]]}),
-        ("/generate", {"dialogue": [], "items": {"skill": "K", "attempt": 1}}),
-        ("/generate", {"groups": [{"dialogue": [], "items": []}]}),
-        ("/generate", {"groups": [{"dialogue": [], "items": ["K"]}]}),
-        ("/nli", {"items": {"premises": ["p"], "hypothesis": "h"}}),
-        ("/nli", {"items": []}),
-        ("/nli", {"items": [["p", "h"]]}),
-        ("/classify", {"texts": "hello"}),
-        ("/classify", {"texts": []}),
-        ("/classify", {"texts": [{"text": "hello"}]}),
-        ("/classify", {"texts": ["hello", 3]}),
-        ("/rank", {"items": {"candidates": ["a"]}}),
-        ("/rank", {"items": []}),
-        ("/rank", {"items": [["a"]]}),
+        ("/generate", {"groups": {"dialogue": [], "items": [{"skill": "K", "attempt": 1}]}}, _GROUPS),
+        ("/generate", {"groups": []}, _GROUPS),
+        ("/generate", {"groups": [["K"]]}, _GROUPS),
+        ("/generate", {"dialogue": [], "items": {"skill": "K", "attempt": 1}}, _GROUPS),
+        ("/generate", {"groups": [{"dialogue": [], "items": []}]}, _ITEMS),
+        ("/generate", {"groups": [{"dialogue": [], "items": ["K"]}]}, _ITEMS),
+        ("/nli", {"items": {"premises": ["p"], "hypothesis": "h"}}, _ITEMS),
+        ("/nli", {"items": []}, _ITEMS),
+        ("/nli", {"items": [["p", "h"]]}, _ITEMS),
+        ("/classify", {"texts": "hello"}, _TEXTS),
+        ("/classify", {"texts": []}, _TEXTS),
+        ("/classify", {"texts": [{"text": "hello"}]}, _TEXTS),
+        ("/classify", {"texts": ["hello", 3]}, _TEXTS),
+        ("/rank", {"items": {"candidates": ["a"]}}, _ITEMS),
+        ("/rank", {"items": []}, _ITEMS),
+        ("/rank", {"items": [["a"]]}, _ITEMS),
         # the retired forms: one item, or a /generate without groups and
         # a /rank without items
-        ("/generate", {"skill": "K", "context": [], "dialogue": [], "attempt": 1}),
-        ("/generate", {"dialogue": [], "items": [{"skill": "K", "context": [], "attempt": 1}]}),
-        ("/nli", {"premises": ["p"], "hypothesis": "h"}),
-        ("/classify", {"text": "hello"}),
-        ("/rank", {"skill": "K", "context": [], "dialogue": [], "candidates": ["a"]}),
+        ("/generate", {"skill": "K", "context": [], "dialogue": [], "attempt": 1}, _GROUPS),
+        ("/generate", {"dialogue": [], "items": [{"skill": "K", "context": [], "attempt": 1}]}, _GROUPS),
+        ("/nli", {"premises": ["p"], "hypothesis": "h"}, _ITEMS),
+        ("/classify", {"text": "hello"}, _TEXTS),
+        ("/rank", {"skill": "K", "context": [], "dialogue": [], "candidates": ["a"]}, _ITEMS),
         # a wrongly typed field inside an item, also after a good item
-        ("/generate", _group({"skill": "K", "attempt": "2"})),
-        ("/generate", _group({"skill": "K", "attempt": 1.5})),
-        ("/generate", _group({"skill": "K", "attempt": True})),
-        ("/generate", _group({"skill": "K", "attempt": None})),
+        ("/generate", _group({"skill": "K", "attempt": "2"}), _ATTEMPT),
+        ("/generate", _group({"skill": "K", "attempt": 1.5}), _ATTEMPT),
+        ("/generate", _group({"skill": "K", "attempt": True}), _ATTEMPT),
+        ("/generate", _group({"skill": "K", "attempt": None}), _ATTEMPT),
         # a non-positive attempt has no table entry
-        ("/generate", _group({"skill": "K", "attempt": 0})),
-        ("/generate", _group({"skill": "K", "attempt": -1})),
-        ("/generate", _group({"skill": "K", "attempt": 1}, {"skill": [], "attempt": 1})),
-        ("/generate", _group({"skill": "K", "context": "topic", "attempt": 1})),
-        ("/generate", _group({"skill": "K", "context": ["topic", 2], "attempt": 1})),
-        ("/nli", {"items": [{"premises": "p", "hypothesis": "h"}]}),
-        ("/nli", {"items": [{"premises": ["p", 1], "hypothesis": "h"}]}),
-        ("/nli", {"items": [{"premises": ["p"], "hypothesis": "h"}, {"premises": ["p"], "hypothesis": ["h"]}]}),
-        ("/nli", {"items": [{"premises": ["p"]}]}),
-        ("/rank", {"items": [{"candidates": 5}]}),
-        ("/rank", {"items": [{"candidates": ["a"]}, {"candidates": [[1]]}]}),
+        ("/generate", _group({"skill": "K", "attempt": 0}), _ATTEMPT),
+        ("/generate", _group({"skill": "K", "attempt": -1}), _ATTEMPT),
+        (
+            "/generate",
+            _group({"skill": "K", "attempt": 1}, {"skill": [], "attempt": 1}),
+            _refusal("skill", "a string"),
+        ),
+        ("/generate", _group({"skill": "K", "context": "topic", "attempt": 1}), _CONTEXT),
+        ("/generate", _group({"skill": "K", "context": ["topic", 2], "attempt": 1}), _CONTEXT),
+        ("/nli", {"items": [{"premises": "p", "hypothesis": "h"}]}, _PREMISES),
+        ("/nli", {"items": [{"premises": ["p", 1], "hypothesis": "h"}]}, _PREMISES),
+        (
+            "/nli",
+            {"items": [{"premises": ["p"], "hypothesis": "h"}, {"premises": ["p"], "hypothesis": ["h"]}]},
+            _HYPOTHESIS,
+        ),
+        ("/nli", {"items": [{"premises": ["p"]}]}, _HYPOTHESIS),
+        ("/rank", {"items": [{"candidates": 5}]}, _CANDIDATES),
+        ("/rank", {"items": [{"candidates": ["a"]}, {"candidates": [[1]]}]}, _CANDIDATES),
     ],
 )
 def test_mock_server_answers_400_to_a_malformed_batch_and_keeps_the_connection(
-    connects, route, body
+    connects, route, body, refusal
 ):
     tables = {
         "generate": {"by_skill": {"K": [{"text": "row zero", "score": 0.1}]}},
@@ -450,9 +481,9 @@ def test_mock_server_answers_400_to_a_malformed_batch_and_keeps_the_connection(
                 post_json(endpoint, route, body)
             return json.loads(err.value.body), post_json(endpoint, route, _GOOD_BODIES[route])[0]
 
-        error, answer = _in_fresh_thread(bad_then_good)
-    assert list(error) == ["error"] and isinstance(error["error"], str)
-    assert answer  # the same connection answers the next, well-formed request
+        answer, good = _in_fresh_thread(bad_then_good)
+    assert answer == refusal
+    assert good  # the same connection answers the next, well-formed request
     assert len(connects) == 1
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from collections import Counter, defaultdict
 from functools import partial
 
@@ -267,3 +268,35 @@ def test_a_finished_batch_leaves_no_thread(cfg):
         report = run_batch(seeds, *_stack(server.endpoint(), cfg), cfg, parallelism=2)
         assert _batch_threads() == []
     assert report.episodes_written == 8
+
+
+def test_a_member_that_fails_to_start_leaves_the_group(monkeypatch):
+    # the third member's thread fails to start: the two started members
+    # still get their answers, in one request, and end; the error propagates
+    start = threading.Thread.start
+    starts = []
+
+    def failing_start(thread):
+        if thread.name.startswith("skillblend-lockstep-"):
+            starts.append(thread.name)
+            if len(starts) == 3:
+                raise RuntimeError("can't start new thread")
+            thread.daemon = True  # a stranded member must not hang the suite
+        start(thread)
+
+    sent = []
+
+    def post(endpoint, route, body):
+        sent.append((route, body))
+        return {"distributions": [[1.0]] * len(body["texts"])}, b"raw"
+
+    endpoint = BackendEndpoint("http://127.0.0.1:9")
+    jobs = [partial(agents.exchange, post, endpoint, "/classify", [f"text {i}"]) for i in range(4)]
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    with pytest.raises(RuntimeError, match="^can't start new thread$"):
+        run_in_lockstep(jobs)
+    deadline = time.monotonic() + 2
+    while _batch_threads() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _batch_threads() == []
+    assert sent == [("/classify", {"texts": ["text 0", "text 1"]})]

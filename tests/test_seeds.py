@@ -24,7 +24,6 @@ from skillblend.seeds import (
     SideRole,
     build_index,
     build_seeds,
-    default_role_template,
     docs_from_records,
     iter_seed_pairs,
     load_index,
@@ -258,8 +257,13 @@ def _old_query(docs, old, text, k, skill=None, role=None):
 
 
 def _old_build_seeds(pair, seed_dataset, docs, old, cfg):
-    """build_seeds with one full scan per (skill, role) bucket."""
-    template = default_role_template(cfg.skill_roster)
+    """build_seeds with one full scan per (skill, role) bucket. Side 0
+    draws the primary flavor of every skill, side 1 the counterpart flavor
+    of every skill but E."""
+    template = (
+        {s.id: SideRole.PRIMARY for s in cfg.skill_roster},
+        {s.id: SideRole.COUNTERPART for s in cfg.skill_roster if s.id != "E"},
+    )
     text = pair[0] + " " + pair[1]
     needed = {(sid, role) for side in template for sid, role in side.items()}
     buckets = {
@@ -396,10 +400,23 @@ def test_blank_seed_texts_cannot_be_constructed():
             build_seeds(pair, P, index, EngineConfig())
 
 
-def test_default_role_template_shape():
-    side0, side1 = default_role_template(DEFAULT_ROSTER)
-    assert side0 == {"P": SideRole.PRIMARY, "K": SideRole.PRIMARY, "E": SideRole.PRIMARY}
-    assert side1 == {"P": SideRole.COUNTERPART, "K": SideRole.COUNTERPART}
+def test_seed_side_s_draws_on_record_side_s():
+    # one record per skill with both sides filled: all six (skill, role)
+    # buckets hold a document
+    records = [
+        SingleSkillRecord(skill, ((f"topic {skill.id} zero",), (f"topic {skill.id} one",)), ("a", "b"))
+        for skill in DEFAULT_ROSTER
+    ]
+    docs = docs_from_records(records)
+    assert [(d.skill_id, d.side_role, d.lines) for d in docs] == [
+        (skill.id, role, (f"topic {skill.id} {side}",))
+        for skill in DEFAULT_ROSTER
+        for side, role in (("zero", SideRole.PRIMARY), ("one", SideRole.COUNTERPART))
+    ]
+    (seed,) = build_seeds(("the topic", "a topic"), P, build_index(docs), EngineConfig(seeds_per_pair=1))
+    side0, side1 = ([(c.skill.id, c.lines) for c in side] for side in seed.contexts)
+    assert side0 == [("P", ("topic P zero",)), ("K", ("topic K zero",)), ("E", ("topic E zero",))]
+    assert side1 == [("P", ("topic P one",)), ("K", ("topic K one",))]  # no empathy entry
 
 
 # --- seed pair sampling --------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Source checks over ``src/skillblend``, with the standard library's ``ast``:
 no module imports a name it never uses or a module outside the standard
 library, no module has an ``assert`` statement, which ``python -O``
-strips, and every top-level function and class has a reader in
-``src/skillblend`` or ``perfbench``, not only in the tests."""
+strips, and every top-level function and class, and every member of a
+top-level class, has a reader in ``src/skillblend`` or ``perfbench``, not
+only in the tests. The member check also imports each module, to see
+which names a base class outside skillblend defines."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -100,6 +103,83 @@ def unreferenced(trees: dict[str, ast.Module], readers: list[ast.Module]) -> lis
     ]
 
 
+def reads(tree: ast.Module) -> set[str]:
+    """The names a module reads: a loaded name or attribute, and a string
+    constant; a store does not count."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _walk_skipping_classes(node: ast.AST):
+    """``ast.walk`` that does not enter a class defined inside ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, ast.ClassDef):
+            yield child
+            yield from _walk_skipping_classes(child)
+
+
+def _self_stores(method: ast.AST) -> set[str]:
+    """The attributes ``method`` stores on ``self``, also through
+    ``object.__setattr__(self, name, value)``; a class defined inside the
+    method has its own ``self``."""
+    found = set()
+    for node in _walk_skipping_classes(method):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            target, name = node.value, node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "__setattr__"
+            and len(node.args) == 3
+        ):
+            target, name = node.args[0], getattr(node.args[1], "value", None)
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == "self" and isinstance(name, str):
+            found.add(name)
+    return found
+
+
+def unread_members(modules: dict[str, tuple[ast.Module, dict]], readers: list[ast.Module]) -> list[str]:
+    """The members of the classes at the top level of ``modules`` (each a
+    tree and the namespace its code ran in) that no reader reads, as
+    ``module: Class.member``. Members are the methods, properties and
+    annotated fields of a class body and the attributes its methods store
+    on ``self``. Dunder names and names that a base class outside
+    skillblend defines are exempt."""
+    used = set().union(*map(reads, readers))
+    found = []
+    for module, (tree, namespace) in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            outside = {
+                name
+                for base in namespace[cls.name].__mro__[1:]
+                if not base.__module__.startswith("skillblend")
+                for name in vars(base)
+            }
+            members = set()
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    members.add(stmt.name)
+                    members |= _self_stores(stmt)
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    members.add(stmt.target.id)
+            found += [
+                f"{module}: {cls.name}.{name}"
+                for name in sorted(members - used - outside)
+                if not (name.startswith("__") and name.endswith("__"))
+            ]
+    return found
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(_tree(path)) == []
@@ -122,6 +202,15 @@ def test_every_top_level_definition_has_a_reader():
     assert unreferenced(trees, [_tree(path) for path in READERS]) == []
 
 
+def test_every_class_member_has_a_reader():
+    modules = {
+        path.name: (_tree(path), vars(importlib.import_module(f"skillblend.{path.stem}")))
+        for path in SOURCES
+        if path.name != "__init__.py"
+    }
+    assert unread_members(modules, [_tree(path) for path in READERS]) == []
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse(
         "import os\nimport a.b\nfrom x import y as z, w\nfrom typing import T\n"
@@ -140,4 +229,20 @@ def test_the_checks_see_what_they_look_for():
     assert unreferenced({"m.py": defs}, [defs, reader]) == ["m.py: Dead", "m.py: loop"]
     assert unreferenced({"m.py": defs}, [defs]) == [
         "m.py: Dead", "m.py: loop", "m.py: aliased", "m.py: Named", "m.py: called"
+    ]
+    classes = ast.parse(
+        "class Base:\n    def kept(self): pass\n"
+        "class Point(Base, dict):\n    x: int\n    y: int\n"
+        "    def __init__(self):\n        self.shown, self.hidden = 1, 2\n"
+        "        object.__setattr__(self, 'late', 3)\n"
+        "        class Local:\n            def never(self): self.inner = 4\n"
+        "    def get(self, key): return self.x\n"
+        "    @property\n    def area(self): return self.shown\n"
+    )
+    namespace = {"__name__": "skillblend.m"}
+    exec(compile(classes, "m.py", "exec"), namespace)
+    reader = ast.parse("p.area\np.y = p.late\n")
+    # dict defines get; Local is nested in a method; a store of y is no read
+    assert unread_members({"m.py": (classes, namespace)}, [classes, reader]) == [
+        "m.py: Base.kept", "m.py: Point.hidden", "m.py: Point.y"
     ]
