@@ -58,7 +58,11 @@ line longer than 65536 bytes, more than 100 header lines, any other
 timeouts, resets and 5xx responses; failed attempts are retried after a
 capped exponential backoff. A request that fails on a reused connection
 before any response byte arrives is sent once more on a fresh connection,
-outside the retry budget.
+outside the retry budget. ``orchestrator.run_batch`` closes its worker
+threads' connections when the batch ends.
+
+The mock server's side reuses that framing: one thread per connection,
+the same request-head limits, and one write per response.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ import socket
 import ssl
 import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from string import Formatter
 from time import sleep
 from typing import Callable, Protocol, Sequence
@@ -245,8 +249,9 @@ class BackendEndpoint:
 # the wait before retry i (0-based) is min(_BACKOFF_CAP_S, _BACKOFF_FIRST_S * 2**i)
 _BACKOFF_FIRST_S = 0.05
 _BACKOFF_CAP_S = 1.0
-# limits on what a response may send before its body: a status or header
-# line (terminator included), and the header lines of one response
+# limits on what a response (or, at the mock server, a request) may send
+# before its body: a status, request or header line (terminator included),
+# and the header lines of one message
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
 _REQUEST_HEAD = (
@@ -259,12 +264,13 @@ _thread_state = threading.local()
 
 class _BadResponse(Exception):
     """A response that breaks HTTP/1.1 framing or a reader limit; like a
-    transport failure, it is a failed attempt."""
+    transport failure, it is a failed attempt. The mock server reads
+    request heads with the same readers and refuses one that raises it."""
 
 
 def _line(reader) -> bytes:
-    """One status, header or chunk-size line, at most ``_MAX_LINE`` bytes;
-    b"" at end of stream."""
+    """One status, request, header or chunk-size line, at most
+    ``_MAX_LINE`` bytes; b"" at end of stream."""
     line = reader.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
         raise _BadResponse(f"response line longer than {_MAX_LINE} bytes")
@@ -405,15 +411,18 @@ class _Connection:
 
 
 class _Connections(dict):
-    """One thread's connections by (scheme, host, port); they close when
-    the thread ends and its state is dropped."""
+    """One thread's connections by (scheme, host, port); they close on
+    ``close``, or when the thread ends and its state is dropped."""
 
-    def __del__(self) -> None:
+    def close(self) -> None:
         for conn in self.values():
             conn.close()
 
+    def __del__(self) -> None:
+        self.close()
 
-def _thread_connections() -> _Connections:
+
+def thread_connections() -> _Connections:
     """This thread's connections, made on first use."""
     conns = getattr(_thread_state, "conns", None)
     if conns is None:
@@ -423,7 +432,7 @@ def _thread_connections() -> _Connections:
 
 def _connection(endpoint: BackendEndpoint) -> _Connection:
     """This thread's connection to the endpoint's host."""
-    conns = _thread_connections()
+    conns = thread_connections()
     conn = conns.get(endpoint._origin)
     if conn is None:
         conn = conns[endpoint._origin] = _Connection(endpoint)
@@ -618,7 +627,7 @@ def run_in_lockstep(jobs: Sequence[Callable[[], object]]) -> list:
     job should not raise: its thread would end with the error reported and
     its result None."""
     group = _Lockstep(len(jobs))
-    conns = _thread_connections()
+    conns = thread_connections()
     results: list = [None] * len(jobs)
 
     def member(index: int, job: Callable[[], object]) -> None:
@@ -735,40 +744,7 @@ def _validate_tables(tables: dict) -> None:
             raise ValueError(f"bad fail_first entry {route!r}")
 
 
-class _KeepAliveHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server whose ``server_close`` also ends the open
-    keep-alive connections and waits for their handler threads, which would
-    otherwise go on answering clients that still hold a connection."""
-
-    def __init__(self, address, handler) -> None:
-        self._handlers: dict[socket.socket, threading.Thread] = {}
-        self._handlers_lock = threading.Lock()
-        super().__init__(address, handler)
-
-    def process_request(self, request, client_address) -> None:
-        worker = threading.Thread(
-            target=self.process_request_thread, args=(request, client_address), daemon=True
-        )
-        with self._handlers_lock:
-            self._handlers[request] = worker
-        worker.start()
-
-    def shutdown_request(self, request) -> None:
-        with self._handlers_lock:
-            self._handlers.pop(request, None)
-        super().shutdown_request(request)
-
-    def server_close(self) -> None:
-        super().server_close()
-        with self._handlers_lock:
-            handlers = list(self._handlers.items())
-        for sock, _worker in handlers:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # already closed by its handler
-        for _sock, worker in handlers:
-            worker.join(timeout=5)
+_RESPONSE_HEAD = b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n"
 
 
 class MockServer:
@@ -783,8 +759,16 @@ class MockServer:
     Request bodies are recorded in ``requests`` for golden-file
     comparison. An entry with no table answer is answered 500, as are the
     first N calls to a route under ``fail_first``, which exercise the
-    client retry budget. It speaks HTTP/1.1 keep-alive; ``close`` also
-    ends the open connections.
+    client retry budget.
+
+    It speaks HTTP/1.1 keep-alive, one thread per connection, and reads a
+    request head with the client's limits (a line of at most ``_MAX_LINE``
+    bytes, at most ``_MAX_HEADERS`` header lines); a head over them is
+    answered 414 or 431 and the connection closes. A request that is not a
+    POST is answered 501 and not recorded, and the connection closes after
+    it, after a bad ``Content-Length`` (400), after an HTTP/1.0 request and
+    after a ``Connection: close`` request. ``close`` also ends the open
+    connections and waits for their threads.
     """
 
     def __init__(self, tables: dict, host: str = "127.0.0.1", port: int = 0):
@@ -793,45 +777,19 @@ class MockServer:
         self._fail_budget = dict(tables.get("fail_first", {}))
         self.requests: list[tuple[str, bytes]] = []
         self._lock = threading.Lock()
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            # keep-alive only with Nagle off: otherwise the response's
-            # headers and body, written apart, stall on the client's delayed ACK
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def do_POST(self) -> None:  # noqa: N802 (http.server API)
-                try:
-                    length = int(self.headers.get("Content-Length", 0))
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    # the body's end is unknown, so the connection cannot
-                    # carry another request
-                    self.close_connection = True
-                    status, obj = 400, {"error": "bad Content-Length"}
-                else:
-                    status, obj = server._handle(self.path, self.rfile.read(length))
-                data = b"" if obj is None else compact_json(obj).encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args) -> None:
-                pass
-
-        self._httpd = _KeepAliveHTTPServer((host, port), Handler)
+        self._listener = socket.create_server((host, port))
         # short poll so close() returns promptly
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
-        )
+        self._listener.settimeout(0.02)
+        self._closing = threading.Event()
+        # the open connections and their threads; a connection's socket is
+        # closed, and dropped from here, under the lock
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
+        self._thread = threading.Thread(target=self._accept, daemon=True)
 
     @property
     def base_url(self) -> str:
-        host, port = self._httpd.server_address[:2]
+        host, port = self._listener.getsockname()[:2]
         return f"http://{host}:{port}"
 
     def endpoint(self, timeout_ms: int = 5000, max_retries: int = 2) -> BackendEndpoint:
@@ -842,11 +800,20 @@ class MockServer:
         return self
 
     def close(self) -> None:
-        # an unstarted server has no serve_forever loop to wait for
+        self._closing.set()
+        # an unstarted server has no accept loop to wait for
         if self._thread.ident is not None:
-            self._httpd.shutdown()
             self._thread.join(timeout=5)
-        self._httpd.server_close()
+        self._listener.close()
+        with self._connections_lock:
+            workers = list(self._connections.values())
+            for sock in self._connections:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer has ended it already
+        for worker in workers:
+            worker.join(timeout=5)
 
     def wait(self, timeout: float | None = None) -> None:
         """Block until the server thread exits (or the timeout elapses);
@@ -860,7 +827,85 @@ class MockServer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _handle(self, route: str, body: bytes) -> tuple[int, dict | None]:
+    def _accept(self) -> None:
+        while not self._closing.is_set():
+            try:
+                sock, _address = self._listener.accept()
+            except OSError:
+                continue  # the poll timed out, or a connection failed before it was accepted
+            # one write per response, so Nagle would only hold back the
+            # last segment of a large one
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            worker = threading.Thread(target=self._serve, args=(sock,), daemon=True)
+            try:
+                with self._connections_lock:
+                    worker.start()
+                    self._connections[sock] = worker
+            except RuntimeError:
+                sock.close()  # no thread to serve it: the client sees it close
+
+    def _serve(self, sock: socket.socket) -> None:
+        """Answer the requests of one connection until either side ends it.
+        A peer that resets or goes away just ends it: nothing is printed."""
+        reader = sock.makefile("rb")
+        try:
+            while self._answer(sock, reader):
+                pass
+        except OSError:
+            pass
+        finally:
+            reader.close()
+            with self._connections_lock:
+                del self._connections[sock]
+                sock.close()
+
+    def _answer(self, sock: socket.socket, reader) -> bool:
+        """Read one request and send its response in one write; returns
+        whether the connection carries another request."""
+        try:
+            line = _line(reader)
+        except _BadResponse:
+            return _reply(sock, 414, {"error": f"request line longer than {_MAX_LINE} bytes"})
+        if not line:
+            return False
+        parts = line.split()
+        if len(parts) != 3 or parts[2] not in (b"HTTP/1.0", b"HTTP/1.1"):
+            return _reply(sock, 400, {"error": "malformed request line"})
+        method, target, version = parts
+        keep = version == b"HTTP/1.1"
+        lengths, expect = set(), False
+        try:
+            for header in _header_lines(reader):
+                name, _, value = header.partition(b":")
+                name = name.strip().lower()
+                value = value.strip()
+                if name == b"content-length":
+                    lengths.add(value)
+                elif name == b"connection":
+                    keep = keep and b"close" not in [t.strip() for t in value.lower().split(b",")]
+                elif name == b"expect":
+                    expect = value.lower() == b"100-continue"
+        except _BadResponse:
+            return _reply(sock, 431, {"error": "request head over the header limits"})
+        if method != b"POST":
+            # not recorded: a readiness probe may send it
+            return _reply(sock, 501, {"error": f"Unsupported method ({method.decode('latin-1')!r})"})
+        # no Content-Length means no body; several must agree
+        length, *others = lengths or {b"0"}
+        if others or not length.isdigit():
+            # the body's end is unknown, so the connection cannot carry
+            # another request
+            return _reply(sock, 400, {"error": "bad Content-Length"})
+        length = int(length)
+        if expect:
+            sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = reader.read(length)
+        if len(body) < length:
+            return False
+        status, obj = self._handle(target.decode("latin-1"), body)
+        return _reply(sock, status, obj, keep)
+
+    def _handle(self, route: str, body: bytes) -> tuple[int, dict]:
         with self._lock:
             self.requests.append((route, body))
             if self._fail_budget.get(route, 0) > 0:
@@ -947,6 +992,15 @@ def _classify_answer(table: dict, text: str) -> list:
 # per route of _FORMS, in its order: the mock's answer to one request
 # entry, from the route's table
 _ANSWERS = dict(zip(_FORMS, (_generate_answer, _rank_answer, _nli_answer, _classify_answer)))
+
+
+def _reply(sock: socket.socket, status: int, obj: dict, keep: bool = False) -> bool:
+    """Send one JSON response in one write; returns ``keep``, whether the
+    connection carries another request. One that does not says so."""
+    data = compact_json(obj).encode("utf-8")
+    head = _RESPONSE_HEAD % (status, HTTPStatus(status).phrase.encode("ascii"), len(data))
+    sock.sendall(head + (b"\r\n" if keep else b"Connection: close\r\n\r\n") + data)
+    return keep
 
 
 def _array_of(value, kind: type) -> bool:

@@ -28,6 +28,7 @@ from .agents import (
     generate_texts,
     run_in_lockstep,
     shared_endpoint,
+    thread_connections,
 )
 from .classifiers import NliJudge, RemoteNliJudge, RemoteSkillScorer, SkillScorer
 from .core import (
@@ -342,16 +343,26 @@ def run_batch(
     # ones not yet started are cancelled
     indexed = enumerate(seeds)
     window: deque[tuple[list[tuple[int, SeedEpisode]], Future]] = deque()
-    with ThreadPoolExecutor(max_workers=parallelism, thread_name_prefix="skillblend-batch") as pool:
-        try:
-            for group in iter(lambda: list(islice(indexed, size)), []):
-                if len(window) == 2 * parallelism:
-                    consume(*window.popleft())
-                window.append((group, pool.submit(run_group, group)))
-            while window:
+    # each pool thread's client connections
+    held: list = []
+    pool = ThreadPoolExecutor(
+        max_workers=parallelism,
+        thread_name_prefix="skillblend-batch",
+        initializer=lambda: held.append(thread_connections()),
+    )
+    try:
+        for group in iter(lambda: list(islice(indexed, size)), []):
+            if len(window) == 2 * parallelism:
                 consume(*window.popleft())
-        finally:
-            for _, future in window:
-                future.cancel()
+            window.append((group, pool.submit(run_group, group)))
+        while window:
+            consume(*window.popleft())
+    finally:
+        pool.shutdown(cancel_futures=True)
+        # closed once the threads have ended, not left to the garbage
+        # collector: an episode's exception holds frames that reach them
+        # in a reference cycle
+        for conns in held:
+            conns.close()
 
     return BatchReport(written, tuple(aborts), refusal_total)

@@ -594,23 +594,130 @@ def test_stale_connection_reopens_without_spending_retries(connects):
     assert len(connects) == 2
 
 
+def _mock_address(server: MockServer) -> tuple[str, int]:
+    host, port = server.base_url.rsplit("/", 1)[1].split(":")
+    return host, int(port)
+
+
+def _mock_exchange(server: MockServer, request: bytes) -> bytes:
+    """Send raw request bytes on a new connection to the mock; returns all
+    it answers until it closes the connection (what arrived before a
+    reset, which may be nothing)."""
+    reply = b""
+    with socket.create_connection(_mock_address(server), timeout=5) as sock:
+        try:
+            sock.sendall(request)
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass
+    return reply
+
+
+_EMPTY_NLI = b'{"items":[{"premises":[],"hypothesis":"h"}]}'
+
+
 @pytest.mark.parametrize("length", [b"abc", b"-5", b"1.5"])
 def test_mock_server_answers_400_to_a_bad_content_length(length):
     with serve_mock(_NLI_TABLES) as server:
-        host, port = server.base_url.rsplit("/", 1)[1].split(":")
-        with socket.create_connection((host, int(port)), timeout=5) as sock:
-            sock.sendall(
-                b"POST /nli HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n{}"
-            )
-            reply = b""
-            while chunk := sock.recv(4096):  # the server closes the connection after it
-                reply += chunk
+        request = b"POST /nli HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n{}"
+        # the server closes the connection after it
+        reply = _mock_exchange(server, request)
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert reply.endswith(b'{"error":"bad Content-Length"}')
         assert server.requests == []
         # the server goes on answering well-formed requests
-        body = b'{"items":[{"premises":[],"hypothesis":"h"}]}'
-        assert post_raw(server.base_url + "/nli", body)[0] == 200
+        assert post_raw(server.base_url + "/nli", _EMPTY_NLI)[0] == 200
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"POST /" + b"n" * 65536 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+        b"POST /nli HTTP/1.1\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n",
+        b"POST /nli HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n",
+    ],
+    ids=["long-request-line", "long-header-line", "too-many-headers"],
+)
+def test_mock_server_refuses_a_request_head_over_the_limits(head):
+    with serve_mock(_NLI_TABLES) as server:
+        # a 4xx answer, or a reset when the server closes on unread bytes
+        reply = _mock_exchange(server, head)
+        assert reply == b"" or reply.startswith(b"HTTP/1.1 4")
+        assert server.requests == []
+        assert post_raw(server.base_url + "/nli", _EMPTY_NLI)[0] == 200
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
+        b"PUT /nli HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}",
+    ],
+    ids=["GET", "PUT"],
+)
+def test_mock_server_answers_501_to_any_method_but_post_and_logs_nothing(request_bytes):
+    # a readiness probe sends GET / and must not add to the request log
+    with serve_mock(_NLI_TABLES) as server:
+        # the server closes the connection after it
+        assert _mock_exchange(server, request_bytes).startswith(b"HTTP/1.1 501 ")
+        assert server.requests == []
+
+
+@pytest.mark.parametrize(
+    "version, header",
+    [(b"HTTP/1.0", b""), (b"HTTP/1.1", b"Connection: close\r\n")],
+    ids=["http-1.0", "connection-close"],
+)
+def test_mock_server_closes_after_an_http10_or_connection_close_request(version, header):
+    request = b"POST /nli %s\r\nHost: x\r\n%sContent-Length: %d\r\n\r\n" % (
+        version, header, len(_EMPTY_NLI)
+    )
+    with serve_mock(_NLI_TABLES) as server:
+        # returns only once the server has closed the connection
+        reply = _mock_exchange(server, request + _EMPTY_NLI)
+        assert len(server.requests) == 1
+    assert reply.startswith(b"HTTP/1.1 200 ")
+    assert reply.endswith(b'\r\n\r\n{"verdicts":[[]]}')
+
+
+def test_mock_server_prints_nothing_for_reset_clients_or_a_close_under_traffic(capfd):
+    server = serve_mock(_NLI_TABLES)
+    # three clients send a request head and reset before the body
+    for _ in range(3):
+        sock = socket.create_connection(_mock_address(server), timeout=5)
+        sock.sendall(b"POST /nli HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n")
+        time.sleep(0.05)  # the server reads the head before the reset
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+    time.sleep(0.1)
+    assert server.requests == []
+
+    # four clients post until the server, closed under them, stops answering
+    endpoint = server.endpoint(timeout_ms=2000, max_retries=0)
+    answered = threading.Barrier(5, timeout=5)
+    failures = []
+
+    def post_until_closed() -> None:
+        post_json(endpoint, "/nli", _nli_body("h"))
+        answered.wait()
+        try:
+            while True:
+                post_json(endpoint, "/nli", _nli_body("h"))
+        except BackendUnavailableError as exc:
+            failures.append(exc)
+
+    clients = [threading.Thread(target=post_until_closed) for _ in range(4)]
+    for client in clients:
+        client.start()
+    answered.wait()
+    time.sleep(0.05)
+    server.close()
+    for client in clients:
+        client.join(timeout=10)
+    assert not any(client.is_alive() for client in clients)
+    assert len(failures) == 4
+    assert capfd.readouterr().err == ""
 
 
 # --- the transport against raw in-test servers -----------------------------------

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
+import socket
 import threading
 import time
 from collections import Counter
@@ -687,6 +689,33 @@ def test_remote_batch_fails_fast_when_the_backend_dies(cfg, monkeypatch):
     count = len(started)
     time.sleep(0.2)
     assert len(started) == count
+
+
+def test_a_failed_remote_batch_closes_its_client_connections(cfg, monkeypatch):
+    # the episode's exception holds frames that reach the pool threads'
+    # connections in a reference cycle; with the collector off, the batch
+    # itself must close them
+    opened = []
+    create = socket.create_connection
+
+    def recording(*args, **kwargs):
+        sock = create(*args, **kwargs)
+        opened.append(sock)
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", recording)
+    tables = dict(_REMOTE_TABLES, fail_first={"/rank": 10**6})
+    gc.disable()
+    try:
+        with serve_mock(tables) as server:
+            agents, judge, scorer = _remote_stack(server.endpoint(max_retries=0), cfg)
+            for _ in range(5):
+                with pytest.raises(BackendUnavailableError, match="/rank: backend unavailable"):
+                    run_batch([_plain_seed()] * 16, agents, judge, scorer, cfg, parallelism=2)
+                assert opened
+                assert [sock.fileno() for sock in opened] == [-1] * len(opened)
+    finally:
+        gc.enable()
 
 
 def test_remote_batch_fails_fast_when_the_backend_stalls(cfg):
