@@ -62,7 +62,7 @@ outside the retry budget. ``orchestrator.run_batch`` closes its worker
 threads' connections when the batch ends.
 
 The mock server's side reuses that framing: one thread per connection,
-the same request-head limits, and one write per response.
+the same request-head limits and chunk reader, and one write per response.
 """
 
 from __future__ import annotations
@@ -265,7 +265,8 @@ _thread_state = threading.local()
 class _BadResponse(Exception):
     """A response that breaks HTTP/1.1 framing or a reader limit; like a
     transport failure, it is a failed attempt. The mock server reads
-    request heads with the same readers and refuses one that raises it."""
+    request heads and chunked request bodies with the same readers and
+    refuses one that raises it."""
 
 
 def _line(reader) -> bytes:
@@ -766,9 +767,12 @@ class MockServer:
     bytes, at most ``_MAX_HEADERS`` header lines); a head over them is
     answered 414 or 431 and the connection closes. A request that is not a
     POST is answered 501 and not recorded, and the connection closes after
-    it, after a bad ``Content-Length`` (400), after an HTTP/1.0 request and
-    after a ``Connection: close`` request. ``close`` also ends the open
-    connections and waits for their threads.
+    it, after a bad ``Content-Length`` (400), after a ``Transfer-Encoding``
+    other than ``chunked`` (501, not recorded), after a malformed chunked
+    body (400), after an HTTP/1.0 request and after a ``Connection: close``
+    request. A chunked body is read with the client's chunk reader and its
+    line limits. ``close`` also ends the open connections and waits for
+    their threads.
     """
 
     def __init__(self, tables: dict, host: str = "127.0.0.1", port: int = 0):
@@ -873,7 +877,7 @@ class MockServer:
             return _reply(sock, 400, {"error": "malformed request line"})
         method, target, version = parts
         keep = version == b"HTTP/1.1"
-        lengths, expect = set(), False
+        lengths, encodings, expect = set(), [], False
         try:
             for header in _header_lines(reader):
                 name, _, value = header.partition(b":")
@@ -881,6 +885,8 @@ class MockServer:
                 value = value.strip()
                 if name == b"content-length":
                     lengths.add(value)
+                elif name == b"transfer-encoding":
+                    encodings.append(value.lower())
                 elif name == b"connection":
                     keep = keep and b"close" not in [t.strip() for t in value.lower().split(b",")]
                 elif name == b"expect":
@@ -890,18 +896,27 @@ class MockServer:
         if method != b"POST":
             # not recorded: a readiness probe may send it
             return _reply(sock, 501, {"error": f"Unsupported method ({method.decode('latin-1')!r})"})
-        # no Content-Length means no body; several must agree
+        # a refused body's end is unknown, so the connection cannot carry
+        # another request
+        chunked = encodings == [b"chunked"]
+        if encodings and not chunked:
+            return _reply(sock, 501, {"error": "unsupported Transfer-Encoding"})
+        # chunked framing overrides Content-Length; without it, no
+        # Content-Length means no body, and several must agree
         length, *others = lengths or {b"0"}
-        if others or not length.isdigit():
-            # the body's end is unknown, so the connection cannot carry
-            # another request
+        if not chunked and (others or not length.isdigit()):
             return _reply(sock, 400, {"error": "bad Content-Length"})
-        length = int(length)
         if expect:
             sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = reader.read(length)
-        if len(body) < length:
-            return False
+        if chunked:
+            try:
+                body = _chunked_body(reader)
+            except _BadResponse:
+                return _reply(sock, 400, {"error": "malformed chunked body"})
+        else:
+            body = reader.read(int(length))
+            if len(body) < int(length):
+                return False
         status, obj = self._handle(target.decode("latin-1"), body)
         return _reply(sock, status, obj, keep)
 

@@ -4,8 +4,8 @@ The index is a plain unigram tf-idf with smoothed natural-log idf and cosine
 similarity, stored as an inverted index: each term maps to the documents
 that contain it. It is built once, immutable afterwards, and safe to query
 from concurrent workers. Seed construction retrieves rank-aligned context
-variants for each skill and speaker side: side 0 gets the primary flavor
-of every skill, side 1 the counterpart flavor with no empathy grounding.
+variants for each skill and speaker side: seed side s draws on record side
+s of every skill, except that side 1 has no empathy grounding.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import repeat
 from operator import lt, mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -31,7 +30,7 @@ from .core import ConfigError, EngineConfig, SkillContext, SkillContextSet, Skil
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 INDEX_FORMAT = "skillblend-tfidf"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 # documents per compact_json call when saving an index
 _SAVE_CHUNK = 1024
@@ -43,25 +42,13 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-class SideRole(Enum):
-    """Which flavor of a record's contexts a document came from: side 0 of
-    the source record is the primary role, side 1 the counterpart."""
-
-    PRIMARY = "primary"
-    COUNTERPART = "counterpart"
-
-
-# record side s is role s, and seed side s draws from role s
-_SIDE_ROLES = (SideRole.PRIMARY, SideRole.COUNTERPART)
-
-
 @dataclass(frozen=True)
 class ContextDoc:
-    """One retrievable skill context: the lines of one record side of the
-    skill ``skill_id``."""
+    """One retrievable skill context: the lines of side ``side`` (0 or 1) of
+    a record of the skill ``skill_id``."""
 
     skill_id: str
-    side_role: SideRole
+    side: int
     lines: tuple[str, ...]
 
     @property
@@ -72,27 +59,27 @@ class ContextDoc:
 
 @dataclass(frozen=True)
 class TfIdfIndex:
-    """Immutable tf-idf index. ``postings[term id]`` holds the positions of
-    the documents containing the term (ascending) and the term's weight in
-    each of their L2-normalized vectors. A document's position in ``docs``
-    is its id; ``buckets`` lists the positions of each (skill id, side
-    role) in ascending order."""
+    """Immutable tf-idf index. A term's id is its position in ``terms``,
+    which ascend, and a document's id its position in ``docs``. ``idf``
+    holds ``_idf(len(docs), df)`` per term id, df being the length of its
+    postings. ``postings[term id]`` holds the positions of the documents
+    containing the term (ascending) and the term's weight in each of their
+    L2-normalized vectors. Derived from these: ``vocabulary`` (term -> id)
+    and ``buckets`` (the ascending positions of each (skill id, side))."""
 
-    vocabulary: Mapping[str, int]
+    terms: tuple[str, ...]
     idf: tuple[float, ...]
     postings: tuple[tuple[array, array], ...]
     docs: tuple[ContextDoc, ...]
-    buckets: Mapping[tuple[str, SideRole], array] = field(init=False, repr=False, compare=False)
+    vocabulary: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    buckets: Mapping[tuple[str, int], array] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        buckets: dict[tuple[str, SideRole], array] = {}
+        buckets: dict[tuple[str, int], array] = {}
         for pos, d in enumerate(self.docs):
-            buckets.setdefault((d.skill_id, d.side_role), array("i")).append(pos)
+            buckets.setdefault((d.skill_id, d.side), array("i")).append(pos)
+        object.__setattr__(self, "vocabulary", {t: i for i, t in enumerate(self.terms)})
         object.__setattr__(self, "buckets", buckets)
-
-    @property
-    def doc_count(self) -> int:
-        return len(self.docs)
 
     def doc(self, pos: int) -> ContextDoc:
         if not 0 <= pos < len(self.docs):
@@ -111,9 +98,16 @@ class SeedEpisode:
     contexts: tuple[SkillContextSet, SkillContextSet]
 
 
+def _idf(n: int, df: int) -> float:
+    """The idf of a term held by ``df`` of ``n`` documents,
+    max(0, ln(n / (1 + df)) + 1). ``build_index`` and ``load_index`` both
+    call it, so a loaded idf equals the built one bit for bit."""
+    return max(0.0, math.log(n / (1 + df)) + 1.0)
+
+
 def build_index(docs: Sequence[ContextDoc]) -> TfIdfIndex:
-    """Index documents with tf = raw term count and
-    idf = max(0, ln(N / (1 + df)) + 1); vectors are L2-normalized.
+    """Index documents with tf = raw term count and idf = ``_idf(N, df)``;
+    vectors are L2-normalized.
 
     Each document is tokenized once into term ids and counts; the ids are
     numbered in order of first appearance until the vocabulary is sorted at
@@ -140,8 +134,7 @@ def build_index(docs: Sequence[ContextDoc]) -> TfIdfIndex:
             doc_terms.append(tid)
             doc_counts.append(count)
         ends.append(len(doc_terms))
-    n = len(docs)
-    idf = [max(0.0, math.log(n / (1 + len(p))) + 1.0) for p in positions]
+    idf = [_idf(len(docs), len(p)) for p in positions]
     norms = array("d")
     start = 0
     for end in ends:
@@ -149,15 +142,14 @@ def build_index(docs: Sequence[ContextDoc]) -> TfIdfIndex:
         norms.append(math.sqrt(sum(w * w for w in weights)))
         start = end
 
-    terms = sorted(ids)
+    terms = tuple(sorted(ids))
     postings = []
     for term in terms:
         tid = ids[term]
         term_idf = idf[tid]
         term_weights = [c * term_idf / norms[p] for p, c in zip(positions[tid], counts[tid])]
         postings.append((positions[tid], array("d", term_weights)))
-    vocabulary = {t: i for i, t in enumerate(terms)}
-    return TfIdfIndex(vocabulary, tuple(idf[ids[t]] for t in terms), tuple(postings), tuple(docs))
+    return TfIdfIndex(terms, tuple(idf[ids[t]] for t in terms), tuple(postings), tuple(docs))
 
 
 def _scores(index: TfIdfIndex, text: str) -> list[float]:
@@ -169,7 +161,7 @@ def _scores(index: TfIdfIndex, text: str) -> list[float]:
     counts = Counter(t for t in tokenize(text) if t in index.vocabulary)
     qvec = [(index.vocabulary[t], c * index.idf[index.vocabulary[t]]) for t, c in counts.items()]
     qnorm = math.sqrt(sum(w * w for _, w in qvec))
-    dots = [0.0] * index.doc_count
+    dots = [0.0] * len(index.docs)
     if qnorm == 0.0:
         return dots
     for tid, qw in qvec:
@@ -192,7 +184,7 @@ def query(
     text: str,
     k: int,
     filter_skill: SkillId | None = None,
-    filter_role: SideRole | None = None,
+    filter_side: int | None = None,
 ) -> list[tuple[int, float]]:
     """Top-k documents as (position, score) by cosine similarity, descending,
     ties by ascending position. Zero-score documents are excluded, so fewer
@@ -203,7 +195,7 @@ def query(
         pos
         for pos, d in enumerate(index.docs)
         if (filter_skill is None or d.skill_id == filter_skill.id)
-        and (filter_role is None or d.side_role is filter_role)
+        and (filter_side is None or d.side == filter_side)
     )
     return _top(_scores(index, text), positions, k)
 
@@ -215,11 +207,11 @@ def build_seeds(
     cfg: EngineConfig,
 ) -> list[SeedEpisode]:
     """Assemble up to ``cfg.seeds_per_pair`` seed variants for one pair of
-    utterance texts: side 0 draws the primary flavor of every roster skill,
-    side 1 the counterpart flavor of every skill but empathy.
+    utterance texts: seed side 0 draws on record side 0 of every roster
+    skill, seed side 1 on record side 1 of every skill but empathy.
 
     The query is the concatenation of both pair texts, scored once against
-    the index; each (skill, role) bucket keeps its top hits as ``query``
+    the index; each (skill, side) bucket keeps its top hits as ``query``
     would rank them. Variant v pairs the v-th ranked context of every
     bucket together; when a bucket has fewer than v+1 hits, that skill's
     entry is simply omitted for the variant. A variant is empty only when
@@ -233,14 +225,13 @@ def build_seeds(
     scores = _scores(index, first + " " + second)
     k = cfg.seeds_per_pair
 
-    def hits(skill: SkillId, role: SideRole) -> list[ContextDoc]:
-        positions = index.buckets.get((skill.id, role), ())
+    def hits(skill: SkillId, side: int) -> list[ContextDoc]:
+        positions = index.buckets.get((skill.id, side), ())
         return [index.docs[pos] for pos, _ in _top(scores, positions, k)]
 
-    primary, counterpart = _SIDE_ROLES
     sides = (
-        [(skill, hits(skill, primary)) for skill in cfg.skill_roster],
-        [(skill, hits(skill, counterpart)) for skill in cfg.skill_roster if skill.id != "E"],
+        [(skill, hits(skill, 0)) for skill in cfg.skill_roster],
+        [(skill, hits(skill, 1)) for skill in cfg.skill_roster if skill.id != "E"],
     )
     seeds: list[SeedEpisode] = []
     for variant in range(k):
@@ -283,21 +274,21 @@ def iter_seed_pairs(
 
 def docs_from_records(records) -> list[ContextDoc]:
     """Turn dataset records into the retrieval corpus: each record side with
-    any context lines becomes one document (side 0 primary, side 1
-    counterpart); empty sides carry no seed information and are skipped."""
+    any context lines becomes one document of that side; empty sides carry
+    no seed information and are skipped."""
     docs: list[ContextDoc] = []
     for rec in records:
-        for lines, role in zip(rec.side_contexts, _SIDE_ROLES):
+        for side, lines in enumerate(rec.side_contexts):
             if lines:
-                docs.append(ContextDoc(rec.skill.id, role, tuple(lines)))
+                docs.append(ContextDoc(rec.skill.id, side, tuple(lines)))
     return docs
 
 
 def _doc_rows(index: TfIdfIndex) -> Iterator[list[list]]:
-    """The stored form of the documents, ``[skill id, side role, lines]``
-    rows, in chunks of consecutive ones."""
-    for lo in range(0, index.doc_count, _SAVE_CHUNK):
-        yield [[d.skill_id, d.side_role.value, list(d.lines)] for d in index.docs[lo : lo + _SAVE_CHUNK]]
+    """The stored form of the documents, ``[skill id, side, lines]`` rows, in
+    chunks of consecutive ones."""
+    for lo in range(0, len(index.docs), _SAVE_CHUNK):
+        yield [[d.skill_id, d.side, list(d.lines)] for d in index.docs[lo : lo + _SAVE_CHUNK]]
 
 
 def _write_json_array(fh, chunks: Iterable[list]) -> None:
@@ -337,22 +328,18 @@ def _unblob(postings: Mapping, key: str, typecode: str) -> array:
 
 
 def save_index(index: TfIdfIndex, path: str) -> None:
-    """Persist the index as a single versioned JSON file: a header, the
-    document rows (written a chunk at a time; a row's position is its
-    document's id) and the postings as three little-endian base64 blobs
-    (int32 ``lengths`` per term id, int32 ``positions`` and float64
-    ``weights`` of every term in term-id order).
+    """Persist the index as a single versioned JSON file: a header with the
+    ``terms`` in id order (which ascends), the document rows (written a
+    chunk at a time; a row's position is its document's id) and the
+    postings as three little-endian base64 blobs (int32 ``lengths`` per term
+    id, int32 ``positions`` and float64 ``weights`` of every term in term-id
+    order). The idf and the document count are not stored: both follow from
+    the rows and ``lengths``.
 
     The file is written under a temporary name next to ``path`` and renamed
     over it once complete, so a failed save leaves any previous file intact.
     """
-    header = {
-        "format": INDEX_FORMAT,
-        "version": INDEX_VERSION,
-        "doc_count": index.doc_count,
-        "vocabulary": dict(index.vocabulary),
-        "idf": list(index.idf),
-    }
+    header = {"format": INDEX_FORMAT, "version": INDEX_VERSION, "terms": list(index.terms)}
     lengths, positions, weights = array("i"), array("i"), array("d")
     for term_positions, term_weights in index.postings:
         lengths.append(len(term_positions))
@@ -378,7 +365,7 @@ def save_index(index: TfIdfIndex, path: str) -> None:
 
 def load_index(path: str) -> TfIdfIndex:
     """Load a persisted index. Raises ValueError naming the file when it is
-    not JSON, not a version-3 index, or fails a check of ``_decode_index``."""
+    not JSON, not a version-4 index, or fails a check of ``_decode_index``."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -391,56 +378,45 @@ def load_index(path: str) -> TfIdfIndex:
 
 
 def _decode_index(obj) -> TfIdfIndex:
-    """Build the index from a parsed file, checking the header, every
-    document row (its context lines non-blank, as the dataset reader
-    requires), that the vocabulary ids are exactly 0..V-1, that ``idf``
-    holds V finite numbers, and that the postings hold one non-negative
-    length per term, agree in size, and give each term finite weights and
-    strictly ascending positions inside [0, doc_count)."""
+    """Build the index from a parsed file, checking the header, that
+    ``terms`` strictly ascend, every document row (its side 0 or 1, its
+    context lines non-blank, as the dataset reader requires), and that the
+    postings hold one non-negative length per term, agree in size, and give
+    each term finite weights and strictly ascending positions inside
+    [0, number of rows). A term's idf is ``_idf(number of rows, its
+    length)``."""
     if not isinstance(obj, dict) or obj.get("format") != INDEX_FORMAT:
         raise ValueError(f"not a {INDEX_FORMAT} file")
     if obj.get("version") != INDEX_VERSION:
         raise ValueError(
             f"unsupported index version {obj.get('version')!r}; re-run `skillblend index` to rebuild it"
         )
-    vocabulary = obj.get("vocabulary")
+    terms = obj.get("terms")
     if (
-        not isinstance(vocabulary, dict)
-        or not set(map(type, vocabulary.values())) <= {int}
-        or sorted(vocabulary.values()) != list(range(len(vocabulary)))
+        type(terms) is not list
+        or not all(map(isinstance, terms, repeat(str)))
+        or not all(map(lt, terms, terms[1:]))
     ):
-        raise ValueError("vocabulary is not an object mapping terms to the ids 0..V-1")
-    idf = obj.get("idf")
-    if (
-        not isinstance(idf, list)
-        or len(idf) != len(vocabulary)
-        or not set(map(type, idf)) <= {int, float}
-        or not all(map(math.isfinite, idf))
-    ):
-        raise ValueError(f"idf is not a list of {len(vocabulary)} finite numbers")
+        raise ValueError("terms is not a list of strictly ascending strings")
     rows = obj.get("docs")
     if not isinstance(rows, list):
         raise ValueError("docs is not a list")
-    if type(obj.get("doc_count")) is not int or obj["doc_count"] != len(rows):
-        raise ValueError("document count does not match header")
 
-    roles = {r.value: r for r in SideRole}  # a dict lookup is cheaper than SideRole(value)
     docs: list[ContextDoc] = []
     try:
         for row in rows:
             if type(row) is not list or len(row) != 3:
-                raise ValueError("not a [skill id, side role, lines] row")
-            skill_id, role_value, lines = row
+                raise ValueError("not a [skill id, side, lines] row")
+            skill_id, side, lines = row
             if type(skill_id) is not str or not skill_id.strip():
                 raise ValueError(f"skill id {skill_id!r} is not a non-blank string")
-            role = roles.get(role_value) if type(role_value) is str else None
-            if role is None:
-                raise ValueError(f"unknown side role {role_value!r}")
+            if type(side) is not int or side not in (0, 1):
+                raise ValueError(f"side {side!r} is not 0 or 1")
             if type(lines) is not list or not all(map(isinstance, lines, repeat(str))):
                 raise ValueError("lines is not a list of strings")
             if "" in lines or any(map(str.isspace, lines)):
                 raise ValueError("context lines must be non-blank")
-            docs.append(ContextDoc(skill_id, role, tuple(lines)))
+            docs.append(ContextDoc(skill_id, side, tuple(lines)))
     except ValueError as exc:
         raise ValueError(f"document {len(docs)}: {exc}") from None
 
@@ -450,8 +426,8 @@ def _decode_index(obj) -> TfIdfIndex:
     lengths = _unblob(blobs, "lengths", "i")
     positions = _unblob(blobs, "positions", "i")
     weights = _unblob(blobs, "weights", "d")
-    if len(lengths) != len(vocabulary) or (lengths and min(lengths) < 0):
-        raise ValueError(f"postings lengths are not {len(vocabulary)} non-negative counts, one per term")
+    if len(lengths) != len(terms) or (lengths and min(lengths) < 0):
+        raise ValueError(f"postings lengths are not {len(terms)} non-negative counts, one per term")
     if sum(lengths) != len(positions) or len(positions) != len(weights):
         raise ValueError(
             f"postings sizes disagree: lengths sum to {sum(lengths)},"
@@ -471,4 +447,5 @@ def _decode_index(obj) -> TfIdfIndex:
             raise ValueError(f"term id {tid}: positions do not strictly ascend")
         postings.append((term_positions, weights[start:end]))
         start = end
-    return TfIdfIndex(vocabulary, tuple(map(float, idf)), tuple(postings), tuple(docs))
+    idf = tuple(_idf(len(docs), df) for df in lengths)
+    return TfIdfIndex(tuple(terms), idf, tuple(postings), tuple(docs))

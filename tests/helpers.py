@@ -311,7 +311,7 @@ def build_index_oracle(docs):
         for tid, w in vec:
             positions[tid].append(pos)
             weights[tid].append(w)
-    return TfIdfIndex(vocabulary, idf, tuple(zip(positions, weights)), tuple(docs))
+    return TfIdfIndex(tuple(terms), idf, tuple(zip(positions, weights)), tuple(docs))
 
 
 

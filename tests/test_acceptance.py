@@ -42,7 +42,7 @@ from skillblend.dataio import EpisodeWriter, read_episodes
 from skillblend.distmath import entropy, kl_divergence
 from skillblend.moderator import consistency_gate, flow_gate, select_final, simulate_approved
 from skillblend.orchestrator import run_batch
-from skillblend.seeds import ContextDoc, SeedEpisode, SideRole, build_index, query
+from skillblend.seeds import ContextDoc, SeedEpisode, build_index, query
 from skillblend.stats import build_report
 
 import helpers
@@ -209,10 +209,10 @@ def test_acceptance_4_retrieval_oracle():
     docs = []
     for i in range(100):
         if i % 10 == 9:  # exact duplicates force cosine ties
-            docs.append(ContextDoc(DEFAULT_ROSTER[i % 3].id, SideRole.PRIMARY, docs[i - 1].lines))
+            docs.append(ContextDoc(DEFAULT_ROSTER[i % 3].id, 0, docs[i - 1].lines))
         else:
             text = " ".join(rng.choice(words) for _ in range(rng.randrange(3, 13)))
-            docs.append(ContextDoc(DEFAULT_ROSTER[i % 3].id, SideRole.PRIMARY, (text,)))
+            docs.append(ContextDoc(DEFAULT_ROSTER[i % 3].id, 0, (text,)))
     index = build_index(docs)
 
     for _ in range(50):

@@ -630,6 +630,56 @@ def test_mock_server_answers_400_to_a_bad_content_length(length):
         assert post_raw(server.base_url + "/nli", _EMPTY_NLI)[0] == 200
 
 
+def _chunked_request(route: bytes, body: bytes) -> bytes:
+    """A POST of ``body`` in two chunks, with no Content-Length."""
+    return (
+        b"POST %s HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n" % route
+        + b"%x;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
+        % (10, body[:10], len(body) - 10, body[10:])
+    )
+
+
+def test_mock_server_reads_a_chunked_request_body_and_keeps_the_connection():
+    classify = b'{"texts":["some text"]}'
+    with serve_mock(_NLI_TABLES | {"classify": {"default": [0.2, 0.3, 0.5]}}) as server:
+        # two chunked requests, then one by Content-Length, on one connection
+        request = _chunked_request(b"/classify", classify) + _chunked_request(b"/nli", _EMPTY_NLI)
+        request += b"POST /nli HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+        request += b"Content-Length: %d\r\n\r\n" % len(_EMPTY_NLI) + _EMPTY_NLI
+        reply = _mock_exchange(server, request)
+        assert server.requests == [("/classify", classify), ("/nli", _EMPTY_NLI), ("/nli", _EMPTY_NLI)]
+    assert reply.count(b"HTTP/1.1 ") == 3
+    assert reply.count(b"HTTP/1.1 200 ") == 3
+    assert b'{"distributions":[[0.2,0.3,0.5]]}' in reply
+
+
+_CHUNKED_HEAD = b"POST /nli HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: %s\r\n\r\n"
+
+
+# each request ends where the server stops reading it
+@pytest.mark.parametrize(
+    "request_bytes, status, error",
+    [
+        (_CHUNKED_HEAD % b"chunked" + b"zz\r\n", 400, b"malformed chunked body"),
+        (_CHUNKED_HEAD % b"chunked" + b"1" * 65537, 400, b"malformed chunked body"),
+        # two data bytes, then two that are not the CRLF ending the chunk
+        (_CHUNKED_HEAD % b"chunked" + b"2\r\n{}XY", 400, b"malformed chunked body"),
+        (_CHUNKED_HEAD % b"gzip, chunked", 501, b"unsupported Transfer-Encoding"),
+        (_CHUNKED_HEAD % b"gzip", 501, b"unsupported Transfer-Encoding"),
+    ],
+    ids=["bad-size-line", "long-size-line", "chunk-without-crlf", "gzip-chunked", "gzip"],
+)
+def test_mock_server_refuses_a_bad_chunked_body_or_encoding_and_closes(request_bytes, status, error):
+    with serve_mock(_NLI_TABLES) as server:
+        # returns only once the server has closed the connection: one answer
+        reply = _mock_exchange(server, request_bytes)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert reply.endswith(b'{"error":"' + error + b'"}')
+        assert server.requests == []
+        assert post_raw(server.base_url + "/nli", _EMPTY_NLI)[0] == 200
+
+
 @pytest.mark.parametrize(
     "head",
     [
@@ -836,23 +886,69 @@ def test_a_body_shorter_than_its_content_length_is_a_failed_attempt(sleeps):
     assert sleeps == [0.05]
 
 
+_CHUNKED_OK = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+
+
+# (what the server sends, whether it then ends the stream, the failure)
 @pytest.mark.parametrize(
-    "head, message",
+    "head, close, message",
     [
-        (b"HTTP/1.1 200 " + b"x" * 70000, "response line longer than 65536 bytes"),
-        (b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * 70000, "response line longer than 65536 bytes"),
-        (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101, "more than 100 response header lines"),
+        (b"HTTP/1.1 200 " + b"x" * 70000, False, "response line longer than 65536 bytes"),
+        (b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * 70000, False, "response line longer than 65536 bytes"),
+        (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101, False, "more than 100 response header lines"),
+        (b"HTTP/2 200 OK\r\n\r\n", False, "malformed status line b'HTTP/2 200 OK\\r\\n'"),
+        (b"HTTP/1.1 2000 OK\r\n\r\n", False, "malformed status line b'HTTP/1.1 2000 OK\\r\\n'"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n", False, "bad Content-Length b'1e3'"),
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n",
+            False,
+            "bad Content-Length b'6'",
+        ),
+        (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n",
+            False,
+            "unsupported Transfer-Encoding b'gzip'",
+        ),
+        (_CHUNKED_OK + b"zz\r\n", False, "bad chunk size line b'zz'"),
+        # two data bytes, then two that are not the CRLF ending the chunk
+        (_CHUNKED_OK + b"2\r\n{}XY", False, "chunk ended early or without CRLF"),
+        (_CHUNKED_OK + b"a\r\n{}", True, "chunk ended early or without CRLF"),
+        (b"", True, "connection closed without a response"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n", True, "connection closed inside the response headers"),
     ],
-    ids=["status line", "header line", "header count"],
+    ids=[
+        "status line", "header line", "header count", "status-version", "status-code",
+        "length-not-digits", "lengths-disagree", "transfer-encoding", "chunk-size-line",
+        "chunk-without-crlf", "chunk-cut-short", "closed-before-response", "closed-inside-head",
+    ],
 )
-def test_an_unbounded_response_head_is_a_failed_attempt(head, message):
-    # the server sends the head and holds the connection open: a reader
-    # without limits would wait out the 5 s timeout
-    with RawServer(_answer([head])) as server:
+def test_an_unbounded_response_head_is_a_failed_attempt(head, close, message):
+    # a response that breaks the framing or a reader limit is a failed
+    # attempt with its own reason. Unless the case ends the stream, the
+    # server holds the connection open after it: a reader that went on
+    # reading would wait out the 5 s timeout
+    with RawServer(_answer([head], after=_shut_write if close else None)) as server:
         start = time.monotonic()
-        with pytest.raises(BackendUnavailableError, match=message):
+        with pytest.raises(BackendUnavailableError) as caught:
             _calls(_raw_endpoint(server, timeout_ms=5000), 1)
         assert time.monotonic() - start < 2.5
+    assert str(caught.value) == f"/nli: backend unavailable after 1 attempts ({message})"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [(b"not json", "response body is not valid JSON"), (b"[1, 2]", "response body is not a JSON object")],
+    ids=["not-json", "not-an-object"],
+)
+def test_a_200_body_that_is_not_a_json_object_is_a_protocol_error_without_retry(sleeps, body, message):
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+    with RawServer(_answer([reply, _OK])) as server:
+        with pytest.raises(ProtocolError) as caught:
+            _calls(_raw_endpoint(server, max_retries=2), 1)
+        assert len(server.sockets) == 1
+    assert str(caught.value) == f"/nli: {message}"
+    assert caught.value.body == body
+    assert sleeps == []
 
 
 def test_a_reset_inside_a_response_spends_a_retry(connects, sleeps):

@@ -411,19 +411,17 @@ def _edited(change):
     return apply
 
 
-# a document row is [skill id, side role, lines]
+# a document row is [skill id, side, lines]
 _BAD_INDEXES = {
-    "unknown-role": _edited(lambda obj: obj["docs"][0].__setitem__(1, "listener")),
+    "unknown-side": _edited(lambda obj: obj["docs"][0].__setitem__(1, 2)),
     "row-too-short": _edited(lambda obj: obj["docs"][0].pop()),
     "missing-postings": _edited(lambda obj: obj.pop("postings")),
     "lines-not-a-list": _edited(lambda obj: obj["docs"][0].__setitem__(2, 5)),
     "skill-id-not-a-string": _edited(lambda obj: obj["docs"][0].__setitem__(0, 7)),
-    "vocabulary-id-past-size": _edited(
-        lambda obj: obj["vocabulary"].update({min(obj["vocabulary"]): len(obj["vocabulary"])})
-    ),
-    "idf-too-short": _edited(lambda obj: obj["idf"].pop()),
+    "terms-out-of-order": _edited(lambda obj: obj["terms"].reverse()),
     "version-1": _edited(lambda obj: obj.update(version=1)),
     "version-2": _edited(lambda obj: obj.update(version=2)),
+    "version-3": _edited(lambda obj: obj.update(version=3)),
     "truncated": lambda text: text[: len(text) // 2],
 }
 
@@ -485,6 +483,63 @@ def test_remote_score_that_is_not_a_finite_float_exits_1(workdir, capsys, score)
     err = capsys.readouterr().err
     assert rc == 1
     assert err == "skillblend: episode ep-000000 turn 2: /rank: non-numeric score in response\n"
+
+
+def test_generate_reports_aborted_seeds_and_writes_only_the_rest(workdir, capsys):
+    tmp_path, data = workdir
+    index = str(tmp_path / "ctx.idx")
+    assert _run("index", "--data", *data, "--out", index) == 0
+    capsys.readouterr()
+    # every /nli verdict contradicts, so every agent exhausts its attempts
+    tables = {**_REMOTE_TABLES, "nli": {"default": {"label": "contradict", "confidence": 0.9}}}
+    out = tmp_path / "remote.jsonl"
+    with serve_mock(tables) as server:
+        rc = _run(
+            "generate", "--data", *data, "--index", index, "--out", str(out),
+            "--episodes", "2", "--backend", "remote", "--endpoint", server.base_url,
+        )
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == "".join(
+        f"skillblend: aborted seed {n}: episode ep-00000{n} aborted at turn 2:"
+        " every agent exhausted its consistency attempts\n"
+        for n in range(2)
+    )
+    assert f"wrote 0 episodes -> {out}" in captured.out
+    assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("flag", ["--episodes", "--parallelism"])
+def test_generate_needs_at_least_one_episode_and_worker(workdir, capsys, flag):
+    tmp_path, data = workdir
+    index = str(tmp_path / "ctx.idx")
+    assert _run("index", "--data", *data, "--out", index) == 0
+    capsys.readouterr()
+    out = tmp_path / "never.jsonl"
+    rc = _run("generate", "--data", *data, "--index", index, "--out", str(out), flag, "0")
+    assert rc == 2
+    assert capsys.readouterr().err == f"skillblend: {flag} must be at least 1\n"
+    assert not out.exists()
+
+
+def test_index_over_data_without_context_lines_is_a_config_error(tmp_path, capsys):
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text(
+        json.dumps(
+            {
+                "skill": "P",
+                "episode_id": "p-1",
+                "contexts": [[], []],
+                "turns": [{"speaker": 0, "text": "hello"}, {"speaker": 1, "text": "hi"}],
+            }
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "never.idx"
+    assert _run("index", "--data", str(bare), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "skillblend: input datasets carry no context lines to index\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["bare.jsonl"]
 
 
 def test_remote_backend_requires_endpoint(workdir, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from skillblend.core import (
     DEFAULT_ROSTER,
     DialogueContext,
     EngineConfig,
+    Refusal,
     SkillContext,
     SkillContextSet,
     SkillDistribution,
@@ -169,3 +170,58 @@ def test_validate_episode_is_total_on_odd_input(cfg):
     ep2 = replace(ep, turns=ep.turns[:2] + (weird,) + ep.turns[3:])
     violations = validate_episode(ep2, cfg)
     assert any(v.startswith("roster:") for v in violations)
+
+
+_STRANGER = SkillId("Z", 9)
+
+
+def _with_turn(ep, i, **changes):
+    return replace(ep, turns=ep.turns[:i] + (replace(ep.turns[i], **changes),) + ep.turns[i + 1 :])
+
+
+# one corruption of the clean ``hand_episode`` per violation kind, and the
+# exact violations it yields
+_CORRUPTIONS = {
+    "shorter-than-seed-pair": (
+        lambda ep: replace(ep, turns=ep.turns[:1]),
+        ["length: episode has 1 turns, config requires 10", "seed: episode is shorter than its seed pair"],
+    ),
+    "seed-text-differs": (
+        lambda ep: replace(ep, seed_pair=(Utterance(0, "another opening"), ep.seed_pair[1])),
+        ["seed: turn 0 text differs from the seed pair"],
+    ),
+    "speakers-do-not-alternate": (
+        lambda ep: _with_turn(ep, 9, utterance=Utterance(0, ep.turns[9].utterance.text)),
+        ["turns: speakers do not alternate at turn 9"],
+    ),
+    "distribution-length": (
+        lambda ep: _with_turn(ep, 4, distribution=SkillDistribution((0.5, 0.5))),
+        ["distribution: turn 4 has 2 entries for 3 skills"],
+    ),
+    "attempts-above-max": (
+        lambda ep: _with_turn(ep, 5, phase2_attempts=9),
+        ["attempts: turn 5 used 9 attempts, max is 8"],
+    ),
+    "generated-turn-without-attempts": (
+        lambda ep: _with_turn(ep, 6, phase2_attempts=0),
+        ["attempts: generated turn 6 must record at least one attempt"],
+    ),
+    "refusal-outside-roster": (
+        lambda ep: _with_turn(ep, 7, refusals=(Refusal(DEFAULT_ROSTER[0], _STRANGER),)),
+        ["roster: turn 7 refusal references a skill outside the roster"],
+    ),
+    "seed-dataset-outside-roster": (
+        lambda ep: replace(ep, seed_dataset=_STRANGER),
+        ["roster: seed dataset 'Z' is not in the roster"],
+    ),
+    "side-context-outside-roster": (
+        lambda ep: replace(ep, contexts=(ep.contexts[0], SkillContextSet((SkillContext(_STRANGER, ("x",)),)))),
+        ["roster: side 1 context skill 'Z' is not in the roster"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_validate_episode_names_each_violation(cfg, case):
+    corrupt, violations = _CORRUPTIONS[case]
+    assert validate_episode(corrupt(helpers.hand_episode(cfg)), cfg) == violations

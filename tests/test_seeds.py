@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import base64
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import random
 import struct
+import sys
 import tempfile
 from array import array
 from collections import Counter
@@ -17,11 +20,10 @@ from hypothesis import strategies as st
 
 from skillblend import seeds
 from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillContext, SkillContextSet
-from skillblend.dataio import SingleSkillRecord
+from skillblend.dataio import SingleSkillRecord, read_dataset
 from skillblend.seeds import (
     ContextDoc,
     SeedEpisode,
-    SideRole,
     build_index,
     build_seeds,
     docs_from_records,
@@ -35,10 +37,11 @@ from skillblend.seeds import (
 import helpers
 
 P, K, E = DEFAULT_ROSTER
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def doc(skill, text, role=SideRole.PRIMARY):
-    return ContextDoc(skill.id, role, tuple(text.split("; ")))
+def doc(skill, text, side=0):
+    return ContextDoc(skill.id, side, tuple(text.split("; ")))
 
 
 # --- tokenize ----------------------------------------------------------------
@@ -103,7 +106,7 @@ _ORACLE_LINES = st.lists(st.sampled_from(_ORACLE_WORDS), min_size=1, max_size=8)
 @example([["apple river"], ["stone apple"], ["apple apple"]])
 @example([["café naïve"], ["東京 İstanbul", "?!"], ["caf na ve"]])
 def test_build_index_equals_the_oracle_bit_for_bit(corpus):
-    docs = [ContextDoc(DEFAULT_ROSTER[i % 3].id, SideRole.PRIMARY, tuple(lines)) for i, lines in enumerate(corpus)]
+    docs = [ContextDoc(DEFAULT_ROSTER[i % 3].id, 0, tuple(lines)) for i, lines in enumerate(corpus)]
     assert _bits(build_index(docs)) == _bits(helpers.build_index_oracle(docs))
 
 
@@ -171,14 +174,14 @@ def test_query_respects_corpus_bound_and_filters():
         doc(P, "shared token alpha"),
         doc(P, "shared token beta"),
         doc(K, "shared token gamma"),
-        doc(K, "shared token delta", role=SideRole.COUNTERPART),
+        doc(K, "shared token delta", side=1),
     ]
     index = build_index(docs)
     assert len(query(index, "shared token", k=10)) == 4
     only_p = query(index, "shared token", k=10, filter_skill=P)
     assert {d for d, _ in only_p} == {0, 1}
-    only_counter = query(index, "shared token", k=10, filter_role=SideRole.COUNTERPART)
-    assert [d for d, _ in only_counter] == [3]
+    only_side_1 = query(index, "shared token", k=10, filter_side=1)
+    assert [d for d, _ in only_side_1] == [3]
     with pytest.raises(ValueError):
         query(index, "shared", k=0)
 
@@ -232,7 +235,7 @@ def _old_index(docs):
     return vocabulary, idf, vectors
 
 
-def _old_query(docs, old, text, k, skill=None, role=None):
+def _old_query(docs, old, text, k, skill=None, side=None):
     """One filtered full scan over every document, then sorted(...)[:k]."""
     vocabulary, idf, vectors = old
     counts = Counter(t for t in tokenize(text) if t in vocabulary)
@@ -242,7 +245,7 @@ def _old_query(docs, old, text, k, skill=None, role=None):
         return []
     results = []
     for pos, (d, vec) in enumerate(zip(docs, vectors)):
-        if (skill is not None and d.skill_id != skill.id) or (role is not None and d.side_role is not role):
+        if (skill is not None and d.skill_id != skill.id) or (side is not None and d.side != side):
             continue
         # the scan's sum() added left to right (as sum() did up to Python
         # 3.11); spelled out so that the oracle is the same on every version
@@ -257,20 +260,20 @@ def _old_query(docs, old, text, k, skill=None, role=None):
 
 
 def _old_build_seeds(pair, seed_dataset, docs, old, cfg):
-    """build_seeds with one full scan per (skill, role) bucket. Side 0
-    draws the primary flavor of every skill, side 1 the counterpart flavor
-    of every skill but E."""
+    """build_seeds with one full scan per (skill, side) bucket. Seed side 0
+    draws on record side 0 of every skill, seed side 1 on record side 1 of
+    every skill but E."""
     template = (
-        {s.id: SideRole.PRIMARY for s in cfg.skill_roster},
-        {s.id: SideRole.COUNTERPART for s in cfg.skill_roster if s.id != "E"},
+        {s.id: 0 for s in cfg.skill_roster},
+        {s.id: 1 for s in cfg.skill_roster if s.id != "E"},
     )
     text = pair[0] + " " + pair[1]
-    needed = {(sid, role) for side in template for sid, role in side.items()}
+    needed = {(sid, side) for sides in template for sid, side in sides.items()}
     buckets = {
-        (skill.id, role): [docs[i] for i, _ in _old_query(docs, old, text, cfg.seeds_per_pair, skill, role)]
+        (skill.id, side): [docs[i] for i, _ in _old_query(docs, old, text, cfg.seeds_per_pair, skill, side)]
         for skill in cfg.skill_roster
-        for role in SideRole
-        if (skill.id, role) in needed
+        for side in (0, 1)
+        if (skill.id, side) in needed
     }
     seeds = []
     for variant in range(cfg.seeds_per_pair):
@@ -299,14 +302,14 @@ _TEXTS = st.lists(st.sampled_from(_WORDS + ["unseen"]), min_size=1, max_size=6).
 def _corpora(draw):
     """Random corpora with a document in every roster bucket, some exact
     duplicates (tied scores) and some zero-vector documents."""
-    buckets = [(s, r) for s in DEFAULT_ROSTER for r in SideRole]
+    buckets = [(s, side) for s in DEFAULT_ROSTER for side in (0, 1)]
     buckets += draw(st.lists(st.sampled_from(buckets), max_size=30))
     docs = [
-        ContextDoc(skill.id, role, tuple(draw(st.lists(_LINES, min_size=1, max_size=3))))
-        for skill, role in buckets
+        ContextDoc(skill.id, side, tuple(draw(st.lists(_LINES, min_size=1, max_size=3))))
+        for skill, side in buckets
     ]
     docs += [docs[i] for i in draw(st.lists(st.integers(0, len(docs) - 1), max_size=10))]
-    docs += [ContextDoc(skill.id, role, ("?!",)) for skill, role in draw(st.lists(st.sampled_from(buckets), max_size=3))]
+    docs += [ContextDoc(skill.id, side, ("?!",)) for skill, side in draw(st.lists(st.sampled_from(buckets), max_size=3))]
     return draw(st.permutations(docs))
 
 
@@ -320,8 +323,8 @@ def test_build_seeds_and_query_equal_the_full_scan(docs, first, second, k):
     text = first + " " + second
     assert query(index, text, k) == _old_query(docs, old, text, k)
     for skill in DEFAULT_ROSTER:
-        for role in SideRole:
-            assert query(index, text, k, skill, role) == _old_query(docs, old, text, k, skill, role)
+        for side in (0, 1):
+            assert query(index, text, k, skill, side) == _old_query(docs, old, text, k, skill, side)
     cfg = EngineConfig(seeds_per_pair=k)
     for seed_dataset in DEFAULT_ROSTER:
         assert build_seeds(pair, seed_dataset, index, cfg) == _old_build_seeds(pair, seed_dataset, docs, old, cfg)
@@ -331,13 +334,13 @@ def test_build_seeds_and_query_equal_the_full_scan(docs, first, second, k):
 
 
 def _seed_corpus():
-    """Five-plus docs per needed (skill, role) bucket, all sharing 'topic'."""
+    """Five-plus docs per needed (skill, side) bucket, all sharing 'topic'."""
     docs = []
     for n in range(6):
         docs.append(doc(P, f"topic persona {n}; extra persona line {n}"))
-        docs.append(doc(P, f"topic persona other {n}", role=SideRole.COUNTERPART))
+        docs.append(doc(P, f"topic persona other {n}", side=1))
         docs.append(doc(K, f"topic {n}"))
-        docs.append(doc(K, f"topic {n}; knowledge about topic {n}", role=SideRole.COUNTERPART))
+        docs.append(doc(K, f"topic {n}; knowledge about topic {n}", side=1))
         docs.append(doc(E, f"topic situation {n}; emotion {n}"))
     return docs
 
@@ -354,7 +357,7 @@ def test_build_seeds_full_buckets_yield_all_variants():
     assert len(seeds) == 5
     # the seed at position v carries the v-th ranked context of each bucket
     text = "tell me about the topic the topic is lovely"
-    ranked = _old_query(docs, _old_index(docs), text, 5, P, SideRole.PRIMARY)
+    ranked = _old_query(docs, _old_index(docs), text, 5, P, 0)
     assert [s.contexts[0].get(P).lines for s in seeds] == [docs[d].lines for d, _ in ranked]
     for seed in seeds:
         assert seed.seed_dataset == P
@@ -401,17 +404,17 @@ def test_blank_seed_texts_cannot_be_constructed():
 
 
 def test_seed_side_s_draws_on_record_side_s():
-    # one record per skill with both sides filled: all six (skill, role)
+    # one record per skill with both sides filled: all six (skill, side)
     # buckets hold a document
     records = [
         SingleSkillRecord(skill, ((f"topic {skill.id} zero",), (f"topic {skill.id} one",)), ("a", "b"))
         for skill in DEFAULT_ROSTER
     ]
     docs = docs_from_records(records)
-    assert [(d.skill_id, d.side_role, d.lines) for d in docs] == [
-        (skill.id, role, (f"topic {skill.id} {side}",))
+    assert [(d.skill_id, d.side, d.lines) for d in docs] == [
+        (skill.id, side, (f"topic {skill.id} {name}",))
         for skill in DEFAULT_ROSTER
-        for side, role in (("zero", SideRole.PRIMARY), ("one", SideRole.COUNTERPART))
+        for side, name in ((0, "zero"), (1, "one"))
     ]
     (seed,) = build_seeds(("the topic", "a topic"), P, build_index(docs), EngineConfig(seeds_per_pair=1))
     side0, side1 = ([(c.skill.id, c.lines) for c in side] for side in seed.contexts)
@@ -451,15 +454,13 @@ def test_iter_seed_pairs_deterministic_and_uniform_over_roster():
 
 
 def test_docs_from_records_skips_empty_sides(corpus_files, cfg):
-    from skillblend.dataio import read_dataset
-
     records = [r for path in corpus_files for r in read_dataset(path, cfg.skill_roster)]
     docs = docs_from_records(records)
     assert all(d.lines for d in docs)
-    roles = {(d.skill_id, d.side_role) for d in docs}
-    assert (("E", SideRole.COUNTERPART)) not in roles  # listener side is empty
-    assert ("E", SideRole.PRIMARY) in roles
-    assert ("K", SideRole.COUNTERPART) in roles
+    sides = {(d.skill_id, d.side) for d in docs}
+    assert ("E", 1) not in sides  # listener side is empty
+    assert ("E", 0) in sides
+    assert ("K", 1) in sides
 
 
 def test_index_save_load_roundtrip(tmp_path):
@@ -487,16 +488,10 @@ def test_index_load_validates_header(tmp_path):
     with pytest.raises(ValueError):
         load_index(path)
     obj["version"] = seeds.INDEX_VERSION
-    obj["doc_count"] = 5
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-    with pytest.raises(ValueError):
-        load_index(path)
-    obj["doc_count"] = 1
     obj["docs"][0][1] = "listener"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
-    with pytest.raises(ValueError, match="side role"):
+    with pytest.raises(ValueError, match="side 'listener' is not 0 or 1"):
         load_index(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{}")
@@ -514,8 +509,8 @@ def _unpack(fmt, blob):
     return list(struct.unpack(f"<{len(data) // struct.calcsize(fmt)}{fmt}", data))
 
 
-def _v3_save_bytes(docs):
-    """The index file as one json.dumps of the whole version-3 object,
+def _v4_save_bytes(docs):
+    """The index file as one json.dumps of the whole version-4 object,
     with postings inverted from the per-document vectors of ``_old_index``."""
     vocabulary, idf, vectors = _old_index(docs)
     lengths, positions, weights = [], [], []
@@ -526,11 +521,9 @@ def _v3_save_bytes(docs):
         weights += [w for _, w in hits]
     obj = {
         "format": "skillblend-tfidf",
-        "version": 3,
-        "doc_count": len(docs),
-        "vocabulary": vocabulary,
-        "idf": list(idf),
-        "docs": [[d.skill_id, d.side_role.value, list(d.lines)] for d in docs],
+        "version": 4,
+        "terms": sorted(vocabulary),
+        "docs": [[d.skill_id, d.side, list(d.lines)] for d in docs],
         "postings": {
             "lengths": _pack("i", lengths),
             "positions": _pack("i", positions),
@@ -545,7 +538,7 @@ def test_save_index_writes_the_bytes_of_one_json_dump(tmp_path, monkeypatch, chu
     monkeypatch.setattr(seeds, "_SAVE_CHUNK", chunk)
     docs = [
         doc(P, "café crème; naïve façade"),
-        doc(K, "日本語 text; ünïcode \"quoted\" line", role=SideRole.COUNTERPART),
+        doc(K, "日本語 text; ünïcode \"quoted\" line", side=1),
         doc(E, "?!; —"),  # zero vector
         doc(P, "plain ascii; café again"),
         doc(K, "emoji 😀 and tab\tand newline\n"),
@@ -553,7 +546,7 @@ def test_save_index_writes_the_bytes_of_one_json_dump(tmp_path, monkeypatch, chu
     ]
     path = tmp_path / "ctx.idx"
     save_index(build_index(docs), str(path))
-    expected = _v3_save_bytes(docs)
+    expected = _v4_save_bytes(docs)
     assert path.read_bytes() == expected
     # a loaded index saves to the same bytes again
     save_index(load_index(str(path)), str(path))
@@ -561,6 +554,17 @@ def test_save_index_writes_the_bytes_of_one_json_dump(tmp_path, monkeypatch, chu
 
 
 _GOLDEN_INDEX = (
+    '{"format":"skillblend-tfidf","version":4,"terms":["apple","pie","river","stone"],'
+    '"docs":[["P",0,["apple pie"]],["K",1,["river apple stone"]],["E",0,["?!"]]],'
+    '"postings":{"lengths":"AgAAAAEAAAABAAAAAQAAAA==",'
+    '"positions":"AAAAAAEAAAAAAAAAAQAAAAEAAAA=",'
+    '"weights":"Y2JPHTiN4j8jhqb1kMPcP8imrKPcEuo/42etIp425D/jZ60injbkPw=="}}'
+)
+
+# the same three documents as written by format version 3, which also
+# stored the document count, a term -> id object, the idf of every term and
+# each side as a role name
+_GOLDEN_INDEX_V3 = (
     '{"format":"skillblend-tfidf","version":3,"doc_count":3,'
     '"vocabulary":{"apple":0,"pie":1,"river":2,"stone":3},'
     '"idf":[1.0,1.4054651081081644,1.4054651081081644,1.4054651081081644],'
@@ -590,7 +594,7 @@ _GOLDEN_INDEX_V2 = (
 def test_saved_index_matches_the_golden_bytes(tmp_path):
     docs = [
         doc(P, "apple pie"),
-        doc(K, "river apple stone", role=SideRole.COUNTERPART),
+        doc(K, "river apple stone", side=1),
         doc(E, "?!"),
     ]
     path = tmp_path / "ctx.idx"
@@ -608,13 +612,16 @@ def test_saved_index_matches_the_golden_bytes(tmp_path):
         r / math.sqrt(a * a + 2 * r * r),
         r / math.sqrt(a * a + 2 * r * r),
     ]
-    assert load_index(str(path)).postings == build_index(docs).postings
+    loaded = load_index(str(path))
+    assert loaded.postings == build_index(docs).postings
+    # the derived idf is the one version 3 stored
+    assert loaded.idf == tuple(json.loads(_GOLDEN_INDEX_V3)["idf"]) == (a, r, r, r)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_index_load_rejects_version_1_files_with_a_rebuild_hint(tmp_path, version):
     path = tmp_path / "ctx.idx"
-    obj = json.loads(_GOLDEN_INDEX_V2)
+    obj = json.loads(_GOLDEN_INDEX_V3 if version == 3 else _GOLDEN_INDEX_V2)
     if version == 1:
         obj["version"] = 1
         del obj["postings"]
@@ -666,6 +673,31 @@ def test_saved_index_loads_bit_for_bit(docs, first, second):
         assert build_seeds(pair, seed_dataset, loaded, cfg) == build_seeds(pair, seed_dataset, index, cfg)
 
 
+def test_the_retrieval_inputs_round_trip_bit_for_bit(tmp_path, monkeypatch):
+    # the benchmark's 10 500-document corpus; the file is imported as it is,
+    # leaving no bytecode next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    records = []
+    for name, rows in inputs.retrieval_corpus(2).items():
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        records += read_dataset(str(path), DEFAULT_ROSTER)
+    index = build_index(docs_from_records(records))
+    path = str(tmp_path / "ctx.idx")
+    save_index(index, path)
+    loaded = load_index(path)
+    assert len(loaded.docs) == 10_500
+    assert [x.hex() for x in loaded.idf] == [x.hex() for x in index.idf]
+    assert loaded.terms == index.terms
+    assert [(p.tobytes(), w.tobytes()) for p, w in loaded.postings] == [
+        (p.tobytes(), w.tobytes()) for p, w in index.postings
+    ]
+    assert loaded.docs == index.docs
+
+
 def _saved_postings(tmp_path):
     """A two-document index file and its parsed object. Terms: apple 0,
     pie 1, river 2, stone 3; postings positions [0, 1], [0], [1], [1]."""
@@ -685,18 +717,24 @@ def _rejected(path, obj, reason):
 
 
 # rows replacing document 1 of the ``_saved_postings`` file
-_NOT_A_ROW = r"not a \[skill id, side role, lines\] row"
+_NOT_A_ROW = r"not a \[skill id, side, lines\] row"
 _BAD_ROWS = {
-    "too-short": (["K", "counterpart"], _NOT_A_ROW),
-    "too-long": (["K", "counterpart", ["river"], 1], _NOT_A_ROW),
-    "object": ({"skill": "K", "role": "counterpart", "lines": ["river"]}, _NOT_A_ROW),
-    "skill-id-int": ([7, "counterpart", ["river"]], "skill id 7 is not a non-blank string"),
-    "skill-id-blank": ([" ", "counterpart", ["river"]], "skill id ' ' is not a non-blank string"),
-    "role-unknown": (["K", "listener", ["river"]], "unknown side role 'listener'"),
-    "role-list": (["K", ["counterpart"], ["river"]], "unknown side role"),
-    "line-int": (["K", "counterpart", ["river", 5]], "lines is not a list of strings"),
-    "line-blank": (["K", "counterpart", ["river", "   "]], "context lines must be non-blank"),
-    "line-empty": (["K", "counterpart", [""]], "context lines must be non-blank"),
+    "too-short": (["K", 1], _NOT_A_ROW),
+    "too-long": (["K", 1, ["river"], 1], _NOT_A_ROW),
+    "object": ({"skill": "K", "side": 1, "lines": ["river"]}, _NOT_A_ROW),
+    "skill-id-int": ([7, 1, ["river"]], "skill id 7 is not a non-blank string"),
+    "skill-id-blank": ([" ", 1, ["river"]], "skill id ' ' is not a non-blank string"),
+    "side-two": (["K", 2, ["river"]], "side 2 is not 0 or 1"),
+    "side-negative": (["K", -1, ["river"]], "side -1 is not 0 or 1"),
+    # True == 1, but a bool is not a side
+    "side-true": (["K", True, ["river"]], "side True is not 0 or 1"),
+    "side-float": (["K", 1.0, ["river"]], r"side 1\.0 is not 0 or 1"),
+    # the version-3 role name
+    "side-role-name": (["K", "primary", ["river"]], "side 'primary' is not 0 or 1"),
+    "side-list": (["K", [1], ["river"]], r"side \[1\] is not 0 or 1"),
+    "line-int": (["K", 1, ["river", 5]], "lines is not a list of strings"),
+    "line-blank": (["K", 1, ["river", "   "]], "context lines must be non-blank"),
+    "line-empty": (["K", 1, [""]], "context lines must be non-blank"),
 }
 
 
@@ -708,13 +746,36 @@ def test_index_load_rejects_bad_document_rows(tmp_path, case):
     _rejected(path, obj, "document 1: " + reason)
 
 
+# ``terms`` values replacing ["apple", "pie", "river", "stone"]; None drops the key
+_BAD_TERMS = {
+    "missing": None,
+    "unsorted": ["pie", "apple", "river", "stone"],
+    "duplicate": ["apple", "pie", "pie", "stone"],
+    "non-string": ["apple", "pie", 7, "stone"],
+    "null-term": [None, "pie", "river", "stone"],
+    # the version-3 term -> id object
+    "object": {"apple": 0, "pie": 1, "river": 2, "stone": 3},
+    "string": "apple pie river stone",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TERMS))
+def test_index_load_rejects_bad_terms(tmp_path, case):
+    path, obj = _saved_postings(tmp_path)
+    if _BAD_TERMS[case] is None:
+        del obj["terms"]
+    else:
+        obj["terms"] = _BAD_TERMS[case]
+    _rejected(path, obj, "terms is not a list of strictly ascending strings")
+
+
 _BAD_ENTRIES = {
     # positions written as float64: twice as many int32 items as lengths sum to
     "float-id": ("positions", lambda blob: _pack("d", _unpack("i", blob)), "sizes disagree"),
     "string-id": ("positions", lambda blob: "not base64!", "not valid base64"),
     "bool-id": ("positions", lambda blob: True, "not a base64 string"),
     "negative-id": ("positions", lambda blob: _pack("i", [-1] + _unpack("i", blob)[1:]), "outside"),
-    # a length for a term id past the vocabulary
+    # a length for a term id past ``terms``
     "id-past-vocabulary": ("lengths", lambda blob: _pack("i", _unpack("i", blob) + [0]), "lengths are not"),
     # line-wrapped base64 is not strict base64
     "string-weight": ("weights", lambda blob: blob[:8] + "\n" + blob[8:], "not valid base64"),
