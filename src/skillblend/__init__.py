@@ -25,7 +25,7 @@ from .core import (
     validate_episode,
 )
 from .orchestrator import BatchReport, EpisodeAbortError, run_batch, run_episode
-from .seeds import SeedEpisode, build_index, build_seeds, query, tokenize
+from .seeds import SeedEpisode, build_index, build_seeds, tokenize
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "build_seeds",
     "config_digest",
     "make_roster",
-    "query",
     "run_batch",
     "run_episode",
     "tokenize",

@@ -33,14 +33,15 @@ new texts; a regeneration after a refusal is a one-item group.
 
 Lockstep groups: ``run_in_lockstep`` runs jobs (the orchestrator's
 episodes) as one group, each on a thread of its own. Every remote call of
-a member goes through ``exchange``, and when every live member is blocked
-in one, a single thread sends one request per (endpoint, route), in
-``_ROUTES`` order, holding the members' entries in member order. Each
-member gets its own slice of the answer back and checks it as a lone
-caller would, so protocol errors read the same, and a failed request
-fails each of its members with a copy of the error. A member leaves the
-group when its job ends. Outside a group a call is sent at once, as a
-one-member request.
+a member goes through ``exchange``, and the thread whose call, or whose
+leaving, leaves every live member waiting sends the tick: one request per
+(endpoint, route), in ``_ROUTES`` order, holding the members' entries in
+member order, under the group's lock. The members wake once the tick's
+last request is back. Each gets its own slice of the answer and checks it
+as a lone caller would, so protocol errors read the same, and a failed
+request fails each of its members with a copy of the error. A member
+leaves the group when its job ends. Outside a group a call is sent at
+once, as a one-member request.
 
 Transport: a small HTTP/1.1 client on the standard library's ``socket``
 and ``ssl``. Each worker thread holds one persistent connection per
@@ -530,77 +531,56 @@ def _post_entries(post, endpoint: BackendEndpoint, route: str, calls: list[list]
     return out
 
 
-class _Call:
-    """One member's pending call; ``done`` is held until it is answered."""
-
-    __slots__ = ("post", "endpoint", "route", "entries", "answer", "error", "done")
-
-    def __init__(self, post, endpoint: BackendEndpoint, route: str, entries: list):
-        self.post, self.endpoint, self.route, self.entries = post, endpoint, route, entries
-        self.answer = self.error = None
-        self.done = threading.Lock()
-        self.done.acquire()
-
-
 class _Lockstep:
-    """The exchange of one lockstep group: holds each member's pending
-    call, and has the thread that blocks (or leaves) last send them all."""
+    """The exchange of one lockstep group: one condition over each member's
+    pending call and each member's (answer, error). The thread whose call
+    (or leave) makes every live member pending sends the tick."""
 
     def __init__(self, size: int):
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
         self._live = size
-        self._pending: dict[int, _Call] = {}
+        self._pending: dict[int, tuple] = {}
+        self._done: dict[int, tuple] = {}
 
-    def call(self, member: int, call: _Call):
-        with self._lock:
-            self._pending[member] = call
-            due = self._due()
-        if due:
-            _tick(due)
-        call.done.acquire()
-        if call.error is not None:
+    def call(self, member: int, post, endpoint: BackendEndpoint, route: str, entries: list):
+        with self._cond:
+            self._pending[member] = (post, endpoint, route, entries)
+            self._send_if_due()
+            while member not in self._done:
+                self._cond.wait()
+            answer, error = self._done.pop(member)
+        if error is not None:
             # each member raises its own copy: run_episode rewrites its message
-            raise copy.copy(call.error)
-        return call.answer
+            raise copy.copy(error)
+        return answer
 
     def leave(self) -> None:
-        with self._lock:
+        with self._cond:
             self._live -= 1
-            due = self._due()
-        if due:
-            _tick(due)
+            self._send_if_due()
 
-    def _due(self) -> list[_Call]:
-        """Every pending call, in member order, once every live member is
-        blocked in one (and takes them); else nothing."""
+    def _send_if_due(self) -> None:
+        """Once every live member is pending: one request per (endpoint,
+        route), in ``_ROUTES`` order, holding the members' entries in member
+        order, sent under the condition; then wake every member."""
         if len(self._pending) < self._live:
-            return []
-        due = [self._pending[member] for member in sorted(self._pending)]
-        self._pending = {}
-        return due
-
-
-def _tick(calls: list[_Call]) -> None:
-    """One request per (endpoint, route), in ``_ROUTES`` order, holding the
-    calls' entries in call order. The calls of each request are answered
-    as soon as it returns, so that their members run on while the next
-    request is out. Sent outside the group's lock: the next tick falls due
-    only once every live member has been answered and blocked again, and
-    the last answers come with this tick's last request."""
-    merged: dict[tuple[str, BackendEndpoint], list[_Call]] = {}
-    for call in calls:
-        merged.setdefault((call.route, call.endpoint), []).append(call)
-    for (route, endpoint), same in sorted(merged.items(), key=lambda kv: _ROUTES.index(kv[0][0])):
-        try:
-            answers = _post_entries(same[0].post, endpoint, route, [c.entries for c in same])
-        except Exception as exc:
-            for call in same:
-                call.error = exc
-                call.done.release()
-        else:
-            for call, answer in zip(same, answers):
-                call.answer = answer
-                call.done.release()
+            return
+        pending, self._pending = self._pending, {}
+        # visited in route order, then member order, so the dict's insertion
+        # order is the send order and each request's member order
+        merged: dict[tuple[BackendEndpoint, str], list[int]] = {}
+        for member in sorted(pending, key=lambda m: (_ROUTES.index(pending[m][2]), m)):
+            _post, endpoint, route, _entries = pending[member]
+            merged.setdefault((endpoint, route), []).append(member)
+        for (endpoint, route), members in merged.items():
+            post = pending[members[0]][0]
+            try:
+                answers = _post_entries(post, endpoint, route, [pending[m][3] for m in members])
+            except Exception as exc:
+                self._done.update((m, (None, exc)) for m in members)
+            else:
+                self._done.update((m, (answer, None)) for m, answer in zip(members, answers))
+        self._cond.notify_all()
 
 
 def exchange(post, endpoint: BackendEndpoint, route: str, entries: list) -> tuple[list, bytes]:
@@ -614,7 +594,7 @@ def exchange(post, endpoint: BackendEndpoint, route: str, entries: list) -> tupl
     if member is None:
         return _post_entries(post, endpoint, route, [entries])[0]
     group, index = member
-    return group.call(index, _Call(post, endpoint, route, entries))
+    return group.call(index, post, endpoint, route, entries)
 
 
 def run_in_lockstep(jobs: Sequence[Callable[[], object]]) -> list:
@@ -622,11 +602,12 @@ def run_in_lockstep(jobs: Sequence[Callable[[], object]]) -> list:
     group in job order, and return their results in job order once every
     job has ended. A job runs as soon as its thread starts, but no request
     goes out before every member has started, and all of them share the
-    calling thread's connections: only one of them sends at a time. When a
-    thread fails to start, each member that never started leaves the
-    group, the started ones run to their end, and the error propagates. A
-    job should not raise: its thread would end with the error reported and
-    its result None."""
+    calling thread's connections: only one of them sends at a time, because
+    the tick holds the group's lock. When a thread fails to start, each
+    member that never started leaves the group, the started ones run to
+    their end, and the error propagates. A job should not raise: if it
+    does, it leaves the group, its thread ends with the error reported and
+    its result is None, and the other members run on."""
     group = _Lockstep(len(jobs))
     conns = thread_connections()
     results: list = [None] * len(jobs)

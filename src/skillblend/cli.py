@@ -167,10 +167,12 @@ def _cmd_generate(args) -> int:
             parallelism=args.parallelism, write=writer.write,
         )
     print(f"wrote {report.episodes_written} episodes -> {args.out}")
+    for index_, message in report.aborts:
+        _err(f"aborted seed {index_}: {message}")
+    # refusals of written episodes only, so that `stats` on the file agrees
+    print(f"refusals logged: {report.refusal_total} in {report.episodes_written} written episodes")
     if report.aborts:
-        for index_, message in report.aborts:
-            _err(f"aborted seed {index_}: {message}")
-    print(f"refusals logged: {report.refusal_total}")
+        print(f"aborted seeds: {len(report.aborts)}")
     return 0
 
 

@@ -505,7 +505,11 @@ def test_generate_reports_aborted_seeds_and_writes_only_the_rest(workdir, capsys
         " every agent exhausted its consistency attempts\n"
         for n in range(2)
     )
-    assert f"wrote 0 episodes -> {out}" in captured.out
+    assert captured.out == (
+        f"wrote 0 episodes -> {out}\n"
+        "refusals logged: 0 in 0 written episodes\n"
+        "aborted seeds: 2\n"
+    )
     assert out.read_bytes() == b""
 
 

@@ -5,7 +5,9 @@ one request per (endpoint, route) for every member waiting on it."""
 from __future__ import annotations
 
 import json
+import random
 import socket
+import sys
 import threading
 import time
 from collections import Counter, defaultdict
@@ -300,3 +302,103 @@ def test_a_member_that_fails_to_start_leaves_the_group(monkeypatch):
         time.sleep(0.01)
     assert _batch_threads() == []
     assert sent == [("/classify", {"texts": ["text 0", "text 1"]})]
+
+
+def _echo(sent, endpoint, route, body):
+    """A fake ``post`` that records each request and answers each entry
+    with (route, entry)."""
+    request_key, _kind, answer_key, _noun = agents._FORMS[route]
+    sent.append((route, body[request_key]))
+    return {answer_key: [[route, entry] for entry in body[request_key]]}, b"raw"
+
+
+def _replayed(plans):
+    """The requests a group sends for members that make the planned
+    (route, entries) calls: tick t holds each member's t-th call, if it
+    has one, merged per route in route order, members in order."""
+    expected = []
+    for tick in range(max(map(len, plans), default=0)):
+        due = [plan[tick] for plan in plans if tick < len(plan)]
+        for route in agents._ROUTES:
+            entries = [entry for r, member_entries in due if r == route for entry in member_entries]
+            if entries:
+                expected.append((route, entries))
+    return expected
+
+
+def _run_bounded(jobs, timeout=30):
+    """run_in_lockstep on a daemon thread of its own (so its members are
+    daemons too), joined with a timeout; returns the job results."""
+    out = []
+    runner = threading.Thread(target=lambda: out.append(run_in_lockstep(jobs)), daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "the group did not finish"
+    assert _batch_threads() == []
+    return out[0]
+
+
+def test_many_members_on_random_routes_get_a_lone_callers_answers_in_merged_ticks():
+    # more members than cores and a tiny switch interval, so the members
+    # interleave as finely as the interpreter allows; each member's calls
+    # are seeded at random
+    endpoint = BackendEndpoint("http://127.0.0.1:9")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(4):
+            rng = random.Random(seed)
+            plans = []
+            for member in range(16):
+                plan = []
+                for call in range(rng.randrange(13)):
+                    route = rng.choice(agents._ROUTES)
+                    entries = [f"{member}.{call}.{n}" for n in range(rng.randint(1, 3))]
+                    if agents._FORMS[route][1] is dict:
+                        entries = [{"id": entry} for entry in entries]
+                    plan.append((route, entries))
+                plans.append(plan)
+            sent = []
+            post = partial(_echo, sent)
+
+            def job(plan):
+                return [agents.exchange(post, endpoint, route, entries) for route, entries in plan]
+
+            results = _run_bounded([partial(job, plan) for plan in plans])
+            alone = [
+                [agents.exchange(partial(_echo, []), endpoint, route, entries) for route, entries in plan]
+                for plan in plans
+            ]
+            assert results == alone
+            assert sent == _replayed(plans)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_job_that_raises_leaves_its_group(monkeypatch):
+    # the middle member raises after its first call: the others' later
+    # requests still go out without it, they end with their own answers,
+    # and its result is None, with the error reported by its thread
+    reported = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: reported.append(args.exc_value))
+    endpoint = BackendEndpoint("http://127.0.0.1:9")
+    sent = []
+    post = partial(_echo, sent)
+    plans = [[("/classify", [f"{member}.{call}"]) for call in range(2)] for member in range(3)]
+
+    def job(member):
+        answers = []
+        for route, entries in plans[member]:
+            answers.append(agents.exchange(post, endpoint, route, entries))
+            if member == 1:
+                raise ValueError("job failed")
+        return answers
+
+    results = _run_bounded([partial(job, member) for member in range(3)])
+    plans[1] = plans[1][:1]
+    assert sent == _replayed(plans)
+    assert sent[1] == ("/classify", ["0.1", "2.1"])
+    assert results[1] is None
+    for member in (0, 2):
+        assert results[member] == [([["/classify", entry]], b"raw") for _route, (entry,) in plans[member]]
+    assert [str(exc) for exc in reported] == ["job failed"]
