@@ -321,6 +321,8 @@ def validate_episode(ep: Episode, cfg: EngineConfig) -> list[str]:
     Total: never raises for structurally well-typed input; returns one
     human-readable description per violation (empty list when clean).
     """
+    from .distmath import stable_argmax  # distmath imports core, so not at the top
+
     out: list[str] = []
     roster = cfg.skill_roster
     roster_ids = {s.id for s in roster}
@@ -353,8 +355,7 @@ def validate_episode(ep: Episode, cfg: EngineConfig) -> list[str]:
                 f"distribution: turn {i} has {len(probs)} entries for {len(roster)} skills"
             )
         elif turn.skill_label.id in roster_ids:
-            # Stable argmax: lowest index wins on ties.
-            best = roster[max(range(len(probs)), key=probs.__getitem__)]
+            best = roster[stable_argmax(probs)]
             if turn.skill_label.id != best.id:
                 out.append(
                     f"label: turn {i} label {turn.skill_label.id!r} is not the argmax skill {best.id!r}"

@@ -21,9 +21,9 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import lt, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import ConfigError, EngineConfig, SkillContext, SkillContextSet, SkillId, compact_json
 
@@ -42,10 +42,10 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class ContextDoc:
+class ContextDoc(NamedTuple):
     """One retrievable skill context: the lines of side ``side`` (0 or 1) of
-    a record of the skill ``skill_id``."""
+    a record of the skill ``skill_id``. As a tuple it is the document's
+    stored row ``[skill id, side, lines]``."""
 
     skill_id: str
     side: int
@@ -59,18 +59,22 @@ class ContextDoc:
 
 @dataclass(frozen=True)
 class TfIdfIndex:
-    """Immutable tf-idf index. A term's id is its position in ``terms``,
-    which ascend, and a document's id its position in ``docs``. ``idf``
-    holds ``_idf(len(docs), df)`` per term id, df being the length of its
-    postings. ``postings[term id]`` holds the positions of the documents
-    containing the term (ascending) and the term's weight in each of their
-    L2-normalized vectors. Derived from these: ``vocabulary`` (term -> id)
-    and ``buckets`` (the ascending positions of each (skill id, side))."""
+    """Immutable tf-idf index, held as its file holds it. A term's id is its
+    position in ``terms``, which ascend, and a document's id its position in
+    ``docs``. The postings are three flat columns in term-id order: per term,
+    ``lengths`` holds its number of documents, ``positions`` those documents
+    (ascending) and ``weights`` its weight in each of their L2-normalized
+    vectors. Derived: ``idf`` (by ``_idf``), ``starts`` (term t's postings
+    lie in [starts[t], starts[t + 1])), ``vocabulary`` (term -> id) and
+    ``buckets`` (the ascending positions of each (skill id, side))."""
 
     terms: tuple[str, ...]
-    idf: tuple[float, ...]
-    postings: tuple[tuple[array, array], ...]
+    lengths: array
+    positions: array
+    weights: array
     docs: tuple[ContextDoc, ...]
+    idf: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
     vocabulary: Mapping[str, int] = field(init=False, repr=False, compare=False)
     buckets: Mapping[tuple[str, int], array] = field(init=False, repr=False, compare=False)
 
@@ -78,6 +82,8 @@ class TfIdfIndex:
         buckets: dict[tuple[str, int], array] = {}
         for pos, d in enumerate(self.docs):
             buckets.setdefault((d.skill_id, d.side), array("i")).append(pos)
+        object.__setattr__(self, "idf", tuple(_idf(len(self.docs), df) for df in self.lengths))
+        object.__setattr__(self, "starts", tuple(accumulate(self.lengths, initial=0)))
         object.__setattr__(self, "vocabulary", {t: i for i, t in enumerate(self.terms)})
         object.__setattr__(self, "buckets", buckets)
 
@@ -100,8 +106,8 @@ class SeedEpisode:
 
 def _idf(n: int, df: int) -> float:
     """The idf of a term held by ``df`` of ``n`` documents,
-    max(0, ln(n / (1 + df)) + 1). ``build_index`` and ``load_index`` both
-    call it, so a loaded idf equals the built one bit for bit."""
+    max(0, ln(n / (1 + df)) + 1). ``TfIdfIndex`` derives its idf from
+    ``lengths`` through it, so a loaded idf equals the built one bit for bit."""
     return max(0.0, math.log(n / (1 + df)) + 1.0)
 
 
@@ -138,18 +144,19 @@ def build_index(docs: Sequence[ContextDoc]) -> TfIdfIndex:
     norms = array("d")
     start = 0
     for end in ends:
-        weights = map(mul, doc_counts[start:end], map(idf.__getitem__, doc_terms[start:end]))
-        norms.append(math.sqrt(sum(w * w for w in weights)))
+        products = map(mul, doc_counts[start:end], map(idf.__getitem__, doc_terms[start:end]))
+        norms.append(math.sqrt(sum(w * w for w in products)))
         start = end
 
     terms = tuple(sorted(ids))
-    postings = []
+    lengths, all_positions, weights = array("i"), array("i"), array("d")
     for term in terms:
         tid = ids[term]
         term_idf = idf[tid]
-        term_weights = [c * term_idf / norms[p] for p, c in zip(positions[tid], counts[tid])]
-        postings.append((positions[tid], array("d", term_weights)))
-    return TfIdfIndex(terms, tuple(idf[ids[t]] for t in terms), tuple(postings), tuple(docs))
+        lengths.append(len(positions[tid]))
+        all_positions.extend(positions[tid])
+        weights.extend([c * term_idf / norms[p] for p, c in zip(positions[tid], counts[tid])])
+    return TfIdfIndex(terms, lengths, all_positions, weights, tuple(docs))
 
 
 def _scores(index: TfIdfIndex, text: str) -> list[float]:
@@ -164,8 +171,11 @@ def _scores(index: TfIdfIndex, text: str) -> list[float]:
     dots = [0.0] * len(index.docs)
     if qnorm == 0.0:
         return dots
+    # memoryview slices share the columns; array slices would copy them
+    positions, weights, starts = memoryview(index.positions), memoryview(index.weights), index.starts
     for tid, qw in qvec:
-        for pos, w in zip(*index.postings[tid]):
+        lo, hi = starts[tid], starts[tid + 1]
+        for pos, w in zip(positions[lo:hi], weights[lo:hi]):
             dots[pos] += qw * w
     return [dot / qnorm for dot in dots]
 
@@ -284,14 +294,7 @@ def docs_from_records(records) -> list[ContextDoc]:
     return docs
 
 
-def _doc_rows(index: TfIdfIndex) -> Iterator[list[list]]:
-    """The stored form of the documents, ``[skill id, side, lines]`` rows, in
-    chunks of consecutive ones."""
-    for lo in range(0, len(index.docs), _SAVE_CHUNK):
-        yield [[d.skill_id, d.side, list(d.lines)] for d in index.docs[lo : lo + _SAVE_CHUNK]]
-
-
-def _write_json_array(fh, chunks: Iterable[list]) -> None:
+def _write_json_array(fh, chunks: Iterable[Sequence]) -> None:
     """Write the concatenation of ``chunks`` as one compact JSON array."""
     fh.write("[")
     sep = ""
@@ -302,9 +305,10 @@ def _write_json_array(fh, chunks: Iterable[list]) -> None:
 
 
 def _blob(values: array) -> str:
-    """``values`` as little-endian bytes, base64-encoded. Byte-swaps
-    ``values`` in place on a big-endian host."""
+    """``values`` as little-endian bytes, base64-encoded. On a big-endian
+    host a byte-swapped copy is encoded; ``values`` itself never changes."""
     if sys.byteorder == "big":
+        values = array(values.typecode, values)
         values.byteswap()
     return base64.b64encode(values).decode("ascii")
 
@@ -328,31 +332,27 @@ def _unblob(postings: Mapping, key: str, typecode: str) -> array:
 
 
 def save_index(index: TfIdfIndex, path: str) -> None:
-    """Persist the index as a single versioned JSON file: a header with the
-    ``terms`` in id order (which ascends), the document rows (written a
-    chunk at a time; a row's position is its document's id) and the
-    postings as three little-endian base64 blobs (int32 ``lengths`` per term
-    id, int32 ``positions`` and float64 ``weights`` of every term in term-id
-    order). The idf and the document count are not stored: both follow from
-    the rows and ``lengths``.
+    """Persist the index as one versioned JSON file, each part as memory
+    holds it: a header with the ``terms``, the ``docs`` (``ContextDoc``
+    rows, written a chunk at a time) and the ``postings`` columns as
+    little-endian base64 blobs (int32 ``lengths`` and ``positions``, float64
+    ``weights``). The idf and the document count follow from the rows and
+    ``lengths``, so they are not stored.
 
     The file is written under a temporary name next to ``path`` and renamed
     over it once complete, so a failed save leaves any previous file intact.
     """
     header = {"format": INDEX_FORMAT, "version": INDEX_VERSION, "terms": list(index.terms)}
-    lengths, positions, weights = array("i"), array("i"), array("d")
-    for term_positions, term_weights in index.postings:
-        lengths.append(len(term_positions))
-        positions.extend(term_positions)
-        weights.extend(term_weights)
-    postings = {"lengths": _blob(lengths), "positions": _blob(positions), "weights": _blob(weights)}
+    docs = index.docs
     # named per process: concurrent saves of one path must come from different processes
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(compact_json(header)[:-1] + ',"docs":')
-            _write_json_array(fh, _doc_rows(index))
-            fh.write(',"postings":' + compact_json(postings) + "}")
+            _write_json_array(fh, (docs[lo : lo + _SAVE_CHUNK] for lo in range(0, len(docs), _SAVE_CHUNK)))
+            for sep, name in zip((',"postings":{', ",", ","), ("lengths", "positions", "weights")):
+                fh.write(f'{sep}"{name}":"{_blob(getattr(index, name))}"')
+            fh.write("}}")
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
@@ -383,8 +383,7 @@ def _decode_index(obj) -> TfIdfIndex:
     context lines non-blank, as the dataset reader requires), and that the
     postings hold one non-negative length per term, agree in size, and give
     each term finite weights and strictly ascending positions inside
-    [0, number of rows). A term's idf is ``_idf(number of rows, its
-    length)``."""
+    [0, number of rows). The decoded columns become the index's own."""
     if not isinstance(obj, dict) or obj.get("format") != INDEX_FORMAT:
         raise ValueError(f"not a {INDEX_FORMAT} file")
     if obj.get("version") != INDEX_VERSION:
@@ -437,15 +436,12 @@ def _decode_index(obj) -> TfIdfIndex:
         raise ValueError(f"a postings position lies outside [0, {len(docs)})")
     if not all(map(math.isfinite, weights)):
         raise ValueError("a postings weight is not finite")
-    postings = []
+    view = memoryview(positions)
     start = 0
     for tid, n in enumerate(lengths):
-        end = start + n
-        term_positions = positions[start:end]
+        term_positions = view[start : start + n]
         # strictly ascending: no (term, document) pair appears twice
         if not all(map(lt, term_positions, term_positions[1:])):
             raise ValueError(f"term id {tid}: positions do not strictly ascend")
-        postings.append((term_positions, weights[start:end]))
-        start = end
-    idf = tuple(_idf(len(docs), df) for df in lengths)
-    return TfIdfIndex(tuple(terms), idf, tuple(postings), tuple(docs))
+        start += n
+    return TfIdfIndex(tuple(terms), lengths, positions, weights, tuple(docs))

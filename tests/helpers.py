@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures.thread
+import faulthandler
 import json
 import socket
 import threading
@@ -208,6 +210,34 @@ def run_episode(seed, agents, judge, scorer, cfg: EngineConfig, **kwargs) -> Epi
     )
 
 
+def run_bounded(call, timeout: float = 30):
+    """``call()`` on a daemon thread of its own, so that the threads it
+    starts are daemons too, joined with a timeout: a call that hangs fails
+    the test instead of hanging the run. Returns what ``call`` returned, or
+    raises what it raised."""
+    outcome = []
+
+    def run() -> None:
+        try:
+            outcome.append((True, call()))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    if runner.is_alive():
+        faulthandler.dump_traceback()  # every thread's stack, into the test's captured stderr
+        # concurrent.futures joins its pool threads at exit, daemons too:
+        # forget the stranded ones, or the run could not end
+        concurrent.futures.thread._threads_queues.clear()
+    assert not runner.is_alive(), f"the call did not finish within {timeout} s"
+    returned, value = outcome.pop()
+    if not returned:
+        raise value
+    return value
+
+
 # --- serialization oracle -------------------------------------------------------
 
 
@@ -311,7 +341,11 @@ def build_index_oracle(docs):
         for tid, w in vec:
             positions[tid].append(pos)
             weights[tid].append(w)
-    return TfIdfIndex(tuple(terms), idf, tuple(zip(positions, weights)), tuple(docs))
+    lengths, all_positions, all_weights = array("i", map(len, positions)), array("i"), array("d")
+    for term_positions, term_weights in zip(positions, weights):
+        all_positions.extend(term_positions)
+        all_weights.extend(term_weights)
+    return TfIdfIndex(tuple(terms), lengths, all_positions, all_weights, tuple(docs))
 
 
 

@@ -153,6 +153,24 @@ def test_validate_episode_flags_label_not_argmax(cfg):
     assert violations == ["label: turn 3 label 'P' is not the argmax skill 'K'"]
 
 
+def test_validate_episode_breaks_argmax_ties_to_the_lowest_index(cfg):
+    # a tie goes to the skill that comes first in the roster
+    ep = helpers.hand_episode(cfg)
+    P, K, E = cfg.skill_roster
+
+    def with_turn_3(probs, label):
+        turn = replace(ep.turns[3], distribution=SkillDistribution(probs), skill_label=label)
+        return replace(ep, turns=ep.turns[:3] + (turn,) + ep.turns[4:])
+
+    assert validate_episode(with_turn_3((0.4, 0.4, 0.2), P), cfg) == []
+    assert validate_episode(with_turn_3((0.4, 0.4, 0.2), K), cfg) == [
+        "label: turn 3 label 'K' is not the argmax skill 'P'"
+    ]
+    assert validate_episode(with_turn_3((0.2, 0.4, 0.4), E), cfg) == [
+        "label: turn 3 label 'E' is not the argmax skill 'K'"
+    ]
+
+
 def test_validate_episode_flags_seed_annotation_rules(cfg):
     ep = helpers.hand_episode(cfg)
     bad_seed = replace(ep.turns[0], mic_passed=True, phase2_attempts=2)

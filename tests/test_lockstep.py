@@ -83,8 +83,9 @@ def _lines(server, seeds, cfg, parallelism):
     one batch; the log is emptied first."""
     del server.requests[:]
     written = []
-    report = run_batch(
-        seeds, *_stack(server.endpoint(), cfg), cfg, parallelism=parallelism, write=written.append
+    stack = _stack(server.endpoint(), cfg)
+    report = helpers.run_bounded(
+        partial(run_batch, seeds, *stack, cfg, parallelism=parallelism, write=written.append)
     )
     return [episode_line(ep) for ep in written], report, list(server.requests)
 
@@ -171,7 +172,8 @@ def test_each_member_gets_its_own_copy_of_a_failed_request_error(cfg, monkeypatc
         except ProtocolError as exc:
             return exc
 
-    errors = run_in_lockstep([partial(job, number) for number in range(3)])
+    jobs = [partial(job, number) for number in range(3)]
+    errors = helpers.run_bounded(partial(run_in_lockstep, jobs))
     assert [str(exc) for exc in errors] == [
         f"episode ep-{n:06d} turn 0: /classify: expected 6 distributions, got 0" for n in range(3)
     ]
@@ -202,7 +204,7 @@ def test_a_failed_group_request_names_the_first_episode_once(cfg, no_backoff, ba
             rf"backend unavailable after 2 attempts \({reason}\)$"
         )
         with pytest.raises(BackendUnavailableError, match=message):
-            run_batch(seeds, *_stack(endpoint, cfg), cfg, write=written.append)
+            helpers.run_bounded(partial(run_batch, seeds, *_stack(endpoint, cfg), cfg, write=written.append))
     assert written == []
 
 
@@ -259,7 +261,9 @@ def test_a_batch_leaves_no_thread_and_opens_at_most_parallelism_connections(
     }[failure]
     with server:
         with pytest.raises(raised):
-            run_batch(seeds, *_stack(endpoint, cfg), cfg, parallelism=parallelism, write=write)
+            helpers.run_bounded(
+                partial(run_batch, seeds, *_stack(endpoint, cfg), cfg, parallelism=parallelism, write=write)
+            )
         assert _batch_threads() == []
     assert 1 <= len(opened) <= parallelism
 
@@ -267,7 +271,8 @@ def test_a_batch_leaves_no_thread_and_opens_at_most_parallelism_connections(
 def test_a_finished_batch_leaves_no_thread(cfg):
     seeds = [_seed(i, kind) for i, kind in enumerate(_KINDS * 4)]
     with serve_mock(_TABLES) as server:
-        report = run_batch(seeds, *_stack(server.endpoint(), cfg), cfg, parallelism=2)
+        stack = _stack(server.endpoint(), cfg)
+        report = helpers.run_bounded(partial(run_batch, seeds, *stack, cfg, parallelism=2))
         assert _batch_threads() == []
     assert report.episodes_written == 8
 
@@ -296,7 +301,7 @@ def test_a_member_that_fails_to_start_leaves_the_group(monkeypatch):
     jobs = [partial(agents.exchange, post, endpoint, "/classify", [f"text {i}"]) for i in range(4)]
     monkeypatch.setattr(threading.Thread, "start", failing_start)
     with pytest.raises(RuntimeError, match="^can't start new thread$"):
-        run_in_lockstep(jobs)
+        helpers.run_bounded(partial(run_in_lockstep, jobs))
     deadline = time.monotonic() + 2
     while _batch_threads() and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -326,18 +331,6 @@ def _replayed(plans):
     return expected
 
 
-def _run_bounded(jobs, timeout=30):
-    """run_in_lockstep on a daemon thread of its own (so its members are
-    daemons too), joined with a timeout; returns the job results."""
-    out = []
-    runner = threading.Thread(target=lambda: out.append(run_in_lockstep(jobs)), daemon=True)
-    runner.start()
-    runner.join(timeout)
-    assert not runner.is_alive(), "the group did not finish"
-    assert _batch_threads() == []
-    return out[0]
-
-
 def test_many_members_on_random_routes_get_a_lone_callers_answers_in_merged_ticks():
     # more members than cores and a tiny switch interval, so the members
     # interleave as finely as the interpreter allows; each member's calls
@@ -364,7 +357,8 @@ def test_many_members_on_random_routes_get_a_lone_callers_answers_in_merged_tick
             def job(plan):
                 return [agents.exchange(post, endpoint, route, entries) for route, entries in plan]
 
-            results = _run_bounded([partial(job, plan) for plan in plans])
+            results = helpers.run_bounded(partial(run_in_lockstep, [partial(job, plan) for plan in plans]))
+            assert _batch_threads() == []
             alone = [
                 [agents.exchange(partial(_echo, []), endpoint, route, entries) for route, entries in plan]
                 for plan in plans
@@ -394,7 +388,8 @@ def test_a_job_that_raises_leaves_its_group(monkeypatch):
                 raise ValueError("job failed")
         return answers
 
-    results = _run_bounded([partial(job, member) for member in range(3)])
+    results = helpers.run_bounded(partial(run_in_lockstep, [partial(job, member) for member in range(3)]))
+    assert _batch_threads() == []
     plans[1] = plans[1][:1]
     assert sent == _replayed(plans)
     assert sent[1] == ("/classify", ["0.1", "2.1"])

@@ -7,6 +7,7 @@ import socket
 import threading
 import time
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -631,7 +632,9 @@ def test_remote_batch_holds_one_connection_per_worker(tmp_path, corpus_files, cf
         for parallelism in (1, 2):
             del connects[:]
             path = tmp_path / f"p{parallelism}.jsonl"
-            corpora[parallelism] = _write_corpus(path, seeds, agents, judge, scorer, cfg, parallelism)
+            corpora[parallelism] = helpers.run_bounded(
+                partial(_write_corpus, path, seeds, agents, judge, scorer, cfg, parallelism)
+            )
             assert 1 <= len(connects) <= parallelism
     assert corpora[1] == corpora[2]
     assert corpora[1].count(b"\n") == 8
@@ -667,10 +670,10 @@ def test_remote_batch_fails_fast_when_the_backend_dies(cfg, monkeypatch):
     try:
         agents, judge, scorer = _remote_stack(server.endpoint(), cfg)
         with pytest.raises(BackendUnavailableError, match=r"^episode ep-\d{6} turn \d+: ") as err:
-            run_batch(
-                [_plain_seed()] * 200, agents, judge, scorer, cfg,
+            helpers.run_bounded(partial(
+                run_batch, [_plain_seed()] * 200, agents, judge, scorer, cfg,
                 parallelism=2, write=written.append,
-            )
+            ))
         failed_at = time.monotonic()
     finally:
         stop.set()
@@ -711,7 +714,9 @@ def test_a_failed_remote_batch_closes_its_client_connections(cfg, monkeypatch):
             agents, judge, scorer = _remote_stack(server.endpoint(max_retries=0), cfg)
             for _ in range(5):
                 with pytest.raises(BackendUnavailableError, match="/rank: backend unavailable"):
-                    run_batch([_plain_seed()] * 16, agents, judge, scorer, cfg, parallelism=2)
+                    helpers.run_bounded(
+                        partial(run_batch, [_plain_seed()] * 16, agents, judge, scorer, cfg, parallelism=2)
+                    )
                 assert opened
                 assert [sock.fileno() for sock in opened] == [-1] * len(opened)
     finally:
@@ -735,10 +740,10 @@ def test_remote_batch_fails_fast_when_the_backend_stalls(cfg):
             r"backend unavailable after 2 attempts \(timed out\)$"
         )
         with pytest.raises(BackendUnavailableError, match=message):
-            run_batch(
-                [_plain_seed()] * 20, agents, judge, scorer, cfg,
+            helpers.run_bounded(partial(
+                run_batch, [_plain_seed()] * 20, agents, judge, scorer, cfg,
                 parallelism=2, write=written.append,
-            )
+            ))
         elapsed = time.monotonic() - start
         attempts = len(server.sockets)
     assert elapsed < 2 * 0.2 + 0.05 + 1.0

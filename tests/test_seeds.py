@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillblend import seeds
-from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillContext, SkillContextSet
+from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillContext, SkillContextSet, compact_json
 from skillblend.dataio import SingleSkillRecord, read_dataset
 from skillblend.seeds import (
     ContextDoc,
@@ -58,13 +58,16 @@ def test_tokenize_rules():
 
 def test_single_doc_is_one_hot_after_l2():
     index = build_index([doc(P, "apple apple")])
-    assert index.postings == ((array("i", [0]), array("d", [1.0])),)
+    assert (index.lengths, index.positions, index.weights) == (
+        array("i", [1]), array("i", [0]), array("d", [1.0])
+    )
 
 
 def test_disjoint_docs_are_orthogonal():
     index = build_index([doc(P, "apple pie"), doc(P, "river stone")])
     # no term's postings hold both documents, so their dot product is zero
-    assert sorted(tuple(positions) for positions, _ in index.postings) == [
+    starts = index.starts
+    assert sorted(tuple(index.positions[lo:hi]) for lo, hi in zip(starts, starts[1:])) == [
         (0,), (0,), (1,), (1,)
     ]
 
@@ -83,10 +86,14 @@ def test_doc_looks_up_by_position():
             index.doc(bad)
 
 
+def _columns(index):
+    """The posting columns of an index as (typecode, bytes)."""
+    return [(c.typecode, c.tobytes()) for c in (index.lengths, index.positions, index.weights)]
+
+
 def _bits(index):
-    """Vocabulary, idf and postings of an index, floats as their bits."""
-    postings = [(p.typecode, p.tobytes(), w.typecode, w.tobytes()) for p, w in index.postings]
-    return index.vocabulary, [x.hex() for x in index.idf], postings
+    """Vocabulary, idf and posting columns of an index, floats as their bits."""
+    return index.vocabulary, [x.hex() for x in index.idf], _columns(index)
 
 
 # words with repeats, a token-less line, upper case, digits and non-ASCII
@@ -471,7 +478,7 @@ def test_index_save_load_roundtrip(tmp_path):
     assert loaded.vocabulary == dict(index.vocabulary)
     assert loaded.idf == index.idf
     assert loaded.docs == index.docs
-    assert loaded.postings == index.postings
+    assert _columns(loaded) == _columns(index)
     assert query(loaded, "topic persona 3", k=4) == query(index, "topic persona 3", k=4)
 
 
@@ -613,7 +620,7 @@ def test_saved_index_matches_the_golden_bytes(tmp_path):
         r / math.sqrt(a * a + 2 * r * r),
     ]
     loaded = load_index(str(path))
-    assert loaded.postings == build_index(docs).postings
+    assert _columns(loaded) == _columns(build_index(docs))
     # the derived idf is the one version 3 stored
     assert loaded.idf == tuple(json.loads(_GOLDEN_INDEX_V3)["idf"]) == (a, r, r, r)
 
@@ -635,15 +642,17 @@ def test_index_save_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "ctx.idx"
     save_index(build_index([doc(P, "apple pie")]), str(path))
     before = path.read_bytes()
-    doc_rows = seeds._doc_rows
+    write_json_array = seeds._write_json_array
 
-    def fail_after_one_chunk(index):
-        chunks = doc_rows(index)
-        yield next(chunks)
-        raise OSError("disk full")
+    def fail_after_one_chunk(fh, chunks):
+        def first_then_fail():
+            yield next(iter(chunks))
+            raise OSError("disk full")
+
+        write_json_array(fh, first_then_fail())
 
     monkeypatch.setattr(seeds, "_SAVE_CHUNK", 1)
-    monkeypatch.setattr(seeds, "_doc_rows", fail_after_one_chunk)
+    monkeypatch.setattr(seeds, "_write_json_array", fail_after_one_chunk)
     other = build_index([doc(K, "river stone"), doc(E, "moss")])
     with pytest.raises(OSError, match="disk full"):
         save_index(other, str(path))
@@ -651,6 +660,40 @@ def test_index_save_is_atomic(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_index(other, str(tmp_path / "new.idx"))
     assert [p.name for p in tmp_path.iterdir()] == ["ctx.idx"]
+
+
+def test_saved_docs_are_the_compact_json_of_the_index_rows(tmp_path, monkeypatch):
+    # written a chunk at a time, the docs array is still the one compact
+    # dump of the ContextDoc tuples themselves
+    monkeypatch.setattr(seeds, "_SAVE_CHUNK", 2)
+    index = build_index(
+        [
+            doc(P, "café crème; naïve façade"),
+            doc(K, "日本語 text; \"quoted\" line", side=1),
+            doc(E, "?!"),
+            doc(P, "tab\tand newline\n", side=1),
+            doc(K, "river stone"),
+        ]
+    )
+    path = tmp_path / "ctx.idx"
+    save_index(index, str(path))
+    text = path.read_text(encoding="utf-8")
+    docs = text[text.index(',"docs":') + len(',"docs":') : text.index(',"postings":')]
+    assert docs == compact_json(list(index.docs))
+
+
+@pytest.mark.parametrize("values", [array("i", [1, -2, 70_000]), array("d", [0.5, -1e300, 3.25])])
+def test_blob_encodes_a_swapped_copy_on_a_big_endian_host(monkeypatch, values):
+    before = values.tobytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(seeds.sys, "byteorder", "big")
+        blob = seeds._blob(values)
+    assert values.tobytes() == before
+    # each item's bytes reversed: what turns a big-endian host's own bytes
+    # into the little-endian encoding
+    swapped = array(values.typecode, values)
+    swapped.byteswap()
+    assert base64.b64decode(blob) == swapped.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -661,9 +704,7 @@ def test_saved_index_loads_bit_for_bit(docs, first, second):
         path = os.path.join(root, "ctx.idx")
         save_index(index, path)
         loaded = load_index(path)
-    assert [(p.tobytes(), w.tobytes()) for p, w in loaded.postings] == [
-        (p.tobytes(), w.tobytes()) for p, w in index.postings
-    ]
+    assert _columns(loaded) == _columns(index)
     assert [x.hex() for x in loaded.idf] == [x.hex() for x in index.idf]
     assert loaded.vocabulary == index.vocabulary
     assert loaded.docs == index.docs
@@ -692,9 +733,7 @@ def test_the_retrieval_inputs_round_trip_bit_for_bit(tmp_path, monkeypatch):
     assert len(loaded.docs) == 10_500
     assert [x.hex() for x in loaded.idf] == [x.hex() for x in index.idf]
     assert loaded.terms == index.terms
-    assert [(p.tobytes(), w.tobytes()) for p, w in loaded.postings] == [
-        (p.tobytes(), w.tobytes()) for p, w in index.postings
-    ]
+    assert _columns(loaded) == _columns(index)
     assert loaded.docs == index.docs
 
 
