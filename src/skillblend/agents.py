@@ -33,11 +33,18 @@ new texts; a regeneration after a refusal is a one-item group.
 
 Lockstep groups: ``run_in_lockstep`` runs jobs (the orchestrator's
 episodes) as one group, each on a thread of its own. Every remote call of
-a member goes through ``exchange``, and the thread whose call, or whose
-leaving, leaves every live member waiting sends the tick: one request per
-(endpoint, route), in ``_ROUTES`` order, holding the members' entries in
-member order, under the group's lock. The members wake once the tick's
-last request is back. Each gets its own slice of the answer and checks it
+a member goes through ``exchange``. The thread whose call, or whose
+leaving, leaves every live member waiting sends the tick, under the
+group's lock. It serves only the calls on the earliest route in
+``_ROUTES``, which lists the routes in the order a turn calls them, with
+one request per endpoint holding their entries in member order; the other
+calls wait for a later tick. So members that ran ahead wait for those
+still regenerating, and each tick sends one route. A ``/rank`` tick, the
+last of a turn, serves every live member, so no member starts a turn
+before every other has ended the one before it. Every tick serves at
+least one member, so a group whose members never call ``/rank`` still
+ends; it merges less. A request's members wake once it is back, and
+only they. Each gets its own slice of the answer and checks it
 as a lone caller would, so protocol errors read the same, and a failed
 request fails each of its members with a copy of the error. A member
 leaves the group when its job ends. Outside a group a call is sent at
@@ -505,14 +512,15 @@ def wire_list(value, count: int, route: str, noun: str, raw: bytes) -> list:
     return value
 
 
-# per route, in the order a tick sends them: the request's entry array,
-# the type of each entry, the response's answer array, and the noun that
-# names an answer in a length error
+# per route, in the order an episode's turn calls them (a lockstep tick
+# serves the earliest first): the request's entry array, the type of each
+# entry, the response's answer array, and the noun that names an answer in
+# a length error
 _FORMS = {
     "/generate": ("groups", dict, "results", "result lists"),
-    "/rank": ("items", dict, "scores", "score lists"),
     "/nli": ("items", dict, "verdicts", "verdict lists"),
     "/classify": ("texts", str, "distributions", "distributions"),
+    "/rank": ("items", dict, "scores", "score lists"),
 }
 _ROUTES = tuple(_FORMS)
 
@@ -532,22 +540,32 @@ def _post_entries(post, endpoint: BackendEndpoint, route: str, calls: list[list]
 
 
 class _Lockstep:
-    """The exchange of one lockstep group: one condition over each member's
-    pending call and each member's (answer, error). The thread whose call
-    (or leave) makes every live member pending sends the tick."""
+    """The exchange of one lockstep group: one lock over each member's
+    pending call and each member's (answer, error), and on that lock one
+    condition per member, so that a tick wakes only the members it served.
+    The thread whose call (or leave) makes every live member pending sends
+    the tick, which serves only the calls on the earliest route in turn
+    order: members that ran ahead wait for the ones still behind.
+
+    A call's step is (the member's ``/rank`` calls before it, its route's
+    place in ``_ROUTES``). Ordering by the place alone is the same: a
+    ``/rank`` tick serves only when every live member waits on ``/rank``,
+    and then serves them all, so the live members' ``/rank`` counts never
+    differ."""
 
     def __init__(self, size: int):
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._wakes = [threading.Condition(self._lock) for _ in range(size)]
         self._live = size
         self._pending: dict[int, tuple] = {}
         self._done: dict[int, tuple] = {}
 
     def call(self, member: int, post, endpoint: BackendEndpoint, route: str, entries: list):
-        with self._cond:
-            self._pending[member] = (post, endpoint, route, entries)
+        with self._lock:
+            self._pending[member] = (_ROUTES.index(route), post, endpoint, entries)
             self._send_if_due()
             while member not in self._done:
-                self._cond.wait()
+                self._wakes[member].wait()
             answer, error = self._done.pop(member)
         if error is not None:
             # each member raises its own copy: run_episode rewrites its message
@@ -555,41 +573,46 @@ class _Lockstep:
         return answer
 
     def leave(self) -> None:
-        with self._cond:
+        with self._lock:
             self._live -= 1
             self._send_if_due()
 
     def _send_if_due(self) -> None:
-        """Once every live member is pending: one request per (endpoint,
-        route), in ``_ROUTES`` order, holding the members' entries in member
-        order, sent under the condition; then wake every member."""
-        if len(self._pending) < self._live:
+        """Once every live member is pending: the calls on the earliest
+        route, one request per endpoint holding their entries in member
+        order, sent under the lock, each request's members woken once it is
+        back. The other calls stay pending for a later tick."""
+        pending = self._pending
+        if not pending or len(pending) < self._live:
             return
-        pending, self._pending = self._pending, {}
-        # visited in route order, then member order, so the dict's insertion
-        # order is the send order and each request's member order
-        merged: dict[tuple[BackendEndpoint, str], list[int]] = {}
-        for member in sorted(pending, key=lambda m: (_ROUTES.index(pending[m][2]), m)):
-            _post, endpoint, route, _entries = pending[member]
-            merged.setdefault((endpoint, route), []).append(member)
-        for (endpoint, route), members in merged.items():
-            post = pending[members[0]][0]
+        low = min(call[0] for call in pending.values())
+        route = _ROUTES[low]
+        # visited in member order, so the dict's insertion order is the send
+        # order and each request's member order
+        merged: dict[BackendEndpoint, list[int]] = {}
+        for member in sorted(pending):
+            if pending[member][0] == low:
+                merged.setdefault(pending[member][2], []).append(member)
+        for endpoint, members in merged.items():
+            calls = [pending.pop(m) for m in members]
             try:
-                answers = _post_entries(post, endpoint, route, [pending[m][3] for m in members])
+                answers = _post_entries(calls[0][1], endpoint, route, [c[3] for c in calls])
             except Exception as exc:
                 self._done.update((m, (None, exc)) for m in members)
             else:
                 self._done.update((m, (answer, None)) for m, answer in zip(members, answers))
-        self._cond.notify_all()
+            for member in members:
+                self._wakes[member].notify()
 
 
 def exchange(post, endpoint: BackendEndpoint, route: str, entries: list) -> tuple[list, bytes]:
     """Send ``entries`` on ``route``; returns their answers, in entry order,
     and the raw body of the response that held them. On a member thread of
-    ``run_in_lockstep`` the call waits for the group's next tick and goes
-    out merged with the other members' calls; elsewhere it goes out at
-    once. ``post`` is the caller module's ``post_json``, looked up at call
-    time, and every request goes through it."""
+    ``run_in_lockstep`` the call waits for the first tick that serves its
+    step and goes out merged with the other members' calls at that step;
+    elsewhere it goes out at once. ``post`` is the caller module's
+    ``post_json``, looked up at call time, and every request goes through
+    it."""
     member = getattr(_thread_state, "member", None)
     if member is None:
         return _post_entries(post, endpoint, route, [entries])[0]
@@ -603,7 +626,9 @@ def run_in_lockstep(jobs: Sequence[Callable[[], object]]) -> list:
     job has ended. A job runs as soon as its thread starts, but no request
     goes out before every member has started, and all of them share the
     calling thread's connections: only one of them sends at a time, because
-    the tick holds the group's lock. When a thread fails to start, each
+    the tick holds the group's lock. Each tick serves the members whose
+    calls are furthest behind in their turns (see ``_Lockstep``), so the
+    members advance in step. When a thread fails to start, each
     member that never started leaves the group, the started ones run to
     their end, and the error propagates. A job should not raise: if it
     does, it leaves the group, its thread ends with the error reported and
@@ -987,7 +1012,7 @@ def _classify_answer(table: dict, text: str) -> list:
 
 # per route of _FORMS, in its order: the mock's answer to one request
 # entry, from the route's table
-_ANSWERS = dict(zip(_FORMS, (_generate_answer, _rank_answer, _nli_answer, _classify_answer)))
+_ANSWERS = dict(zip(_FORMS, (_generate_answer, _nli_answer, _classify_answer, _rank_answer)))
 
 
 def _reply(sock: socket.socket, status: int, obj: dict, keep: bool = False) -> bool:

@@ -12,7 +12,7 @@ confidences are checked on the wire and then dropped. The remote clients
 also take several items in one request (``judge_batch``, ``score_batch``),
 which the engine's episode memo uses whenever a backend has them; in a
 lockstep group (see :mod:`skillblend.agents`) the items of every member
-waiting on the same route go out in one request.
+waiting on the same route at the same step go out in one request.
 The engine never embeds model weights.
 """
 

@@ -9,8 +9,9 @@ most ``parallelism`` groups at once, while output order stays equal to
 seed order, so parallelism never changes the bytes. With in-process
 backends a group is one episode. With a remote backend it is up to
 ``_GROUP`` consecutive episodes in lockstep, one thread each: whenever all
-of them wait on the backend, one request per route carries all their
-items, so the requests do not depend on parallelism either."""
+of them wait on the backend, one request carries the items of those
+furthest behind in their turns, and the others wait, so the episodes stay
+in step. The requests do not depend on parallelism either."""
 
 from __future__ import annotations
 

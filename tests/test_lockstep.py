@@ -1,6 +1,6 @@
 """Lockstep groups on the remote path: a batch's remote episodes advance
-in groups of ``orchestrator._GROUP`` consecutive seeds, and each tick sends
-one request per (endpoint, route) for every member waiting on it."""
+in groups of ``orchestrator._GROUP`` consecutive seeds. Each tick serves the
+members furthest behind in their turns, in one request per endpoint."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from functools import partial
 
 import pytest
@@ -23,11 +24,20 @@ from skillblend.agents import (
     BackendUnavailableError,
     ProtocolError,
     RemoteSkillAgent,
+    default_scripted_agents,
     run_in_lockstep,
     serve_mock,
 )
 from skillblend.classifiers import RemoteNliJudge, RemoteSkillScorer
-from skillblend.core import DEFAULT_ROSTER, EngineConfig, SkillContext, SkillContextSet, compact_json
+from skillblend.core import (
+    DEFAULT_ROSTER,
+    DialogueContext,
+    EngineConfig,
+    SkillContext,
+    SkillContextSet,
+    SkillDistribution,
+    compact_json,
+)
 from skillblend.dataio import episode_line
 from skillblend.orchestrator import BatchError, run_batch
 from skillblend.seeds import SeedEpisode
@@ -117,8 +127,8 @@ def test_bytes_and_requests_do_not_depend_on_parallelism(kinds):
 
 def test_each_tick_sends_one_request_per_route_with_members_in_seed_order(cfg, monkeypatch):
     # every remote call is logged under the episode that made it; replaying
-    # the calls tick by tick (tick t holds each member's t-th call, if it
-    # has one) must give exactly the requests the server saw
+    # each group's calls through the step-ordered ticks must give exactly
+    # the requests the server saw
     local = threading.local()
     calls = defaultdict(list)
     run_episode_untagged = orchestrator.run_episode
@@ -144,19 +154,101 @@ def test_each_tick_sends_one_request_per_route_with_members_in_seed_order(cfg, m
 
     expected = []
     request_key = {"/generate": "groups", "/rank": "items", "/nli": "items", "/classify": "texts"}
-    for first in range(0, len(seeds), _GROUP):
-        members = [calls[f"ep-{i:06d}"] for i in range(first, min(first + _GROUP, len(seeds)))]
-        for tick in range(max(map(len, members))):
-            due = [member[tick] for member in members if tick < len(member)]
-            for route in agents._ROUTES:
-                entries = [entry for r, member_entries in due if r == route for entry in member_entries]
-                if entries:
-                    expected.append((route, compact_json({request_key[route]: entries}).encode()))
+    groups = [
+        [calls[f"ep-{i:06d}"] for i in range(first, min(first + _GROUP, len(seeds)))]
+        for first in range(0, len(seeds), _GROUP)
+    ]
+    for members in groups:
+        for route, entries in _replayed(members):
+            expected.append((route, compact_json({request_key[route]: entries}).encode()))
     assert sent == expected
     # the groups did merge: fewer requests than calls, and more than one
     # member's entries in some request
     assert len(sent) < sum(map(len, calls.values()))
     assert max(len(json.loads(body).get("groups", ())) for _, body in sent) > 1
+    # and stayed in step: a group sends one /rank per turn of its longest
+    # episode, however often its members regenerated
+    longest = sum(max(sum(r == "/rank" for r, _ in member) for member in members) for members in groups)
+    assert [route for route, _ in sent].count("/rank") == longest
+
+
+def test_groups_side_by_side_give_the_bytes_and_requests_of_one_at_a_time(cfg):
+    # two full groups and a partial one, each mixing plain, refusing and
+    # aborting seeds; at parallelism 2 two groups run at once
+    kinds = ["plain", "refuses", "aborts", "plain", "refuses"] * 4
+    seeds = [_seed(i, kind) for i, kind in enumerate(kinds)]
+    with serve_mock(_TABLES) as server:
+        runs = {p: _lines(server, seeds, cfg, p) for p in (1, 2)}
+    lines, report, log = runs[1]
+    other_lines, other_report, other_log = runs[2]
+    assert len(lines) == 16 and len(report.aborts) == 4
+    assert other_lines == lines
+    assert other_report == report
+    assert Counter(other_log) == Counter(log)
+    # each group sends one /rank per generated turn (8 per episode), and a
+    # regeneration holds the group for a tick of its own: 21 of them for
+    # every aborting seed, whose three agents each try 8 texts
+    assert Counter(route for route, _ in log) == {"/generate": 96, "/nli": 9, "/classify": 9, "/rank": 24}
+
+
+@dataclass(frozen=True)
+class _PairJudge:
+    """In-process NLI: contradicts exactly the (premise, hypothesis) pairs given."""
+
+    pairs: frozenset
+
+    def judge(self, premises: tuple, hypothesis: str) -> tuple:
+        return tuple((premise, hypothesis) in self.pairs for premise in premises)
+
+
+def test_a_group_that_never_sends_rank_still_finishes(cfg, monkeypatch):
+    # scripted agents generate and rank in process, so the group never
+    # sends /rank and its members' /rank counts stay 0: a member on
+    # /classify waits for every /nli, however many turns ahead its caller
+    # is. The group still ends, with the bytes of an in-process run, one
+    # request per tick.
+    scripted = default_scripted_agents(cfg.skill_roster)
+    (p_agent,) = [agent for agent in scripted if agent.skill == P]
+    opening = p_agent.generate(SkillContext(P, (_REFUSES_ONCE,)), DialogueContext(), 1)
+    pairs = frozenset({(_REFUSES_ONCE, opening)})
+    tables = {
+        "nli": {"pairs": [{"premise": p, "hypothesis": h, "label": "contradict"} for p, h in pairs]},
+        "classify": {"default": [0.5, 0.3, 0.2]},
+    }
+    seeds = [_seed(i, ("plain", "refuses", "plain")[i % 3]) for i in range(2 * _GROUP - 3)]
+    alone = []
+    scorer = helpers.TableScorer(cfg.skill_roster, {}, SkillDistribution((0.5, 0.3, 0.2)))
+    run_batch(seeds, scripted, _PairJudge(pairs), scorer, cfg, write=alone.append)
+
+    ticks = []
+    send_if_due, post_entries = agents._Lockstep._send_if_due, agents._post_entries
+
+    def tick(group):
+        ticks.append([])
+        send_if_due(group)
+
+    def counted(post, endpoint, route, calls):
+        ticks[-1].append((route, len(calls)))
+        return post_entries(post, endpoint, route, calls)
+
+    monkeypatch.setattr(agents._Lockstep, "_send_if_due", tick)
+    monkeypatch.setattr(agents, "_post_entries", counted)
+    written = []
+    with serve_mock(tables) as server:
+        endpoint = server.endpoint()
+        judge, remote_scorer = RemoteNliJudge(endpoint), RemoteSkillScorer(endpoint, cfg.skill_roster)
+        report = helpers.run_bounded(
+            partial(run_batch, seeds, scripted, judge, remote_scorer, cfg, write=written.append)
+        )
+        sent = list(server.requests)
+    assert report.refusal_total > 0
+    assert [episode_line(ep) for ep in written] == [episode_line(ep) for ep in alone]
+    requests = [request for routes in ticks for request in routes]
+    assert [route for route, _ in requests] == [route for route, _ in sent]
+    assert {route for route, _ in requests} == {"/nli", "/classify"}
+    assert all(len(routes) <= 1 for routes in ticks)
+    # the members still share requests
+    assert max(members for _, members in requests) > 1
 
 
 def test_each_member_gets_its_own_copy_of_a_failed_request_error(cfg, monkeypatch):
@@ -317,18 +409,36 @@ def _echo(sent, endpoint, route, body):
     return {answer_key: [[route, entry] for entry in body[request_key]]}, b"raw"
 
 
+# the routes in the order an episode's turn calls them
+_TURN = ("/generate", "/nli", "/classify", "/rank")
+
+
 def _replayed(plans):
-    """The requests a group sends for members that make the planned
-    (route, entries) calls: tick t holds each member's t-th call, if it
-    has one, merged per route in route order, members in order."""
+    """The requests one group sends, on one endpoint, for members that make
+    the planned (route, entries) calls. A call's step is (the member's
+    ``/rank`` calls before it, its route's place in ``_TURN``). Each tick
+    serves the calls at the lowest step in one request, members in order;
+    the other members' calls wait for a later tick. (The group orders calls
+    by the place alone, which must come to the same.)"""
     expected = []
-    for tick in range(max(map(len, plans), default=0)):
-        due = [plan[tick] for plan in plans if tick < len(plan)]
-        for route in agents._ROUTES:
-            entries = [entry for r, member_entries in due if r == route for entry in member_entries]
-            if entries:
-                expected.append((route, entries))
-    return expected
+    served = [0] * len(plans)
+    ranks = [0] * len(plans)
+    while True:
+        steps = {
+            member: (ranks[member], _TURN.index(plan[served[member]][0]))
+            for member, plan in enumerate(plans)
+            if served[member] < len(plan)
+        }
+        if not steps:
+            return expected
+        low = min(steps.values())
+        due = [member for member, step in steps.items() if step == low]
+        route = _TURN[low[1]]
+        expected.append((route, [entry for m in due for entry in plans[m][served[m]][1]]))
+        for member in due:
+            served[member] += 1
+            if route == "/rank":
+                ranks[member] += 1
 
 
 def test_many_members_on_random_routes_get_a_lone_callers_answers_in_merged_ticks():
