@@ -62,15 +62,16 @@ and ``Content-Length``. A response body is read by ``Content-Length``, as
 connection closes after a ``Connection: close`` response, after an
 HTTP/1.0 response and after a body read to the end. A status or header
 line longer than 65536 bytes, more than 100 header lines, any other
-``Transfer-Encoding`` and a body cut short are failed attempts, like
-timeouts, resets and 5xx responses; failed attempts are retried after a
-capped exponential backoff. A request that fails on a reused connection
-before any response byte arrives is sent once more on a fresh connection,
-outside the retry budget. ``orchestrator.run_batch`` closes its worker
-threads' connections when the batch ends.
+``Transfer-Encoding``, a body over 64 MiB however it is framed (checked
+before the read when its size is sent) and a body cut short are failed
+attempts, like timeouts, resets and 5xx responses; failed attempts are
+retried after a capped exponential backoff. A request that fails on a
+reused connection before any response byte arrives is sent once more on a
+fresh connection, outside the retry budget. ``orchestrator.run_batch``
+closes its worker threads' connections when the batch ends.
 
 The mock server's side reuses that framing: one thread per connection,
-the same request-head limits and chunk reader, and one write per response.
+the same head reader, limits and chunk reader, and one write per response.
 """
 
 from __future__ import annotations
@@ -257,24 +258,34 @@ class BackendEndpoint:
 # the wait before retry i (0-based) is min(_BACKOFF_CAP_S, _BACKOFF_FIRST_S * 2**i)
 _BACKOFF_FIRST_S = 0.05
 _BACKOFF_CAP_S = 1.0
-# limits on what a response (or, at the mock server, a request) may send
-# before its body: a status, request or header line (terminator included),
-# and the header lines of one message
+# limits on what a response (or, at the mock server, a request) may send:
+# a status, request or header line (terminator included), the header lines
+# of one message, and its body however it is framed (about 8000 times the
+# largest body of the benchmark's remote runs)
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+_MAX_BODY = 64 * 1024 * 1024
 _REQUEST_HEAD = (
     b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
     b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n"
 )
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+# as many digits as the largest chunk size has, so that int() never meets
+# a value longer than it converts
+_CONTENT_LENGTH = re.compile(rb"[0-9]{1,20}")
 _thread_state = threading.local()
 
 
 class _BadResponse(Exception):
     """A response that breaks HTTP/1.1 framing or a reader limit; like a
     transport failure, it is a failed attempt. The mock server reads
-    request heads and chunked request bodies with the same readers and
-    refuses one that raises it."""
+    request heads and bodies with the same readers and refuses one that
+    raises it."""
+
+
+class _TooLarge(_BadResponse):
+    """A body that would pass ``_MAX_BODY`` bytes; the mock server answers
+    it 413."""
 
 
 def _line(reader) -> bytes:
@@ -298,8 +309,43 @@ def _header_lines(reader):
     raise _BadResponse(f"more than {_MAX_HEADERS} response header lines")
 
 
+def _framing(reader, version: bytes) -> tuple[list, list, bool, bool]:
+    """Read the header lines of a message head whose start line named
+    ``version``; returns its framing fields: the Content-Length values and
+    the Transfer-Encoding values, each as sent and in header order, whether
+    the connection closes after the message (an HTTP/1.0 one, or
+    ``Connection: close``) and whether it asks for ``100-continue``."""
+    lengths, encodings, close, expect = [], [], version == b"HTTP/1.0", False
+    for header in _header_lines(reader):
+        name, _, value = header.partition(b":")
+        name = name.strip().lower()
+        value = value.strip()
+        if name == b"content-length":
+            lengths.append(value)
+        elif name == b"transfer-encoding":
+            encodings.append(value)
+        elif name == b"connection":
+            close = close or b"close" in [t.strip() for t in value.lower().split(b",")]
+        elif name == b"expect":
+            expect = value.lower() == b"100-continue"
+    return lengths, encodings, close, expect
+
+
+def _body(reader, size: int, before: int = 0) -> bytes:
+    """``size`` more bytes of a body that holds ``before`` bytes so far or,
+    when ``size`` is -1, the rest of the stream; fewer when the stream ends
+    first. A body that would pass ``_MAX_BODY`` bytes raises ``_TooLarge``,
+    before any read when its size is known."""
+    room = _MAX_BODY - before
+    data = b"" if size > room else reader.read(room + 1 if size < 0 else size)
+    if size > room or len(data) > room:
+        raise _TooLarge(f"response body longer than {_MAX_BODY} bytes")
+    return data
+
+
 def _chunked_body(reader) -> bytes:
     parts = []
+    total = 0
     while True:
         field = _line(reader).split(b";", 1)[0].strip()
         if not _CHUNK_SIZE.fullmatch(field):
@@ -309,10 +355,11 @@ def _chunked_body(reader) -> bytes:
             for _trailer in _header_lines(reader):
                 pass
             return b"".join(parts)
-        chunk = reader.read(size)
+        chunk = _body(reader, size, total)
         if len(chunk) < size or reader.read(2) != b"\r\n":
             raise _BadResponse("chunk ended early or without CRLF")
         parts.append(chunk)
+        total += size
 
 
 class _Connection:
@@ -386,33 +433,25 @@ class _Connection:
             ):
                 raise _BadResponse(f"malformed status line {line[:40]!r}")
             status = int(parts[1])
-            close = parts[0] == b"HTTP/1.0"
-            length = None
-            chunked = False
-            for header in _header_lines(reader):
-                name, _, value = header.partition(b":")
-                name = name.strip().lower()
-                value = value.strip()
-                if name == b"content-length":
-                    if not value.isdigit() or length not in (None, int(value)):
-                        raise _BadResponse(f"bad Content-Length {value[:40]!r}")
-                    length = int(value)
-                elif name == b"transfer-encoding":
-                    if value.lower() != b"chunked":
-                        raise _BadResponse(f"unsupported Transfer-Encoding {value[:40]!r}")
-                    chunked = True
-                elif name == b"connection":
-                    close = close or b"close" in [t.strip() for t in value.lower().split(b",")]
+            lengths, encodings, close, _expect = _framing(reader, parts[0])
+        for value in lengths:
+            if not _CONTENT_LENGTH.fullmatch(value) or int(value) != int(lengths[0]):
+                raise _BadResponse(f"bad Content-Length {value[:40]!r}")
+        for value in encodings:
+            if value.lower() != b"chunked":
+                raise _BadResponse(f"unsupported Transfer-Encoding {value[:40]!r}")
+        chunked = bool(encodings)
+        length = int(lengths[0]) if lengths else None
         if status in (204, 304):
             body = b""
         elif chunked:
             body = _chunked_body(reader)
         elif length is not None:
-            body = reader.read(length)
+            body = _body(reader, length)
             if len(body) < length:
                 raise _BadResponse(f"response body ended after {len(body)} of {length} bytes")
         else:
-            body = reader.read()
+            body = _body(reader, -1)
             close = True
         if close:
             self.close()
@@ -764,21 +803,24 @@ class MockServer:
     (``force_scores`` answers every ``/rank`` item). A malformed array or
     entry is answered 400 with an error object, on the same connection.
     Request bodies are recorded in ``requests`` for golden-file
-    comparison. An entry with no table answer is answered 500, as are the
-    first N calls to a route under ``fail_first``, which exercise the
-    client retry budget.
+    comparison; the list grows until its owner clears it. An entry with no
+    table answer is answered 500, as are the first N calls to a route under
+    ``fail_first``, which exercise the client retry budget.
 
-    It speaks HTTP/1.1 keep-alive, one thread per connection, and reads a
-    request head with the client's limits (a line of at most ``_MAX_LINE``
-    bytes, at most ``_MAX_HEADERS`` header lines); a head over them is
-    answered 414 or 431 and the connection closes. A request that is not a
-    POST is answered 501 and not recorded, and the connection closes after
-    it, after a bad ``Content-Length`` (400), after a ``Transfer-Encoding``
-    other than ``chunked`` (501, not recorded), after a malformed chunked
-    body (400), after an HTTP/1.0 request and after a ``Connection: close``
-    request. A chunked body is read with the client's chunk reader and its
-    line limits. ``close`` also ends the open connections and waits for
-    their threads.
+    It serves from construction, when it binds (a bind failure raises
+    ``OSError``), to ``close``, which also ends the open connections and
+    waits for their threads. It speaks HTTP/1.1 keep-alive, one thread per
+    connection, and reads a request head with the client's head reader and
+    limits (a line of at most ``_MAX_LINE`` bytes, at most ``_MAX_HEADERS``
+    header lines); a head over them is answered 414 or 431 and the
+    connection closes. A request that is not a POST is answered 501 and not
+    recorded, and the connection closes after it, after a bad
+    ``Content-Length`` (400), after a ``Transfer-Encoding`` other than
+    ``chunked`` (501, not recorded), after a malformed chunked body (400),
+    after a body over ``_MAX_BODY`` bytes (413, not recorded, refused before
+    the read when its size is sent), after an HTTP/1.0 request and after a
+    ``Connection: close`` request. A chunked body is read with the client's
+    chunk reader and its limits.
     """
 
     def __init__(self, tables: dict, host: str = "127.0.0.1", port: int = 0):
@@ -796,24 +838,20 @@ class MockServer:
         self._connections: dict[socket.socket, threading.Thread] = {}
         self._connections_lock = threading.Lock()
         self._thread = threading.Thread(target=self._accept, daemon=True)
+        self._thread.start()
 
     @property
     def base_url(self) -> str:
         host, port = self._listener.getsockname()[:2]
         return f"http://{host}:{port}"
 
-    def endpoint(self, timeout_ms: int = 5000, max_retries: int = 2) -> BackendEndpoint:
-        return BackendEndpoint(self.base_url, timeout_ms, max_retries)
-
-    def start(self) -> "MockServer":
-        self._thread.start()
-        return self
+    def endpoint(self, **options) -> BackendEndpoint:
+        """A ``BackendEndpoint`` on this server; ``options`` are its other fields."""
+        return BackendEndpoint(self.base_url, **options)
 
     def close(self) -> None:
         self._closing.set()
-        # an unstarted server has no accept loop to wait for
-        if self._thread.ident is not None:
-            self._thread.join(timeout=5)
+        self._thread.join(timeout=5)
         self._listener.close()
         with self._connections_lock:
             workers = list(self._connections.values())
@@ -824,12 +862,6 @@ class MockServer:
                     pass  # the peer has ended it already
         for worker in workers:
             worker.join(timeout=5)
-
-    def wait(self, timeout: float | None = None) -> None:
-        """Block until the server thread exits (or the timeout elapses);
-        return at once when the server was never started."""
-        if self._thread.ident is not None:
-            self._thread.join(timeout)
 
     def __enter__(self) -> "MockServer":
         return self
@@ -882,21 +914,8 @@ class MockServer:
         if len(parts) != 3 or parts[2] not in (b"HTTP/1.0", b"HTTP/1.1"):
             return _reply(sock, 400, {"error": "malformed request line"})
         method, target, version = parts
-        keep = version == b"HTTP/1.1"
-        lengths, encodings, expect = set(), [], False
         try:
-            for header in _header_lines(reader):
-                name, _, value = header.partition(b":")
-                name = name.strip().lower()
-                value = value.strip()
-                if name == b"content-length":
-                    lengths.add(value)
-                elif name == b"transfer-encoding":
-                    encodings.append(value.lower())
-                elif name == b"connection":
-                    keep = keep and b"close" not in [t.strip() for t in value.lower().split(b",")]
-                elif name == b"expect":
-                    expect = value.lower() == b"100-continue"
+            lengths, encodings, close, expect = _framing(reader, version)
         except _BadResponse:
             return _reply(sock, 431, {"error": "request head over the header limits"})
         if method != b"POST":
@@ -904,27 +923,29 @@ class MockServer:
             return _reply(sock, 501, {"error": f"Unsupported method ({method.decode('latin-1')!r})"})
         # a refused body's end is unknown, so the connection cannot carry
         # another request
-        chunked = encodings == [b"chunked"]
+        chunked = [value.lower() for value in encodings] == [b"chunked"]
         if encodings and not chunked:
             return _reply(sock, 501, {"error": "unsupported Transfer-Encoding"})
         # chunked framing overrides Content-Length; without it, no
         # Content-Length means no body, and several must agree
-        length, *others = lengths or {b"0"}
-        if not chunked and (others or not length.isdigit()):
+        length, *others = set(lengths) or {b"0"}
+        if not chunked and (others or not _CONTENT_LENGTH.fullmatch(length)):
             return _reply(sock, 400, {"error": "bad Content-Length"})
         if expect:
             sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        if chunked:
-            try:
+        try:
+            if chunked:
                 body = _chunked_body(reader)
-            except _BadResponse:
-                return _reply(sock, 400, {"error": "malformed chunked body"})
-        else:
-            body = reader.read(int(length))
-            if len(body) < int(length):
-                return False
+            else:
+                body = _body(reader, int(length))
+                if len(body) < int(length):
+                    return False
+        except _TooLarge:
+            return _reply(sock, 413, {"error": f"request body longer than {_MAX_BODY} bytes"})
+        except _BadResponse:
+            return _reply(sock, 400, {"error": "malformed chunked body"})
         status, obj = self._handle(target.decode("latin-1"), body)
-        return _reply(sock, status, obj, keep)
+        return _reply(sock, status, obj, not close)
 
     def _handle(self, route: str, body: bytes) -> tuple[int, dict]:
         with self._lock:
@@ -1036,6 +1057,5 @@ def _verdict(rows: list, premise: str, default: dict) -> dict:
     return default
 
 
-def serve_mock(tables: dict, host: str = "127.0.0.1", port: int = 0) -> MockServer:
-    """Start a mock model server; bind failures propagate as OSError."""
-    return MockServer(tables, host, port).start()
+# the name the command line and the benchmark's launcher start a server by
+serve_mock = MockServer

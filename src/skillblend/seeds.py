@@ -381,7 +381,7 @@ def _decode_index(obj) -> TfIdfIndex:
     """Build the index from a parsed file, checking the header, that
     ``terms`` strictly ascend, every document row (its side 0 or 1, its
     context lines non-blank, as the dataset reader requires), and that the
-    postings hold one non-negative length per term, agree in size, and give
+    postings hold one positive length per term, agree in size, and give
     each term finite weights and strictly ascending positions inside
     [0, number of rows). The decoded columns become the index's own."""
     if not isinstance(obj, dict) or obj.get("format") != INDEX_FORMAT:
@@ -425,8 +425,9 @@ def _decode_index(obj) -> TfIdfIndex:
     lengths = _unblob(blobs, "lengths", "i")
     positions = _unblob(blobs, "positions", "i")
     weights = _unblob(blobs, "weights", "d")
-    if len(lengths) != len(terms) or (lengths and min(lengths) < 0):
-        raise ValueError(f"postings lengths are not {len(terms)} non-negative counts, one per term")
+    # build_index writes a term only when some document holds it
+    if len(lengths) != len(terms) or (lengths and min(lengths) < 1):
+        raise ValueError(f"postings lengths are not {len(terms)} positive counts, one per term")
     if sum(lengths) != len(positions) or len(positions) != len(weights):
         raise ValueError(
             f"postings sizes disagree: lengths sum to {sum(lengths)},"

@@ -445,12 +445,11 @@ def test_acceptance_8_wire_protocol_conformance():
         # in member order, and each caller gets its own group's texts
         later = dtx.extended(Utterance(0, "a steady reply"))
         before = len(server.requests)
-        answers = run_in_lockstep(
-            [
-                lambda: generate_texts(endpoint, dtx, [(K, stx, 2), (P, SkillContext(P), 1)]),
-                lambda: generate_texts(endpoint, later, [(E, SkillContext(E, ("a feeling",)), 1)]),
-            ]
-        )
+        jobs = [
+            lambda: generate_texts(endpoint, dtx, [(K, stx, 2), (P, SkillContext(P), 1)]),
+            lambda: generate_texts(endpoint, later, [(E, SkillContext(E, ("a feeling",)), 1)]),
+        ]
+        answers = helpers.run_bounded(lambda: run_in_lockstep(jobs))
         assert answers == [["a steady reply"] * 2, ["a steady reply"]]
         assert server.requests[before:] == [
             ("/generate", (GOLDEN / "wire_generate_groups_req.json").read_bytes())

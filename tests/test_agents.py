@@ -525,26 +525,6 @@ def _in_fresh_thread(fn):
         return pool.submit(fn).result(timeout=30)
 
 
-def test_unstarted_mock_server_closes_promptly():
-    closed = threading.Event()
-
-    def open_and_close():
-        with MockServer(_NLI_TABLES):
-            pass
-        closed.set()
-
-    # a daemon thread, so that a close() that hangs cannot hang the suite
-    threading.Thread(target=open_and_close, daemon=True).start()
-    assert closed.wait(5)
-
-
-def test_unstarted_mock_server_wait_returns_at_once():
-    with MockServer(_NLI_TABLES) as server:
-        start = time.monotonic()
-        server.wait(0.5)
-        assert time.monotonic() - start < 0.5
-
-
 def test_calls_from_one_thread_share_one_connection(connects):
     with serve_mock(_NLI_TABLES) as server:
         endpoint = server.endpoint()
@@ -617,7 +597,8 @@ def _mock_exchange(server: MockServer, request: bytes) -> bytes:
 _EMPTY_NLI = b'{"items":[{"premises":[],"hypothesis":"h"}]}'
 
 
-@pytest.mark.parametrize("length", [b"abc", b"-5", b"1.5"])
+# more digits than int() converts: no value is read from them
+@pytest.mark.parametrize("length", [b"abc", b"-5", b"1.5", pytest.param(b"1" * 5000, id="5000-digits")])
 def test_mock_server_answers_400_to_a_bad_content_length(length):
     with serve_mock(_NLI_TABLES) as server:
         request = b"POST /nli HTTP/1.1\r\nHost: x\r\nContent-Length: " + length + b"\r\n\r\n{}"
@@ -654,6 +635,7 @@ def test_mock_server_reads_a_chunked_request_body_and_keeps_the_connection():
 
 
 _CHUNKED_HEAD = b"POST /nli HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: %s\r\n\r\n"
+_REQUEST_TOO_LONG = b"request body longer than 67108864 bytes"
 
 
 # each request ends where the server stops reading it
@@ -666,8 +648,17 @@ _CHUNKED_HEAD = b"POST /nli HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: %s\r\n\r\n
         (_CHUNKED_HEAD % b"chunked" + b"2\r\n{}XY", 400, b"malformed chunked body"),
         (_CHUNKED_HEAD % b"gzip, chunked", 501, b"unsupported Transfer-Encoding"),
         (_CHUNKED_HEAD % b"gzip", 501, b"unsupported Transfer-Encoding"),
+        # a body over the limit is refused before it is read: by its
+        # Content-Length, by one chunk's size, or by a chunk that would take
+        # the chunks read so far past it
+        (b"POST /nli HTTP/1.1\r\nHost: x\r\nContent-Length: 1000000000000\r\n\r\n", 413, _REQUEST_TOO_LONG),
+        (_CHUNKED_HEAD % b"chunked" + b"ffffffffffffffff\r\n", 413, _REQUEST_TOO_LONG),
+        (_CHUNKED_HEAD % b"chunked" + b"1\r\n{\r\n4000000\r\n", 413, _REQUEST_TOO_LONG),
     ],
-    ids=["bad-size-line", "long-size-line", "chunk-without-crlf", "gzip-chunked", "gzip"],
+    ids=[
+        "bad-size-line", "long-size-line", "chunk-without-crlf", "gzip-chunked", "gzip",
+        "length-over-limit", "chunk-size-over-limit", "chunks-over-limit",
+    ],
 )
 def test_mock_server_refuses_a_bad_chunked_body_or_encoding_and_closes(request_bytes, status, error):
     with serve_mock(_NLI_TABLES) as server:
@@ -887,6 +878,7 @@ def test_a_body_shorter_than_its_content_length_is_a_failed_attempt(sleeps):
 
 
 _CHUNKED_OK = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+_RESPONSE_TOO_LONG = "response body longer than 67108864 bytes"
 
 
 # (what the server sends, whether it then ends the stream, the failure)
@@ -915,11 +907,24 @@ _CHUNKED_OK = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
         (_CHUNKED_OK + b"a\r\n{}", True, "chunk ended early or without CRLF"),
         (b"", True, "connection closed without a response"),
         (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n", True, "connection closed inside the response headers"),
+        # more digits than int() converts
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 5000 + b"\r\n\r\n",
+            False,
+            "bad Content-Length b'" + "1" * 40 + "'",
+        ),
+        # a body over the limit fails before it is read: by its
+        # Content-Length, by one chunk's size, or by a chunk that would take
+        # the chunks read so far past it
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\n", False, _RESPONSE_TOO_LONG),
+        (_CHUNKED_OK + b"ffffffffffffffff\r\n", False, _RESPONSE_TOO_LONG),
+        (_CHUNKED_OK + b"1\r\n{\r\n4000000\r\n", False, _RESPONSE_TOO_LONG),
     ],
     ids=[
         "status line", "header line", "header count", "status-version", "status-code",
         "length-not-digits", "lengths-disagree", "transfer-encoding", "chunk-size-line",
         "chunk-without-crlf", "chunk-cut-short", "closed-before-response", "closed-inside-head",
+        "length-digits", "length-over-limit", "chunk-size-over-limit", "chunks-over-limit",
     ],
 )
 def test_an_unbounded_response_head_is_a_failed_attempt(head, close, message):
@@ -933,6 +938,20 @@ def test_an_unbounded_response_head_is_a_failed_attempt(head, close, message):
             _calls(_raw_endpoint(server, timeout_ms=5000), 1)
         assert time.monotonic() - start < 2.5
     assert str(caught.value) == f"/nli: backend unavailable after 1 attempts ({message})"
+
+
+def test_a_body_read_to_the_end_of_the_stream_is_held_to_the_limit(monkeypatch):
+    # the limit lowered to the body's size, then to one byte less
+    http10 = b"HTTP/1.0 200 OK\r\n\r\n" + _VERDICT
+    with RawServer(_answer([http10], after=_shut_write)) as server:
+        monkeypatch.setattr(agents, "_MAX_BODY", len(_VERDICT))
+        assert _calls(_raw_endpoint(server), 1) == [_VERDICT]
+        monkeypatch.setattr(agents, "_MAX_BODY", len(_VERDICT) - 1)
+        with pytest.raises(BackendUnavailableError) as caught:
+            _calls(_raw_endpoint(server), 1)
+    assert str(caught.value) == (
+        f"/nli: backend unavailable after 1 attempts (response body longer than {len(_VERDICT) - 1} bytes)"
+    )
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,13 @@ def _run(*argv):
     return main(list(argv))
 
 
+def _run_bounded(*argv):
+    """``_run`` through ``helpers.run_bounded``: a remote ``generate`` runs
+    its episodes in lockstep groups, and a group that deadlocks fails the
+    test instead of hanging the run."""
+    return helpers.run_bounded(lambda: _run(*argv))
+
+
 def test_index_then_generate_then_validate_then_stats(workdir, capsys):
     tmp_path, data = workdir
     index = str(tmp_path / "ctx.idx")
@@ -456,7 +463,7 @@ def test_generate_with_remote_backend(workdir):
     assert _run("index", "--data", *data, "--out", index) == 0
     out = str(tmp_path / "remote.jsonl")
     with serve_mock(_REMOTE_TABLES) as server:
-        rc = _run(
+        rc = _run_bounded(
             "generate", "--data", *data, "--index", index, "--out", out,
             "--episodes", "2", "--backend", "remote", "--endpoint", server.base_url,
         )
@@ -476,7 +483,7 @@ def test_remote_score_that_is_not_a_finite_float_exits_1(workdir, capsys, score)
     assert _run("index", "--data", *data, "--out", index) == 0
     tables = {**_REMOTE_TABLES, "rank": {"default_score": score}}
     with serve_mock(tables) as server:
-        rc = _run(
+        rc = _run_bounded(
             "generate", "--data", *data, "--index", index, "--out", str(tmp_path / "remote.jsonl"),
             "--episodes", "2", "--backend", "remote", "--endpoint", server.base_url,
         )
@@ -494,7 +501,7 @@ def test_generate_reports_aborted_seeds_and_writes_only_the_rest(workdir, capsys
     tables = {**_REMOTE_TABLES, "nli": {"default": {"label": "contradict", "confidence": 0.9}}}
     out = tmp_path / "remote.jsonl"
     with serve_mock(tables) as server:
-        rc = _run(
+        rc = _run_bounded(
             "generate", "--data", *data, "--index", index, "--out", str(out),
             "--episodes", "2", "--backend", "remote", "--endpoint", server.base_url,
         )
@@ -544,6 +551,36 @@ def test_index_over_data_without_context_lines_is_a_config_error(tmp_path, capsy
     assert _run("index", "--data", str(bare), "--out", str(out)) == 2
     assert capsys.readouterr().err == "skillblend: input datasets carry no context lines to index\n"
     assert [p.name for p in tmp_path.iterdir()] == ["bare.jsonl"]
+
+
+def test_mockserver_serves_until_ctrl_c_and_keeps_no_request_log(tmp_path, monkeypatch, capsys):
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps(_REMOTE_TABLES), encoding="utf-8")
+    started, answers = [], []
+
+    def serving(*args):
+        server = serve_mock(*args)
+        started.append((server, server.base_url))
+        return server
+
+    def one_tick(seconds):
+        # the first tick answers a request, the second is a Ctrl-C
+        if answers:
+            raise KeyboardInterrupt
+        server, base_url = started[0]
+        answers.append(helpers.post_raw(base_url + "/classify", b'{"texts":["hi"]}'))
+        assert len(server.requests) == 1
+
+    monkeypatch.setattr(cli, "serve_mock", serving)
+    monkeypatch.setattr(cli, "sleep", one_tick)
+    assert _run("mockserver", "--tables", str(tables), "--bind", "127.0.0.1:0") == 0
+    [(server, base_url)] = started
+    assert answers == [(200, b'{"distributions":[[0.2,0.3,0.5]]}')]
+    assert server.requests == []
+    assert capsys.readouterr().out == f"mock server listening on {base_url}\n"
+    # closed on the way out
+    with pytest.raises(OSError):
+        helpers.post_raw(base_url + "/classify", b'{"texts":["hi"]}')
 
 
 def test_remote_backend_requires_endpoint(workdir, monkeypatch, capsys):

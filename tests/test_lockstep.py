@@ -507,3 +507,51 @@ def test_a_job_that_raises_leaves_its_group(monkeypatch):
     for member in (0, 2):
         assert results[member] == [([["/classify", entry]], b"raw") for _route, (entry,) in plans[member]]
     assert [str(exc) for exc in reported] == ["job failed"]
+
+
+def test_a_tick_sends_one_request_per_endpoint_with_its_members_in_seed_order(monkeypatch):
+    # each member calls every route once, on one of two endpoints, as when
+    # a library user gives each skill an endpoint of its own; the members
+    # on one endpoint alternate with the others, and swap endpoints from
+    # one route to the next
+    endpoints = [BackendEndpoint("http://127.0.0.1:9"), BackendEndpoint("http://127.0.0.2:9")]
+    plans = [
+        [
+            (route, endpoints[(member + step) % 2], [{"id": f"{member}.{step}"}] * (1 + member % 2))
+            for step, route in enumerate(_TURN)
+        ]
+        for member in range(5)
+    ]
+    ticks = []
+    send_if_due = agents._Lockstep._send_if_due
+
+    def tick(group):
+        ticks.append([])
+        send_if_due(group)
+
+    def post(endpoint, route, body):
+        request_key = agents._FORMS[route][0]
+        ticks[-1].append((endpoint, route, body[request_key]))
+        return _echo([], endpoint, route, body)
+
+    def job(plan):
+        return [agents.exchange(post, endpoint, route, entries) for route, endpoint, entries in plan]
+
+    monkeypatch.setattr(agents._Lockstep, "_send_if_due", tick)
+    results = helpers.run_bounded(partial(run_in_lockstep, [partial(job, plan) for plan in plans]))
+    assert _batch_threads() == []
+    expected = []
+    for step, route in enumerate(_TURN):
+        # the endpoint of member 0 first, then the other one
+        expected.append(
+            [
+                (plans[first][step][1], route, [e for m in range(first, 5, 2) for e in plans[m][step][2]])
+                for first in (0, 1)
+            ]
+        )
+    assert [requests for requests in ticks if requests] == expected
+    alone = [
+        [agents.exchange(partial(_echo, []), endpoint, route, entries) for route, endpoint, entries in plan]
+        for plan in plans
+    ]
+    assert results == alone

@@ -842,6 +842,9 @@ _BAD_POSTINGS = {
     "lengths-sum-too-small": ("lengths", [1, 1, 1, 1], "sizes disagree"),
     "lengths-sum-too-large": ("lengths", [2, 1, 1, 2], "sizes disagree"),
     "too-few-lengths": ("lengths", [2, 1, 1], "lengths are not"),
+    # term 2 ("river") holds no document, which build_index never writes,
+    # and term 1 ("pie") takes its position: the sizes agree
+    "zero-length": ("lengths", [2, 2, 0, 1], "lengths are not 4 positive counts, one per term"),
 }
 
 
@@ -851,6 +854,15 @@ def test_index_load_rejects_bad_postings(tmp_path, case):
     key, values, reason = _BAD_POSTINGS[case]
     obj["postings"][key] = _pack("i", values)
     _rejected(path, obj, reason)
+
+
+def test_index_load_rejects_terms_without_documents(tmp_path):
+    # every term has zero postings, which build_index never writes; the
+    # idf would take the log of 0
+    path, obj = _saved_postings(tmp_path)
+    obj["docs"] = []
+    obj["postings"] = {"lengths": _pack("i", [0] * 4), "positions": _pack("i", []), "weights": _pack("d", [])}
+    _rejected(path, obj, "postings lengths are not 4 positive counts, one per term")
 
 
 @pytest.mark.parametrize("postings", [None, [], "AAAA"], ids=["missing", "list", "string"])

@@ -4,13 +4,16 @@ library, no module has an ``assert`` statement, which ``python -O``
 strips, and every top-level function and class, and every member of a
 top-level class, has a reader in ``src/skillblend`` or ``perfbench``, not
 only in the tests. The member check also imports each module, to see
-which names a base class outside skillblend defines."""
+which names a base class outside skillblend defines. No run of five
+non-trivial code lines appears twice in ``src/skillblend``."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -180,6 +183,43 @@ def unread_members(modules: dict[str, tuple[ast.Module, dict]], readers: list[as
     return found
 
 
+def code_lines(text: str) -> list[tuple[int, str]]:
+    """The non-trivial code lines of a module's source, as (line number,
+    stripped text): those over 12 characters once stripped, with comments
+    cut off and docstrings left out."""
+    lines = text.splitlines()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            row, column = token.start
+            lines[row - 1] = lines[row - 1][:column]
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, *_DEFINITIONS)) and ast.get_docstring(node) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return [
+        (number, line.strip())
+        for number, line in enumerate(lines, 1)
+        if number not in docstrings and len(line.strip()) > 12
+    ]
+
+
+def repeated_runs(modules: dict[str, list[tuple[int, str]]], size: int = 5) -> list[str]:
+    """Each run of ``size`` consecutive ``code_lines`` that appeared before,
+    in any module, as "module:line and module:line" (where the run starts,
+    first and again)."""
+    first: dict[tuple[str, ...], str] = {}
+    found = []
+    for module, lines in modules.items():
+        for start in range(len(lines) - size + 1):
+            run = tuple(text for _number, text in lines[start : start + size])
+            where = f"{module}:{lines[start][0]}"
+            if run in first:
+                found.append(f"{first[run]} and {where}")
+            else:
+                first[run] = where
+    return found
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(_tree(path)) == []
@@ -209,6 +249,11 @@ def test_every_class_member_has_a_reader():
         if path.name != "__init__.py"
     }
     assert unread_members(modules, [_tree(path) for path in READERS]) == []
+
+
+def test_no_run_of_five_code_lines_appears_twice():
+    modules = {path.name: code_lines(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert repeated_runs(modules) == []
 
 
 def test_the_checks_see_what_they_look_for():
@@ -246,3 +291,19 @@ def test_the_checks_see_what_they_look_for():
     assert unread_members({"m.py": (classes, namespace)}, [classes, reader]) == [
         "m.py: Base.kept", "m.py: Point.hidden", "m.py: Point.y"
     ]
+    # five long lines twice, once with a comment and a short line between
+    # them; a docstring, a comment and short lines never count
+    block = [f"value_{n} = compute(value_{n - 1})" for n in range(5)]
+    text = "\n".join(
+        ['"""a docstring line that is long enough"""', "# a comment line that is long enough"]
+        + block
+        + ["def f():", '    """', "    " + block[0], '    """']
+        + ["    " + line + "  # a comment" for line in block[:2]]
+        + ["    x = 1"]
+        + ["    " + line for line in block[2:]]
+    )
+    lines = code_lines(text)
+    assert [number for number, _ in lines] == [3, 4, 5, 6, 7, 12, 13, 15, 16, 17]
+    assert repeated_runs({"m.py": lines}) == ["m.py:3 and m.py:12"]
+    assert repeated_runs({"m.py": lines}, size=6) == []
+    assert repeated_runs({"a.py": lines[:5], "b.py": lines[5:]}) == ["a.py:3 and b.py:12"]
