@@ -331,15 +331,24 @@ def _framing(reader, version: bytes) -> tuple[list, list, bool, bool]:
     return lengths, encodings, close, expect
 
 
+def _room(size: int, before: int = 0) -> int:
+    """The bytes that a body holding ``before`` bytes so far may still
+    take; raises ``_TooLarge`` when ``size`` more would pass
+    ``_MAX_BODY``."""
+    room = _MAX_BODY - before
+    if size > room:
+        raise _TooLarge(f"response body longer than {_MAX_BODY} bytes")
+    return room
+
+
 def _body(reader, size: int, before: int = 0) -> bytes:
     """``size`` more bytes of a body that holds ``before`` bytes so far or,
     when ``size`` is -1, the rest of the stream; fewer when the stream ends
     first. A body that would pass ``_MAX_BODY`` bytes raises ``_TooLarge``,
     before any read when its size is known."""
-    room = _MAX_BODY - before
-    data = b"" if size > room else reader.read(room + 1 if size < 0 else size)
-    if size > room or len(data) > room:
-        raise _TooLarge(f"response body longer than {_MAX_BODY} bytes")
+    room = _room(size, before)
+    data = reader.read(room + 1 if size < 0 else size)
+    _room(len(data), before)
     return data
 
 
@@ -818,9 +827,9 @@ class MockServer:
     ``Content-Length`` (400), after a ``Transfer-Encoding`` other than
     ``chunked`` (501, not recorded), after a malformed chunked body (400),
     after a body over ``_MAX_BODY`` bytes (413, not recorded, refused before
-    the read when its size is sent), after an HTTP/1.0 request and after a
-    ``Connection: close`` request. A chunked body is read with the client's
-    chunk reader and its limits.
+    the read and before any ``100 Continue`` when its size is sent), after
+    an HTTP/1.0 request and after a ``Connection: close`` request. A
+    chunked body is read with the client's chunk reader and its limits.
     """
 
     def __init__(self, tables: dict, host: str = "127.0.0.1", port: int = 0):
@@ -830,6 +839,9 @@ class MockServer:
         self.requests: list[tuple[str, bytes]] = []
         self._lock = threading.Lock()
         self._listener = socket.create_server((host, port))
+        # kept from the bind, so that it still reads after close()
+        bound_host, bound_port = self._listener.getsockname()[:2]
+        self.base_url = f"http://{bound_host}:{bound_port}"
         # short poll so close() returns promptly
         self._listener.settimeout(0.02)
         self._closing = threading.Event()
@@ -839,11 +851,6 @@ class MockServer:
         self._connections_lock = threading.Lock()
         self._thread = threading.Thread(target=self._accept, daemon=True)
         self._thread.start()
-
-    @property
-    def base_url(self) -> str:
-        host, port = self._listener.getsockname()[:2]
-        return f"http://{host}:{port}"
 
     def endpoint(self, **options) -> BackendEndpoint:
         """A ``BackendEndpoint`` on this server; ``options`` are its other fields."""
@@ -931,9 +938,11 @@ class MockServer:
         length, *others = set(lengths) or {b"0"}
         if not chunked and (others or not _CONTENT_LENGTH.fullmatch(length)):
             return _reply(sock, 400, {"error": "bad Content-Length"})
-        if expect:
-            sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
+            if not chunked:
+                _room(int(length))  # refused before 100 Continue and before the read
+            if expect:
+                sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
             if chunked:
                 body = _chunked_body(reader)
             else:

@@ -4,19 +4,20 @@ One episode runs the three phases per turn: every roster agent opens with
 a candidate that the consistency gate filters (bounded regeneration), the
 active agent ranks the surviving pool and the flow gate picks the final
 response, passing the mic when an inactive agent wins. Episodes are
-independent work units. A batch runs them in groups on a thread pool, at
-most ``parallelism`` groups at once, while output order stays equal to
-seed order, so parallelism never changes the bytes. With in-process
-backends a group is one episode. With a remote backend it is up to
-``_GROUP`` consecutive episodes in lockstep, one thread each: whenever all
-of them wait on the backend, one request carries the items of those
-furthest behind in their turns, and the others wait, so the episodes stay
-in step. The requests do not depend on parallelism either."""
+independent work units. A batch runs them in groups, at most
+``parallelism`` groups at once: on the calling thread at parallelism 1,
+on a thread pool above it. Output order stays equal to seed order, so
+parallelism never changes the bytes. With in-process backends a group is
+one episode. With a remote backend it is up to ``_GROUP`` consecutive
+episodes in lockstep, one thread each: whenever all of them wait on the
+backend, one request carries the items of those furthest behind in their
+turns, and the others wait, so the episodes stay in step. The requests
+do not depend on parallelism either."""
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -281,14 +282,16 @@ def run_batch(
     When some backend is a remote client, each ``_GROUP`` consecutive seeds
     form a lockstep group: its episodes run on threads of their own and
     share one request per route and step (see ``agents.run_in_lockstep``).
-    Otherwise a group is one episode, run on the worker thread. Output
-    order equals seed order regardless of completion order; aborted
-    episodes are recorded in the report, not written. Refusal totals count
-    the written episodes, so recounting the output file reproduces them.
-    At most 2 * ``parallelism`` groups are in flight at once, so ``seeds``
-    may be a lazy iterable. A backend error or a failed write ends the
-    batch at that episode; the episodes after it that have not started
-    are not run.
+    Otherwise a group is one episode. At parallelism 1 each group runs on
+    the calling thread and is written before the next one starts; above
+    it, groups run on a thread pool, at most 2 * ``parallelism`` in flight
+    at once. Either way ``seeds`` may be a lazy iterable. Output order
+    equals seed order regardless of completion order; aborted episodes are
+    recorded in the report, not written. Refusal totals count the written
+    episodes, so recounting the output file reproduces them. A backend
+    error or a failed write ends the batch at that episode; the episodes
+    after it that have not started are not run. When the batch ends, the
+    client connections of the threads that ran its groups are closed.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
@@ -323,9 +326,9 @@ def run_batch(
     written = 0
     refusal_total = 0
 
-    def consume(group: list[tuple[int, SeedEpisode]], future: Future) -> None:
+    def consume(group: list[tuple[int, SeedEpisode]], results: Callable[[], list]) -> None:
         nonlocal written, refusal_total
-        for (index, _seed), result in zip(group, future.result()):
+        for (index, _seed), result in zip(group, results()):
             if isinstance(result, EpisodeAbortError):
                 aborts.append((index, str(result)))
                 continue
@@ -339,27 +342,38 @@ def run_batch(
             written += 1
             refusal_total += sum(len(t.refusals) for t in result.turns)
 
-    # at most 2 * parallelism groups in flight, consumed in seed order;
-    # each is dropped once consumed, and when the batch ends early the
-    # ones not yet started are cancelled
+    # above parallelism 1, at most 2 * parallelism groups are in flight on
+    # a pool, consumed in seed order; each is dropped once consumed, and
+    # when the batch ends early the ones not yet started are cancelled. At
+    # parallelism 1 each group runs on the calling thread as it is
+    # consumed: a pool thread would only pass the interpreter lock back
+    # and forth with this one
     indexed = enumerate(seeds)
-    window: deque[tuple[list[tuple[int, SeedEpisode]], Future]] = deque()
-    # each pool thread's client connections
+    window: deque[tuple[list[tuple[int, SeedEpisode]], Callable[[], list]]] = deque()
+    # the client connections of the threads that run groups
     held: list = []
-    pool = ThreadPoolExecutor(
-        max_workers=parallelism,
-        thread_name_prefix="skillblend-batch",
-        initializer=lambda: held.append(thread_connections()),
-    )
+    pool = None
+    if parallelism == 1:
+        held.append(thread_connections())
+    else:
+        pool = ThreadPoolExecutor(
+            max_workers=parallelism,
+            thread_name_prefix="skillblend-batch",
+            initializer=lambda: held.append(thread_connections()),
+        )
     try:
         for group in iter(lambda: list(islice(indexed, size)), []):
+            if pool is None:
+                consume(group, partial(run_group, group))
+                continue
             if len(window) == 2 * parallelism:
                 consume(*window.popleft())
-            window.append((group, pool.submit(run_group, group)))
+            window.append((group, pool.submit(run_group, group).result))
         while window:
             consume(*window.popleft())
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         # closed once the threads have ended, not left to the garbage
         # collector: an episode's exception holds frames that reach them
         # in a reference cycle

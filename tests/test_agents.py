@@ -671,6 +671,38 @@ def test_mock_server_refuses_a_bad_chunked_body_or_encoding_and_closes(request_b
         assert post_raw(server.base_url + "/nli", _EMPTY_NLI)[0] == 200
 
 
+def test_mock_server_refuses_an_oversized_body_before_100_continue():
+    request = (
+        b"POST /nli HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+        b"Content-Length: 1000000000000\r\n\r\n"
+    )
+    with serve_mock(_NLI_TABLES) as server:
+        reply = _mock_exchange(server, request)
+        # the first response line is the refusal, not 100 Continue
+        assert reply.split(b"\r\n", 1)[0].startswith(b"HTTP/1.1 413 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert reply.endswith(b'{"error":"' + _REQUEST_TOO_LONG + b'"}')
+        assert server.requests == []
+
+
+def test_mock_server_sends_100_continue_before_a_body_it_reads():
+    request = (
+        b"POST /nli HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nConnection: close\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(_EMPTY_NLI) + _EMPTY_NLI
+    )
+    with serve_mock(_NLI_TABLES) as server:
+        reply = _mock_exchange(server, request)
+        assert reply.startswith(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 ")
+        assert server.requests == [("/nli", _EMPTY_NLI)]
+
+
+def test_mock_server_base_url_reads_after_close():
+    server = serve_mock(_NLI_TABLES)
+    url = server.base_url
+    server.close()
+    assert server.base_url == url
+
+
 @pytest.mark.parametrize(
     "head",
     [

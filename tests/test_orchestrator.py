@@ -273,7 +273,6 @@ def test_run_batch_writer_failure_names_the_episode(corpus_files, monkeypatch):
 
     def counted(*args, **kwargs):
         started.append(kwargs["episode_id"])
-        time.sleep(0.002)  # hands the writing thread the GIL
         return run_episode_uncounted(*args, **kwargs)
 
     monkeypatch.setattr(orchestrator, "run_episode", counted)
@@ -287,9 +286,9 @@ def test_run_batch_writer_failure_names_the_episode(corpus_files, monkeypatch):
     with pytest.raises(BatchError, match="^writer failed on episode ep-000003: disk full$"):
         run_batch(seeds, agents, judge, scorer, cfg, write=flaky)
     assert len(written) == 3
-    # the batch stops after the failed write: 5 episodes start on a quiet
-    # machine (the worker is one ahead of the writer), far fewer than 100
-    assert len(started) < 50
+    # at parallelism 1 each episode is written before the next one starts,
+    # so the batch stops at the failed write with 4 of 100 started
+    assert len(started) == 4
 
 
 class _DeadJudge:
@@ -315,9 +314,13 @@ def test_run_batch_stops_at_first_backend_error(cfg, parallelism):
     seeds = [_plain_seed()] * 200
     with pytest.raises(BackendUnavailableError, match="episode ep-000000 "):
         run_batch(seeds, agents, judge, scorer, cfg, parallelism=parallelism)
-    # about parallelism + 1 episodes start; the bound leaves the main thread
-    # over 100 ms to cancel the rest, since each episode sleeps 5 ms
-    assert judge.calls < 50
+    if parallelism == 1:
+        # the calling thread stops at the first episode's error
+        assert judge.calls == 1
+    else:
+        # about parallelism + 1 episodes start; the bound leaves the main
+        # thread over 100 ms to cancel the rest, since each episode sleeps 5 ms
+        assert judge.calls < 50
 
 
 @pytest.mark.parametrize("parallelism", [1, 2, 3])
@@ -344,6 +347,35 @@ def test_run_batch_keeps_a_bounded_window_in_flight(cfg, monkeypatch, parallelis
     assert report.episodes_written == 40
     assert started_at_write[0] <= 2 * parallelism + 1
     assert sorted(started) == [f"ep-{i:06d}" for i in range(40)]
+
+
+def test_a_parallelism_1_batch_runs_on_the_calling_thread(cfg, monkeypatch):
+    agents, judge, scorer = _stack(cfg)
+    ran_on = []
+    run_episode_unrecorded = orchestrator.run_episode
+
+    def recorded(*args, **kwargs):
+        ran_on.append(threading.current_thread())
+        return run_episode_unrecorded(*args, **kwargs)
+
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(orchestrator, "run_episode", recorded)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    report = run_batch([_plain_seed()] * 6, agents, judge, scorer, cfg, parallelism=1)
+    assert report.episodes_written == 6
+    assert ran_on == [threading.current_thread()] * 6
+    assert started == []
+    # the same batch at parallelism 2 runs on pool threads the probe sees start
+    ran_on.clear()
+    run_batch([_plain_seed()] * 6, agents, judge, scorer, cfg, parallelism=2)
+    assert started
+    assert threading.current_thread() not in ran_on
 
 
 def test_run_batch_rejects_bad_parallelism(cfg):
@@ -694,10 +726,12 @@ def test_remote_batch_fails_fast_when_the_backend_dies(cfg, monkeypatch):
     assert len(started) == count
 
 
-def test_a_failed_remote_batch_closes_its_client_connections(cfg, monkeypatch):
-    # the episode's exception holds frames that reach the pool threads'
-    # connections in a reference cycle; with the collector off, the batch
-    # itself must close them
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_failed_remote_batch_closes_its_client_connections(cfg, monkeypatch, parallelism):
+    # the episode's exception holds frames that reach the connections of
+    # the threads that ran groups (the calling thread's at parallelism 1,
+    # the pool threads' above it) in a reference cycle; with the collector
+    # off, the batch itself must close them
     opened = []
     create = socket.create_connection
 
@@ -712,12 +746,16 @@ def test_a_failed_remote_batch_closes_its_client_connections(cfg, monkeypatch):
     try:
         with serve_mock(tables) as server:
             agents, judge, scorer = _remote_stack(server.endpoint(max_retries=0), cfg)
-            for _ in range(5):
+            for batches in range(1, 6):
                 with pytest.raises(BackendUnavailableError, match="/rank: backend unavailable"):
                     helpers.run_bounded(
-                        partial(run_batch, [_plain_seed()] * 16, agents, judge, scorer, cfg, parallelism=2)
+                        partial(
+                            run_batch, [_plain_seed()] * 16, agents, judge, scorer, cfg,
+                            parallelism=parallelism,
+                        )
                     )
-                assert opened
+                # one connection per thread that runs groups, and one host
+                assert 0 < len(opened) <= batches * parallelism
                 assert [sock.fileno() for sock in opened] == [-1] * len(opened)
     finally:
         gc.enable()
